@@ -28,6 +28,7 @@ from .orders import (
     parse_order,
 )
 from .domains import (
+    DEFAULT_PROFILE_GUARD,
     Domain,
     FeasibleSet,
     ResolventGap,
@@ -41,6 +42,7 @@ from .scf import (
     dumps_canonical,
     load_scf,
     rule_params_from_dict,
+    tabulate,
 )
 from .properties import (
     CHECKERS,
@@ -236,6 +238,8 @@ def cmd_check(args) -> int:
     for prop in wanted:
         if prop not in CHECKERS:
             raise PrefrevError(f"unknown property {prop!r}")
+    # One table serves every checker; witnesses read only the domain.
+    scf = tabulate(scf, kwargs.get("max_profiles", DEFAULT_PROFILE_GUARD))
     reports = {}
     if "pr" in wanted and "apr" in wanted:
         reports.update(check_pr_apr(scf, **kwargs))

@@ -58,6 +58,7 @@ from .properties import (
     check_gsp,
     check_isp,
     check_pr,
+    check_pr_apr,
     report_to_dict,
     revalidate_witness,
 )
@@ -345,8 +346,8 @@ def verify_summary_equivalence(
         scf = Scf.from_table(spec.domain, _table_at(spec, number, count))
         isp = check_isp(scf)
         gsp = check_gsp(scf)
-        pr = check_pr(scf)
-        apr = check_apr(scf)
+        both = check_pr_apr(scf)
+        pr, apr = both["pr"], both["apr"]
         tallies.append((pr.holds, apr.holds, gsp.holds, isp.holds))
         if pr.holds and not apr.holds:
             return "pr-not-apr", scf, (pr, apr)

@@ -1,32 +1,33 @@
 """Decision procedures with witnesses: ISP, GSP, PR, APR, dictatorship.
 
-Every checker scans a fixed canonical order (profiles by index, pairs
-lexicographic, coalitions by size then lexicographic, deviations by
-canonical order) and reports the first failure it meets, so witnesses are
-reproducible.  Internal parallelism partitions the scan into fixed blocks
-whose results are reduced to the canonical minimum; the reported witness
-and the ``checked`` count are therefore independent of the worker count and
-schedule.
+Every checker scans a fixed canonical order and reports the first failure
+it meets; ``checked`` counts the cases up to and including the witness (or
+all of them when the property holds).  Blocks are reduced in scan order, so
+both are the same for any worker count.  ISP scans profiles, then voters,
+then each voter's other orders; dictatorship scans voters, then profiles.
 
-``checked`` is the number of elementary cases up to and including the
-witness (or the full case space when the property holds).
+GSP, PR and APR are constraints on ordered profile pairs (P, Q) and share
+one numpy pass.  With x = phi(P) and y = phi(Q), voter v *keeps* x if P_v
+!= Q_v and x is weakly best against y under P_v, and *accepts* y if P_v !=
+Q_v and y is weakly best against x under Q_v.  Where x != y, GSP fails if
+no voter keeps x (every voter who changed strictly gains; they are the
+coalition, and a passive member would add nothing), APR fails if no voter
+keeps x or none accepts y, and PR fails if no single voter does both.
 
-Definitions implemented, for an outcome pair x = phi(P), y = phi(Q):
-
-* ISP fails if some voter v and deviation Q_v make phi(Q_v, P_-v) strictly
-  better than phi(P) under P_v.
-* GSP fails if some non-empty coalition D and deviation Q_D (every member
-  changing their report; restricting to that loses no manipulations) give
-  every member a strict gain under their true order.
-* PR holds if whenever x != y there is one voter v with x weakly best
-  against y under P_v, y weakly best against x under Q_v, and P_v != Q_v.
-* APR holds if both conditions hold but possibly at two different voters,
-  each of whom changed their report.  APR is equivalent to GSP.
+Row P has count - 1 cases, one per Q != P.  PR and APR take them left to
+right.  GSP takes them by coalition size, then coalition, then the members'
+new orders in canonical product order, so a case's place in the row is a
+key: the coalition's offset plus the mixed-radix index of the new orders,
+each member's truthful order skipped.  The key is computed only over the
+violations of the first row that has any.  Blocks hold about
+``_BLOCK_CELLS`` (voter, row, column) cells, so an early failure stops in a
+small first block.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -45,7 +46,7 @@ DEFAULT_PAIR_GUARD = 2_000_000_000
 DEFAULT_GSP_GUARD = 100_000_000
 
 _ISP_BLOCK = 2048
-_PAIR_BLOCK = 256
+_BLOCK_CELLS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -115,42 +116,65 @@ class PropertyReport:
 
 
 class _Ctx:
+    """Per-domain scan data.  Lazy members are built in locals and published
+    by one assignment, so threads sharing a context never see them half built."""
+
     __slots__ = (
-        "domain", "n", "k", "sizes", "strides", "count",
-        "ranks", "np_ranks", "np_digits", "tops",
+        "domain", "n", "sizes", "strides", "count",
+        "ranks", "arrays", "tops", "coalitions",
     )
 
     def __init__(self, domain: Domain):
         self.domain = domain
         self.n = domain.n
-        self.k = domain.k
         self.sizes = tuple(len(fs) for fs in domain.feasible)
         self.strides = profile_strides(domain)
         self.count = domain.profile_count()
         self.ranks = tuple(
             tuple(order.ranks for order in fs) for fs in domain.feasible
         )
-        self.np_ranks = None
-        self.np_digits = None
+        self.arrays = None
         self.tops = None
+        self.coalitions = None
 
-    def build_numpy(self) -> None:
-        if self.np_ranks is None:
-            self.np_ranks = [
-                np.array([order.ranks for order in fs], dtype=np.int8)
-                for fs in self.domain.feasible
-            ]
-            idx = np.arange(self.count, dtype=np.int64)
-            self.np_digits = [
-                ((idx // self.strides[v]) % self.sizes[v]).astype(np.int32)
-                for v in range(self.n)
-            ]
+    def build_arrays(self):
+        """``(digits, rank_rows, rank_base)``: each voter's order index and
+        that order's rank vector at every profile, and the flat offsets of
+        ``rank_rows`` rows to which an outcome table is added."""
+        if self.arrays is None:
+            idx = np.arange(self.count)
+            digits = np.stack([
+                (idx // stride) % size
+                for stride, size in zip(self.strides, self.sizes)
+            ])
+            rank_rows = np.stack([
+                np.array(ranks, dtype=np.int8)[d]
+                for ranks, d in zip(self.ranks, digits)
+            ])
+            base = np.arange(digits.size).reshape(digits.shape) * rank_rows.shape[2]
+            self.arrays = (digits, rank_rows, base)
+        return self.arrays
 
     def build_tops(self) -> None:
         if self.tops is None:
             self.tops = tuple(
                 tuple(order.top_set() for order in fs) for fs in self.domain.feasible
             )
+
+    def coalition_offsets(self) -> dict[tuple[int, ...], int]:
+        """GSP cases of a profile row before each coalition's first: by size,
+        then lexicographically, coalition C holding prod(m_v - 1) cases.
+        Voters with one feasible order never change and are left out."""
+        if self.coalitions is None:
+            active = [v for v in range(self.n) if self.sizes[v] > 1]
+            offsets = {}
+            acc = 0
+            for size in range(1, len(active) + 1):
+                for coalition in itertools.combinations(active, size):
+                    offsets[coalition] = acc
+                    acc += math.prod(self.sizes[v] - 1 for v in coalition)
+            self.coalitions = offsets
+        return self.coalitions
 
 
 _CTX_CACHE: dict[int, _Ctx] = {}
@@ -167,9 +191,8 @@ def _ctx_for(domain: Domain) -> _Ctx:
 
 
 def _prepare(scf: Scf, max_profiles: int, want_list: bool = True):
-    ctx = _ctx_for(scf.domain)
     table = tabulate(scf, max_profiles).table
-    return ctx, table, table.tolist() if want_list else None
+    return _ctx_for(scf.domain), table, table.tolist() if want_list else None
 
 
 def _digits_at(sizes, index):
@@ -278,168 +301,108 @@ def check_isp(
 
 
 # ---------------------------------------------------------------------------
-# GSP
+# GSP / PR / APR (one pair-constraint pass)
 # ---------------------------------------------------------------------------
 
 
-def check_gsp(
-    scf: Scf,
-    *,
-    parallelism: int = 1,
-    max_profiles: int = DEFAULT_PROFILE_GUARD,
-    max_cases: int = DEFAULT_GSP_GUARD,
-) -> PropertyReport:
-    """No coalition can make every member strictly better off.
+def _gsp_first(ctx, digits, i, cols):
+    """Row i's canonically first deviation among ``cols``, and its ordinal.
 
-    Only deviations where every coalition member changes their report are
-    enumerated; a manipulation with a passive member induces one by the
-    sub-coalition of active members, so nothing is lost.
+    A column's coalition is the set of voters whose order changed; its
+    ordinal is the coalition's offset plus the mixed-radix index of the
+    members' new orders, each counted without the member's truthful one.
     """
-    t0 = time.perf_counter()
-    ctx, _, tbl = _prepare(scf, max_profiles)
-    n, sizes, strides, ranks = ctx.n, ctx.sizes, ctx.strides, ctx.ranks
-    coalitions = [
-        c for size in range(1, n + 1) for c in itertools.combinations(range(n), size)
-    ]
-    # Summed over all coalitions the normalized deviation space per profile
-    # is exactly count - 1 (each deviation is a distinct profile).
-    cases_per_profile = ctx.count - 1
-    total = ctx.count * cases_per_profile
-    if total > max_cases:
-        raise ResourceGuardError(
-            f"group manipulation scan needs {total} cases, guard is {max_cases}"
-        )
-
-    def scan_block(lo, hi):
-        digits = _digits_at(sizes, lo)
-        scanned = 0
-        for pidx in range(lo, hi):
-            out = tbl[pidx]
-            for coalition in coalitions:
-                if any(sizes[v] < 2 for v in coalition):
-                    continue
-                rows = [ranks[v][digits[v]] for v in coalition]
-                options = [
-                    [
-                        (w - digits[v]) * strides[v]
-                        for w in range(sizes[v])
-                        if w != digits[v]
-                    ]
-                    for v in coalition
-                ]
-                for deltas in itertools.product(*options):
-                    scanned += 1
-                    dev = tbl[pidx + sum(deltas)]
-                    if dev == out:
-                        continue
-                    if all(rk[dev] < rk[out] for rk in rows):
-                        return scanned, (pidx, coalition, deltas, out, dev)
-            _advance(digits, sizes)
-        return scanned, None
-
-    checked, payload = _scan_blocks(
-        ctx.count, cases_per_profile, scan_block, parallelism, _ISP_BLOCK
-    )
-    witness = None
-    if payload is not None:
-        pidx, coalition, deltas, out, dev = payload
-        digits = _digits_at(sizes, pidx)
-        deviation = tuple(
-            scf.domain.feasible[v][digits[v] + delta // strides[v]]
-            for v, delta in zip(coalition, deltas)
-        )
-        witness = ManipulationWitness(
-            coalition, profile_at(scf.domain, pidx), deviation, out, dev
-        )
-    return PropertyReport(
-        "gsp", payload is None, witness, checked, time.perf_counter() - t0, scf
-    )
+    offsets, sizes = ctx.coalition_offsets(), ctx.sizes
+    di = digits[:, i].tolist()
+    best = None
+    for j, dj in zip(cols.tolist(), digits[:, cols].T.tolist()):
+        coalition = tuple(v for v in range(ctx.n) if dj[v] != di[v])
+        key = 0
+        for v in coalition:
+            key = key * (sizes[v] - 1) + dj[v] - (dj[v] > di[v])
+        key += offsets[coalition]
+        if best is None or key < best[0]:
+            best = (key, j)
+    return best[1], best[0] + 1
 
 
-# ---------------------------------------------------------------------------
-# PR / APR (one shared pairwise scan)
-# ---------------------------------------------------------------------------
+def _pair_scan(scf, wanted, parallelism, max_profiles, limit):
+    """One pass over ordered profile pairs for the ``wanted`` properties.
 
-
-def _pair_ordinal(lo, i, j, count):
-    # Cases of a row are the count-1 columns j != i, scanned left to right.
-    return (i - lo) * (count - 1) + j - (1 if j > i else 0) + 1
-
-
-def _pair_scan(scf, wanted, parallelism, max_profiles, max_pairs):
+    Row i of a block is P, column j is Q; the masks are the module
+    docstring's *keeps* and *accepts*, stacked over voters.
+    """
     t0 = time.perf_counter()
     ctx, table, _ = _prepare(scf, max_profiles, want_list=False)
     count = ctx.count
     total = count * (count - 1)
-    if total > max_pairs:
+    if total > limit:
+        what = "group manipulation" if "gsp" in wanted else "pairwise"
+        unit = "cases" if "gsp" in wanted else "ordered pairs"
         raise ResourceGuardError(
-            f"pairwise scan needs {total} ordered pairs, guard is {max_pairs}"
+            f"{what} scan needs {total} {unit}, guard is {limit}"
         )
-    ctx.build_numpy()
-    n = ctx.n
-    r_own = [ctx.np_ranks[v][ctx.np_digits[v], table] for v in range(n)]
+    digits, rank_rows, rank_base = ctx.build_arrays()
+    own = rank_rows.reshape(-1)[rank_base + table]
+    # keep[v, p, z]: phi(p) is weakly better than z under voter v's order at p.
+    keep = own[:, :, None] <= rank_rows
+    if "pr" in wanted or "apr" in wanted:
+        accept = np.ascontiguousarray(keep.transpose(0, 2, 1))
 
-    def scan_block(lo, hi):
+    def scan_block(lo, hi, props):
         ti = table[lo:hi]
-        neq = table[None, :] != ti[:, None]
-        pr_ok = np.zeros(neq.shape, dtype=bool)
-        apr1 = np.zeros(neq.shape, dtype=bool)
-        apr2 = np.zeros(neq.shape, dtype=bool)
-        for v in range(n):
-            rv, dv, own = ctx.np_ranks[v], ctx.np_digits[v], r_own[v]
-            di = dv[lo:hi]
-            w1 = own[lo:hi][:, None] <= rv[di[:, None], table[None, :]]
-            w2 = own[None, :] <= rv[dv[None, :], ti[:, None]]
-            ch = di[:, None] != dv[None, :]
-            w1 &= ch
-            w2 &= ch
-            pr_ok |= w1 & w2
-            apr1 |= w1
-            apr2 |= w2
+        neq = ti[:, None] != table
+        changed = digits[:, lo:hi, None] != digits[:, None, :]
+        kept = np.take(keep[:, lo:hi], table, axis=2)
+        kept &= changed
+        any_kept = kept.any(axis=0)
+        viol = {}
+        if "gsp" in props:
+            viol["gsp"] = neq & ~any_kept
+        if "pr" in props or "apr" in props:
+            accepted = accept[:, ti]
+            accepted &= changed
+            if "pr" in props:
+                viol["pr"] = neq & ~(kept & accepted).any(axis=0)
+            if "apr" in props:
+                viol["apr"] = neq & ~(any_kept & accepted.any(axis=0))
         found = {}
-        if "pr" in wanted:
-            viol = neq & ~pr_ok
-            pos = int(viol.argmax())
-            if viol.flat[pos]:
-                i, j = lo + pos // count, pos % count
-                found["pr"] = (_pair_ordinal(lo, i, j, count), (i, j))
-        if "apr" in wanted:
-            viol = neq & ~(apr1 & apr2)
-            pos = int(viol.argmax())
-            if viol.flat[pos]:
-                i, j = lo + pos // count, pos % count
-                found["apr"] = (_pair_ordinal(lo, i, j, count), (i, j))
+        for prop, mask in viol.items():
+            pos = int(mask.argmax())
+            if mask.flat[pos]:
+                r, j = divmod(pos, count)
+                if prop == "gsp":
+                    j, nth = _gsp_first(ctx, digits, lo + r, mask[r].nonzero()[0])
+                else:
+                    nth = j - (j > lo + r) + 1
+                found[prop] = (r * (count - 1) + nth, (lo + r, j))
         return found
 
-    blocks = [
-        (lo, min(lo + _PAIR_BLOCK, count)) for lo in range(0, count, _PAIR_BLOCK)
-    ]
-    pending = set(wanted)
+    step = max(1, _BLOCK_CELLS // (ctx.n * count))
+    blocks = [(lo, min(lo + step, count)) for lo in range(0, count, step)]
+    pool = None
+    if parallelism > 1 and len(blocks) > 1:
+        pool = ThreadPoolExecutor(max_workers=parallelism)
+    # ``live`` is read when a block starts.  Blocks are consumed in order, so
+    # a property leaves it only after every earlier block is consumed.
+    live = tuple(wanted)
     results: dict[str, tuple[int, tuple[int, int] | None]] = {}
     acc = 0
-
-    def consume(block, found):
-        nonlocal acc
-        lo, hi = block
-        for prop in list(pending):
-            if prop in found:
-                ordinal, pair = found[prop]
-                results[prop] = (acc + ordinal, pair)
-                pending.discard(prop)
-        acc += (hi - lo) * (count - 1)
-
-    if parallelism <= 1:
-        for block in blocks:
-            consume(block, scan_block(*block))
-            if not pending:
+    try:
+        scans = (pool.map if pool else map)(lambda b: scan_block(*b, live), blocks)
+        for (lo, hi), found in zip(blocks, scans):
+            for prop in live:
+                if prop in found:
+                    ordinal, pair = found[prop]
+                    results[prop] = (acc + ordinal, pair)
+            live = tuple(prop for prop in live if prop not in results)
+            if not live:
                 break
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            for block, found in zip(blocks, pool.map(lambda b: scan_block(*b), blocks)):
-                consume(block, found)
-                if not pending:
-                    break
-    for prop in pending:
+            acc += (hi - lo) * (count - 1)
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+    for prop in live:
         results[prop] = (total, None)
 
     elapsed = time.perf_counter() - t0
@@ -448,11 +411,23 @@ def _pair_scan(scf, wanted, parallelism, max_profiles, max_pairs):
         checked, pair = results[prop]
         witness = None
         if pair is not None:
-            witness = _pr_violation(scf, prop, pair[0], pair[1], table)
+            if prop == "gsp":
+                witness = _gsp_witness(scf, digits, *pair, table)
+            else:
+                witness = _pr_violation(scf, prop, *pair, table)
         reports[prop] = PropertyReport(
             prop, pair is None, witness, checked, elapsed, scf
         )
     return reports
+
+
+def _gsp_witness(scf, digits, i, j, table) -> ManipulationWitness:
+    di, dj = digits[:, i].tolist(), digits[:, j].tolist()
+    coalition = tuple(v for v in range(scf.domain.n) if di[v] != dj[v])
+    deviation = tuple(scf.domain.feasible[v][dj[v]] for v in coalition)
+    return ManipulationWitness(
+        coalition, profile_at(scf.domain, i), deviation, int(table[i]), int(table[j])
+    )
 
 
 def _pr_violation(scf, kind, i, j, table) -> PrViolation:
@@ -469,6 +444,22 @@ def _pr_violation(scf, kind, i, j, table) -> PrViolation:
         for v in range(scf.domain.n)
     )
     return PrViolation(kind, p, q, a, b, analysis)
+
+
+def check_gsp(
+    scf: Scf,
+    *,
+    parallelism: int = 1,
+    max_profiles: int = DEFAULT_PROFILE_GUARD,
+    max_cases: int = DEFAULT_GSP_GUARD,
+) -> PropertyReport:
+    """No coalition can make every member strictly better off.
+
+    Only deviations where every coalition member changes their report are
+    enumerated; a manipulation with a passive member induces one by the
+    sub-coalition of active members, so nothing is lost.
+    """
+    return _pair_scan(scf, ("gsp",), parallelism, max_profiles, max_cases)["gsp"]
 
 
 def check_pr(

@@ -6,13 +6,18 @@ implementation-independent cross-check for the production scanners.  The
 naive group-manipulation search is deliberately unrestricted: coalitions may
 include members who keep their truthful report, which is the raw definition
 before the normalization the fast checker applies.
+
+``reference_gsp_scan`` is the exact-ordinal oracle for ``check_gsp``: the
+normalized coalition-by-deviation enumeration written as plain loops, so
+its witness and ``checked`` count are the canonical ones by construction.
 """
 
 import itertools
 
 import pytest
 
-from prefrev import AlternativeSet, evaluate, iter_profiles
+from prefrev import AlternativeSet, ManipulationWitness, evaluate, iter_profiles, tabulate
+from prefrev.scf import profile_at, profile_strides
 
 
 @pytest.fixture
@@ -91,3 +96,48 @@ def naive_apr_holds(scf):
             if not (first and second):
                 return False
     return True
+
+
+def reference_gsp_scan(scf):
+    """``(holds, checked, witness)`` of the canonical GSP scan.
+
+    Profiles come by index; at each, coalitions by size and then
+    lexicographically, and for each coalition every member's other orders
+    in canonical product order.  Only deviations in which every member
+    changes their report are cases, so voters with one feasible order are
+    never in a coalition.  ``checked`` counts the cases up to and including
+    the witness, or all of them when GSP holds.
+    """
+    domain = scf.domain
+    table = [int(x) for x in tabulate(scf).table]
+    sizes = [len(fs) for fs in domain.feasible]
+    strides = profile_strides(domain)
+    ranks = [[order.ranks for order in fs] for fs in domain.feasible]
+    coalitions = [
+        c
+        for size in range(1, domain.n + 1)
+        for c in itertools.combinations(range(domain.n), size)
+        if all(sizes[v] > 1 for v in c)
+    ]
+    checked = 0
+    for pidx, out in enumerate(table):
+        digits = [(pidx // strides[v]) % sizes[v] for v in range(domain.n)]
+        for coalition in coalitions:
+            options = [[w for w in range(sizes[v]) if w != digits[v]] for v in coalition]
+            for choice in itertools.product(*options):
+                checked += 1
+                dev = table[pidx + sum(
+                    (w - digits[v]) * strides[v] for v, w in zip(coalition, choice)
+                )]
+                if dev != out and all(
+                    ranks[v][digits[v]][dev] < ranks[v][digits[v]][out] for v in coalition
+                ):
+                    witness = ManipulationWitness(
+                        coalition,
+                        profile_at(domain, pidx),
+                        tuple(domain.feasible[v][w] for v, w in zip(coalition, choice)),
+                        out,
+                        dev,
+                    )
+                    return False, checked, witness
+    return True, checked, None

@@ -1,6 +1,7 @@
 """Theorem suites, counterexample search, and the quotient reduction."""
 
 import json
+import sys
 
 import pytest
 
@@ -276,6 +277,31 @@ def test_search_random_sampling_is_seeded():
     two = search_isp_not_pr(spec, budget=50, seed=11)
     assert one.details["scope"] == "budget-exhausted"
     assert verdict_to_dict(one) == verdict_to_dict(two)
+
+
+def test_parallel_search_on_fresh_domains_matches_sequential():
+    # Each run builds a fresh domain, so the worker threads meet a checker
+    # context that nobody has built yet.
+    from prefrev import search_isp_not_pr
+
+    def fresh_spec():
+        alts = AlternativeSet.letters(4)
+        orders = [
+            parse_order(text, alts) for text in ("a~b>c~d", "d>c>a~b", "b~c>a~d")
+        ]
+        return EnumerationSpec(
+            Domain.shared(FeasibleSet.explicit(alts, orders), 2), (0, 1, 2, 3)
+        )
+
+    expected = verdict_to_dict(search_isp_not_pr(fresh_spec(), 2000, seed=250522))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(6):
+            verdict = search_isp_not_pr(fresh_spec(), 2000, seed=250522, parallelism=2)
+            assert verdict_to_dict(verdict) == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------

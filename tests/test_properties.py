@@ -1,7 +1,10 @@
 """Property checkers: witnesses, oracle agreement, determinism, counts."""
 
+import itertools
 import json
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -20,14 +23,22 @@ from prefrev import (
     check_isp,
     check_pr,
     check_pr_apr,
+    enumerate_strict_orders,
     evaluate,
     parse_order,
     report_to_dict,
     revalidate_witness,
 )
+from prefrev import properties
 from prefrev.properties import witness_from_dict, witness_to_dict
 
-from conftest import naive_apr_holds, naive_gsp_holds, naive_isp_holds, naive_pr_holds
+from conftest import (
+    naive_apr_holds,
+    naive_gsp_holds,
+    naive_isp_holds,
+    naive_pr_holds,
+    reference_gsp_scan,
+)
 
 
 @pytest.fixture
@@ -238,6 +249,13 @@ def test_checked_count_is_witness_ordinal(paper_rule):
     assert [order.ranks for order in truthful.orders] == [(0, 0, 0), (0, 0, 1)]
 
 
+def test_gsp_checked_count_is_witness_ordinal(paper_rule):
+    report = check_gsp(paper_rule)
+    assert report.checked == 181
+    assert report.witness.coalition == (1,)
+    assert revalidate_witness(paper_rule, "gsp", report.witness)
+
+
 def test_pr_apr_shared_scan_matches_individual(paper_rule):
     both = check_pr_apr(paper_rule)
     pr, apr = check_pr(paper_rule), check_apr(paper_rule)
@@ -267,6 +285,101 @@ def test_gsp_case_guard(abc):
     phi = builtin("constant", domain, alternative="a")
     with pytest.raises(ResourceGuardError):
         check_gsp(phi, max_cases=100)
+
+
+# ---------------------------------------------------------------------------
+# exact-ordinal GSP oracle, block boundaries, shared contexts
+# ---------------------------------------------------------------------------
+
+
+def _reference_gsp_doc(scf):
+    holds, checked, witness = reference_gsp_scan(scf)
+    doc = {"property": "gsp", "holds": holds}
+    if witness is not None:
+        doc["witness"] = witness_to_dict("gsp", witness, scf)
+    doc["checked"] = checked
+    return doc
+
+
+def test_gsp_matches_reference_on_whole_strict_universe(abc):
+    strict = sorted(enumerate_strict_orders(3), key=lambda o: o.ranks)[:3]
+    domain = Domain.shared(FeasibleSet.explicit(abc, strict), 2)
+    holding = 0
+    for values in itertools.product(range(3), repeat=9):
+        scf = Scf.from_table(domain, values)
+        expected = _reference_gsp_doc(scf)
+        holding += expected["holds"]
+        for workers in (1, 2):
+            assert report_to_dict(check_gsp(scf, parallelism=workers)) == expected
+    assert holding == 11
+
+
+def _uneven_tables(count, seed):
+    """Tables on 1-3 voters with 1-5 weak orders each, over k = 2..4.
+
+    Outcomes come from a random subset of the alternatives, so some tables
+    hold and the failing ones fail at varied depths.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.randint(2, 4)
+        alts = AlternativeSet.letters(k)
+        weak = list(FeasibleSet.universal_weak(alts))
+        sizes = [rng.randint(1, min(5, len(weak))) for _ in range(rng.randint(1, 3))]
+        feasible = tuple(FeasibleSet.explicit(alts, rng.sample(weak, m)) for m in sizes)
+        domain = Domain(feasible)
+        outcomes = rng.sample(range(k), rng.randint(1, k))
+        yield Scf.from_table(
+            domain, [rng.choice(outcomes) for _ in range(domain.profile_count())]
+        )
+
+
+@pytest.mark.parametrize("cells", [None, 1, 40])
+def test_pair_scan_matches_reference_on_uneven_domains(monkeypatch, cells):
+    # cells=1 makes every profile row its own block; 40 splits rows unevenly.
+    tables = list(_uneven_tables(300, seed=2024))
+    pair_docs = []
+    for scf in tables:
+        both = check_pr_apr(scf)
+        pair_docs.append((report_to_dict(both["pr"]), report_to_dict(both["apr"])))
+    if cells is not None:
+        monkeypatch.setattr(properties, "_BLOCK_CELLS", cells)
+    outcomes = set()
+    for scf, (pr_doc, apr_doc) in zip(tables, pair_docs):
+        expected = _reference_gsp_doc(scf)
+        outcomes.add((expected["holds"], 1 in map(len, scf.domain.feasible)))
+        for workers in (1, 2):
+            assert report_to_dict(check_gsp(scf, parallelism=workers)) == expected
+            both = check_pr_apr(scf, parallelism=workers)
+            assert report_to_dict(both["pr"]) == pr_doc
+            assert report_to_dict(both["apr"]) == apr_doc
+            assert report_to_dict(check_apr(scf, parallelism=workers)) == apr_doc
+    # holding and failing tables, with and without single-order voters
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_checkers_on_fresh_domains_across_threads(abc):
+    weak = FeasibleSet.universal_weak(abc)
+    checks = (check_isp, check_gsp, check_pr, check_apr, check_dictator)
+
+    def reports(phi):
+        return [json.dumps(report_to_dict(check(phi))) for check in checks]
+
+    expected = reports(builtin("plurality-tiebreak", Domain.shared(weak, 2)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(40):
+                # A fresh domain whose context exists but whose scan arrays
+                # no thread has built yet.
+                phi = builtin("plurality-tiebreak", Domain.shared(weak, 2))
+                check_dictator(phi)
+                futures = [pool.submit(reports, phi) for _ in range(4)]
+                for future in futures:
+                    assert future.result(timeout=60) == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------
