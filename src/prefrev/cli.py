@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .errors import PrefrevError
+from .errors import ParseError, PrefrevError
 from .orders import (
     AlternativeSet,
     Axis,
@@ -40,6 +40,7 @@ from .scf import (
     Scf,
     builtin,
     dumps_canonical,
+    load_json,
     load_scf,
     rule_params_from_dict,
     tabulate,
@@ -76,8 +77,12 @@ def _common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--parallelism",
         type=int,
-        default=int(os.environ.get("PREFREV_PARALLELISM", "1")),
-        help="worker count for internal scans (results are identical for any value)",
+        # A string default goes through ``type`` too, so a bad value in the
+        # environment is reported like a bad --parallelism.
+        default=os.environ.get("PREFREV_PARALLELISM", "1"),
+        help="worker threads for the numpy pair pass (GSP, PR, APR); ISP, "
+        "dictatorship and the universe suites run serially. Results are "
+        "identical for any value",
     )
     parser.add_argument("--timings", action="store_true",
                         help="include elapsed times in structured output")
@@ -214,18 +219,25 @@ def cmd_check(args) -> int:
     if args.max_profiles is not None:
         kwargs["max_profiles"] = args.max_profiles
     if args.recheck_witness:
-        with open(args.recheck_witness, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = load_json(args.recheck_witness)
+        if not isinstance(data, dict):
+            raise ParseError(f"{args.recheck_witness}: report must be a JSON object")
         reports = data.get("reports", [data])
         results = []
         all_valid = True
         for rep in reports:
             if rep.get("holds", False) and "witness" not in rep:
                 continue
-            witness = witness_from_dict(rep["witness"], scf)
-            valid = revalidate_witness(scf, rep["property"], witness)
+            try:
+                prop = rep["property"]
+                witness = witness_from_dict(rep["witness"], scf)
+            except KeyError as exc:
+                raise ParseError(
+                    f"{args.recheck_witness}: report is missing field {exc.args[0]!r}"
+                ) from None
+            valid = revalidate_witness(scf, prop, witness)
             all_valid = all_valid and valid
-            results.append({"property": rep["property"], "valid": valid})
+            results.append({"property": prop, "valid": valid})
         doc = {"command": "recheck-witness", "seed": args.seed,
                "scf": os.fspath(args.scf), "results": results,
                "all_valid": all_valid}
@@ -326,7 +338,12 @@ def _specimen_scf(args) -> Scf:
         raise PrefrevError(f"unknown feasible preset {args.feasible!r}")
     domain = Domain.shared(fs, args.voters)
     # --params follows the scf file conventions (1-based voters, names)
-    raw = json.loads(args.params) if args.params else {}
+    try:
+        raw = json.loads(args.params) if args.params else {}
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"--params is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ParseError("--params must be a JSON object")
     params = rule_params_from_dict(args.rule, raw, alts)
     return builtin(args.rule, domain, **params)
 

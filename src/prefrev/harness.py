@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -50,6 +49,7 @@ from .scf import (
     evaluate,
     range_of,
     scf_to_dict,
+    tabulate,
 )
 from .properties import (
     CHECKERS,
@@ -65,8 +65,6 @@ from .properties import (
 
 #: Ceiling on full table-universe enumerations (|target| ** |profiles|).
 DEFAULT_TABLE_GUARD = 100_000_000
-
-_UNIVERSE_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -123,18 +121,9 @@ def enumerate_scfs(
     spec: EnumerationSpec, max_tables: int = DEFAULT_TABLE_GUARD
 ) -> Iterator[Scf]:
     """All total tables into the target range, ascending as base-R numerals."""
-    count = spec.domain.require_enumerable()
-    size = _universe_size(spec, max_tables)
-    if size is None and spec.limit is None:
-        raise ResourceGuardError(
-            f"table universe exceeds {max_tables}; set a limit or shrink the spec"
-        )
-    total = size if spec.limit is None else min(spec.limit, size or spec.limit)
-    produced = 0
-    for digits in itertools.product(spec.target, repeat=count):
-        if produced >= total:
-            return
-        produced += 1
+    total = _require_universe(spec, max_tables)
+    tables = itertools.product(spec.target, repeat=spec.domain.profile_count())
+    for digits in itertools.islice(tables, total):
         scf = Scf.from_table(spec.domain, digits)
         if spec.filters and not all(
             CHECKERS[prop](scf).holds for prop in spec.filters
@@ -181,50 +170,24 @@ def verdict_to_dict(verdict: TheoremVerdict, include_timing: bool = False) -> di
 # ---------------------------------------------------------------------------
 
 
-def _scan_universe(total, scan_table, parallelism, *, full_pass):
+def _scan_universe(total, scan_table, *, full_pass):
     """Run ``scan_table(number) -> payload|None`` over the table universe.
 
-    Returns ``(checked, first_payload, block_results)``.  With ``full_pass``
-    every table is visited (needed when counts are aggregated) and
-    ``checked`` is ``total``; otherwise the scan may stop at the first
-    payload and ``checked`` is its 1-based ordinal.
+    Returns ``(checked, first_payload, results)``, ``results`` holding
+    ``(number, payload)`` for every payload met.  With ``full_pass`` every
+    table is visited (needed when counts are aggregated) and ``checked`` is
+    ``total``; otherwise the scan stops at the first payload and ``checked``
+    is its 1-based ordinal.  The scan is serial: the checkers it calls on
+    small tables are pure-Python bound, and worker threads slowed it.
     """
-    blocks = [
-        (lo, min(lo + _UNIVERSE_BLOCK, total))
-        for lo in range(0, total, _UNIVERSE_BLOCK)
-    ]
-
-    def scan_block(lo, hi):
-        results = []
-        for number in range(lo, hi):
-            payload = scan_table(number)
-            if payload is not None:
-                results.append((number, payload))
-                if not full_pass:
-                    break
-        return results
-
-    if parallelism <= 1:
-        collected = []
-        for lo, hi in blocks:
-            results = scan_block(lo, hi)
-            collected.extend(results)
-            if results and not full_pass:
-                return results[0][0] + 1, results[0][1], collected
-        if collected and not full_pass:
-            return collected[0][0] + 1, collected[0][1], collected
-        return total, (collected[0][1] if collected else None), collected
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        collected = []
-        stop = None
-        for results in pool.map(lambda b: scan_block(*b), blocks):
-            collected.extend(results)
-            if results and not full_pass and stop is None:
-                stop = results[0]
-                break
-        if stop is not None:
-            return stop[0] + 1, stop[1], collected
-        return total, (collected[0][1] if collected else None), collected
+    collected = []
+    for number in range(total):
+        payload = scan_table(number)
+        if payload is not None:
+            collected.append((number, payload))
+            if not full_pass:
+                return number + 1, payload, collected
+    return total, (collected[0][1] if collected else None), collected
 
 
 def _require_universe(spec: EnumerationSpec, max_tables: int) -> int:
@@ -252,15 +215,13 @@ def verify_prop_apr_gsp(
 
     def scan_table(number):
         scf = Scf.from_table(spec.domain, _table_at(spec, number, count))
-        gsp = check_gsp(scf)
-        apr = check_apr(scf)
+        gsp = check_gsp(scf, parallelism=parallelism)
+        apr = check_apr(scf, parallelism=parallelism)
         if gsp.holds != apr.holds:
             return scf, (gsp, apr)
         return None
 
-    checked, payload, _ = _scan_universe(
-        total, scan_table, parallelism, full_pass=False
-    )
+    checked, payload, _ = _scan_universe(total, scan_table, full_pass=False)
     return TheoremVerdict(
         theorem="prop-apr-gsp",
         universe=f"{spec.describe()}; {total} tables",
@@ -288,9 +249,9 @@ def verify_thm_range3(
 
     def scan_table(number):
         scf = Scf.from_table(spec.domain, _table_at(spec, number, count))
-        isp = check_isp(scf)
-        gsp = check_gsp(scf)
-        pr = check_pr(scf) if isp.holds else None
+        isp = check_isp(scf, parallelism=parallelism)
+        gsp = check_gsp(scf, parallelism=parallelism)
+        pr = check_pr(scf, parallelism=parallelism) if isp.holds else None
         tallies.append((isp.holds, gsp.holds))
         if isp.holds and not pr.holds:
             return "implication", scf, (isp, pr)
@@ -298,9 +259,7 @@ def verify_thm_range3(
             return "corollary", scf, (isp, gsp)
         return None
 
-    checked, _, collected = _scan_universe(
-        total, scan_table, parallelism, full_pass=True
-    )
+    checked, _, collected = _scan_universe(total, scan_table, full_pass=True)
     n_isp = sum(1 for isp, _ in tallies if isp)
     n_gsp = sum(1 for _, gsp in tallies if gsp)
     implication = [c for c in collected if c[1][0] == "implication"]
@@ -344,9 +303,9 @@ def verify_summary_equivalence(
 
     def scan_table(number):
         scf = Scf.from_table(spec.domain, _table_at(spec, number, count))
-        isp = check_isp(scf)
-        gsp = check_gsp(scf)
-        both = check_pr_apr(scf)
+        isp = check_isp(scf, parallelism=parallelism)
+        gsp = check_gsp(scf, parallelism=parallelism)
+        both = check_pr_apr(scf, parallelism=parallelism)
         pr, apr = both["pr"], both["apr"]
         tallies.append((pr.holds, apr.holds, gsp.holds, isp.holds))
         if pr.holds and not apr.holds:
@@ -359,9 +318,7 @@ def verify_summary_equivalence(
             return "isp-not-pr", scf, (isp, pr)
         return None
 
-    checked, _, collected = _scan_universe(
-        total, scan_table, parallelism, full_pass=True
-    )
+    checked, _, collected = _scan_universe(total, scan_table, full_pass=True)
     failure = min(collected, key=lambda c: c[0], default=None)
     counterexample = None
     if failure is not None:
@@ -441,7 +398,8 @@ def verify_thm_complete(
             break
     isp = None
     if admissible:
-        isp = check_isp(phi, parallelism=parallelism, max_profiles=max_profiles)
+        table = tabulate(phi, max_profiles)
+        isp = check_isp(table, parallelism=parallelism, max_profiles=max_profiles)
         if not isp.holds:
             admissible = False
             reason = "scf is not individually strategy-proof"
@@ -459,7 +417,7 @@ def verify_thm_complete(
             },
             elapsed=time.perf_counter() - t0,
         )
-    pr = check_pr(phi, parallelism=parallelism, max_profiles=max_profiles)
+    pr = check_pr(table, parallelism=parallelism, max_profiles=max_profiles)
     count = phi.domain.profile_count()
     details = {
         "admissible": True,
@@ -538,19 +496,17 @@ def search_isp_not_pr(
 
     def scan_table(index):
         scf = Scf.from_table(spec.domain, get_table(index))
-        isp = check_isp(scf)
+        isp = check_isp(scf, parallelism=parallelism)
         if not isp.holds:
             return None
-        pr = check_pr(scf)
+        pr = check_pr(scf, parallelism=parallelism)
         if pr.holds:
             return None
         if not revalidate_witness(scf, "pr", pr.witness):
             raise RuntimeError("search produced a witness that fails revalidation")
         return scf, (isp, pr)
 
-    checked, payload, _ = _scan_universe(
-        n_items, scan_table, parallelism, full_pass=False
-    )
+    checked, payload, _ = _scan_universe(n_items, scan_table, full_pass=False)
     details = {"scope": scope, "tables_examined": checked}
     return TheoremVerdict(
         "isp-not-pr", universe, checked, payload is None, payload,

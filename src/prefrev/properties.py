@@ -2,9 +2,12 @@
 
 Every checker scans a fixed canonical order and reports the first failure
 it meets; ``checked`` counts the cases up to and including the witness (or
-all of them when the property holds).  Blocks are reduced in scan order, so
-both are the same for any worker count.  ISP scans profiles, then voters,
+all of them when the property holds).  ISP scans profiles, then voters,
 then each voter's other orders; dictatorship scans voters, then profiles.
+Both are serial pure-Python loops: worker threads made them slower, since
+they hold the interpreter lock.  Only the numpy pair pass below is split
+over ``parallelism`` worker threads, and its blocks are reduced in scan
+order, so witnesses and ``checked`` are the same for any worker count.
 
 GSP, PR and APR are constraints on ordered profile pairs (P, Q) and share
 one numpy pass.  With x = phi(P) and y = phi(Q), voter v *keeps* x if P_v
@@ -26,6 +29,7 @@ small first block.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import time
@@ -45,7 +49,6 @@ from .scf import Profile, Scf, evaluate, profile_at, profile_strides, tabulate
 DEFAULT_PAIR_GUARD = 2_000_000_000
 DEFAULT_GSP_GUARD = 100_000_000
 
-_ISP_BLOCK = 2048
 _BLOCK_CELLS = 1 << 20
 
 
@@ -195,14 +198,6 @@ def _prepare(scf: Scf, max_profiles: int, want_list: bool = True):
     return _ctx_for(scf.domain), table, table.tolist() if want_list else None
 
 
-def _digits_at(sizes, index):
-    digits = [0] * len(sizes)
-    for v in range(len(sizes) - 1, -1, -1):
-        digits[v] = index % sizes[v]
-        index //= sizes[v]
-    return digits
-
-
 def _advance(digits, sizes) -> None:
     v = len(sizes) - 1
     while v >= 0:
@@ -211,40 +206,6 @@ def _advance(digits, sizes) -> None:
             return
         digits[v] = 0
         v -= 1
-
-
-# ---------------------------------------------------------------------------
-# Deterministic block scanning
-# ---------------------------------------------------------------------------
-
-
-def _scan_blocks(num_items, cases_per_item, scan_block, parallelism, block_size):
-    """Run ``scan_block(lo, hi) -> (scanned, payload|None)`` over fixed blocks.
-
-    Returns ``(checked, payload)`` where ``checked`` is the canonical ordinal
-    of the witness case (or the full case count).  The result does not depend
-    on the block size or on the worker schedule: blocks before the first
-    failing one are fully scanned by construction.
-    """
-    blocks = [
-        (lo, min(lo + block_size, num_items))
-        for lo in range(0, num_items, block_size)
-    ]
-    acc = 0
-    if parallelism <= 1:
-        for lo, hi in blocks:
-            scanned, payload = scan_block(lo, hi)
-            if payload is not None:
-                return acc + scanned, payload
-            acc += (hi - lo) * cases_per_item
-        return acc, None
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        for (lo, hi), result in zip(blocks, pool.map(lambda b: scan_block(*b), blocks)):
-            scanned, payload = result
-            if payload is not None:
-                return acc + scanned, payload
-            acc += (hi - lo) * cases_per_item
-    return acc, None
 
 
 # ---------------------------------------------------------------------------
@@ -262,42 +223,30 @@ def check_isp(
     t0 = time.perf_counter()
     ctx, _, tbl = _prepare(scf, max_profiles)
     n, sizes, strides, ranks = ctx.n, ctx.sizes, ctx.strides, ctx.ranks
-    cases_per_profile = sum(m - 1 for m in sizes)
-
-    def scan_block(lo, hi):
-        digits = _digits_at(sizes, lo)
-        scanned = 0
-        for pidx in range(lo, hi):
-            out = tbl[pidx]
-            for v in range(n):
-                d = digits[v]
-                rk = ranks[v][d]
-                r_out = rk[out]
-                base = pidx - d * strides[v]
-                stride = strides[v]
-                for w in range(sizes[v]):
-                    if w == d:
-                        continue
-                    scanned += 1
-                    dev = tbl[base + w * stride]
-                    if rk[dev] < r_out:
-                        return scanned, (pidx, v, w, out, dev)
-            _advance(digits, sizes)
-        return scanned, None
-
-    checked, payload = _scan_blocks(
-        ctx.count, cases_per_profile, scan_block, parallelism, _ISP_BLOCK
-    )
-    witness = None
-    if payload is not None:
-        pidx, v, w, out, dev = payload
-        witness = ManipulationWitness(
-            (v,), profile_at(scf.domain, pidx),
-            (scf.domain.feasible[v][w],), out, dev,
-        )
-    return PropertyReport(
-        "isp", payload is None, witness, checked, time.perf_counter() - t0, scf
-    )
+    digits = [0] * n
+    checked = 0
+    for pidx, out in enumerate(tbl):
+        for v in range(n):
+            d = digits[v]
+            rk = ranks[v][d]
+            r_out = rk[out]
+            stride = strides[v]
+            base = pidx - d * stride
+            for w in range(sizes[v]):
+                if w == d:
+                    continue
+                checked += 1
+                dev = tbl[base + w * stride]
+                if rk[dev] < r_out:
+                    witness = ManipulationWitness(
+                        (v,), profile_at(scf.domain, pidx),
+                        (scf.domain.feasible[v][w],), out, dev,
+                    )
+                    return PropertyReport(
+                        "isp", False, witness, checked, time.perf_counter() - t0, scf
+                    )
+        _advance(digits, sizes)
+    return PropertyReport("isp", True, None, checked, time.perf_counter() - t0, scf)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +273,31 @@ def _gsp_first(ctx, digits, i, cols):
         if best is None or key < best[0]:
             best = (key, j)
     return best[1], best[0] + 1
+
+
+def _ordered_map(fn, items, workers):
+    """``map(fn, items)`` with up to ``workers`` threads, yielding in order.
+
+    At most ``2 * workers`` calls are submitted ahead of the consumer, and
+    those not yet started are cancelled when it stops, so an early exit
+    leaves little work behind.
+    """
+    if workers <= 1 or len(items) <= 1:
+        yield from map(fn, items)
+        return
+    rest = iter(items)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = collections.deque(
+            pool.submit(fn, item) for item in itertools.islice(rest, 2 * workers)
+        )
+        try:
+            while pending:
+                yield pending.popleft().result()
+                for item in itertools.islice(rest, 1):
+                    pending.append(pool.submit(fn, item))
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def _pair_scan(scf, wanted, parallelism, max_profiles, limit):
@@ -380,28 +354,22 @@ def _pair_scan(scf, wanted, parallelism, max_profiles, limit):
 
     step = max(1, _BLOCK_CELLS // (ctx.n * count))
     blocks = [(lo, min(lo + step, count)) for lo in range(0, count, step)]
-    pool = None
-    if parallelism > 1 and len(blocks) > 1:
-        pool = ThreadPoolExecutor(max_workers=parallelism)
     # ``live`` is read when a block starts.  Blocks are consumed in order, so
     # a property leaves it only after every earlier block is consumed.
     live = tuple(wanted)
     results: dict[str, tuple[int, tuple[int, int] | None]] = {}
     acc = 0
-    try:
-        scans = (pool.map if pool else map)(lambda b: scan_block(*b, live), blocks)
-        for (lo, hi), found in zip(blocks, scans):
-            for prop in live:
-                if prop in found:
-                    ordinal, pair = found[prop]
-                    results[prop] = (acc + ordinal, pair)
-            live = tuple(prop for prop in live if prop not in results)
-            if not live:
-                break
-            acc += (hi - lo) * (count - 1)
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
+    scans = _ordered_map(lambda b: scan_block(*b, live), blocks, parallelism)
+    for (lo, hi), found in zip(blocks, scans):
+        for prop in live:
+            if prop in found:
+                ordinal, pair = found[prop]
+                results[prop] = (acc + ordinal, pair)
+        live = tuple(prop for prop in live if prop not in results)
+        if not live:
+            break
+        acc += (hi - lo) * (count - 1)
+    scans.close()
     for prop in live:
         results[prop] = (total, None)
 
@@ -516,7 +484,7 @@ def check_dictator(
     dictator = None
     for v in range(ctx.n):
         tops = ctx.tops[v]
-        digits = _digits_at(sizes, 0)
+        digits = [0] * ctx.n
         counter = None
         for pidx in range(ctx.count):
             checked += 1

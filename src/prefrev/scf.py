@@ -490,9 +490,16 @@ def scf_to_dict(scf: Scf) -> dict:
 
 
 def scf_from_dict(data: dict, base_dir: str = ".") -> Scf:
+    if not isinstance(data, dict):
+        raise ParseError("scf document must be a JSON object")
     try:
         alts = AlternativeSet(tuple(data["alternatives"]))
-        voters = int(data["voters"])
+        try:
+            voters = int(data["voters"])
+        except (TypeError, ValueError):
+            raise ParseError(
+                f"'voters' must be an integer, got {data['voters']!r}"
+            ) from None
         dom_field = data["domain"]
         if isinstance(dom_field, str):
             domain = parse_domain_file(os.path.join(base_dir, dom_field))
@@ -530,10 +537,15 @@ def save_scf(scf: Scf, path) -> None:
         fh.write(dumps_canonical(scf_to_dict(scf)))
 
 
-def load_scf(path) -> Scf:
+def load_json(path) -> Any:
+    """The JSON document in ``path``; undecodable text is a ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"invalid JSON in {path}: {exc}") from None
-    return scf_from_dict(data, base_dir=os.path.dirname(os.fspath(path)) or ".")
+
+
+def load_scf(path) -> Scf:
+    base_dir = os.path.dirname(os.fspath(path)) or "."
+    return scf_from_dict(load_json(path), base_dir=base_dir)

@@ -187,6 +187,47 @@ def test_check_json_determinism_across_parallelism(capsys, paper_scf_path):
     assert outs[0] == outs[1]
 
 
+_SCF_VOTERS_NOT_INT = json.dumps({
+    "alternatives": ["a", "b"],
+    "voters": "two",
+    "domain": {"voters": [{"preset": "@universal-weak"}] * 2},
+    "rule": {"name": "constant", "params": {"alternative": "a"}},
+})
+_WITNESS_NO_COALITION = json.dumps({"reports": [{
+    "property": "isp", "holds": False, "checked": 1,
+    "witness": {"type": "manipulation", "truthful": ["a>b>c", "a>b>c"]},
+}]})
+
+
+@pytest.mark.parametrize("argv, text, env, expected", [
+    (["check", "{file}"], _SCF_VOTERS_NOT_INT, None, 1),
+    (["check", "{file}"], "[1, 2]", None, 1),
+    (["verify", "thm-complete", "--rule", "dictator-tiebreak", "--params", "{bad"],
+     None, None, 1),
+    (["check", "{scf}", "--recheck-witness", "{file}"], "not json", None, 1),
+    (["check", "{scf}", "--recheck-witness", "{file}"], _WITNESS_NO_COALITION, None, 1),
+    (["check", "{scf}"], None, "two", 2),
+], ids=["voters-not-int", "scf-is-a-list", "params-not-json",
+        "witness-not-json", "witness-no-coalition", "env-parallelism"])
+def test_malformed_input_is_a_clean_error(
+    capsys, monkeypatch, tmp_path, paper_scf_path, argv, text, env, expected
+):
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    if env is not None:
+        monkeypatch.setenv("PREFREV_PARALLELISM", env)
+    argv = [
+        a.replace("{file}", str(path)).replace("{scf}", paper_scf_path) for a in argv
+    ]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    assert code == expected
+    assert "error:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

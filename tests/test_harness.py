@@ -12,6 +12,7 @@ from prefrev import (
     EnumerationSpec,
     FeasibleSet,
     Profile,
+    PropertyReport,
     Scf,
     WeakOrder,
     builtin,
@@ -20,6 +21,7 @@ from prefrev import (
     parse_order,
     quotient_reduce,
     revalidate_witness,
+    scf_to_dict,
     verdict_to_dict,
     verify_prop_apr_gsp,
     verify_summary_equivalence,
@@ -27,6 +29,8 @@ from prefrev import (
     verify_thm_infinite,
     verify_thm_range3,
 )
+from prefrev import harness
+from prefrev import scf as scf_module
 from prefrev.harness import _scan_universe, quotient_to_dict
 
 
@@ -142,11 +146,9 @@ def test_scan_universe_reports_canonical_first_payload():
     def scan(number):
         return ("payload", number) if number in hits else None
 
-    checked, payload, _ = _scan_universe(300, scan, parallelism=1, full_pass=False)
+    checked, payload, _ = _scan_universe(300, scan, full_pass=False)
     assert checked == 14 and payload == ("payload", 13)
-    checked8, payload8, _ = _scan_universe(300, scan, parallelism=8, full_pass=False)
-    assert (checked8, payload8) == (checked, payload)
-    full = _scan_universe(300, scan, parallelism=4, full_pass=True)
+    full = _scan_universe(300, scan, full_pass=True)
     assert full[0] == 300
     assert [n for n, _ in full[2]] == [13, 57, 200]
 
@@ -173,6 +175,41 @@ def test_thm_complete_dictator_specimen(abc):
     )
     verdict = verify_thm_complete(phi)
     assert verdict.holds and verdict.details["admissible"]
+
+
+def test_thm_complete_tabulates_the_rule_once(abc, monkeypatch):
+    phi = builtin(
+        "dictator-tiebreak", Domain.shared(FeasibleSet.universal_weak(abc), 2), voter=1
+    )
+    evaluator = scf_module._RULE_EVALUATORS["dictator-tiebreak"]
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return evaluator(*args)
+
+    monkeypatch.setitem(scf_module._RULE_EVALUATORS, "dictator-tiebreak", counting)
+    verdict = verify_thm_complete(phi)
+    assert len(calls) == phi.domain.profile_count()  # one tabulation of 169
+    assert verdict_to_dict(verdict) == {
+        "theorem": "thm-complete",
+        "universe": "dictator-tiebreak on 2 voters; orders per voter [13,13]; k=3",
+        "holds": True,
+        "checked": 28392,
+        "details": {
+            "admissible": True,
+            "completeness": [{"orders": 13, "complete": True, "checked": 630}],
+            "isp_checked": 4056,
+            "pairs_scanned": 28392,
+            "pairs_total": 28392,
+        },
+    }
+    # A counterexample names the supplied rule, not its table.
+    monkeypatch.setattr(
+        harness, "check_pr", lambda scf, **_: PropertyReport("pr", False, None, 1, 0.0, scf)
+    )
+    doc = verdict_to_dict(verify_thm_complete(phi))
+    assert doc["counterexample"]["scf"] == scf_to_dict(phi)
 
 
 def test_thm_complete_labels_non_isp_input_inadmissible(abc):

@@ -4,6 +4,8 @@ import itertools
 import json
 import random
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -380,6 +382,44 @@ def test_checkers_on_fresh_domains_across_threads(abc):
                     assert future.result(timeout=60) == expected
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_ordered_map_yields_in_map_order(workers):
+    def block(x):
+        time.sleep(0.001 * (x % 3))  # later blocks may finish first
+        return x * x
+
+    items = list(range(40))
+    assert list(properties._ordered_map(block, items, workers)) == [x * x for x in items]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_ordered_map_starts_few_blocks_before_an_early_exit(workers):
+    started = []
+    lock = threading.Lock()
+
+    def block(x):
+        with lock:
+            started.append(x)
+        time.sleep(0.002)
+        return x
+
+    scans = properties._ordered_map(block, list(range(100)), workers)
+    assert next(scans) == 0
+    scans.close()  # waits for running blocks, cancels the queued ones
+    assert len(started) <= 2 * workers
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_ordered_map_raises_a_block_error(workers):
+    def block(x):
+        if x == 5:
+            raise ValueError("block 5")
+        return x
+
+    with pytest.raises(ValueError, match="block 5"):
+        list(properties._ordered_map(block, list(range(20)), workers))
 
 
 # ---------------------------------------------------------------------------
