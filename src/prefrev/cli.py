@@ -32,6 +32,7 @@ from .domains import (
     Domain,
     FeasibleSet,
     ResolventGap,
+    _parse_preset,
     is_complete,
     parse_domain_file,
 )
@@ -39,6 +40,7 @@ from .scf import (
     Profile,
     Scf,
     builtin,
+    decoding,
     dumps_canonical,
     load_json,
     load_scf,
@@ -54,13 +56,12 @@ from .properties import (
 )
 from .harness import (
     EnumerationSpec,
-    quotient_reduce,
-    quotient_to_dict,
     search_isp_not_pr,
     verdict_to_dict,
     verify_prop_apr_gsp,
     verify_summary_equivalence,
     verify_thm_complete,
+    verify_thm_infinite,
     verify_thm_range3,
 )
 
@@ -222,22 +223,17 @@ def cmd_check(args) -> int:
         data = load_json(args.recheck_witness)
         if not isinstance(data, dict):
             raise ParseError(f"{args.recheck_witness}: report must be a JSON object")
-        reports = data.get("reports", [data])
         results = []
         all_valid = True
-        for rep in reports:
-            if rep.get("holds", False) and "witness" not in rep:
-                continue
-            try:
+        with decoding(args.recheck_witness):
+            for rep in data.get("reports", [data]):
+                if rep.get("holds", False) and "witness" not in rep:
+                    continue
                 prop = rep["property"]
                 witness = witness_from_dict(rep["witness"], scf)
-            except KeyError as exc:
-                raise ParseError(
-                    f"{args.recheck_witness}: report is missing field {exc.args[0]!r}"
-                ) from None
-            valid = revalidate_witness(scf, prop, witness)
-            all_valid = all_valid and valid
-            results.append({"property": prop, "valid": valid})
+                valid = revalidate_witness(scf, prop, witness)
+                all_valid = all_valid and valid
+                results.append({"property": prop, "valid": valid})
         doc = {"command": "recheck-witness", "seed": args.seed,
                "scf": os.fspath(args.scf), "results": results,
                "all_valid": all_valid}
@@ -320,23 +316,15 @@ def _specimen_scf(args) -> Scf:
     if not args.rule:
         raise PrefrevError("thm-complete needs --scf FILE or --rule NAME")
     alts = _alts_for(args)
-    axis = _axis_for(args, alts)
-    if args.feasible is None:
-        args.feasible = (
+    preset = args.feasible
+    if preset is None:
+        preset = (
             "@single-peaked-strict" if args.rule == "median-peaks"
             else "@universal-weak"
         )
-    if args.feasible == "@universal-weak":
-        fs = FeasibleSet.universal_weak(alts)
-    elif args.feasible == "@universal-strict":
-        fs = FeasibleSet.universal_strict(alts)
-    elif args.feasible == "@single-peaked":
-        fs = FeasibleSet.single_peaked(alts, axis)
-    elif args.feasible == "@single-peaked-strict":
-        fs = FeasibleSet.single_peaked(alts, axis, strict=True)
-    else:
-        raise PrefrevError(f"unknown feasible preset {args.feasible!r}")
-    domain = Domain.shared(fs, args.voters)
+    if args.axis and "(" not in preset:
+        preset += f"(axis={args.axis})"
+    domain = Domain.shared(_parse_preset(preset, alts, line=None), args.voters)
     # --params follows the scf file conventions (1-based voters, names)
     try:
         raw = json.loads(args.params) if args.params else {}
@@ -344,7 +332,8 @@ def _specimen_scf(args) -> Scf:
         raise ParseError(f"--params is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ParseError("--params must be a JSON object")
-    params = rule_params_from_dict(args.rule, raw, alts)
+    with decoding("--params"):
+        params = rule_params_from_dict(args.rule, raw, alts)
     return builtin(args.rule, domain, **params)
 
 
@@ -431,49 +420,37 @@ def cmd_quotient(args) -> int:
     alts = scf.domain.alts
     p = _parse_profile_file(args.profile_p, alts)
     q = _parse_profile_file(args.profile_q, alts)
-    result = quotient_reduce(
-        scf, p, q, samples=args.samples, seed=args.seed
-    )
-    if result.case == "pairs" and not result.hypothesis.get("verified"):
+    verdict = verify_thm_infinite(scf, p, q, samples=args.samples, seed=args.seed)
+    result = {key: value for key, value in verdict.details.items() if key != "reason"}
+    if result["case"] == "pairs" and not result["hypothesis"]["verified"]:
         raise PrefrevError(
             "voters have differing feasible sets and neither supported case "
             "applies (shared complete set, or collapsed range of at most 3)"
         )
-    doc = {
-        "command": "quotient",
-        "scf": os.fspath(args.scf),
-        **quotient_to_dict(result, alts),
-    }
-    lines = [f"society of {scf.domain.n} voters collapses to alpha={result.alpha}"]
-    for i, cls in enumerate(result.classes, start=1):
+    doc = {"command": "quotient", "scf": os.fspath(args.scf), **result}
+    lines = [f"society of {scf.domain.n} voters collapses to alpha={result['alpha']}"]
+    for i, cls in enumerate(result["classes"], start=1):
         lines.append(
-            f"  class {i}: {len(cls.voters)} voters, "
-            f"P={format_order(cls.rep_p, alts)}, Q={format_order(cls.rep_q, alts)}"
+            f"  class {i}: {len(cls['voters'])} voters, "
+            f"P={cls['rep_p']}, Q={cls['rep_q']}"
         )
+    lines.append(f"outcomes: {result['outcome_p']} vs {result['outcome_q']}")
     lines.append(
-        f"outcomes: {alts.names[result.outcome_p]} vs {alts.names[result.outcome_q]}"
+        f"consistency: {result['samples_agreed']}/{result['samples_checked']} "
+        "sampled blow-ups agree"
     )
-    lines.append(
-        f"consistency: {result.samples_agreed}/{result.samples_checked} sampled "
-        "blow-ups agree"
-    )
-    if result.outcome_p == result.outcome_q:
+    witness = result["witness"]
+    if result["outcome_p"] == result["outcome_q"]:
         lines.append("outcomes equal: no witness needed")
-        ok = result.samples_agreed == result.samples_checked
-    elif result.witness_lift is not None:
-        cls, voter = result.witness_lift
+    elif witness is not None:
         lines.append(
-            f"reversal witness: class {cls + 1}, lifted voter {voter + 1}, "
-            f"valid={result.lift_valid}"
-        )
-        ok = bool(result.lift_valid) and (
-            result.samples_agreed == result.samples_checked
+            f"reversal witness: class {witness['class']}, lifted voter "
+            f"{witness['lifted_voter']}, valid={witness['valid']}"
         )
     else:
         lines.append("no reversal witness at class level")
-        ok = False
     _emit(args, doc, lines)
-    return EXIT_HOLDS if ok else EXIT_WITNESS
+    return EXIT_HOLDS if verdict.holds else EXIT_WITNESS
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--params", default=None, help="rule params as JSON")
     p_verify.add_argument(
         "--feasible", default=None,
-        help="feasible-set preset (default: matches the rule)",
+        help="feasible-set preset in domain-file syntax, such as "
+        "@single-peaked(axis=c,a,b) (default: matches the rule)",
     )
     p_verify.add_argument("--axis", default=None)
     p_verify.add_argument("--names", default=None)
@@ -558,7 +536,7 @@ def main(argv=None) -> int:
     except PrefrevError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or directory path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

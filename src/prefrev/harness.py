@@ -18,6 +18,15 @@ property checkers against each other:
   where neither theorem forbids one; it never claims non-existence beyond
   the searched space.
 
+Every suite walks the table universe through one generator, which yields the
+tables in canonical order (base-|target| numerals, profile 0 most
+significant) up to the universe size or the spec's limit.  ``prop-apr-gsp``
+and ``isp-not-pr`` stop at the first counterexample, and ``checked`` is its
+1-based table number.  ``thm-range3`` and ``summary-equivalence`` visit every
+table, count the verdicts and keep the first counterexample.  The walk is
+serial: the checkers on small tables are pure-Python bound, and worker
+threads slowed it.
+
 The quotient reduction simulates the infinite-society argument on large
 replicated finite societies: voters are collapsed into classes by their
 (P, Q) report pair, the collapsed function is built by cloning class
@@ -107,24 +116,22 @@ def _universe_size(spec: EnumerationSpec, cap: int) -> int | None:
     return size
 
 
-def _table_at(spec: EnumerationSpec, number: int, count: int) -> tuple[int, ...]:
-    # The table read as a base-|target| numeral, profile 0 most significant.
-    radix = len(spec.target)
-    digits = [0] * count
-    for pos in range(count - 1, -1, -1):
-        number, d = divmod(number, radix)
-        digits[pos] = spec.target[d]
-    return tuple(digits)
+def _tables(spec: EnumerationSpec, total: int) -> Iterator[Scf]:
+    """The first ``total`` tables, ascending as base-|target| numerals.
+
+    Profile 0 is the most significant digit, so the walk order is the
+    canonical order every suite reports its first counterexample in.
+    """
+    tables = itertools.product(spec.target, repeat=spec.domain.profile_count())
+    for digits in itertools.islice(tables, total):
+        yield Scf.from_table(spec.domain, digits)
 
 
 def enumerate_scfs(
     spec: EnumerationSpec, max_tables: int = DEFAULT_TABLE_GUARD
 ) -> Iterator[Scf]:
     """All total tables into the target range, ascending as base-R numerals."""
-    total = _require_universe(spec, max_tables)
-    tables = itertools.product(spec.target, repeat=spec.domain.profile_count())
-    for digits in itertools.islice(tables, total):
-        scf = Scf.from_table(spec.domain, digits)
+    for scf in _tables(spec, _require_universe(spec, max_tables)):
         if spec.filters and not all(
             CHECKERS[prop](scf).holds for prop in spec.filters
         ):
@@ -170,26 +177,6 @@ def verdict_to_dict(verdict: TheoremVerdict, include_timing: bool = False) -> di
 # ---------------------------------------------------------------------------
 
 
-def _scan_universe(total, scan_table, *, full_pass):
-    """Run ``scan_table(number) -> payload|None`` over the table universe.
-
-    Returns ``(checked, first_payload, results)``, ``results`` holding
-    ``(number, payload)`` for every payload met.  With ``full_pass`` every
-    table is visited (needed when counts are aggregated) and ``checked`` is
-    ``total``; otherwise the scan stops at the first payload and ``checked``
-    is its 1-based ordinal.  The scan is serial: the checkers it calls on
-    small tables are pure-Python bound, and worker threads slowed it.
-    """
-    collected = []
-    for number in range(total):
-        payload = scan_table(number)
-        if payload is not None:
-            collected.append((number, payload))
-            if not full_pass:
-                return number + 1, payload, collected
-    return total, (collected[0][1] if collected else None), collected
-
-
 def _require_universe(spec: EnumerationSpec, max_tables: int) -> int:
     spec.domain.require_enumerable()
     size = _universe_size(spec, max_tables)
@@ -211,23 +198,19 @@ def verify_prop_apr_gsp(
     """Group strategy-proofness coincides with almost preference reversal."""
     t0 = time.perf_counter()
     total = _require_universe(spec, max_tables)
-    count = spec.domain.profile_count()
-
-    def scan_table(number):
-        scf = Scf.from_table(spec.domain, _table_at(spec, number, count))
+    checked, counterexample = 0, None
+    for checked, scf in enumerate(_tables(spec, total), 1):
         gsp = check_gsp(scf, parallelism=parallelism)
         apr = check_apr(scf, parallelism=parallelism)
         if gsp.holds != apr.holds:
-            return scf, (gsp, apr)
-        return None
-
-    checked, payload, _ = _scan_universe(total, scan_table, full_pass=False)
+            counterexample = scf, (gsp, apr)
+            break
     return TheoremVerdict(
         theorem="prop-apr-gsp",
         universe=f"{spec.describe()}; {total} tables",
         checked=checked,
-        holds=payload is None,
-        counterexample=payload,
+        holds=counterexample is None,
+        counterexample=counterexample,
         details={"tables": total},
         elapsed=time.perf_counter() - t0,
     )
@@ -244,37 +227,25 @@ def verify_thm_range3(
         raise ArgumentError("thm-range3 needs a target range of at most 3")
     t0 = time.perf_counter()
     total = _require_universe(spec, max_tables)
-    count = spec.domain.profile_count()
-    tallies = []
-
-    def scan_table(number):
-        scf = Scf.from_table(spec.domain, _table_at(spec, number, count))
+    n_isp = n_gsp = 0
+    counterexample = None
+    for scf in _tables(spec, total):
         isp = check_isp(scf, parallelism=parallelism)
         gsp = check_gsp(scf, parallelism=parallelism)
         pr = check_pr(scf, parallelism=parallelism) if isp.holds else None
-        tallies.append((isp.holds, gsp.holds))
+        n_isp += isp.holds
+        n_gsp += gsp.holds
+        if counterexample is not None:
+            continue
         if isp.holds and not pr.holds:
-            return "implication", scf, (isp, pr)
-        if isp.holds != gsp.holds:
-            return "corollary", scf, (isp, gsp)
-        return None
-
-    checked, _, collected = _scan_universe(total, scan_table, full_pass=True)
-    n_isp = sum(1 for isp, _ in tallies if isp)
-    n_gsp = sum(1 for _, gsp in tallies if gsp)
-    implication = [c for c in collected if c[1][0] == "implication"]
-    corollary = [c for c in collected if c[1][0] == "corollary"]
-    failure = min(implication + corollary, key=lambda c: c[0], default=None)
-    holds = failure is None and n_isp == n_gsp
-    counterexample = None
-    if failure is not None:
-        _, (_, scf, reports) = failure
-        counterexample = (scf, reports)
+            counterexample = scf, (isp, pr)
+        elif isp.holds != gsp.holds:
+            counterexample = scf, (isp, gsp)
     return TheoremVerdict(
         theorem="thm-range3",
         universe=f"{spec.describe()}; {total} tables",
-        checked=checked,
-        holds=holds,
+        checked=total,
+        holds=counterexample is None and n_isp == n_gsp,
         counterexample=counterexample,
         details={"tables": total, "isp_tables": n_isp, "gsp_tables": n_gsp},
         elapsed=time.perf_counter() - t0,
@@ -290,7 +261,6 @@ def verify_summary_equivalence(
     """The chain {PR} <= {APR} = {GSP} <= {ISP}, with equality under hypotheses."""
     t0 = time.perf_counter()
     total = _require_universe(spec, max_tables)
-    count = spec.domain.profile_count()
     try:
         all_complete = all(
             is_complete(fs).complete for fs in set(spec.domain.feasible)
@@ -299,37 +269,33 @@ def verify_summary_equivalence(
         all_complete = False
     range_hypothesis = len(spec.target) <= 3
     equal_hypothesis = range_hypothesis or all_complete
-    tallies = []
-
-    def scan_table(number):
-        scf = Scf.from_table(spec.domain, _table_at(spec, number, count))
+    n_pr = n_apr = n_gsp = n_isp = 0
+    counterexample = None
+    for scf in _tables(spec, total):
         isp = check_isp(scf, parallelism=parallelism)
         gsp = check_gsp(scf, parallelism=parallelism)
         both = check_pr_apr(scf, parallelism=parallelism)
         pr, apr = both["pr"], both["apr"]
-        tallies.append((pr.holds, apr.holds, gsp.holds, isp.holds))
+        n_pr += pr.holds
+        n_apr += apr.holds
+        n_gsp += gsp.holds
+        n_isp += isp.holds
+        if counterexample is not None:
+            continue
         if pr.holds and not apr.holds:
-            return "pr-not-apr", scf, (pr, apr)
-        if apr.holds != gsp.holds:
-            return "apr-vs-gsp", scf, (apr, gsp)
-        if gsp.holds and not isp.holds:
-            return "gsp-not-isp", scf, (gsp, isp)
-        if equal_hypothesis and isp.holds and not pr.holds:
-            return "isp-not-pr", scf, (isp, pr)
-        return None
-
-    checked, _, collected = _scan_universe(total, scan_table, full_pass=True)
-    failure = min(collected, key=lambda c: c[0], default=None)
-    counterexample = None
-    if failure is not None:
-        _, (_, scf, reports) = failure
-        counterexample = (scf, reports)
+            counterexample = scf, (pr, apr)
+        elif apr.holds != gsp.holds:
+            counterexample = scf, (apr, gsp)
+        elif gsp.holds and not isp.holds:
+            counterexample = scf, (gsp, isp)
+        elif equal_hypothesis and isp.holds and not pr.holds:
+            counterexample = scf, (isp, pr)
     details = {
         "tables": total,
-        "pr_tables": sum(1 for t in tallies if t[0]),
-        "apr_tables": sum(1 for t in tallies if t[1]),
-        "gsp_tables": sum(1 for t in tallies if t[2]),
-        "isp_tables": sum(1 for t in tallies if t[3]),
+        "pr_tables": n_pr,
+        "apr_tables": n_apr,
+        "gsp_tables": n_gsp,
+        "isp_tables": n_isp,
         "equality_hypothesis": (
             "range-le-3" if range_hypothesis
             else ("complete-domain" if all_complete else None)
@@ -338,8 +304,8 @@ def verify_summary_equivalence(
     return TheoremVerdict(
         theorem="summary-equivalence",
         universe=f"{spec.describe()}; {total} tables",
-        checked=checked,
-        holds=failure is None,
+        checked=total,
+        holds=counterexample is None,
         counterexample=counterexample,
         details=details,
         elapsed=time.perf_counter() - t0,
@@ -478,38 +444,35 @@ def search_isp_not_pr(
         pass  # completeness undecided within guard; search anyway
     count = spec.domain.require_enumerable()
     size = _universe_size(spec, budget)
-    rng = random.Random(seed)
     if size is not None and size <= budget:
-        n_items = size
-        get_table = lambda number: _table_at(spec, number, count)
+        tables = _tables(spec, size)
         scope = "exhausted-universe"
     else:
-        # pre-drawn so the sample is identical for every worker count
+        rng = random.Random(seed)
         radix = len(spec.target)
-        sample = [
-            tuple(spec.target[rng.randrange(radix)] for _ in range(count))
+        tables = (
+            Scf.from_table(
+                spec.domain,
+                [spec.target[rng.randrange(radix)] for _ in range(count)],
+            )
             for _ in range(budget)
-        ]
-        n_items = budget
-        get_table = sample.__getitem__
+        )
         scope = "budget-exhausted"
-
-    def scan_table(index):
-        scf = Scf.from_table(spec.domain, get_table(index))
+    checked, counterexample = 0, None
+    for checked, scf in enumerate(tables, 1):
         isp = check_isp(scf, parallelism=parallelism)
         if not isp.holds:
-            return None
+            continue
         pr = check_pr(scf, parallelism=parallelism)
         if pr.holds:
-            return None
+            continue
         if not revalidate_witness(scf, "pr", pr.witness):
             raise RuntimeError("search produced a witness that fails revalidation")
-        return scf, (isp, pr)
-
-    checked, payload, _ = _scan_universe(n_items, scan_table, full_pass=False)
+        counterexample = scf, (isp, pr)
+        break
     details = {"scope": scope, "tables_examined": checked}
     return TheoremVerdict(
-        "isp-not-pr", universe, checked, payload is None, payload,
+        "isp-not-pr", universe, checked, counterexample is None, counterexample,
         details, seed, time.perf_counter() - t0,
     )
 

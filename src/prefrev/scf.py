@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, ConstructionError, ParseError
+from .errors import ArgumentError, ConstructionError, ParseError, PrefrevError
 from .orders import (
     AlternativeSet,
     Axis,
@@ -407,10 +408,14 @@ def domain_to_dict(domain: Domain) -> dict:
 
 
 def domain_from_dict(data: dict, alts: AlternativeSet) -> Domain:
+    presets: dict[str, FeasibleSet] = {}  # voters naming one preset share it
     feasible = []
     for i, entry in enumerate(data["voters"], start=1):
         if "preset" in entry:
-            feasible.append(_parse_preset(entry["preset"], alts, line=None))
+            token = entry["preset"]
+            if token not in presets:
+                presets[token] = _parse_preset(token, alts, line=None)
+            feasible.append(presets[token])
         elif "orders" in entry:
             orders = [parse_order(text, alts) for text in entry["orders"]]
             feasible.append(FeasibleSet.explicit(alts, orders))
@@ -489,24 +494,37 @@ def scf_to_dict(scf: Scf) -> dict:
     return doc
 
 
-def scf_from_dict(data: dict, base_dir: str = ".") -> Scf:
-    if not isinstance(data, dict):
-        raise ParseError("scf document must be a JSON object")
+@contextmanager
+def decoding(source):
+    """Report a document of the wrong shape as one ParseError naming ``source``.
+
+    Decoders index into JSON values as if their shape were right; a wrong
+    shape surfaces as a lookup, type or value error, which becomes a
+    ParseError here.  The package's own errors pass through unchanged.
+    """
     try:
+        yield
+    except PrefrevError:
+        raise
+    except KeyError as exc:
+        raise ParseError(f"{source}: missing field {exc.args[0]!r}") from None
+    except (TypeError, AttributeError, IndexError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{source}: malformed document: {exc}") from None
+
+
+def scf_from_dict(
+    data: dict, base_dir: str = ".", source: str = "scf document"
+) -> Scf:
+    if not isinstance(data, dict):
+        raise ParseError(f"{source} must be a JSON object")
+    with decoding(source):
         alts = AlternativeSet(tuple(data["alternatives"]))
-        try:
-            voters = int(data["voters"])
-        except (TypeError, ValueError):
-            raise ParseError(
-                f"'voters' must be an integer, got {data['voters']!r}"
-            ) from None
+        voters = int(data["voters"])
         dom_field = data["domain"]
         if isinstance(dom_field, str):
             domain = parse_domain_file(os.path.join(base_dir, dom_field))
             if domain.alts != alts:
-                raise ParseError(
-                    "referenced domain file uses different alternatives"
-                )
+                raise ParseError("referenced domain file uses different alternatives")
         else:
             domain = domain_from_dict(dom_field, alts)
         if domain.n != voters:
@@ -528,8 +546,6 @@ def scf_from_dict(data: dict, base_dir: str = ".") -> Scf:
             values = [alts.index_of(name) for name in data["table"]]
             return Scf.from_table(domain, values)
         raise ParseError("scf document needs either 'rule' or 'table'")
-    except KeyError as exc:
-        raise ParseError(f"scf document is missing field {exc.args[0]!r}") from None
 
 
 def save_scf(scf: Scf, path) -> None:
@@ -548,4 +564,4 @@ def load_json(path) -> Any:
 
 def load_scf(path) -> Scf:
     base_dir = os.path.dirname(os.fspath(path)) or "."
-    return scf_from_dict(load_json(path), base_dir=base_dir)
+    return scf_from_dict(load_json(path), base_dir=base_dir, source=os.fspath(path))

@@ -1,8 +1,12 @@
 """End-to-end CLI behaviour: output, exit codes, determinism, replay."""
 
+import copy
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prefrev import (
     AlternativeSet,
@@ -187,12 +191,18 @@ def test_check_json_determinism_across_parallelism(capsys, paper_scf_path):
     assert outs[0] == outs[1]
 
 
-_SCF_VOTERS_NOT_INT = json.dumps({
+_SCF_DOC = {
     "alternatives": ["a", "b"],
-    "voters": "two",
+    "voters": 2,
     "domain": {"voters": [{"preset": "@universal-weak"}] * 2},
     "rule": {"name": "constant", "params": {"alternative": "a"}},
-})
+}
+
+
+def _scf_with(**fields):
+    return json.dumps({**_SCF_DOC, **fields})
+
+
 _WITNESS_NO_COALITION = json.dumps({"reports": [{
     "property": "isp", "holds": False, "checked": 1,
     "witness": {"type": "manipulation", "truthful": ["a>b>c", "a>b>c"]},
@@ -200,15 +210,23 @@ _WITNESS_NO_COALITION = json.dumps({"reports": [{
 
 
 @pytest.mark.parametrize("argv, text, env, expected", [
-    (["check", "{file}"], _SCF_VOTERS_NOT_INT, None, 1),
+    (["check", "{file}"], _scf_with(voters="two"), None, 1),
     (["check", "{file}"], "[1, 2]", None, 1),
     (["verify", "thm-complete", "--rule", "dictator-tiebreak", "--params", "{bad"],
      None, None, 1),
     (["check", "{scf}", "--recheck-witness", "{file}"], "not json", None, 1),
     (["check", "{scf}", "--recheck-witness", "{file}"], _WITNESS_NO_COALITION, None, 1),
     (["check", "{scf}"], None, "two", 2),
+    (["check", "{file}"], _scf_with(domain=5), None, 1),
+    (["check", "{scf}", "--recheck-witness", "{file}"], '{"reports": [1]}', None, 1),
+    (["check", "{file}"], _scf_with(alternatives=[1, 2]), None, 1),
+    (["check", "{file}"], _scf_with(domain={"voters": [{"preset": 5}] * 2}), None, 1),
+    (["verify", "thm-complete", "--rule", "dictator-tiebreak",
+      "--params", '{"voter": "x"}'], None, None, 1),
 ], ids=["voters-not-int", "scf-is-a-list", "params-not-json",
-        "witness-not-json", "witness-no-coalition", "env-parallelism"])
+        "witness-not-json", "witness-no-coalition", "env-parallelism",
+        "domain-not-object", "report-not-object", "alternatives-not-names",
+        "preset-not-text", "params-voter-not-int"])
 def test_malformed_input_is_a_clean_error(
     capsys, monkeypatch, tmp_path, paper_scf_path, argv, text, env, expected
 ):
@@ -226,6 +244,92 @@ def test_malformed_input_is_a_clean_error(
         code = exc.code
     assert code == expected
     assert "error:" in capsys.readouterr().err
+
+
+def _node_paths(doc, path=()):
+    """The path to every node of a JSON document, the root included."""
+    yield path
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _node_paths(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _node_paths(value, path + (i,))
+
+
+def _replace_node(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+_TOKENS = ("a", "b", "a>b", "a~b", "@universal-weak", "@single-peaked(axis=b,a)",
+           "preset", "orders", "voters", "manipulation", "pr-violation",
+           "dictator", "isp", "pr", "holds", "witness")
+_SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.floats(-3, 3, allow_nan=False) | st.text(max_size=3)
+    | st.sampled_from(_TOKENS),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_TOKENS) | st.text(max_size=3), inner,
+                      max_size=3),
+    max_leaves=6,
+)
+
+
+def _main_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Valid small documents to mutate: two scf files and a check report."""
+    root = tmp_path_factory.mktemp("fuzz")
+    alts = AlternativeSet.letters(3)
+    paper = root / "paper.json"
+    save_scf(builtin("paper-example",
+                     Domain.shared(FeasibleSet.universal_weak(alts), 2)), paper)
+    code, report, _ = _main_quietly(["check", str(paper), "--output", "json"])
+    assert code == 2
+    mixed = {"voters": [{"preset": "@universal-strict"}, {"orders": ["a>b", "a~b"]}]}
+    docs = {
+        "rule": {**_SCF_DOC, "domain": mixed, "rule": {
+            "name": "dictator-tiebreak", "params": {"voter": 2, "tiebreak": ["b", "a"]},
+        }},
+        "table": {"alternatives": ["a", "b"], "voters": 2, "domain": mixed,
+                  "table": ["a", "b", "b", "a"]},
+        "report": json.loads(report),
+    }
+    return root, str(paper), docs
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_document_ends_cleanly(fuzz_inputs, data):
+    # One node of a valid scf file or check report is replaced by a small
+    # JSON value; the CLI must answer with an exit code, never a traceback.
+    root, paper, docs = fuzz_inputs
+    kind = data.draw(st.sampled_from(sorted(docs)))
+    doc = docs[kind]
+    path = data.draw(st.sampled_from(list(_node_paths(doc))))
+    fuzzed = root / "fuzzed.json"
+    fuzzed.write_text(json.dumps(_replace_node(doc, path, data.draw(_SMALL_JSON))))
+    if kind == "report":
+        argv = ["check", paper, "--recheck-witness", str(fuzzed)]
+    else:
+        argv = ["check", str(fuzzed)]
+    code, _, err = _main_quietly(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +367,22 @@ def test_verify_thm_complete_rule(capsys):
     )
     assert code == 0
     assert json.loads(out)["holds"]
+
+
+def test_verify_feasible_takes_the_domain_file_preset_syntax(capsys):
+    # --axis is appended to a bare preset; a preset with its own argument
+    # is taken as written.
+    common = ("verify", "thm-complete", "--rule", "median-peaks", "--k", "4",
+              "--params", '{"axis": ["b", "a", "c", "d"]}', "--output", "json")
+    outs = []
+    for feasible in (("--feasible", "@single-peaked-strict", "--axis", "b,a,c,d"),
+                     ("--feasible", "@single-peaked-strict(axis=b,a,c,d)")):
+        code, out, _ = run(capsys, *common, *feasible)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    code, _, err = run(capsys, *common, "--feasible", "@nowhere")
+    assert code == 1 and "unknown preset" in err
 
 
 def test_verify_thm_complete_rule_default_feasible(capsys):
@@ -352,6 +472,48 @@ def test_quotient_command(capsys, quotient_files):
     assert doc["alpha"] == 3
     assert doc["witness"]["valid"] is True
     assert doc["samples_agreed"] == doc["samples_checked"] == 100
+
+
+def test_quotient_exit_code_is_the_theorem_verdict(capsys, tmp_path):
+    # The outcomes differ and no class witnesses a reversal, but the shared
+    # feasible set is incomplete and the range is 4, so no hypothesis holds
+    # and the infinite-society theorem requires no witness: exit 0.
+    orders = ["a>b>c>d", "b>a>c>d", "c>d>a>b", "d>c>b>a"]
+    scf = tmp_path / "plurality.json"
+    scf.write_text(json.dumps({
+        "alternatives": ["a", "b", "c", "d"],
+        "voters": 3,
+        "domain": {"voters": [{"orders": orders}] * 3},
+        "rule": {"name": "plurality-tiebreak", "params": {}},
+    }))
+    p = tmp_path / "p.profile"
+    p.write_text("alternatives: a,b,c,d\na>b>c>d\n2 x b>a>c>d\n")
+    q = tmp_path / "q.profile"
+    q.write_text("alternatives: a,b,c,d\na>b>c>d\nb>a>c>d\nd>c>b>a\n")
+    code, out, _ = run(
+        capsys, "quotient", "--scf", str(scf), "--profile-p", str(p),
+        "--profile-q", str(q), "--output", "json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    del doc["scf"]
+    assert doc == {
+        "command": "quotient",
+        "alpha": 3,
+        "case": "shared",
+        "classes": [
+            {"rep_p": "a>b>c>d", "rep_q": "a>b>c>d", "voters": [1]},
+            {"rep_p": "b>a>c>d", "rep_q": "b>a>c>d", "voters": [2]},
+            {"rep_p": "b>a>c>d", "rep_q": "d>c>b>a", "voters": [3]},
+        ],
+        "outcome_p": "b",
+        "outcome_q": "a",
+        "hypothesis": {"kind": "complete-domain", "verified": False},
+        "samples_checked": 100,
+        "samples_agreed": 100,
+        "seed": 0,
+        "witness": None,
+    }
 
 
 def test_quotient_seed_recorded_and_deterministic(capsys, quotient_files):

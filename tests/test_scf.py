@@ -303,6 +303,17 @@ def test_rule_params_from_dict_missing_field(abc):
         rule_params_from_dict("dictator-tiebreak", {}, abc)
 
 
+def test_voters_naming_one_preset_share_one_feasible_set():
+    doc = {
+        "alternatives": ["a", "b", "c"],
+        "voters": 3,
+        "domain": {"voters": [{"preset": "@single-peaked"}] * 3},
+        "rule": {"name": "constant", "params": {"alternative": "a"}},
+    }
+    feasible = scf_from_dict(doc).domain.feasible
+    assert feasible[0] is feasible[1] is feasible[2]
+
+
 def test_scf_json_preserves_presets(weak2):
     doc = scf_to_dict(builtin("paper-example", weak2))
     assert doc["domain"]["voters"][0] == {"preset": "@universal-weak"}
