@@ -18,14 +18,17 @@ property checkers against each other:
   where neither theorem forbids one; it never claims non-existence beyond
   the searched space.
 
-Every suite walks the table universe through one generator, which yields the
-tables in canonical order (base-|target| numerals, profile 0 most
-significant) up to the universe size or the spec's limit.  ``prop-apr-gsp``
-and ``isp-not-pr`` stop at the first counterexample, and ``checked`` is its
-1-based table number.  ``thm-range3`` and ``summary-equivalence`` visit every
-table, count the verdicts and keep the first counterexample.  The walk is
-serial: the checkers on small tables are pure-Python bound, and worker
-threads slowed it.
+Every suite walks the table universe in uint8 blocks of rows, in canonical
+order (base-|target| numerals, profile 0 most significant) up to the
+universe size or the spec's limit, and decides each block at once with the
+numpy verdict kernel ``properties.table_verdicts``, which builds no witness.
+``prop-apr-gsp`` and ``isp-not-pr`` stop at the first counterexample, and
+``checked`` is its 1-based table number.  ``thm-range3`` and
+``summary-equivalence`` visit every table, sum the verdicts and keep the
+first counterexample.  Only that one table becomes an :class:`Scf`: the
+full checkers run on it, with ``parallelism``, to build the reports, and a
+verdict that differs from the kernel's is a ``RuntimeError``.  The walk
+itself is serial.
 
 The quotient reduction simulates the infinite-society argument on large
 replicated finite societies: voters are collapsed into classes by their
@@ -36,11 +39,12 @@ lifted back to a concrete voter.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from dataclasses import dataclass, field
 from typing import Any, Iterator
+
+import numpy as np
 
 from .errors import ArgumentError, ResourceGuardError
 from .orders import WeakOrder, format_order
@@ -70,10 +74,15 @@ from .properties import (
     check_pr_apr,
     report_to_dict,
     revalidate_witness,
+    table_verdicts,
 )
 
 #: Ceiling on full table-universe enumerations (|target| ** |profiles|).
 DEFAULT_TABLE_GUARD = 100_000_000
+
+#: Verdict blocks hold about this many (table, voter, P, Q) cells.  Larger
+#: blocks raised peak memory and were no faster on 9-profile tables.
+_TABLE_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -116,27 +125,88 @@ def _universe_size(spec: EnumerationSpec, cap: int) -> int | None:
     return size
 
 
-def _tables(spec: EnumerationSpec, total: int) -> Iterator[Scf]:
-    """The first ``total`` tables, ascending as base-|target| numerals.
+def _block_size(domain: Domain) -> int:
+    """Tables per verdict block: about ``_TABLE_BLOCK_CELLS`` cells."""
+    count = domain.profile_count()
+    return max(1, _TABLE_BLOCK_CELLS // (domain.n * count * count))
 
-    Profile 0 is the most significant digit, so the walk order is the
-    canonical order every suite reports its first counterexample in.
+
+def _table_blocks(
+    spec: EnumerationSpec, total: int, rng: random.Random | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """``total`` tables as ``(first table number, uint8 rows)`` blocks.
+
+    Table t is t written in base |target| with profile 0 the most
+    significant digit, so the walk order is the canonical order every suite
+    reports its first counterexample in.  Digits are peeled off the table
+    numbers, never off |target| ** count, so a limit into a universe past
+    the int64 range still works.  With ``rng`` the tables are drawn from it
+    instead, one profile after another.
     """
-    tables = itertools.product(spec.target, repeat=spec.domain.profile_count())
-    for digits in itertools.islice(tables, total):
-        yield Scf.from_table(spec.domain, digits)
+    count = spec.domain.profile_count()
+    radix = len(spec.target)
+    target = np.array(spec.target, dtype=np.uint8)
+    step = _block_size(spec.domain)
+    for lo in range(0, total, step):
+        rows = min(step, total - lo)
+        if rng is not None:
+            draws = [rng.randrange(radix) for _ in range(rows * count)]
+            yield lo, target[np.array(draws, dtype=np.intp).reshape(rows, count)]
+            continue
+        numbers = np.arange(lo, lo + rows, dtype=np.int64)
+        digits = np.empty((rows, count), dtype=np.intp)
+        for p in range(count - 1, -1, -1):
+            digits[:, p] = numbers % radix
+            numbers //= radix
+        yield lo, target[digits]
+
+
+def _first_flagged(domain, blocks, props, flag, counts=None):
+    """The first table that ``flag`` marks, walking ``blocks`` in order.
+
+    ``flag`` maps a block's verdicts (see ``table_verdicts``) to a bool row
+    mask.  Returns ``(table number, its Scf, its verdicts)``, or None.
+    With ``counts``, every block is walked and the tables where each
+    property holds are added up in it; otherwise the walk stops at the
+    first flagged table.
+    """
+    first = None
+    for lo, rows in blocks:
+        verdicts = table_verdicts(domain, rows, props)
+        if counts is not None:
+            for prop in props:
+                counts[prop] += int(verdicts[prop].sum())
+        if first is None:
+            flagged = flag(verdicts)
+            if flagged.any():
+                i = int(flagged.argmax())
+                scf = Scf.from_table(domain, rows[i])
+                first = lo + i, scf, {p: bool(v[i]) for p, v in verdicts.items()}
+                if counts is None:
+                    break
+    return first
+
+
+def _confirm(verdicts, *reports) -> None:
+    """Fail loudly if the full checkers contradict the verdict kernel."""
+    for report in reports:
+        if report is not None and report.holds != verdicts[report.property]:
+            raise RuntimeError(
+                f"verdict kernel and checker disagree on {report.property} "
+                "for a table"
+            )
 
 
 def enumerate_scfs(
     spec: EnumerationSpec, max_tables: int = DEFAULT_TABLE_GUARD
 ) -> Iterator[Scf]:
     """All total tables into the target range, ascending as base-R numerals."""
-    for scf in _tables(spec, _require_universe(spec, max_tables)):
-        if spec.filters and not all(
-            CHECKERS[prop](scf).holds for prop in spec.filters
-        ):
-            continue
-        yield scf
+    for _, rows in _table_blocks(spec, _require_universe(spec, max_tables)):
+        if spec.filters:
+            verdicts = table_verdicts(spec.domain, rows, spec.filters)
+            rows = rows[np.logical_and.reduce([verdicts[p] for p in spec.filters])]
+        for row in rows:
+            yield Scf.from_table(spec.domain, row)
 
 
 @dataclass
@@ -198,13 +268,17 @@ def verify_prop_apr_gsp(
     """Group strategy-proofness coincides with almost preference reversal."""
     t0 = time.perf_counter()
     total = _require_universe(spec, max_tables)
-    checked, counterexample = 0, None
-    for checked, scf in enumerate(_tables(spec, total), 1):
+    checked, counterexample = total, None
+    first = _first_flagged(
+        spec.domain, _table_blocks(spec, total), ("gsp", "apr"),
+        lambda v: v["gsp"] != v["apr"],
+    )
+    if first is not None:
+        number, scf, verdicts = first
         gsp = check_gsp(scf, parallelism=parallelism)
         apr = check_apr(scf, parallelism=parallelism)
-        if gsp.holds != apr.holds:
-            counterexample = scf, (gsp, apr)
-            break
+        _confirm(verdicts, gsp, apr)
+        checked, counterexample = number + 1, (scf, (gsp, apr))
     return TheoremVerdict(
         theorem="prop-apr-gsp",
         universe=f"{spec.describe()}; {total} tables",
@@ -227,20 +301,24 @@ def verify_thm_range3(
         raise ArgumentError("thm-range3 needs a target range of at most 3")
     t0 = time.perf_counter()
     total = _require_universe(spec, max_tables)
-    n_isp = n_gsp = 0
+    counts = {"isp": 0, "gsp": 0, "pr": 0}
+    first = _first_flagged(
+        spec.domain, _table_blocks(spec, total), tuple(counts),
+        lambda v: (v["isp"] & ~v["pr"]) | (v["isp"] != v["gsp"]),
+        counts,
+    )
     counterexample = None
-    for scf in _tables(spec, total):
+    if first is not None:
+        _, scf, verdicts = first
         isp = check_isp(scf, parallelism=parallelism)
         gsp = check_gsp(scf, parallelism=parallelism)
         pr = check_pr(scf, parallelism=parallelism) if isp.holds else None
-        n_isp += isp.holds
-        n_gsp += gsp.holds
-        if counterexample is not None:
-            continue
+        _confirm(verdicts, isp, gsp, pr)
         if isp.holds and not pr.holds:
             counterexample = scf, (isp, pr)
-        elif isp.holds != gsp.holds:
+        else:
             counterexample = scf, (isp, gsp)
+    n_isp, n_gsp = counts["isp"], counts["gsp"]
     return TheoremVerdict(
         theorem="thm-range3",
         universe=f"{spec.describe()}; {total} tables",
@@ -269,33 +347,37 @@ def verify_summary_equivalence(
         all_complete = False
     range_hypothesis = len(spec.target) <= 3
     equal_hypothesis = range_hypothesis or all_complete
-    n_pr = n_apr = n_gsp = n_isp = 0
+
+    def broken(v):
+        chain = (v["pr"] & ~v["apr"]) | (v["apr"] != v["gsp"]) | (v["gsp"] & ~v["isp"])
+        return chain | (v["isp"] & ~v["pr"]) if equal_hypothesis else chain
+
+    counts = {"pr": 0, "apr": 0, "gsp": 0, "isp": 0}
+    first = _first_flagged(
+        spec.domain, _table_blocks(spec, total), tuple(counts), broken, counts
+    )
     counterexample = None
-    for scf in _tables(spec, total):
+    if first is not None:
+        _, scf, verdicts = first
         isp = check_isp(scf, parallelism=parallelism)
         gsp = check_gsp(scf, parallelism=parallelism)
         both = check_pr_apr(scf, parallelism=parallelism)
         pr, apr = both["pr"], both["apr"]
-        n_pr += pr.holds
-        n_apr += apr.holds
-        n_gsp += gsp.holds
-        n_isp += isp.holds
-        if counterexample is not None:
-            continue
+        _confirm(verdicts, isp, gsp, pr, apr)
         if pr.holds and not apr.holds:
             counterexample = scf, (pr, apr)
         elif apr.holds != gsp.holds:
             counterexample = scf, (apr, gsp)
         elif gsp.holds and not isp.holds:
             counterexample = scf, (gsp, isp)
-        elif equal_hypothesis and isp.holds and not pr.holds:
+        else:
             counterexample = scf, (isp, pr)
     details = {
         "tables": total,
-        "pr_tables": n_pr,
-        "apr_tables": n_apr,
-        "gsp_tables": n_gsp,
-        "isp_tables": n_isp,
+        "pr_tables": counts["pr"],
+        "apr_tables": counts["apr"],
+        "gsp_tables": counts["gsp"],
+        "isp_tables": counts["isp"],
         "equality_hypothesis": (
             "range-le-3" if range_hypothesis
             else ("complete-domain" if all_complete else None)
@@ -442,34 +524,26 @@ def search_isp_not_pr(
             )
     except ResourceGuardError:
         pass  # completeness undecided within guard; search anyway
-    count = spec.domain.require_enumerable()
+    spec.domain.require_enumerable()
     size = _universe_size(spec, budget)
     if size is not None and size <= budget:
-        tables = _tables(spec, size)
+        total, blocks = size, _table_blocks(spec, size)
         scope = "exhausted-universe"
     else:
-        rng = random.Random(seed)
-        radix = len(spec.target)
-        tables = (
-            Scf.from_table(
-                spec.domain,
-                [spec.target[rng.randrange(radix)] for _ in range(count)],
-            )
-            for _ in range(budget)
-        )
+        total, blocks = budget, _table_blocks(spec, budget, random.Random(seed))
         scope = "budget-exhausted"
-    checked, counterexample = 0, None
-    for checked, scf in enumerate(tables, 1):
+    checked, counterexample = total, None
+    first = _first_flagged(
+        spec.domain, blocks, ("isp", "pr"), lambda v: v["isp"] & ~v["pr"]
+    )
+    if first is not None:
+        number, scf, verdicts = first
         isp = check_isp(scf, parallelism=parallelism)
-        if not isp.holds:
-            continue
         pr = check_pr(scf, parallelism=parallelism)
-        if pr.holds:
-            continue
+        _confirm(verdicts, isp, pr)
         if not revalidate_witness(scf, "pr", pr.witness):
             raise RuntimeError("search produced a witness that fails revalidation")
-        counterexample = scf, (isp, pr)
-        break
+        checked, counterexample = number + 1, (scf, (isp, pr))
     details = {"scope": scope, "tables_examined": checked}
     return TheoremVerdict(
         "isp-not-pr", universe, checked, counterexample is None, counterexample,

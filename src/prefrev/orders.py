@@ -27,6 +27,10 @@ from .errors import ConstructionError, ParseError, ResourceGuardError
 #: before that, so anything larger fails fast with a resource error.
 MAX_ENUMERATION_K = 8
 
+#: Largest alternative count of any alternative set.  The scans store ranks
+#: as int8 and outcome tables as uint8, so ranks 0..127 must fit.
+MAX_ALTERNATIVES = 128
+
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _FORBIDDEN_NAME_CHARS = set(" \t\r\n>~,;:@()[]{}")
 
@@ -42,6 +46,10 @@ class AlternativeSet:
         object.__setattr__(self, "names", names)
         if not names:
             raise ConstructionError("need at least one alternative")
+        if len(names) > MAX_ALTERNATIVES:
+            raise ConstructionError(
+                f"{len(names)} alternatives; at most {MAX_ALTERNATIVES} are supported"
+            )
         if len(set(names)) != len(names):
             raise ConstructionError("alternative names must be pairwise distinct")
         for name in names:

@@ -25,6 +25,12 @@ each member's truthful order skipped.  The key is computed only over the
 violations of the first row that has any.  Blocks hold about
 ``_BLOCK_CELLS`` (voter, row, column) cells, so an early failure stops in a
 small first block.
+
+Table universes ask only for verdicts, on many small tables.
+:func:`table_verdicts` decides all five properties for a whole block of
+tables in one numpy pass over the same masks, with a table axis in front,
+and returns one bool per table and property: no scan order, no ``checked``
+count and no witness.
 """
 
 from __future__ import annotations
@@ -501,6 +507,53 @@ def check_dictator(
     return PropertyReport(
         "dictator", holds, witness, checked, time.perf_counter() - t0, scf
     )
+
+
+# ---------------------------------------------------------------------------
+# Verdict blocks (table universes)
+# ---------------------------------------------------------------------------
+
+
+def table_verdicts(
+    domain: Domain, tables: np.ndarray, props
+) -> dict[str, np.ndarray]:
+    """Whether each property in ``props`` holds, for every row of ``tables``.
+
+    ``tables`` is a ``(B, count)`` uint8 block, one table per row; the
+    result maps each property to a length-B bool array.  The masks are the
+    module docstring's, with a table axis in front: r[b, v, p, q] is the
+    rank of phi_b(Q) under voter v's order at P.  ISP fails where exactly
+    one voter changed and does not keep; dictatorship holds where some voter
+    gets a rank-0 (top) alternative at every profile.  No witness is built.
+    """
+    digits, rank_rows, rank_base = _ctx_for(domain).build_arrays()
+    flat = rank_rows.reshape(-1)
+    # own[b, v, p]: the rank of phi_b(P) under voter v's order at P.
+    own = flat[rank_base + tables[:, None, :]]
+    out = {}
+    if "dictator" in props:
+        out["dictator"] = (own == 0).all(axis=2).any(axis=1)
+    if not set(props) & {"isp", "gsp", "pr", "apr"}:
+        return out
+    # keep[b, v, p, q]: phi_b(P) is weakly better than phi_b(Q) under P_v.
+    keep = own[..., None] <= flat[rank_base[..., None] + tables[:, None, None, :]]
+    changed = digits[:, :, None] != digits[:, None, :]
+    kept = keep & changed
+    any_kept = kept.any(axis=1)
+    if "isp" in props:
+        single = changed.sum(axis=0) == 1
+        out["isp"] = ~(single & ~any_kept).any(axis=(1, 2))
+    neq = tables[:, :, None] != tables[:, None, :]
+    if "gsp" in props:
+        out["gsp"] = ~(neq & ~any_kept).any(axis=(1, 2))
+    if "pr" in props or "apr" in props:
+        accepted = keep.transpose(0, 1, 3, 2) & changed
+        if "pr" in props:
+            out["pr"] = ~(neq & ~(kept & accepted).any(axis=1)).any(axis=(1, 2))
+        if "apr" in props:
+            both = any_kept & accepted.any(axis=1)
+            out["apr"] = ~(neq & ~both).any(axis=(1, 2))
+    return out
 
 
 # ---------------------------------------------------------------------------

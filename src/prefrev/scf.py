@@ -537,9 +537,21 @@ def scf_from_dict(
                 raise ParseError(f"unknown rule {name!r}")
             params = rule_params_from_dict(name, data["rule"].get("params", {}), alts)
             if name == "cloned":
-                return Scf.from_rule(
-                    domain, cloned_rule(params["base"], params["assignment"])
-                )
+                base, assignment = params["base"], params["assignment"]
+                for c in assignment:
+                    if not 0 <= c < domain.n:
+                        raise ParseError(
+                            f"cloned rule assigns voter {c + 1}, outside 1..{domain.n}"
+                        )
+                # the base rule runs on the blown-up society, one voter per entry
+                blown = Domain(tuple(domain.feasible[c] for c in assignment))
+                try:
+                    base = builtin(base.name, blown, **base.params).rule
+                except ArgumentError as exc:
+                    raise ParseError(
+                        f"cloned rule base on {blown.n} voters: {exc}"
+                    ) from None
+                return Scf.from_rule(domain, cloned_rule(base, assignment))
             # route through builtin so rule-domain consistency is enforced
             return builtin(name, domain, **params)
         if "table" in data:

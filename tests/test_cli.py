@@ -203,6 +203,25 @@ def _scf_with(**fields):
     return json.dumps({**_SCF_DOC, **fields})
 
 
+def _cloned_scf(assignment, voter):
+    """A cloned dictator rule on 2 voters with strict orders over a, b."""
+    base = {"name": "dictator-tiebreak",
+            "params": {"voter": voter, "tiebreak": ["a", "b"]}}
+    return _scf_with(
+        domain={"voters": [{"preset": "@universal-strict"}] * 2},
+        rule={"name": "cloned", "params": {"base": base, "assignment": assignment}},
+    )
+
+
+# Ranks are int8 and tables uint8, so 130 alternatives is past the limit.
+_WIDE_NAMES = [f"x{i}" for i in range(130)]
+_WIDE_TABLE_SCF = json.dumps({
+    "alternatives": _WIDE_NAMES,
+    "voters": 1,
+    "domain": {"voters": [{"orders": [">".join(_WIDE_NAMES)]}]},
+    "table": ["x0"],
+})
+
 _WITNESS_NO_COALITION = json.dumps({"reports": [{
     "property": "isp", "holds": False, "checked": 1,
     "witness": {"type": "manipulation", "truthful": ["a>b>c", "a>b>c"]},
@@ -223,10 +242,14 @@ _WITNESS_NO_COALITION = json.dumps({"reports": [{
     (["check", "{file}"], _scf_with(domain={"voters": [{"preset": 5}] * 2}), None, 1),
     (["verify", "thm-complete", "--rule", "dictator-tiebreak",
       "--params", '{"voter": "x"}'], None, None, 1),
+    (["check", "{file}", "--properties", "isp"], _cloned_scf([5], voter=1), None, 1),
+    (["check", "{file}", "--properties", "isp"], _cloned_scf([1, 2], voter=3), None, 1),
+    (["check", "{file}", "--properties", "isp,pr"], _WIDE_TABLE_SCF, None, 1),
 ], ids=["voters-not-int", "scf-is-a-list", "params-not-json",
         "witness-not-json", "witness-no-coalition", "env-parallelism",
         "domain-not-object", "report-not-object", "alternatives-not-names",
-        "preset-not-text", "params-voter-not-int"])
+        "preset-not-text", "params-voter-not-int", "cloned-assignment-outside",
+        "cloned-base-voter-outside", "too-many-alternatives"])
 def test_malformed_input_is_a_clean_error(
     capsys, monkeypatch, tmp_path, paper_scf_path, argv, text, env, expected
 ):

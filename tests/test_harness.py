@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import sys
 
 import pytest
@@ -141,11 +142,22 @@ def test_suites_parallel_determinism(spec81):
         assert json.dumps(seq) == json.dumps(par)
 
 
-def test_suites_report_the_canonical_first_counterexample(spec81, monkeypatch):
-    # GSP gives the wrong verdict on tables 14 and 58 (1-based), so APR and
-    # ISP disagree with it there and nowhere else.
-    tables = list(enumerate_scfs(spec81))
-    wrong = {tables[13].table.tobytes(), tables[57].table.tobytes()}
+def _flip_gsp(monkeypatch, wrong, checker=True):
+    """Give the wrong GSP verdict on the tables whose bytes are in ``wrong``:
+    in the verdict kernel, and with ``checker`` also in ``check_gsp``."""
+    real_verdicts = harness.table_verdicts
+
+    def flaky_verdicts(domain, tables, props):
+        verdicts = real_verdicts(domain, tables, props)
+        if "gsp" in verdicts:
+            for i, row in enumerate(tables):
+                if row.tobytes() in wrong:
+                    verdicts["gsp"][i] = not verdicts["gsp"][i]
+        return verdicts
+
+    monkeypatch.setattr(harness, "table_verdicts", flaky_verdicts)
+    if not checker:
+        return
     real_gsp = harness.check_gsp
 
     def flaky_gsp(scf, **kwargs):
@@ -155,6 +167,14 @@ def test_suites_report_the_canonical_first_counterexample(spec81, monkeypatch):
         return report
 
     monkeypatch.setattr(harness, "check_gsp", flaky_gsp)
+
+
+def test_suites_report_the_canonical_first_counterexample(spec81, monkeypatch):
+    # GSP gives the wrong verdict on tables 14 and 58 (1-based), so APR and
+    # ISP disagree with it there and nowhere else.
+    tables = list(enumerate_scfs(spec81))
+    wrong = {tables[13].table.tobytes(), tables[57].table.tobytes()}
+    _flip_gsp(monkeypatch, wrong)
     verdict = verify_prop_apr_gsp(spec81)
     assert not verdict.holds and verdict.checked == 14
     assert list(verdict.counterexample[0].table) == list(tables[13].table)
@@ -162,6 +182,41 @@ def test_suites_report_the_canonical_first_counterexample(spec81, monkeypatch):
         verdict = suite(spec81)
         assert not verdict.holds and verdict.checked == 81
         assert list(verdict.counterexample[0].table) == list(tables[13].table)
+
+
+def test_kernel_and_checker_disagreement_is_an_error(spec81, monkeypatch):
+    tables = list(enumerate_scfs(spec81))
+    _flip_gsp(monkeypatch, {tables[13].table.tobytes()}, checker=False)
+    for suite in (verify_prop_apr_gsp, verify_thm_range3, verify_summary_equivalence):
+        with pytest.raises(RuntimeError, match="disagree on gsp"):
+            suite(spec81)
+
+
+def test_suite_verdicts_do_not_depend_on_the_block_size(spec81, monkeypatch):
+    specs = [
+        spec81,
+        EnumerationSpec(strict_prefix_domain(3, 2, 3), (0, 1, 2), limit=700),
+        EnumerationSpec(weak_pair_domain(), (0, 1, 2)),
+        EnumerationSpec(strict_prefix_domain(3, 2, 3), (0, 2), limit=200),
+    ]
+    suites = (verify_prop_apr_gsp, verify_thm_range3, verify_summary_equivalence)
+    tables = list(enumerate_scfs(spec81))
+    wrong = {tables[13].table.tobytes(), tables[57].table.tobytes()}
+
+    def run_all():
+        clean = [verdict_to_dict(suite(spec)) for suite in suites for spec in specs]
+        with monkeypatch.context() as patch:
+            _flip_gsp(patch, wrong)
+            flipped = [verdict_to_dict(suite(spec81)) for suite in suites]
+        return clean, flipped
+
+    expected = run_all()
+    assert [doc["holds"] for doc in expected[1]] == [False] * 3
+    default = harness._block_size
+    for per_table in (1, 5, 37):
+        monkeypatch.setattr(harness, "_block_size", lambda domain: per_table)
+        assert run_all() == expected, per_table
+    assert default(spec81.domain) == (1 << 16) // (2 * 4 * 4)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +380,27 @@ def test_search_random_sampling_is_seeded():
     two = search_isp_not_pr(spec, budget=50, seed=11)
     assert one.details["scope"] == "budget-exhausted"
     assert verdict_to_dict(one) == verdict_to_dict(two)
+
+
+@pytest.mark.parametrize("per_table", [None, 1, 7])
+def test_search_verdicts_match_the_recorded_ones(monkeypatch, per_table):
+    # Recorded from the per-table checker walk: a seeded sample that meets
+    # its counterexample at table 3,924, and the exhausted universe that
+    # meets one at table 268.
+    from prefrev import search_isp_not_pr
+
+    path = os.path.join(os.path.dirname(__file__), "data", "isp_not_pr_verdicts.json")
+    with open(path, encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    if per_table is not None:
+        monkeypatch.setattr(harness, "_block_size", lambda domain: per_table)
+    alts = AlternativeSet.letters(4)
+    orders = [parse_order(text, alts) for text in ("a~b>c~d", "d>c>a~b", "b~c>a~d")]
+    domain = Domain.shared(FeasibleSet.explicit(alts, orders), 2)
+    spec = EnumerationSpec(domain, (0, 1, 2, 3))
+    for case in recorded.values():
+        verdict = search_isp_not_pr(spec, case["budget"], seed=case["seed"])
+        assert verdict_to_dict(verdict) == case["verdict"]
 
 
 def test_parallel_search_on_fresh_domains_matches_sequential():

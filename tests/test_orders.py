@@ -93,6 +93,10 @@ def test_alternative_set_validation():
         AlternativeSet(())
     assert AlternativeSet.letters(3).names == ("a", "b", "c")
     assert AlternativeSet.numbered(2).names == ("1", "2")
+    # ranks are stored as int8: 128 alternatives fit, 129 do not
+    assert AlternativeSet.numbered(128).k == 128
+    with pytest.raises(ConstructionError, match="at most 128"):
+        AlternativeSet.numbered(129)
 
 
 # ---------------------------------------------------------------------------

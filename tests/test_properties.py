@@ -30,6 +30,7 @@ from prefrev import (
     parse_order,
     report_to_dict,
     revalidate_witness,
+    tabulate,
 )
 from prefrev import properties
 from prefrev.properties import witness_from_dict, witness_to_dict
@@ -469,3 +470,122 @@ def test_pr_witness_analysis_is_complete(paper_rule):
         rec.weak_pref_p and rec.weak_pref_q and rec.changed
         for rec in violation.analysis
     )
+
+
+# ---------------------------------------------------------------------------
+# the batched verdict kernel
+# ---------------------------------------------------------------------------
+
+
+def test_table_verdicts_match_the_checkers_on_a_whole_universe():
+    # Every table of 2 voters x 3 strict orders into k=3: 19,683 tables.
+    abc = AlternativeSet.letters(3)
+    strict = sorted(enumerate_strict_orders(3), key=lambda o: o.ranks)
+    domain = Domain.shared(FeasibleSet.explicit(abc, strict[:3]), 2)
+    import numpy as np
+
+    tables = np.array(list(itertools.product(range(3), repeat=9)), dtype=np.uint8)
+    verdicts = properties.table_verdicts(domain, tables, properties.CHECKERS)
+    assert {p: int(v.sum()) for p, v in verdicts.items()} == {
+        "isp": 11, "gsp": 11, "pr": 11, "apr": 11, "dictator": 2,
+    }
+    for i, row in enumerate(tables):
+        scf = Scf.from_table(domain, row)
+        both = check_pr_apr(scf)
+        got = (check_isp(scf).holds, check_gsp(scf).holds, both["pr"].holds,
+               both["apr"].holds, check_dictator(scf).holds)
+        want = tuple(bool(verdicts[p][i]) for p in ("isp", "gsp", "pr", "apr", "dictator"))
+        assert got == want, i
+
+
+def _uneven_domain(rng):
+    """1-3 voters, k = 2-4, each voter a sample of the weak orders (some
+    voters get a single one)."""
+    from prefrev import enumerate_weak_orders
+
+    k = rng.randint(2, 4)
+    alts = AlternativeSet.letters(k)
+    weak = list(enumerate_weak_orders(k))
+    n = rng.randint(1, 3)
+    most = min(3 if n == 3 else 5, len(weak))
+    return Domain(tuple(
+        FeasibleSet.explicit(
+            alts, rng.sample(weak, 1 if rng.random() < 0.15 else rng.randint(2, most))
+        )
+        for _ in range(n)
+    ))
+
+
+def _seeded_table(rng, domain):
+    """A dictator rule, a table on two alternatives, or one on all of them."""
+    count, k = domain.profile_count(), domain.k
+    kind = rng.randrange(3)
+    if kind == 0:
+        voter = rng.randrange(domain.n)
+        return tabulate(builtin("dictator-tiebreak", domain, voter=voter))
+    values = rng.sample(range(k), 2) if kind == 1 else range(k)
+    return Scf.from_table(domain, [rng.choice(values) for _ in range(count)])
+
+
+def _assert_kernel_matches_oracles(domain, scfs):
+    import numpy as np
+
+    block = np.stack([scf.table for scf in scfs])
+    verdicts = properties.table_verdicts(domain, block, properties.CHECKERS)
+    for i, scf in enumerate(scfs):
+        want = {
+            "isp": naive_isp_holds(scf),
+            "gsp": naive_gsp_holds(scf),
+            "pr": naive_pr_holds(scf),
+            "apr": naive_apr_holds(scf),
+            "dictator": check_dictator(scf).holds,
+        }
+        assert {p: bool(v[i]) for p, v in verdicts.items()} == want, i
+    return verdicts
+
+
+def test_table_verdicts_match_the_naive_oracles_on_uneven_domains():
+    rng = random.Random(20240511)
+    seen = {p: set() for p in properties.CHECKERS}
+    shapes = set()
+    for _ in range(60):
+        domain = _uneven_domain(rng)
+        shapes.add((domain.n, min(len(fs) for fs in domain.feasible)))
+        verdicts = _assert_kernel_matches_oracles(
+            domain, [_seeded_table(rng, domain) for _ in range(5)]
+        )
+        for prop, holds in verdicts.items():
+            seen[prop].update(bool(x) for x in holds)
+    assert all(outcomes == {True, False} for outcomes in seen.values())
+    assert {n for n, _ in shapes} == {1, 2, 3}
+    assert any(smallest == 1 for _, smallest in shapes)  # a singleton feasible set
+
+
+@pytest.mark.parametrize("orders, voters", [
+    (("a~b>c~d", "d>c>a~b", "b~c>a~d"), 2),
+    (("a~b>c", "c>a~b", "a>b~c"), 2),
+    (("a~b>c", "c>a~b"), 3),
+])
+def test_table_verdicts_match_the_oracles_on_every_verdict_pattern(orders, voters):
+    # Random tables rarely tell the properties apart, so walk the first
+    # 4,096 canonical tables of a weak-order universe and check up to three
+    # tables of each verdict pattern the kernel reports, ISP-but-not-PR
+    # tables included.
+    import numpy as np
+
+    alts = AlternativeSet.letters(len(orders[0].replace("~", ">").split(">")))
+    fs = FeasibleSet.explicit(alts, [parse_order(text, alts) for text in orders])
+    domain = Domain.shared(fs, voters)
+    count = domain.profile_count()
+    numbers = np.arange(4096)
+    tables = np.stack(
+        [(numbers // alts.k ** (count - 1 - p)) % alts.k for p in range(count)], axis=1
+    ).astype(np.uint8)
+    verdicts = properties.table_verdicts(domain, tables, properties.CHECKERS)
+    patterns = {}
+    for i in range(len(tables)):
+        key = tuple(bool(verdicts[p][i]) for p in properties.CHECKERS)
+        patterns.setdefault(key, []).append(i)
+    picked = [i for rows in patterns.values() for i in rows[:3]]
+    _assert_kernel_matches_oracles(domain, [Scf.from_table(domain, tables[i]) for i in picked])
+    assert len(patterns) >= 3

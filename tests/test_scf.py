@@ -219,6 +219,10 @@ def test_cloned_rule_keeps_voter_positions(abc):
     c_top = parse_order("c>b>a", abc)
     # original voter 2 receives class 1's report
     assert evaluate(clone, Profile((a_top, c_top))) == 2
+    # a valid cloned rule loads back from its file form
+    loaded = scf_from_dict(json.loads(json.dumps(scf_to_dict(clone))))
+    assert loaded.rule == clone.rule
+    assert evaluate(loaded, Profile((a_top, c_top))) == 2
 
 
 # ---------------------------------------------------------------------------
