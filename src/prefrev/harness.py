@@ -126,7 +126,11 @@ def _universe_size(spec: EnumerationSpec, cap: int) -> int | None:
 
 
 def _block_size(domain: Domain) -> int:
-    """Tables per verdict block: about ``_TABLE_BLOCK_CELLS`` cells."""
+    """Tables per verdict block: about ``_TABLE_BLOCK_CELLS`` cells.
+
+    A table larger than that is a block of its own, and ``table_verdicts``
+    splits it into row blocks as the checkers do.
+    """
     count = domain.profile_count()
     return max(1, _TABLE_BLOCK_CELLS // (domain.n * count * count))
 

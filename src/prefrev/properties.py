@@ -28,9 +28,9 @@ small first block.
 
 Table universes ask only for verdicts, on many small tables.
 :func:`table_verdicts` decides all five properties for a whole block of
-tables in one numpy pass over the same masks, with a table axis in front,
-and returns one bool per table and property: no scan order, no ``checked``
-count and no witness.
+tables in one numpy pass over the same masks, with a table axis added and
+the same row blocks and pair guards, and returns one bool per table and
+property: no scan order, no ``checked`` count and no witness.
 """
 
 from __future__ import annotations
@@ -306,6 +306,40 @@ def _ordered_map(fn, items, workers):
                 future.cancel()
 
 
+def _require_pairs(count, props, limit) -> int:
+    """The ordered profile pairs a scan for ``props`` walks, within ``limit``."""
+    total = count * (count - 1)
+    if total > limit:
+        what = "group manipulation" if "gsp" in props else "pairwise"
+        unit = "cases" if "gsp" in props else "ordered pairs"
+        raise ResourceGuardError(
+            f"{what} scan needs {total} {unit}, guard is {limit}"
+        )
+    return total
+
+
+def _violations(kept, accepted, neq, props, axis, single=None):
+    """The violation masks of the module docstring, one per property.
+
+    ``kept`` and ``accepted`` carry the voters on ``axis`` (``accepted`` may
+    be None when neither PR nor APR is asked for); ``neq`` marks the pairs
+    with different outcomes and ``single`` those where exactly one voter
+    changed, both without the voter axis.  ISP fails where that voter does
+    not keep.
+    """
+    any_kept = kept.any(axis=axis)
+    viol = {}
+    if "isp" in props:
+        viol["isp"] = single & ~any_kept
+    if "gsp" in props:
+        viol["gsp"] = neq & ~any_kept
+    if "pr" in props:
+        viol["pr"] = neq & ~(kept & accepted).any(axis=axis)
+    if "apr" in props:
+        viol["apr"] = neq & ~(any_kept & accepted.any(axis=axis))
+    return viol
+
+
 def _pair_scan(scf, wanted, parallelism, max_profiles, limit):
     """One pass over ordered profile pairs for the ``wanted`` properties.
 
@@ -315,13 +349,7 @@ def _pair_scan(scf, wanted, parallelism, max_profiles, limit):
     t0 = time.perf_counter()
     ctx, table, _ = _prepare(scf, max_profiles, want_list=False)
     count = ctx.count
-    total = count * (count - 1)
-    if total > limit:
-        what = "group manipulation" if "gsp" in wanted else "pairwise"
-        unit = "cases" if "gsp" in wanted else "ordered pairs"
-        raise ResourceGuardError(
-            f"{what} scan needs {total} {unit}, guard is {limit}"
-        )
+    total = _require_pairs(count, wanted, limit)
     digits, rank_rows, rank_base = ctx.build_arrays()
     own = rank_rows.reshape(-1)[rank_base + table]
     # keep[v, p, z]: phi(p) is weakly better than z under voter v's order at p.
@@ -335,17 +363,11 @@ def _pair_scan(scf, wanted, parallelism, max_profiles, limit):
         changed = digits[:, lo:hi, None] != digits[:, None, :]
         kept = np.take(keep[:, lo:hi], table, axis=2)
         kept &= changed
-        any_kept = kept.any(axis=0)
-        viol = {}
-        if "gsp" in props:
-            viol["gsp"] = neq & ~any_kept
+        accepted = None
         if "pr" in props or "apr" in props:
             accepted = accept[:, ti]
             accepted &= changed
-            if "pr" in props:
-                viol["pr"] = neq & ~(kept & accepted).any(axis=0)
-            if "apr" in props:
-                viol["apr"] = neq & ~(any_kept & accepted.any(axis=0))
+        viol = _violations(kept, accepted, neq, props, 0)
         found = {}
         for prop, mask in viol.items():
             pos = int(mask.argmax())
@@ -520,39 +542,56 @@ def table_verdicts(
     """Whether each property in ``props`` holds, for every row of ``tables``.
 
     ``tables`` is a ``(B, count)`` uint8 block, one table per row; the
-    result maps each property to a length-B bool array.  The masks are the
-    module docstring's, with a table axis in front: r[b, v, p, q] is the
-    rank of phi_b(Q) under voter v's order at P.  ISP fails where exactly
-    one voter changed and does not keep; dictatorship holds where some voter
-    gets a rank-0 (top) alternative at every profile.  No witness is built.
+    result maps each property to a length-B bool array.  The masks are
+    :func:`_violations`, as in :func:`_pair_scan`, with a table axis added,
+    and the P rows are taken in blocks of about ``_BLOCK_CELLS`` (voter, P,
+    table, Q) cells, so a large table is split as the checkers split it.
+    ISP fails where exactly one voter changed and does not keep;
+    dictatorship holds where some voter gets a rank-0 (top) alternative at
+    every profile.  No witness is built.  ISP, GSP, PR and APR are decided
+    over ordered profile pairs and raise the checkers' pair guard: GSP's
+    when GSP is asked for, the pairwise one otherwise.
     """
-    digits, rank_rows, rank_base = _ctx_for(domain).build_arrays()
-    flat = rank_rows.reshape(-1)
-    # own[b, v, p]: the rank of phi_b(P) under voter v's order at P.
-    own = flat[rank_base + tables[:, None, :]]
+    ctx = _ctx_for(domain)
+    digits, rank_rows, rank_base = ctx.build_arrays()
+    count = ctx.count
+    # own[v, b, p]: the rank of phi_b(P) under voter v's order at P.
+    own = rank_rows.reshape(-1)[rank_base[:, None, :] + tables]
     out = {}
     if "dictator" in props:
-        out["dictator"] = (own == 0).all(axis=2).any(axis=1)
-    if not set(props) & {"isp", "gsp", "pr", "apr"}:
+        out["dictator"] = (own == 0).all(axis=2).any(axis=0)
+    pair_props = [p for p in ("isp", "gsp", "pr", "apr") if p in props]
+    if not pair_props:
         return out
-    # keep[b, v, p, q]: phi_b(P) is weakly better than phi_b(Q) under P_v.
-    keep = own[..., None] <= flat[rank_base[..., None] + tables[:, None, None, :]]
-    changed = digits[:, :, None] != digits[:, None, :]
-    kept = keep & changed
-    any_kept = kept.any(axis=1)
-    if "isp" in props:
-        single = changed.sum(axis=0) == 1
-        out["isp"] = ~(single & ~any_kept).any(axis=(1, 2))
-    neq = tables[:, :, None] != tables[:, None, :]
-    if "gsp" in props:
-        out["gsp"] = ~(neq & ~any_kept).any(axis=(1, 2))
-    if "pr" in props or "apr" in props:
-        accepted = keep.transpose(0, 1, 3, 2) & changed
-        if "pr" in props:
-            out["pr"] = ~(neq & ~(kept & accepted).any(axis=1)).any(axis=(1, 2))
-        if "apr" in props:
-            both = any_kept & accepted.any(axis=1)
-            out["apr"] = ~(neq & ~both).any(axis=(1, 2))
+    limit = DEFAULT_GSP_GUARD if "gsp" in pair_props else DEFAULT_PAIR_GUARD
+    _require_pairs(count, pair_props, limit)
+    for prop in pair_props:
+        out[prop] = np.ones(len(tables), dtype=bool)
+    # Pair arrays are indexed [v, p, b, q], so the voter axis is 0 as in
+    # _pair_scan.  by_alt[v, z, q] is the rank of z under voter v's order at Q.
+    own_p = own.transpose(0, 2, 1)[..., None]
+    own_q = own[:, None]
+    by_alt = np.ascontiguousarray(rank_rows.transpose(0, 2, 1))
+    step = max(1, _BLOCK_CELLS // (len(tables) * ctx.n * count))
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        changed = digits[:, lo:hi, None, None] != digits[:, None, None, :]
+        # np.take gives the rank of phi_b(Q) under voter v's order at P.
+        kept = own_p[:, lo:hi] <= np.take(rank_rows[:, lo:hi], tables, axis=2)
+        kept &= changed
+        accepted = None
+        if "pr" in props or "apr" in props:
+            # ranks[v, b, p, q]: the rank of phi_b(P) under voter v's order at Q.
+            ranks = np.take(by_alt, tables[:, lo:hi], axis=1)
+            accepted = own_q <= ranks.transpose(0, 2, 1, 3)
+            accepted &= changed
+        neq = tables.T[lo:hi, :, None] != tables
+        single = changed.sum(axis=0) == 1 if "isp" in props else None
+        viol = _violations(kept, accepted, neq, pair_props, 0, single)
+        for prop, mask in viol.items():
+            out[prop] &= ~mask.any(axis=0).any(axis=1)
+        if not any(out[prop].any() for prop in pair_props):
+            break
     return out
 
 

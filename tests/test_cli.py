@@ -371,6 +371,20 @@ def test_verify_prop_apr_gsp(capsys):
     assert doc["holds"] and doc["checked"] == 81
 
 
+@pytest.mark.parametrize("suite", ["prop-apr-gsp", "thm-range3", "summary-equivalence"])
+def test_verify_table_over_the_gsp_guard_is_an_error(capsys, suite):
+    # One table of 2 voters x 120 orders: 14,400 profiles, so its group
+    # manipulation scan is past the guard before any table is decided.
+    code, out, err = run(
+        capsys, "verify", suite, "--k", "5", "--orders-per-voter", "120",
+        "--voters", "2", "--target", "a,b,c", "--limit", "1",
+    )
+    assert code == 1 and out == ""
+    assert err == (
+        "error: group manipulation scan needs 207345600 cases, guard is 100000000\n"
+    )
+
+
 def test_verify_thm_range3_with_explicit_weak_orders(capsys):
     code, out, _ = run(
         capsys, "verify", "thm-range3",

@@ -31,7 +31,7 @@ from prefrev import (
     verify_thm_infinite,
     verify_thm_range3,
 )
-from prefrev import harness
+from prefrev import harness, properties
 from prefrev import scf as scf_module
 from prefrev.harness import quotient_to_dict
 
@@ -216,6 +216,11 @@ def test_suite_verdicts_do_not_depend_on_the_block_size(spec81, monkeypatch):
     for per_table in (1, 5, 37):
         monkeypatch.setattr(harness, "_block_size", lambda domain: per_table)
         assert run_all() == expected, per_table
+    # Row blocks inside the kernel: one profile row, or a few, at a time.
+    monkeypatch.setattr(harness, "_block_size", default)
+    for cells in (1, 100):
+        monkeypatch.setattr(properties, "_BLOCK_CELLS", cells)
+        assert run_all() == expected, cells
     assert default(spec81.domain) == (1 << 16) // (2 * 4 * 4)
 
 

@@ -544,7 +544,12 @@ def _assert_kernel_matches_oracles(domain, scfs):
     return verdicts
 
 
-def test_table_verdicts_match_the_naive_oracles_on_uneven_domains():
+@pytest.mark.parametrize("cells", [None, 1, 40])
+def test_table_verdicts_match_the_naive_oracles_on_uneven_domains(monkeypatch, cells):
+    # cells=1 gives every profile row of the block its own pass; 40 splits
+    # the rows unevenly.
+    if cells is not None:
+        monkeypatch.setattr(properties, "_BLOCK_CELLS", cells)
     rng = random.Random(20240511)
     seen = {p: set() for p in properties.CHECKERS}
     shapes = set()
@@ -566,12 +571,18 @@ def test_table_verdicts_match_the_naive_oracles_on_uneven_domains():
     (("a~b>c", "c>a~b", "a>b~c"), 2),
     (("a~b>c", "c>a~b"), 3),
 ])
-def test_table_verdicts_match_the_oracles_on_every_verdict_pattern(orders, voters):
+@pytest.mark.parametrize("cells", [None, 7])
+def test_table_verdicts_match_the_oracles_on_every_verdict_pattern(
+    monkeypatch, orders, voters, cells
+):
     # Random tables rarely tell the properties apart, so walk the first
     # 4,096 canonical tables of a weak-order universe and check up to three
     # tables of each verdict pattern the kernel reports, ISP-but-not-PR
-    # tables included.
+    # tables included.  cells=7 gives each profile row its own pass.
     import numpy as np
+
+    if cells is not None:
+        monkeypatch.setattr(properties, "_BLOCK_CELLS", cells)
 
     alts = AlternativeSet.letters(len(orders[0].replace("~", ">").split(">")))
     fs = FeasibleSet.explicit(alts, [parse_order(text, alts) for text in orders])
@@ -589,3 +600,63 @@ def test_table_verdicts_match_the_oracles_on_every_verdict_pattern(orders, voter
     picked = [i for rows in patterns.values() for i in rows[:3]]
     _assert_kernel_matches_oracles(domain, [Scf.from_table(domain, tables[i]) for i in picked])
     assert len(patterns) >= 3
+
+
+def _strict_prefix_domain(k, voters, orders):
+    alts = AlternativeSet.letters(k)
+    strict = sorted(enumerate_strict_orders(k), key=lambda o: o.ranks)
+    return Domain.shared(FeasibleSet.explicit(alts, strict[:orders]), voters)
+
+
+def test_table_verdicts_split_a_table_larger_than_a_block():
+    # 2 voters x 30 strict orders at k=5: 900 profiles, 1.6M (voter, P, Q)
+    # cells, so one table takes two row blocks.
+    import numpy as np
+
+    domain = _strict_prefix_domain(5, 2, 30)
+    count = domain.profile_count()
+    assert domain.n * count * count > properties._BLOCK_CELLS
+    rng = random.Random(7)
+    dictator = tabulate(builtin("dictator-tiebreak", domain, voter=1))
+    late = [0] * count
+    late[-1] = 4
+    scfs = [
+        dictator,
+        Scf.from_table(domain, late),
+        Scf.from_table(domain, [rng.choice((0, 3)) for _ in range(count)]),
+    ]
+    block = np.stack([scf.table for scf in scfs])
+    verdicts = properties.table_verdicts(domain, block, properties.CHECKERS)
+    for i, scf in enumerate(scfs):
+        both = check_pr_apr(scf)
+        want = {
+            "dictator": check_dictator(scf).holds,
+            "isp": check_isp(scf).holds,
+            "gsp": check_gsp(scf).holds,
+            "pr": both["pr"].holds,
+            "apr": both["apr"].holds,
+        }
+        assert {p: bool(v[i]) for p, v in verdicts.items()} == want, i
+    assert all(verdicts[p][0] for p in properties.CHECKERS)
+    assert not verdicts["gsp"][1]
+
+
+def test_table_verdicts_apply_the_pair_guards():
+    import numpy as np
+
+    # 2 voters x 120 strict orders: 14,400 profiles, 207,345,600 GSP cases.
+    domain = _strict_prefix_domain(5, 2, 120)
+    table = np.zeros((1, domain.profile_count()), dtype=np.uint8)
+    guard = "group manipulation scan needs 207345600 cases, guard is 100000000"
+    with pytest.raises(ResourceGuardError, match=guard):
+        properties.table_verdicts(domain, table, ("isp", "gsp"))
+    # Dictatorship is not a pair property: no guard, and a constant table
+    # has no dictator.
+    assert not properties.table_verdicts(domain, table, ("dictator",))["dictator"][0]
+    # 3 voters x 36 strict orders: 46,656 profiles, over 2*10^9 ordered pairs.
+    domain = _strict_prefix_domain(5, 3, 36)
+    table = np.zeros((1, domain.profile_count()), dtype=np.uint8)
+    guard = "pairwise scan needs 2176735680 ordered pairs, guard is 2000000000"
+    for props in (("isp",), ("pr", "apr")):
+        with pytest.raises(ResourceGuardError, match=guard):
+            properties.table_verdicts(domain, table, props)
