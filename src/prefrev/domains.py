@@ -175,6 +175,14 @@ class Domain:
             count *= len(fs)
         return count
 
+    @cached_property
+    def _scan_context(self):
+        """The property checkers' scan data, built on first use and kept
+        exactly as long as this domain."""
+        from .properties import _Ctx
+
+        return _Ctx(self)
+
     def require_enumerable(self, guard: int = DEFAULT_PROFILE_GUARD) -> int:
         count = self.profile_count()
         if count > guard:

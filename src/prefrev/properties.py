@@ -2,12 +2,16 @@
 
 Every checker scans a fixed canonical order and reports the first failure
 it meets; ``checked`` counts the cases up to and including the witness (or
-all of them when the property holds).  ISP scans profiles, then voters,
-then each voter's other orders; dictatorship scans voters, then profiles.
-Both are serial pure-Python loops: worker threads made them slower, since
-they hold the interpreter lock.  Only the numpy pair pass below is split
-over ``parallelism`` worker threads, and its blocks are reduced in scan
-order, so witnesses and ``checked`` are the same for any worker count.
+all of them when the property holds).  Every scan is a numpy pass over
+blocks of profile rows, so the answer never depends on the block size.
+
+ISP takes profiles, then voters, then each voter's other orders: a row of
+sum(m_v - 1) single-voter deviations, whose targets come from the digits
+and strides of the profile index.  Dictatorship takes voters, then
+profiles: a voter is served where phi(P) has rank 0 under their order.
+Both run serially, in blocks that start at about ``_FIRST_CELLS`` cells and
+double, so an early failure stays cheap, and they build no array over the
+whole profile space.
 
 GSP, PR and APR are constraints on ordered profile pairs (P, Q) and share
 one numpy pass.  With x = phi(P) and y = phi(Q), voter v *keeps* x if P_v
@@ -23,8 +27,12 @@ new orders in canonical product order, so a case's place in the row is a
 key: the coalition's offset plus the mixed-radix index of the new orders,
 each member's truthful order skipped.  The key is computed only over the
 violations of the first row that has any.  Blocks hold about
-``_BLOCK_CELLS`` (voter, row, column) cells, so an early failure stops in a
-small first block.
+``_BLOCK_CELLS`` (voter, row, column) cells.  The pair pass is the one
+scan split over ``parallelism`` worker threads; its blocks are reduced in
+scan order, so witnesses and ``checked`` are the same for any worker count.
+Each thread writes its masks into buffers allocated once per scan, which
+keeps the pass from handing its memory back to the system and faulting it
+in again block after block.
 
 Table universes ask only for verdicts, on many small tables.
 :func:`table_verdicts` decides all five properties for a whole block of
@@ -38,6 +46,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -56,6 +65,8 @@ DEFAULT_PAIR_GUARD = 2_000_000_000
 DEFAULT_GSP_GUARD = 100_000_000
 
 _BLOCK_CELLS = 1 << 20
+_FIRST_CELLS = 1 << 12
+_SERIAL_CELLS = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -125,25 +136,33 @@ class PropertyReport:
 
 
 class _Ctx:
-    """Per-domain scan data.  Lazy members are built in locals and published
-    by one assignment, so threads sharing a context never see them half built."""
+    """Per-domain scan data, kept on the domain (``Domain._scan_context``).
+    Lazy members are built in locals and published by one assignment, so
+    threads sharing a context never see them half built."""
 
     __slots__ = (
-        "domain", "n", "sizes", "strides", "count",
-        "ranks", "arrays", "tops", "coalitions",
+        "n", "sizes", "strides", "count", "radix", "rank_table", "order_base",
+        "deviations", "arrays", "coalitions",
     )
 
     def __init__(self, domain: Domain):
-        self.domain = domain
         self.n = domain.n
         self.sizes = tuple(len(fs) for fs in domain.feasible)
         self.strides = profile_strides(domain)
         self.count = domain.profile_count()
-        self.ranks = tuple(
-            tuple(order.ranks for order in fs) for fs in domain.feasible
+        # rank_table[order_base[v] + d, z]: the rank of z under voter v's
+        # order d; rank 0 is the top class.
+        self.rank_table = np.array(
+            [order.ranks for fs in domain.feasible for order in fs], dtype=np.int8
         )
+        self.order_base = np.cumsum((0,) + self.sizes[:-1])
+        self.radix = (np.array(self.strides), np.array(self.sizes))
+        # ISP's cases at a profile, by voter v and slot j < m_v - 1: the
+        # voter, the slot and v's stride.
+        voter = np.repeat(np.arange(self.n), [m - 1 for m in self.sizes])
+        slot = np.concatenate([np.arange(m - 1) for m in self.sizes])
+        self.deviations = (voter, slot, self.radix[0][voter])
         self.arrays = None
-        self.tops = None
         self.coalitions = None
 
     def build_arrays(self):
@@ -156,19 +175,21 @@ class _Ctx:
                 (idx // stride) % size
                 for stride, size in zip(self.strides, self.sizes)
             ])
-            rank_rows = np.stack([
-                np.array(ranks, dtype=np.int8)[d]
-                for ranks, d in zip(self.ranks, digits)
-            ])
+            rank_rows = self.rank_table[self.order_base[:, None] + digits]
             base = np.arange(digits.size).reshape(digits.shape) * rank_rows.shape[2]
             self.arrays = (digits, rank_rows, base)
         return self.arrays
 
-    def build_tops(self) -> None:
-        if self.tops is None:
-            self.tops = tuple(
-                tuple(order.top_set() for order in fs) for fs in self.domain.feasible
-            )
+    def own_ranks(self, table, lo, hi):
+        """``(digits, rows, own)`` for profiles lo..hi-1, each ``(hi - lo, n)``:
+        voter v's order index at P, that order's flat offset in
+        ``rank_table``, and the rank of phi(P) under it.  Computed per block,
+        so the serial scans need no whole-space arrays."""
+        strides, sizes = self.radix
+        digits = np.arange(lo, hi)[:, None] // strides % sizes
+        rows = (self.order_base + digits) * self.rank_table.shape[1]
+        own = self.rank_table.reshape(-1)[rows + table[lo:hi, None]]
+        return digits, rows, own
 
     def coalition_offsets(self) -> dict[tuple[int, ...], int]:
         """GSP cases of a profile row before each coalition's first: by size,
@@ -186,32 +207,24 @@ class _Ctx:
         return self.coalitions
 
 
-_CTX_CACHE: dict[int, _Ctx] = {}
+def _prepare(scf: Scf, max_profiles: int):
+    return scf.domain._scan_context, tabulate(scf, max_profiles).table
 
 
-def _ctx_for(domain: Domain) -> _Ctx:
-    ctx = _CTX_CACHE.get(id(domain))
-    if ctx is None or ctx.domain is not domain:
-        if len(_CTX_CACHE) > 64:
-            _CTX_CACHE.clear()
-        ctx = _Ctx(domain)
-        _CTX_CACHE[id(domain)] = ctx
-    return ctx
-
-
-def _prepare(scf: Scf, max_profiles: int, want_list: bool = True):
-    table = tabulate(scf, max_profiles).table
-    return _ctx_for(scf.domain), table, table.tolist() if want_list else None
-
-
-def _advance(digits, sizes) -> None:
-    v = len(sizes) - 1
-    while v >= 0:
-        digits[v] += 1
-        if digits[v] < sizes[v]:
-            return
-        digits[v] = 0
-        v -= 1
+def _growing_blocks(count, per_row):
+    """``(lo, hi)`` profile ranges covering ``range(count)`` for the serial
+    scans, ``per_row`` cells a profile.  The first block holds about
+    ``_FIRST_CELLS`` cells, so an early failure stays cheap, and each next
+    one twice as many, up to ``_SERIAL_CELLS`` (never past ``_BLOCK_CELLS``):
+    their int64 temporaries then stay in cache and are not page-faulted."""
+    per_row = max(1, per_row)
+    rows = max(1, min(_FIRST_CELLS, _BLOCK_CELLS) // per_row)
+    most = max(1, min(_SERIAL_CELLS, _BLOCK_CELLS) // per_row)
+    lo = 0
+    while lo < count:
+        hi = min(lo + rows, count)
+        yield lo, hi
+        lo, rows = hi, min(2 * rows, most)
 
 
 # ---------------------------------------------------------------------------
@@ -225,34 +238,41 @@ def check_isp(
     parallelism: int = 1,
     max_profiles: int = DEFAULT_PROFILE_GUARD,
 ) -> PropertyReport:
-    """No single voter can gain by misreporting."""
+    """No single voter can gain by misreporting.
+
+    A profile row has one case per voter v and other order of v, taken in
+    that order: slot j of v is order ``j + (j >= d)``, d being v's truthful
+    order, so the deviation is profile ``P + (j + (j >= d) - d) * stride_v``.
+    It fails where v ranks phi(deviation) above phi(P).
+    """
     t0 = time.perf_counter()
-    ctx, _, tbl = _prepare(scf, max_profiles)
-    n, sizes, strides, ranks = ctx.n, ctx.sizes, ctx.strides, ctx.ranks
-    digits = [0] * n
-    checked = 0
-    for pidx, out in enumerate(tbl):
-        for v in range(n):
-            d = digits[v]
-            rk = ranks[v][d]
-            r_out = rk[out]
-            stride = strides[v]
-            base = pidx - d * stride
-            for w in range(sizes[v]):
-                if w == d:
-                    continue
-                checked += 1
-                dev = tbl[base + w * stride]
-                if rk[dev] < r_out:
-                    witness = ManipulationWitness(
-                        (v,), profile_at(scf.domain, pidx),
-                        (scf.domain.feasible[v][w],), out, dev,
-                    )
-                    return PropertyReport(
-                        "isp", False, witness, checked, time.perf_counter() - t0, scf
-                    )
-        _advance(digits, sizes)
-    return PropertyReport("isp", True, None, checked, time.perf_counter() - t0, scf)
+    ctx, table = _prepare(scf, max_profiles)
+    voter, slot, stride = ctx.deviations
+    flat_ranks = ctx.rank_table.reshape(-1)
+    per_row = len(voter)
+    checked = ctx.count * per_row
+    witness = None
+    blocks = _growing_blocks(ctx.count, per_row) if per_row else ()
+    for lo, hi in blocks:
+        digits, rows, own = ctx.own_ranks(table, lo, hi)
+        d = digits[:, voter]
+        dev = np.arange(lo, hi)[:, None] + (slot + (slot >= d) - d) * stride
+        dev_out = table[dev]
+        fails = flat_ranks[rows[:, voter] + dev_out] < own[:, voter]
+        pos = int(fails.argmax())
+        if fails.flat[pos]:
+            r, c = divmod(pos, per_row)
+            v, j = int(voter[c]), int(slot[c])
+            order = scf.domain.feasible[v][j + (j >= d[r, c])]
+            witness = ManipulationWitness(
+                (v,), profile_at(scf.domain, lo + r), (order,),
+                int(table[lo + r]), int(dev_out[r, c]),
+            )
+            checked = lo * per_row + pos + 1
+            break
+    return PropertyReport(
+        "isp", witness is None, witness, checked, time.perf_counter() - t0, scf
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -318,25 +338,34 @@ def _require_pairs(count, props, limit) -> int:
     return total
 
 
-def _violations(kept, accepted, neq, props, axis, single=None):
+def _violations(kept, accepted, neq, props, axis, single=None, out=None):
     """The violation masks of the module docstring, one per property.
 
     ``kept`` and ``accepted`` carry the voters on ``axis`` (``accepted`` may
     be None when neither PR nor APR is asked for); ``neq`` marks the pairs
     with different outcomes and ``single`` those where exactly one voter
     changed, both without the voter axis.  ISP fails where that voter does
-    not keep.
+    not keep.  ``out`` may map "both" (shaped like ``kept``) and "any_kept",
+    "pr" and "apr" (shaped like ``neq``) to buffers: each step that names
+    one writes into it, over the step before.  Without them numpy allocates
+    every step, in the layout its inputs suggest.  ``kept`` and
+    ``accepted`` are left as they are.
     """
-    any_kept = kept.any(axis=axis)
+    out = out or {}
+    any_kept = np.logical_or.reduce(kept, axis=axis, out=out.get("any_kept"))
     viol = {}
-    if "isp" in props:
-        viol["isp"] = single & ~any_kept
-    if "gsp" in props:
-        viol["gsp"] = neq & ~any_kept
     if "pr" in props:
-        viol["pr"] = neq & ~(kept & accepted).any(axis=axis)
+        both = np.logical_and(kept, accepted, out=out.get("both"))
+        any_both = np.logical_or.reduce(both, axis=axis, out=out.get("pr"))
+        viol["pr"] = np.greater(neq, any_both, out=out.get("pr"))
     if "apr" in props:
-        viol["apr"] = neq & ~(any_kept & accepted.any(axis=axis))
+        any_accepted = np.logical_or.reduce(accepted, axis=axis, out=out.get("apr"))
+        sides = np.logical_and(any_kept, any_accepted, out=out.get("apr"))
+        viol["apr"] = np.greater(neq, sides, out=out.get("apr"))
+    if "isp" in props:
+        viol["isp"] = np.greater(single, any_kept)
+    if "gsp" in props:
+        viol["gsp"] = np.greater(neq, any_kept, out=out.get("any_kept"))
     return viol
 
 
@@ -344,30 +373,58 @@ def _pair_scan(scf, wanted, parallelism, max_profiles, limit):
     """One pass over ordered profile pairs for the ``wanted`` properties.
 
     Row i of a block is P, column j is Q; the masks are the module
-    docstring's *keeps* and *accepts*, stacked over voters.
+    docstring's *keeps* and *accepts*, stacked over voters.  Each thread
+    that scans blocks fills its own buffers, allocated once for the largest
+    block; a shorter last block uses their leading part.
     """
     t0 = time.perf_counter()
-    ctx, table, _ = _prepare(scf, max_profiles, want_list=False)
-    count = ctx.count
+    ctx, table = _prepare(scf, max_profiles)
+    count, n = ctx.count, ctx.n
     total = _require_pairs(count, wanted, limit)
     digits, rank_rows, rank_base = ctx.build_arrays()
     own = rank_rows.reshape(-1)[rank_base + table]
     # keep[v, p, z]: phi(p) is weakly better than z under voter v's order at p.
     keep = own[:, :, None] <= rank_rows
-    if "pr" in wanted or "apr" in wanted:
+    pairwise = "pr" in wanted or "apr" in wanted
+    if pairwise:
         accept = np.ascontiguousarray(keep.transpose(0, 2, 1))
+    step = max(1, _BLOCK_CELLS // (n * count))
+    voter_masks = ("changed", "kept") + (("accepted", "both") if pairwise else ())
+    row_masks = ("neq", "any_kept") + (("pr", "apr") if pairwise else ())
+    shapes = [((n,), name) for name in voter_masks] + [((), name) for name in row_masks]
+    local = threading.local()
+
+    def buffers(rows):
+        """Leading views of this thread's masks, for a block of ``rows``.
+        Each mask has its own buffer: one buffer for all of them would be
+        large enough to raise the allocator's threshold for handing memory
+        back to the system, and more of it would stay resident."""
+        if not hasattr(local, "masks"):
+            local.masks = {
+                name: np.empty(math.prod(dims) * step * count, dtype=bool)
+                for dims, name in shapes
+            }
+        return {
+            name: local.masks[name][: math.prod(dims) * rows * count].reshape(
+                dims + (rows, count)
+            )
+            for dims, name in shapes
+        }
 
     def scan_block(lo, hi, props):
+        buf = buffers(hi - lo)
         ti = table[lo:hi]
-        neq = ti[:, None] != table
-        changed = digits[:, lo:hi, None] != digits[:, None, :]
-        kept = np.take(keep[:, lo:hi], table, axis=2)
+        neq = np.not_equal(ti[:, None], table, out=buf["neq"])
+        changed = np.not_equal(
+            digits[:, lo:hi, None], digits[:, None, :], out=buf["changed"]
+        )
+        kept = np.take(keep[:, lo:hi], table, axis=2, out=buf["kept"], mode="clip")
         kept &= changed
         accepted = None
         if "pr" in props or "apr" in props:
-            accepted = accept[:, ti]
+            accepted = np.take(accept, ti, axis=1, out=buf["accepted"], mode="clip")
             accepted &= changed
-        viol = _violations(kept, accepted, neq, props, 0)
+        viol = _violations(kept, accepted, neq, props, 0, out=buf)
         found = {}
         for prop, mask in viol.items():
             pos = int(mask.argmax())
@@ -380,7 +437,6 @@ def _pair_scan(scf, wanted, parallelism, max_profiles, limit):
                 found[prop] = (r * (count - 1) + nth, (lo + r, j))
         return found
 
-    step = max(1, _BLOCK_CELLS // (ctx.n * count))
     blocks = [(lo, min(lo + step, count)) for lo in range(0, count, step)]
     # ``live`` is read when a block starts.  Blocks are consumed in order, so
     # a property leaves it only after every earlier block is consumed.
@@ -502,28 +558,32 @@ def check_dictator(
     parallelism: int = 1,
     max_profiles: int = DEFAULT_PROFILE_GUARD,
 ) -> PropertyReport:
-    """Some voter always receives one of their top alternatives."""
+    """Some voter always receives one of their top alternatives.
+
+    Voter v is served at P when phi(P) has rank 0 under v's order at P.  The
+    canonical scan takes voters in order, each over every profile until the
+    first one where they are not served; the profile blocks find each
+    voter's first such profile at once.
+    """
     t0 = time.perf_counter()
-    ctx, _, tbl = _prepare(scf, max_profiles)
-    ctx.build_tops()
-    sizes = ctx.sizes
+    ctx, table = _prepare(scf, max_profiles)
+    first = np.full(ctx.n, -1)
+    for lo, hi in _growing_blocks(ctx.count, ctx.n):
+        unserved = ctx.own_ranks(table, lo, hi)[2] != 0
+        found = (first < 0) & unserved.any(axis=0)
+        first[found] = lo + unserved.argmax(axis=0)[found]
+        if (first >= 0).all():
+            break
     checked = 0
     counters: list[DictatorCounter] = []
     dictator = None
-    for v in range(ctx.n):
-        tops = ctx.tops[v]
-        digits = [0] * ctx.n
-        counter = None
-        for pidx in range(ctx.count):
-            checked += 1
-            if tbl[pidx] not in tops[digits[v]]:
-                counter = DictatorCounter(v, profile_at(scf.domain, pidx), tbl[pidx])
-                break
-            _advance(digits, sizes)
-        if counter is None:
+    for v, pidx in enumerate(first.tolist()):
+        if pidx < 0:
+            checked += ctx.count
             dictator = v
             break
-        counters.append(counter)
+        checked += pidx + 1
+        counters.append(DictatorCounter(v, profile_at(scf.domain, pidx), int(table[pidx])))
     holds = dictator is not None
     witness = dictator if holds else tuple(counters)
     return PropertyReport(
@@ -552,7 +612,7 @@ def table_verdicts(
     over ordered profile pairs and raise the checkers' pair guard: GSP's
     when GSP is asked for, the pairwise one otherwise.
     """
-    ctx = _ctx_for(domain)
+    ctx = domain._scan_context
     digits, rank_rows, rank_base = ctx.build_arrays()
     count = ctx.count
     # own[v, b, p]: the rank of phi_b(P) under voter v's order at P.

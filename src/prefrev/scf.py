@@ -13,6 +13,7 @@ fit the guard.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from contextlib import contextmanager
@@ -277,8 +278,10 @@ def tabulate(scf: Scf, guard: int = DEFAULT_PROFILE_GUARD) -> Scf:
     count = scf.domain.require_enumerable(guard)
     fn = _RULE_EVALUATORS[scf.rule.name]
     params, alts = scf.rule.params, scf.domain.alts
+    # The last voter changes fastest, as in the profile index.
+    every_profile = itertools.product(*(fs.orders for fs in scf.domain.feasible))
     values = np.fromiter(
-        (fn(params, alts, profile.orders) for profile in iter_profiles(scf.domain, guard)),
+        (fn(params, alts, orders) for orders in every_profile),
         dtype=np.uint8,
         count=count,
     )

@@ -7,16 +7,28 @@ naive group-manipulation search is deliberately unrestricted: coalitions may
 include members who keep their truthful report, which is the raw definition
 before the normalization the fast checker applies.
 
-``reference_gsp_scan`` is the exact-ordinal oracle for ``check_gsp``: the
-normalized coalition-by-deviation enumeration written as plain loops, so
+The ``reference_*_scan`` functions are the exact-ordinal oracles for the
+numpy checkers: each property's canonical scan written as plain loops, so
 its witness and ``checked`` count are the canonical ones by construction.
+``reference_gsp_scan`` is the normalized coalition-by-deviation enumeration;
+``reference_isp_scan`` and ``reference_dictator_scan`` are the pure-Python
+loops ``check_isp`` and ``check_dictator`` once were; ``reference_pair_scan``
+walks PR or APR over ordered profile pairs.
 """
 
 import itertools
 
 import pytest
 
-from prefrev import AlternativeSet, ManipulationWitness, evaluate, iter_profiles, tabulate
+from prefrev import (
+    AlternativeSet,
+    ManipulationWitness,
+    PrViolation,
+    evaluate,
+    iter_profiles,
+    tabulate,
+)
+from prefrev.properties import DictatorCounter, VoterAnalysis
 from prefrev.scf import profile_at, profile_strides
 
 
@@ -140,4 +152,98 @@ def reference_gsp_scan(scf):
                         dev,
                     )
                     return False, checked, witness
+    return True, checked, None
+
+
+def _odometer(digits, sizes):
+    """Advance mixed-radix ``digits`` by one, the last voter fastest."""
+    v = len(sizes) - 1
+    while v >= 0:
+        digits[v] += 1
+        if digits[v] < sizes[v]:
+            return
+        digits[v] = 0
+        v -= 1
+
+
+def reference_isp_scan(scf):
+    """``(holds, checked, witness)`` of the canonical ISP scan: profiles by
+    index, then voters, then each voter's other orders."""
+    domain = scf.domain
+    tbl = [int(x) for x in tabulate(scf).table]
+    sizes = [len(fs) for fs in domain.feasible]
+    strides = profile_strides(domain)
+    ranks = [[order.ranks for order in fs] for fs in domain.feasible]
+    digits = [0] * domain.n
+    checked = 0
+    for pidx, out in enumerate(tbl):
+        for v in range(domain.n):
+            d = digits[v]
+            rk = ranks[v][d]
+            base = pidx - d * strides[v]
+            for w in range(sizes[v]):
+                if w == d:
+                    continue
+                checked += 1
+                dev = tbl[base + w * strides[v]]
+                if rk[dev] < rk[out]:
+                    witness = ManipulationWitness(
+                        (v,), profile_at(domain, pidx), (domain.feasible[v][w],), out, dev
+                    )
+                    return False, checked, witness
+        _odometer(digits, sizes)
+    return True, checked, None
+
+
+def reference_dictator_scan(scf):
+    """``(holds, checked, witness)`` of the canonical dictatorship scan:
+    voters in order, each over the profiles by index until the first one
+    where the outcome is not among their tops."""
+    domain = scf.domain
+    tbl = [int(x) for x in tabulate(scf).table]
+    sizes = [len(fs) for fs in domain.feasible]
+    checked = 0
+    counters = []
+    for v in range(domain.n):
+        tops = [order.top_set() for order in domain.feasible[v]]
+        digits = [0] * domain.n
+        for pidx, out in enumerate(tbl):
+            checked += 1
+            if out not in tops[digits[v]]:
+                counters.append(DictatorCounter(v, profile_at(domain, pidx), out))
+                break
+            _odometer(digits, sizes)
+        else:
+            return True, checked, v
+    return False, checked, tuple(counters)
+
+
+def reference_pair_scan(scf, kind):
+    """``(holds, checked, witness)`` of the canonical PR (``kind="pr"``) or
+    APR scan: ordered pairs (P, Q), Q != P, P by index and then Q by index."""
+    domain = scf.domain
+    profiles = list(iter_profiles(domain))
+    tbl = [int(x) for x in tabulate(scf).table]
+    checked = 0
+    for p, a in zip(profiles, tbl):
+        for q, b in zip(profiles, tbl):
+            if q == p:
+                continue
+            checked += 1
+            if a == b:
+                continue
+            analysis = tuple(
+                VoterAnalysis(
+                    v, p[v].weakly_prefers(a, b), q[v].weakly_prefers(b, a), p[v] != q[v]
+                )
+                for v in range(domain.n)
+            )
+            if kind == "pr":
+                ok = any(r.weak_pref_p and r.weak_pref_q and r.changed for r in analysis)
+            else:
+                ok = any(r.weak_pref_p and r.changed for r in analysis) and any(
+                    r.weak_pref_q and r.changed for r in analysis
+                )
+            if not ok:
+                return False, checked, PrViolation(kind, p, q, a, b, analysis)
     return True, checked, None

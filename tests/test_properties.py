@@ -1,11 +1,13 @@
 """Property checkers: witnesses, oracle agreement, determinism, counts."""
 
+import gc
 import itertools
 import json
 import random
 import sys
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -40,7 +42,10 @@ from conftest import (
     naive_gsp_holds,
     naive_isp_holds,
     naive_pr_holds,
+    reference_dictator_scan,
     reference_gsp_scan,
+    reference_isp_scan,
+    reference_pair_scan,
 )
 
 
@@ -295,13 +300,18 @@ def test_gsp_case_guard(abc):
 # ---------------------------------------------------------------------------
 
 
-def _reference_gsp_doc(scf):
-    holds, checked, witness = reference_gsp_scan(scf)
-    doc = {"property": "gsp", "holds": holds}
+def _reference_doc(scf, prop, scan, *args):
+    """``report_to_dict``'s form of a reference scan's result."""
+    holds, checked, witness = scan(scf, *args)
+    doc = {"property": prop, "holds": holds}
     if witness is not None:
-        doc["witness"] = witness_to_dict("gsp", witness, scf)
+        doc["witness"] = witness_to_dict(prop, witness, scf)
     doc["checked"] = checked
     return doc
+
+
+def _reference_gsp_doc(scf):
+    return _reference_doc(scf, "gsp", reference_gsp_scan)
 
 
 def test_gsp_matches_reference_on_whole_strict_universe(abc):
@@ -660,3 +670,96 @@ def test_table_verdicts_apply_the_pair_guards():
     for props in (("isp",), ("pr", "apr")):
         with pytest.raises(ResourceGuardError, match=guard):
             properties.table_verdicts(domain, table, props)
+
+
+# ---------------------------------------------------------------------------
+# the serial scans, the buffered pair pass and the domain's scan context
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cells", [None, 1, 7, 40])
+def test_isp_and_dictator_match_the_reference_scans(monkeypatch, cells):
+    # cells=1 gives every profile its own block; 7 and 40 split the ISP
+    # rows and the dictatorship voters unevenly.
+    if cells is not None:
+        monkeypatch.setattr(properties, "_BLOCK_CELLS", cells)
+    rng = random.Random(1306)
+    seen, shapes = set(), set()
+    for _ in range(100):
+        domain = _uneven_domain(rng)
+        shapes.add((domain.n, min(len(fs) for fs in domain.feasible)))
+        tables = [_seeded_table(rng, domain) for _ in range(2)]
+        tables.append(Scf.from_table(domain, [rng.randrange(domain.k)] * domain.profile_count()))
+        for scf in tables:
+            isp = _reference_doc(scf, "isp", reference_isp_scan)
+            dictator = _reference_doc(scf, "dictator", reference_dictator_scan)
+            seen.update({("isp", isp["holds"]), ("dictator", dictator["holds"])})
+            for workers in (1, 2):
+                assert report_to_dict(check_isp(scf, parallelism=workers)) == isp
+                assert report_to_dict(check_dictator(scf, parallelism=workers)) == dictator
+    assert seen == {(p, h) for p in ("isp", "dictator") for h in (True, False)}
+    assert {n for n, _ in shapes} == {1, 2, 3}
+    assert any(smallest == 1 for _, smallest in shapes)  # a singleton feasible set
+
+
+def _edge_domain():
+    alts = AlternativeSet.letters(3)
+
+    def orders(*texts):
+        return FeasibleSet.explicit(alts, [parse_order(text, alts) for text in texts])
+
+    return Domain((orders("a~b>c", "c>a~b", "a>b~c"), orders("a>b>c", "c>b>a", "b>a~c")))
+
+
+# Tables on _edge_domain (9 profiles, 8 GSP and 8 PR/APR cases a row), by
+# the block of the first GSP, PR and APR violation when blocks hold 5 rows:
+# the last block is the short one, rows 5-8.
+_EDGE_TABLES = {
+    "first": ((0, 0, 0, 0, 0, 1, 0, 0, 0), (0, 0, 0)),
+    "last": ((0, 0, 0, 0, 0, 0, 0, 0, 1), (1, 1, 1)),
+    "split": ((0, 1, 1, 0, 1, 1, 0, 1, 0), (1, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("cells", [90, 72, 40, 1, None])
+def test_buffered_pair_pass_on_first_last_and_split_blocks(monkeypatch, cells):
+    # A row is 18 (voter, row, column) cells: 90 gives the 5-row blocks the
+    # tables were picked for, 72 four rows and a one-row last block, 40 two
+    # rows, 1 a block per row, and the default one block.
+    domain = _edge_domain()
+    expected = {}
+    for name, (values, blocks) in _EDGE_TABLES.items():
+        scf = Scf.from_table(domain, values)
+        docs = (
+            _reference_gsp_doc(scf),
+            _reference_doc(scf, "pr", reference_pair_scan, "pr"),
+            _reference_doc(scf, "apr", reference_pair_scan, "apr"),
+        )
+        assert tuple((doc["checked"] - 1) // 8 // 5 for doc in docs) == blocks
+        assert not any(doc["holds"] for doc in docs)
+        assert not (naive_gsp_holds(scf) or naive_pr_holds(scf) or naive_apr_holds(scf))
+        expected[name] = (scf, docs)
+    if cells is not None:
+        monkeypatch.setattr(properties, "_BLOCK_CELLS", cells)
+    for name, (scf, docs) in expected.items():
+        for workers in (1, 2):
+            both = check_pr_apr(scf, parallelism=workers)
+            got = (check_gsp(scf, parallelism=workers), both["pr"], both["apr"])
+            assert tuple(map(report_to_dict, got)) == docs, (name, workers)
+            assert report_to_dict(check_pr(scf, parallelism=workers)) == docs[1]
+            assert report_to_dict(check_apr(scf, parallelism=workers)) == docs[2]
+
+
+def test_a_domain_and_its_scan_context_die_together(abc):
+    import numpy as np
+
+    domain = Domain.shared(FeasibleSet.universal_weak(abc), 2)
+    phi = tabulate(builtin("plurality-tiebreak", domain))
+    for check in properties.CHECKERS.values():
+        check(phi, parallelism=2)
+    properties.table_verdicts(domain, np.stack([phi.table]), properties.CHECKERS)
+    assert domain._scan_context.arrays is not None
+    alive = weakref.ref(domain)
+    del domain, phi
+    gc.collect()
+    assert alive() is None
