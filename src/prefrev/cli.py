@@ -122,12 +122,13 @@ def _axis_for(args, alts: AlternativeSet) -> Axis:
 def cmd_orders(args) -> int:
     alts = _alts_for(args)
     if args.kind == "weak":
-        orders = list(enumerate_weak_orders(alts.k))
+        orders = enumerate_weak_orders(alts.k)
     elif args.kind == "strict":
-        orders = list(enumerate_strict_orders(alts.k))
+        orders = enumerate_strict_orders(alts.k)
     else:
         axis = _axis_for(args, alts)
-        orders = list(enumerate_single_peaked(alts.k, axis, strict=args.strict))
+        orders = enumerate_single_peaked(alts.k, axis, strict=args.strict)
+    # Rendered one at a time: the orders themselves are never all alive.
     rendered = [format_order(order, alts) for order in orders]
     doc = {
         "command": "orders",

@@ -56,11 +56,13 @@ from .domains import (
     is_complete,
 )
 from .scf import (
+    _EVAL_CELLS,
     Profile,
     Scf,
     cloned_rule,
     evaluate,
     range_of,
+    rule_kernel,
     scf_to_dict,
     tabulate,
 )
@@ -104,6 +106,8 @@ class EnumerationSpec:
         for prop in self.filters:
             if prop not in CHECKERS:
                 raise ArgumentError(f"unknown filter property {prop!r}")
+        if self.limit is not None and self.limit < 0:
+            raise ArgumentError(f"table limit {self.limit} is negative")
 
     def describe(self) -> str:
         sizes = ",".join(str(len(fs)) for fs in self.domain.feasible)
@@ -508,6 +512,8 @@ def search_isp_not_pr(
     table exists.  Otherwise scans the whole universe if it fits the budget,
     or a seeded random sample of ``budget`` tables.
     """
+    if budget < 0:
+        raise ArgumentError(f"table budget {budget} is negative")
     t0 = time.perf_counter()
     universe = f"{spec.describe()}; budget {budget}"
     if len(spec.target) <= 3:
@@ -601,12 +607,21 @@ def quotient_reduce(
     The collapsed function clones each class representative back onto the
     original voters, so it agrees with ``phi`` on every blown-up profile by
     construction; this is sampled ``samples`` times as a consistency check.
+    The check draws each sample's class digits with ``random.Random(seed)``,
+    one ``randrange`` per class, sample after sample, and takes the samples
+    in blocks of about ``_EVAL_CELLS`` (sample, voter) cells.  Per block, the
+    collapsed function's kernel runs on the class digits, and ``phi``'s own
+    kernel on each voter's digit looked up in their own feasible set (an
+    order missing there is an ArgumentError); a sample agrees where the two
+    outcomes are equal.
     If the outcomes differ and a hypothesis (range at most 3, or a shared
     complete feasible set) is verified, the preference-reversal witness at
     class level is located and lifted to the least voter of its class.
     """
     if phi.rule is None:
         raise ArgumentError("quotient reduction needs a rule-based scf")
+    if samples < 0:
+        raise ArgumentError(f"sample count {samples} is negative")
     if mode not in ("auto", "shared", "pairs"):
         raise ArgumentError(f"unknown quotient mode {mode!r}")
     domain = phi.domain
@@ -694,14 +709,35 @@ def quotient_reduce(
                 and q_profile[voter].weakly_prefers(outcome_q, outcome_p)
             )
 
+    # lookup[offset[v] + d]: voter v's digit for the order d of their class's
+    # feasible set, or -1 when v's own feasible set lacks it.
+    offsets: dict[tuple[int, int], int] = {}
+    lookup: list[int] = []
+    offset = np.empty(domain.n, dtype=np.intp)
+    for v, c in enumerate(assignment):
+        fs = domain.feasible[v]
+        key = (c, id(fs))
+        if key not in offsets:
+            offsets[key] = len(lookup)
+            found = (fs.index_of(order) for order in qdomain.feasible[c])
+            lookup.extend(-1 if d is None else d for d in found)
+        offset[v] = offsets[key]
+    lookup = np.array(lookup, dtype=np.intp)
+    columns = np.array(assignment, dtype=np.intp)
+    sizes = [len(fs) for fs in qdomain.feasible]
+    quotient_outcomes, phi_outcomes = rule_kernel(quotient), rule_kernel(phi)
     rng = random.Random(seed)
     agreed = 0
-    for _ in range(samples):
-        digits = [rng.randrange(len(fs)) for fs in qdomain.feasible]
-        pi = Profile(tuple(fs[d] for fs, d in zip(qdomain.feasible, digits)))
-        blown = Profile(tuple(pi[assignment[v]] for v in range(domain.n)))
-        if evaluate(quotient, pi) == evaluate(phi, blown):
-            agreed += 1
+    step = max(1, _EVAL_CELLS // domain.n)
+    for lo in range(0, samples, step):
+        rows = min(step, samples - lo)
+        draws = [rng.randrange(m) for _ in range(rows) for m in sizes]
+        digits = np.array(draws, dtype=np.intp).reshape(rows, alpha)
+        blown = lookup[offset + digits[:, columns]]
+        if (blown < 0).any():
+            v = int(np.nonzero(blown < 0)[1][0])
+            raise ArgumentError(f"voter {v + 1}'s order is outside their feasible set")
+        agreed += int(np.count_nonzero(quotient_outcomes(digits) == phi_outcomes(blown)))
     return QuotientResult(
         classes=classes,
         alpha=alpha,

@@ -9,15 +9,24 @@ An :class:`Scf` body is either a table (one alternative per profile index)
 or a named rule with parameters.  Rules evaluate on societies of any size,
 which the quotient reduction relies on; tables require the profile space to
 fit the guard.
+
+Rules are evaluated in numpy over blocks of profile digits.  Each rule has
+one kernel, built once per scf from arrays over its voters' feasible sets
+(rank rows, the unique top, and the peak position), that maps a
+``(rows, n)`` block of digits to the rows' outcomes; a cloned rule runs its
+base rule's kernel on the columns its assignment picks.  :func:`evaluate` makes a
+one-row call, :func:`tabulate` feeds blocks of profile indices split into
+digits, and the quotient reduction feeds its sampled profiles.  Blocks hold
+about ``_EVAL_CELLS`` (row, voter) cells.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -29,7 +38,6 @@ from .orders import (
     WeakOrder,
     format_order,
     parse_order,
-    peak_position,
     is_single_peaked,
 )
 from .domains import (
@@ -158,64 +166,117 @@ class Rule:
     params: dict[str, Any] = field(default_factory=dict)
 
 
-def _eval_constant(params, alts, orders):
-    return params["alternative"]
+#: Rule kernels take digit blocks of about this many (row, voter) cells.
+_EVAL_CELLS = 1 << 16
 
 
-def _eval_dictator(params, alts, orders):
-    top = orders[params["voter"]].top_set()
-    for x in params["tiebreak"]:
-        if x in top:
-            return x
-    raise RuntimeError("tiebreak order failed to cover the top set")
+def _order_arrays(domain: Domain):
+    """``(base, ranks, top)`` for the rule kernels.
+
+    Voter v's order d has rank vector ``ranks[base[v] + d]`` and unique top
+    alternative ``top[base[v] + d]``, or k when the top is tied.  Voters
+    sharing one feasible set share its rows, so a large society built from a
+    few sets costs a few rows.
+    """
+    first: dict[int, int] = {}
+    sets = []
+    rows = 0
+    base = np.empty(domain.n, dtype=np.intp)
+    for v, fs in enumerate(domain.feasible):
+        if id(fs) not in first:
+            first[id(fs)] = rows
+            sets.append(fs)
+            rows += len(fs)
+        base[v] = first[id(fs)]
+    ranks = np.array([order.ranks for fs in sets for order in fs], dtype=np.int8)
+    tops = ranks == 0
+    top = np.where(tops.sum(axis=1) == 1, tops.argmax(axis=1), domain.k)
+    return base, ranks, top
 
 
-def _eval_paper_example(params, alts, orders):
+def _kernel_constant(params, domain):
+    alternative = params["alternative"]
+    return lambda digits: np.full(len(digits), alternative, dtype=np.intp)
+
+
+def _kernel_dictator(params, domain):
+    base, ranks, _ = _order_arrays(domain)
+    v = params["voter"]
+    tiebreak = np.array(params["tiebreak"])
+    # The first alternative of the tie-break among each order's tops.
+    choice = tiebreak[(ranks[:, tiebreak] == 0).argmax(axis=1)]
+    return lambda digits: choice[base[v] + digits[:, v]]
+
+
+def _kernel_paper_example(params, domain):
     # Voter 1 picks; a tie among their tops is settled by the best of those
     # tops under voter 2's inverted report, alphabetically first if several.
-    p1, p2 = orders
-    tops = p1.top_set()
-    if len(tops) == 1:
-        return next(iter(tops))
-    inv = p2.invert()
-    best = min(inv.ranks[x] for x in tops)
-    return min(
-        (x for x in tops if inv.ranks[x] == best), key=lambda x: alts.names[x]
-    )
+    # Alternative x scores (level of x in voter 2's inverted report, x's
+    # alphabetical place), and the least score among voter 1's tops wins.
+    base, ranks, _ = _order_arrays(domain)
+    k = domain.k
+    names = domain.alts.names
+    alphabetical = np.empty(k, dtype=np.intp)
+    alphabetical[sorted(range(k), key=lambda x: names[x])] = np.arange(k)
+    inverted = ranks.max(axis=1, keepdims=True) - ranks
+    score = inverted.astype(np.intp) * k + alphabetical
+    excluded = np.intp(k * k)
+
+    def kernel(digits):
+        tops = ranks[base[0] + digits[:, 0]] == 0
+        return np.where(tops, score[base[1] + digits[:, 1]], excluded).argmin(axis=1)
+
+    return kernel
 
 
-def _eval_median_peaks(params, alts, orders):
+def _kernel_median_peaks(params, domain):
+    base, _, top = _order_arrays(domain)
     axis = Axis(params["axis"])
-    peaks = sorted(peak_position(order, axis) for order in orders)
-    return axis.order[peaks[(len(peaks) - 1) // 2]]
+    # Feasible sets are strict, so every top is unique.
+    peak = np.array(axis.positions)[top]
+    order = np.array(axis.order)
+    middle = (domain.n - 1) // 2
+
+    def kernel(digits):
+        peaks = peak[base + digits]
+        return order[np.partition(peaks, middle, axis=1)[:, middle]]
+
+    return kernel
 
 
-def _eval_plurality(params, alts, orders):
-    counts = [0] * alts.k
-    for order in orders:
-        top = order.top_set()
-        if len(top) == 1:
-            counts[next(iter(top))] += 1
-    best = max(counts)
-    for x in params["tiebreak"]:
-        if counts[x] == best:
-            return x
-    raise RuntimeError("tiebreak order failed to cover the alternatives")
+def _kernel_plurality(params, domain):
+    base, _, top = _order_arrays(domain)
+    k = domain.k
+    tiebreak = np.array(params["tiebreak"])
+
+    def kernel(digits):
+        rows = len(digits)
+        # A voter with a tied top votes in the spare bin k of their row.
+        bins = top[base + digits] + (k + 1) * np.arange(rows)[:, None]
+        counts = np.bincount(bins.ravel(), minlength=rows * (k + 1))
+        counts = counts.reshape(rows, k + 1)[:, tiebreak]
+        best = counts.max(axis=1, keepdims=True)
+        return tiebreak[(counts == best).argmax(axis=1)]
+
+    return kernel
 
 
-def _eval_cloned(params, alts, orders):
-    base = params["base"]
-    blown = tuple(orders[c] for c in params["assignment"])
-    return _RULE_EVALUATORS[base.name](base.params, alts, blown)
+def _kernel_cloned(params, domain):
+    base, assignment = params["base"], np.array(params["assignment"], dtype=np.intp)
+    blown = Domain(tuple(domain.feasible[c] for c in params["assignment"]))
+    inner = _RULE_KERNELS[base.name](base.params, blown)
+    return lambda digits: inner(digits[:, assignment])
 
 
-_RULE_EVALUATORS: dict[str, Callable] = {
-    "constant": _eval_constant,
-    "dictator-tiebreak": _eval_dictator,
-    "paper-example": _eval_paper_example,
-    "median-peaks": _eval_median_peaks,
-    "plurality-tiebreak": _eval_plurality,
-    "cloned": _eval_cloned,
+#: Rule name -> kernel factory ``(params, domain) -> kernel``.  A kernel maps
+#: a ``(rows, n)`` block of feasible-set digits to the rows' outcomes.
+_RULE_KERNELS: dict[str, Callable] = {
+    "constant": _kernel_constant,
+    "dictator-tiebreak": _kernel_dictator,
+    "paper-example": _kernel_paper_example,
+    "median-peaks": _kernel_median_peaks,
+    "plurality-tiebreak": _kernel_plurality,
+    "cloned": _kernel_cloned,
 }
 
 
@@ -256,36 +317,48 @@ class Scf:
 
     @classmethod
     def from_rule(cls, domain: Domain, rule: Rule) -> "Scf":
-        if rule.name not in _RULE_EVALUATORS:
+        if rule.name not in _RULE_KERNELS:
             raise ConstructionError(f"unknown rule {rule.name!r}")
         return cls(domain, rule=rule)
+
+    @cached_property
+    def _kernel(self) -> Callable[[np.ndarray], np.ndarray]:
+        # Kept with the scf: witness re-validation evaluates one profile at
+        # a time, and building a kernel costs up to eight one-row calls.
+        return _RULE_KERNELS[self.rule.name](self.rule.params, self.domain)
+
+
+def rule_kernel(scf: Scf) -> Callable[[np.ndarray], np.ndarray]:
+    """The rule's kernel: maps a ``(rows, n)`` block of feasible-set digits
+    (voter v's order index in their feasible set) to the rows' outcomes."""
+    return scf._kernel
 
 
 def evaluate(scf: Scf, profile: Profile) -> int:
     """The chosen alternative; raises ArgumentError off the domain."""
     if scf.table is not None:
         return int(scf.table[profile_index(scf.domain, profile)])
-    profile_digits(scf.domain, profile)  # membership check
-    return _RULE_EVALUATORS[scf.rule.name](
-        scf.rule.params, scf.domain.alts, profile.orders
-    )
+    digits = profile_digits(scf.domain, profile)  # membership check
+    return int(rule_kernel(scf)(np.array([digits], dtype=np.intp))[0])
 
 
 def tabulate(scf: Scf, guard: int = DEFAULT_PROFILE_GUARD) -> Scf:
     """Materialize a rule into a table; idempotent on tables."""
     if scf.table is not None:
         return scf
-    count = scf.domain.require_enumerable(guard)
-    fn = _RULE_EVALUATORS[scf.rule.name]
-    params, alts = scf.rule.params, scf.domain.alts
-    # The last voter changes fastest, as in the profile index.
-    every_profile = itertools.product(*(fs.orders for fs in scf.domain.feasible))
-    values = np.fromiter(
-        (fn(params, alts, orders) for orders in every_profile),
-        dtype=np.uint8,
-        count=count,
-    )
-    return Scf(scf.domain, table=values)
+    domain = scf.domain
+    count = domain.require_enumerable(guard)
+    kernel = rule_kernel(scf)
+    strides = np.array(profile_strides(domain))
+    sizes = np.array([len(fs) for fs in domain.feasible])
+    # A clone's kernel reads one column per voter of the blown-up society.
+    width = len(scf.rule.params.get("assignment", ())) or domain.n
+    step = max(1, _EVAL_CELLS // width)
+    values = np.empty(count, dtype=np.uint8)
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        values[lo:hi] = kernel(np.arange(lo, hi)[:, None] // strides % sizes)
+    return Scf(domain, table=values)
 
 
 def range_of(scf: Scf, guard: int = DEFAULT_PROFILE_GUARD) -> frozenset[int]:
@@ -383,7 +456,7 @@ def cloned_rule(base: Rule, assignment: Sequence[int]) -> Rule:
     ``assignment[v]`` is the index of the (class) voter whose report the
     original voter v receives; used by the quotient reduction.
     """
-    if base.name not in _RULE_EVALUATORS or base.name == "cloned":
+    if base.name not in _RULE_KERNELS or base.name == "cloned":
         raise ArgumentError(f"cannot clone rule {base.name!r}")
     return Rule("cloned", {"base": base, "assignment": tuple(int(c) for c in assignment)})
 
@@ -536,7 +609,7 @@ def scf_from_dict(
             )
         if "rule" in data:
             name = data["rule"]["name"]
-            if name not in _RULE_EVALUATORS:
+            if name not in _RULE_KERNELS:
                 raise ParseError(f"unknown rule {name!r}")
             params = rule_params_from_dict(name, data["rule"].get("params", {}), alts)
             if name == "cloned":

@@ -1,7 +1,12 @@
 """Shared fixtures and independent naive oracles.
 
+``reference_evaluate`` is the rule oracle: each built-in rule's definition
+written as a plain per-profile procedure, the way the package evaluated
+rules before its numpy kernels, plus a table lookup by the mixed-radix
+profile index.  ``reference_table`` tabulates with it.
+
 The naive property checkers below work straight from the definitions with
-plain ``evaluate`` calls and no index arithmetic, so they are an
+plain ``reference_evaluate`` calls and no index arithmetic, so they are an
 implementation-independent cross-check for the production scanners.  The
 naive group-manipulation search is deliberately unrestricted: coalitions may
 include members who keep their truthful report, which is the raw definition
@@ -18,15 +23,16 @@ walks PR or APR over ordered profile pairs.
 
 import itertools
 
+import numpy as np
 import pytest
 
 from prefrev import (
     AlternativeSet,
+    Axis,
     ManipulationWitness,
     PrViolation,
-    evaluate,
     iter_profiles,
-    tabulate,
+    peak_position,
 )
 from prefrev.properties import DictatorCounter, VoterAnalysis
 from prefrev.scf import profile_at, profile_strides
@@ -42,13 +48,105 @@ def abcd():
     return AlternativeSet.letters(4)
 
 
+# ---------------------------------------------------------------------------
+# rule oracle
+# ---------------------------------------------------------------------------
+
+
+def _reference_constant(params, alts, orders):
+    return params["alternative"]
+
+
+def _reference_dictator(params, alts, orders):
+    top = orders[params["voter"]].top_set()
+    for x in params["tiebreak"]:
+        if x in top:
+            return x
+    raise RuntimeError("tiebreak order failed to cover the top set")
+
+
+def _reference_paper_example(params, alts, orders):
+    # Voter 1 picks; a tie among their tops is settled by the best of those
+    # tops under voter 2's inverted report, alphabetically first if several.
+    p1, p2 = orders
+    tops = p1.top_set()
+    if len(tops) == 1:
+        return next(iter(tops))
+    inv = p2.invert()
+    best = min(inv.ranks[x] for x in tops)
+    return min(
+        (x for x in tops if inv.ranks[x] == best), key=lambda x: alts.names[x]
+    )
+
+
+def _reference_median_peaks(params, alts, orders):
+    axis = Axis(params["axis"])
+    peaks = sorted(peak_position(order, axis) for order in orders)
+    return axis.order[peaks[(len(peaks) - 1) // 2]]
+
+
+def _reference_plurality(params, alts, orders):
+    counts = [0] * alts.k
+    for order in orders:
+        top = order.top_set()
+        if len(top) == 1:
+            counts[next(iter(top))] += 1
+    best = max(counts)
+    for x in params["tiebreak"]:
+        if counts[x] == best:
+            return x
+    raise RuntimeError("tiebreak order failed to cover the alternatives")
+
+
+def _reference_cloned(params, alts, orders):
+    base = params["base"]
+    blown = tuple(orders[c] for c in params["assignment"])
+    return _REFERENCE_RULES[base.name](base.params, alts, blown)
+
+
+_REFERENCE_RULES = {
+    "constant": _reference_constant,
+    "dictator-tiebreak": _reference_dictator,
+    "paper-example": _reference_paper_example,
+    "median-peaks": _reference_median_peaks,
+    "plurality-tiebreak": _reference_plurality,
+    "cloned": _reference_cloned,
+}
+
+
+def reference_evaluate(scf, profile):
+    """phi(profile): the rule's per-profile procedure, or the table entry at
+    the profile's index (voter 0 the most significant digit)."""
+    domain = scf.domain
+    if scf.table is not None:
+        index = 0
+        for fs, order in zip(domain.feasible, profile.orders):
+            index = index * len(fs) + fs.orders.index(order)
+        return int(scf.table[index])
+    return _REFERENCE_RULES[scf.rule.name](scf.rule.params, domain.alts, profile.orders)
+
+
+def reference_table(scf):
+    """The outcome of every profile, in index order, as uint8."""
+    if scf.table is not None:
+        return scf.table
+    return np.array(
+        [reference_evaluate(scf, p) for p in iter_profiles(scf.domain)], dtype=np.uint8
+    )
+
+
+# ---------------------------------------------------------------------------
+# property oracles
+# ---------------------------------------------------------------------------
+
+
 def naive_isp_holds(scf):
     domain = scf.domain
     for profile in iter_profiles(domain):
-        truth = evaluate(scf, profile)
+        truth = reference_evaluate(scf, profile)
         for v in range(domain.n):
             for order in domain.feasible[v]:
-                dev = evaluate(scf, profile.replace(v, order))
+                dev = reference_evaluate(scf, profile.replace(v, order))
                 if profile[v].strictly_prefers(dev, truth):
                     return False
     return True
@@ -58,12 +156,13 @@ def naive_gsp_holds(scf):
     domain = scf.domain
     voters = range(domain.n)
     for profile in iter_profiles(domain):
-        truth = evaluate(scf, profile)
+        truth = reference_evaluate(scf, profile)
         for size in range(1, domain.n + 1):
             for coalition in itertools.combinations(voters, size):
                 pools = [domain.feasible[v].orders for v in coalition]
                 for combo in itertools.product(*pools):
-                    dev = evaluate(scf, profile.replace_many(dict(zip(coalition, combo))))
+                    deviated = profile.replace_many(dict(zip(coalition, combo)))
+                    dev = reference_evaluate(scf, deviated)
                     if all(
                         profile[v].strictly_prefers(dev, truth) for v in coalition
                     ):
@@ -75,9 +174,9 @@ def naive_pr_holds(scf):
     domain = scf.domain
     profiles = list(iter_profiles(domain))
     for p in profiles:
-        a = evaluate(scf, p)
+        a = reference_evaluate(scf, p)
         for q in profiles:
-            b = evaluate(scf, q)
+            b = reference_evaluate(scf, q)
             if a == b:
                 continue
             if not any(
@@ -94,9 +193,9 @@ def naive_apr_holds(scf):
     domain = scf.domain
     profiles = list(iter_profiles(domain))
     for p in profiles:
-        a = evaluate(scf, p)
+        a = reference_evaluate(scf, p)
         for q in profiles:
-            b = evaluate(scf, q)
+            b = reference_evaluate(scf, q)
             if a == b:
                 continue
             first = any(
@@ -121,7 +220,7 @@ def reference_gsp_scan(scf):
     the witness, or all of them when GSP holds.
     """
     domain = scf.domain
-    table = [int(x) for x in tabulate(scf).table]
+    table = [int(x) for x in reference_table(scf)]
     sizes = [len(fs) for fs in domain.feasible]
     strides = profile_strides(domain)
     ranks = [[order.ranks for order in fs] for fs in domain.feasible]
@@ -170,7 +269,7 @@ def reference_isp_scan(scf):
     """``(holds, checked, witness)`` of the canonical ISP scan: profiles by
     index, then voters, then each voter's other orders."""
     domain = scf.domain
-    tbl = [int(x) for x in tabulate(scf).table]
+    tbl = [int(x) for x in reference_table(scf)]
     sizes = [len(fs) for fs in domain.feasible]
     strides = profile_strides(domain)
     ranks = [[order.ranks for order in fs] for fs in domain.feasible]
@@ -200,7 +299,7 @@ def reference_dictator_scan(scf):
     voters in order, each over the profiles by index until the first one
     where the outcome is not among their tops."""
     domain = scf.domain
-    tbl = [int(x) for x in tabulate(scf).table]
+    tbl = [int(x) for x in reference_table(scf)]
     sizes = [len(fs) for fs in domain.feasible]
     checked = 0
     counters = []
@@ -223,7 +322,7 @@ def reference_pair_scan(scf, kind):
     APR scan: ordered pairs (P, Q), Q != P, P by index and then Q by index."""
     domain = scf.domain
     profiles = list(iter_profiles(domain))
-    tbl = [int(x) for x in tabulate(scf).table]
+    tbl = [int(x) for x in reference_table(scf)]
     checked = 0
     for p, a in zip(profiles, tbl):
         for q, b in zip(profiles, tbl):

@@ -443,6 +443,21 @@ def test_verify_isp_not_pr_futile(capsys):
     assert "at most 3" in json.loads(out)["details"]["reason"]
 
 
+@pytest.mark.parametrize(
+    "theorem,flags,message",
+    [
+        ("isp-not-pr", ("--k", "4", "--budget", "-5"), "table budget -5 is negative"),
+        ("thm-range3", ("--limit", "-1"), "table limit -1 is negative"),
+    ],
+)
+def test_verify_rejects_negative_counts(capsys, theorem, flags, message):
+    code, out, err = run(
+        capsys, "verify", theorem, "--voters", "2", "--orders-per-voter", "3",
+        *flags, "--output", "json",
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_verify_orders_flag_with_per_voter_groups(capsys):
     # '|' separates voters, ';' separates orders within a voter
     code, out, _ = run(
@@ -551,6 +566,15 @@ def test_quotient_exit_code_is_the_theorem_verdict(capsys, tmp_path):
         "seed": 0,
         "witness": None,
     }
+
+
+def test_quotient_rejects_a_negative_sample_count(capsys, quotient_files):
+    scf, p, q = quotient_files
+    code, out, err = run(
+        capsys, "quotient", "--scf", scf, "--profile-p", p, "--profile-q", q,
+        "--samples", "-1", "--output", "json",
+    )
+    assert (code, out, err) == (1, "", "error: sample count -1 is negative\n")
 
 
 def test_quotient_seed_recorded_and_deterministic(capsys, quotient_files):

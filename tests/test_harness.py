@@ -3,8 +3,10 @@
 import dataclasses
 import json
 import os
+import random
 import sys
 
+import numpy as np
 import pytest
 
 from prefrev import (
@@ -252,16 +254,23 @@ def test_thm_complete_tabulates_the_rule_once(abc, monkeypatch):
     phi = builtin(
         "dictator-tiebreak", Domain.shared(FeasibleSet.universal_weak(abc), 2), voter=1
     )
-    evaluator = scf_module._RULE_EVALUATORS["dictator-tiebreak"]
-    calls = []
+    factory = scf_module._RULE_KERNELS["dictator-tiebreak"]
+    seen = []
 
-    def counting(*args):
-        calls.append(None)
-        return evaluator(*args)
+    def recording(params, domain):
+        kernel = factory(params, domain)
 
-    monkeypatch.setitem(scf_module._RULE_EVALUATORS, "dictator-tiebreak", counting)
+        def run(digits):
+            seen.append(digits.copy())
+            return kernel(digits)
+
+        return run
+
+    monkeypatch.setitem(scf_module._RULE_KERNELS, "dictator-tiebreak", recording)
     verdict = verify_thm_complete(phi)
-    assert len(calls) == phi.domain.profile_count()  # one tabulation of 169
+    # The kernel sees each of the 169 profiles once, in index order.
+    every_profile = [[d1, d2] for d1 in range(13) for d2 in range(13)]
+    assert np.concatenate(seen).tolist() == every_profile
     assert verdict_to_dict(verdict) == {
         "theorem": "thm-complete",
         "universe": "dictator-tiebreak on 2 voters; orders per voter [13,13]; k=3",
@@ -520,6 +529,112 @@ def test_quotient_pairs_case_for_mixed_domains(abc):
     assert result.hypothesis["kind"] == "range-le-3"
     with pytest.raises(ArgumentError, match="mixed"):
         quotient_reduce(phi, p, q, mode="shared")
+
+
+@pytest.fixture
+def median_thousand():
+    # 1,000 voters: sample blocks of 65 rows.
+    alts = AlternativeSet.numbered(5)
+    fs = FeasibleSet.single_peaked(alts, strict=True)
+    phi = builtin("median-peaks", Domain.shared(fs, 1000))
+    p = Profile((peak_order(1),) * 400 + (peak_order(2),) * 350 + (peak_order(3),) * 250)
+    q = Profile((peak_order(3),) * 400 + (peak_order(2),) * 350 + (peak_order(4),) * 250)
+    return phi, p, q
+
+
+@pytest.fixture
+def median_mixed():
+    # 600 voters on two feasible sets: the pairs case, sample blocks of 109.
+    # The last class keeps its order, so its feasible set has one order and
+    # the classes draw from sets of different sizes.
+    alts = AlternativeSet.numbered(5)
+    full = FeasibleSet.single_peaked(alts, strict=True)
+    part = FeasibleSet.explicit(alts, list(full)[:5] + [peak_order(p) for p in (1, 3, 4)])
+    phi = builtin("median-peaks", Domain(tuple(full if v % 3 else part for v in range(600))))
+    peaks = [(1, 3)] * 250 + [(3, 4)] * 250 + [(4, 4)] * 100
+    p = Profile(tuple(peak_order(a) for a, _ in peaks))
+    q = Profile(tuple(peak_order(b) for _, b in peaks))
+    return phi, p, q
+
+
+def _record_sample_kernels(monkeypatch, side, change=None):
+    """Record the digit blocks the sample check hands one side's kernel
+    (``side`` is "cloned" for the collapsed function), optionally changing
+    that side's outcomes with ``change``."""
+    seen = []
+    kernel_of = harness.rule_kernel
+
+    def recording(scf):
+        kernel = kernel_of(scf)
+        if (scf.rule.name == "cloned") != (side == "cloned"):
+            return kernel
+
+        def run(digits):
+            seen.append(digits.copy())
+            out = kernel(digits)
+            return out if change is None else change(out)
+
+        return run
+
+    monkeypatch.setattr(harness, "rule_kernel", recording)
+    return seen
+
+
+@pytest.mark.parametrize("society,samples", [("median_thousand", 131), ("median_mixed", 219)])
+@pytest.mark.parametrize("seed", [0, 5, 11, 123])
+def test_quotient_sample_check_draws_as_a_per_sample_loop(
+    request, monkeypatch, society, samples, seed
+):
+    phi, p, q = request.getfixturevalue(society)
+    seen = _record_sample_kernels(monkeypatch, "cloned")
+    result = quotient_reduce(phi, p, q, samples=samples, seed=seed)
+    assert result.case == {"median_thousand": "shared", "median_mixed": "pairs"}[society]
+    step = scf_module._EVAL_CELLS // phi.domain.n
+    assert [len(block) for block in seen] == [step, step, 1]
+    rng = random.Random(seed)
+    loop = [
+        [rng.randrange(len(fs)) for fs in result.quotient_scf.domain.feasible]
+        for _ in range(samples)
+    ]
+    assert np.concatenate(seen).tolist() == loop
+    assert result.samples_agreed == result.samples_checked == samples
+
+
+@pytest.mark.parametrize("side", ["cloned", "median-peaks"])
+def test_quotient_sample_check_counts_disagreements(monkeypatch, median_thousand, side):
+    # Either side of the check, given a wrong outcome on every odd row of a
+    # block, loses those samples, and the theorem verdict fails.
+    phi, p, q = median_thousand
+
+    def shift_odd_rows(out):
+        out = out.copy()
+        out[1::2] = (out[1::2] + 1) % phi.domain.k
+        return out
+
+    _record_sample_kernels(monkeypatch, side, shift_odd_rows)
+    result = quotient_reduce(phi, p, q, samples=131, seed=0)
+    assert (result.samples_checked, result.samples_agreed) == (131, 131 - 32 - 32)
+    assert not verify_thm_infinite(phi, p, q, samples=131, seed=0).holds
+    assert verify_thm_infinite(phi, p, q, samples=1, seed=0).holds
+
+
+def test_quotient_sample_check_keeps_the_membership_check(monkeypatch, abc):
+    # Taken as shared, a mixed domain samples voter 1's weak orders for the
+    # whole class; the strict voters 2 and 3 lack most of them.
+    strict = FeasibleSet.universal_strict(abc)
+    weak = FeasibleSet.universal_weak(abc)
+    phi = builtin("dictator-tiebreak", Domain((weak, strict, strict)), voter=0)
+    p = Profile((parse_order("a>b>c", abc),) * 3)
+    monkeypatch.setattr(Domain, "is_shared", lambda self: True)
+    with pytest.raises(ArgumentError, match="voter 2's order is outside"):
+        quotient_reduce(phi, p, p, samples=50, seed=0)
+
+
+def test_quotient_rejects_a_negative_sample_count(median_society):
+    phi, p, q = median_society
+    with pytest.raises(ArgumentError, match="negative"):
+        quotient_reduce(phi, p, q, samples=-1)
+    assert quotient_reduce(phi, p, q, samples=0).samples_checked == 0
 
 
 def test_quotient_requires_rule_body(abc):

@@ -1,0 +1,169 @@
+"""The numpy rule kernels against the per-profile rule oracle."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from prefrev import (
+    AlternativeSet,
+    Axis,
+    Domain,
+    FeasibleSet,
+    Profile,
+    Scf,
+    builtin,
+    enumerate_single_peaked,
+    enumerate_weak_orders,
+    tabulate,
+)
+from prefrev import scf as scf_module
+from prefrev.domains import _parse_preset
+from prefrev.scf import cloned_rule, rule_kernel
+
+from conftest import reference_evaluate, reference_table
+
+# Names whose alphabetical order differs from their index order, so the
+# paper example's alphabetical tie-break is exercised.
+_NAMES = ("x", "b", "ab", "a")
+
+
+@st.composite
+def rule_cases(draw):
+    """``(scf, digit rows)``: a rule on a drawn domain, and rows to evaluate.
+
+    Voters draw their feasible sets from a small pool, so some share one
+    set; sets are arbitrary subsets of the weak orders (strict single-peaked
+    orders for median-peaks), so tops are often tied.  A cloned rule runs a
+    drawn base rule on a society blown up from a few classes.
+    """
+    k = draw(st.integers(2, 4))
+    alts = AlternativeSet(tuple(draw(st.permutations(_NAMES[:k]))))
+    builtins = sorted(scf_module.RULE_NAMES)
+    name = draw(st.sampled_from(builtins + ["cloned"]))
+    base_name = draw(st.sampled_from(builtins)) if name == "cloned" else name
+    if base_name == "median-peaks":
+        axis = Axis(tuple(draw(st.permutations(range(k)))))
+        universe = list(enumerate_single_peaked(k, axis, strict=True))
+    else:
+        axis = None
+        universe = list(enumerate_weak_orders(k))
+    subsets = st.lists(st.sampled_from(universe), min_size=1, max_size=6)
+    pool = [
+        FeasibleSet.explicit(alts, draw(subsets))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    n = 2 if base_name == "paper-example" else draw(st.integers(1, 6))
+    if name == "cloned":
+        classes = draw(st.integers(1, 3))
+        assignment = draw(st.lists(st.integers(0, classes - 1), min_size=n, max_size=n))
+        domain = Domain(tuple(draw(st.sampled_from(pool)) for _ in range(classes)))
+        blown = Domain(tuple(domain.feasible[c] for c in assignment))
+    else:
+        domain = blown = Domain(tuple(draw(st.sampled_from(pool)) for _ in range(n)))
+    tiebreak = tuple(draw(st.permutations(range(k))))
+    params = {
+        "constant": {"alternative": draw(st.integers(0, k - 1))},
+        "dictator-tiebreak": {"voter": draw(st.integers(0, n - 1)), "tiebreak": tiebreak},
+        "paper-example": {},
+        "median-peaks": {"axis": axis},
+        "plurality-tiebreak": {"tiebreak": tiebreak},
+    }[base_name]
+    rule = builtin(base_name, blown, **params).rule
+    if name == "cloned":
+        scf = Scf.from_rule(domain, cloned_rule(rule, assignment))
+    else:
+        scf = Scf.from_rule(domain, rule)
+    row = st.tuples(*(st.integers(0, len(fs) - 1) for fs in domain.feasible))
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    return scf, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule_cases())
+def test_kernels_match_the_rule_oracle(case):
+    scf, rows = case
+    outcomes = rule_kernel(scf)(np.array(rows, dtype=np.intp))
+    expected = [
+        reference_evaluate(
+            scf, Profile(tuple(fs[d] for fs, d in zip(scf.domain.feasible, row)))
+        )
+        for row in rows
+    ]
+    assert outcomes.tolist() == expected
+
+
+def _preset_rules(domain, preset):
+    """Every built-in rule ``domain`` admits, with default and reversed
+    tie-breaks and the first and last voter as dictator."""
+    k, n = domain.k, domain.n
+    reverse = tuple(range(k - 1, -1, -1))
+    yield builtin("constant", domain, alternative=k - 1)
+    for voter in (0, n - 1):
+        yield builtin("dictator-tiebreak", domain, voter=voter)
+        yield builtin("dictator-tiebreak", domain, voter=voter, tiebreak=reverse)
+    yield builtin("plurality-tiebreak", domain)
+    yield builtin("plurality-tiebreak", domain, tiebreak=reverse)
+    if n == 2:
+        yield builtin("paper-example", domain)
+    if preset.startswith("@single-peaked-strict"):
+        axis = domain.feasible[0].preset.partition("axis=")[2].rstrip(")")
+        params = {"axis": axis.split(",")} if axis else {}
+        yield builtin("median-peaks", domain, **params)
+
+
+_PRESETS = [
+    (k, preset)
+    for k in (2, 3)
+    for preset in (
+        "@universal-weak", "@universal-strict", "@single-peaked", "@single-peaked-strict",
+    )
+] + [(3, "@single-peaked-strict(axis=b,a,c)")]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("k,preset", _PRESETS)
+def test_tabulate_matches_the_reference_table_on_presets(k, n, preset):
+    alts = AlternativeSet.letters(k)
+    domain = Domain.shared(_parse_preset(preset, alts, line=None), n)
+    for phi in _preset_rules(domain, preset):
+        table = tabulate(phi).table
+        assert table.tobytes() == reference_table(phi).tobytes(), phi.rule
+
+
+def test_tabulate_matches_the_reference_table_across_blocks():
+    # 28,561 profiles: not a multiple of the block rows, so the last block
+    # is a short one.
+    alts = AlternativeSet.letters(3)
+    domain = Domain.shared(FeasibleSet.universal_weak(alts), 4)
+    count = domain.profile_count()
+    assert count % (scf_module._EVAL_CELLS // domain.n) != 0
+    assert count > scf_module._EVAL_CELLS // domain.n
+    for phi in _preset_rules(domain, "@universal-weak"):
+        assert tabulate(phi).table.tobytes() == reference_table(phi).tobytes(), phi.rule
+
+
+def test_tabulate_blocks_of_a_clone_count_its_blown_up_voters(monkeypatch):
+    # A clone's kernel reads one column per original voter; its blocks are
+    # sized by those, and every profile is still tabulated once.
+    alts = AlternativeSet.letters(3)
+    fs = FeasibleSet.universal_weak(alts)
+    base = builtin("plurality-tiebreak", Domain.shared(fs, 40)).rule
+    clone = Scf.from_rule(Domain.shared(fs, 2), cloned_rule(base, [0] * 15 + [1] * 25))
+    monkeypatch.setattr(scf_module, "_EVAL_CELLS", 40 * 7)
+    factory = scf_module._RULE_KERNELS["plurality-tiebreak"]
+    widths = []
+
+    def recording(params, domain):
+        kernel = factory(params, domain)
+
+        def run(digits):
+            widths.append(digits.shape)
+            return kernel(digits)
+
+        return run
+
+    monkeypatch.setitem(scf_module._RULE_KERNELS, "plurality-tiebreak", recording)
+    table = tabulate(clone).table
+    assert [rows for rows, _ in widths] == [7] * 24 + [1]
+    assert {cols for _, cols in widths} == {40}
+    assert table.tobytes() == reference_table(clone).tobytes()
