@@ -81,9 +81,8 @@ def _common_options(parser: argparse.ArgumentParser) -> None:
         # A string default goes through ``type`` too, so a bad value in the
         # environment is reported like a bad --parallelism.
         default=os.environ.get("PREFREV_PARALLELISM", "1"),
-        help="worker threads for the numpy pair pass (GSP, PR, APR); ISP, "
-        "dictatorship and the universe suites run serially. Results are "
-        "identical for any value",
+        help="accepted for compatibility: every scan runs serially, so "
+        "results are identical for any value",
     )
     parser.add_argument("--timings", action="store_true",
                         help="include elapsed times in structured output")

@@ -26,29 +26,34 @@ right.  GSP takes them by coalition size, then coalition, then the members'
 new orders in canonical product order, so a case's place in the row is a
 key: the coalition's offset plus the mixed-radix index of the new orders,
 each member's truthful order skipped.  The key is computed only over the
-violations of the first row that has any.  Blocks hold about
-``_BLOCK_CELLS`` (voter, row, column) cells.  The pair pass is the one
-scan split over ``parallelism`` worker threads; its blocks are reduced in
-scan order, so witnesses and ``checked`` are the same for any worker count.
-Each thread writes its masks into buffers allocated once per scan, which
-keeps the pass from handing its memory back to the system and faulting it
-in again block after block.
+violations of the first row that has any.
+
+Voter v's masks depend on P only through (v, P_v, phi(P)), so the pass
+builds them per such key, not per pair: a *keeps* row over Q, and for PR
+and APR an *accepts* row, each bit-packed (``np.packbits``, little bit
+order), plus one packed ``phi(Q) != x`` row per alternative x.  A block of
+P rows gathers its n rows per profile and combines them with bitwise
+operations; only the first row with a violation is unpacked.  Rows are
+built the first time a block needs them and kept in a cache of at most
+``_KEY_CACHE_BYTES`` (never less than one block's keys, which it flushes
+to when full), so the cost is about (sum of m_v) * k rows plus n packed
+rows per profile instead of n * count**2 bytes.  Blocks grow from about
+``_FIRST_CELLS`` to about ``_BLOCK_CELLS`` gathered bytes.  Every scan is
+serial; ``parallelism`` is accepted and has no effect on any result.
 
 Table universes ask only for verdicts, on many small tables.
 :func:`table_verdicts` decides all five properties for a whole block of
-tables in one numpy pass over the same masks, with a table axis added and
-the same row blocks and pair guards, and returns one bool per table and
-property: no scan order, no ``checked`` count and no witness.
+tables in one numpy pass over the same masks, unpacked, with a table axis
+added, the checkers' pair guards and row blocks of about ``_BLOCK_CELLS``
+cells, and returns one bool per table and property: no scan order, no
+``checked`` count and no witness.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -64,9 +69,15 @@ from .scf import Profile, Scf, evaluate, profile_at, profile_strides, tabulate
 DEFAULT_PAIR_GUARD = 2_000_000_000
 DEFAULT_GSP_GUARD = 100_000_000
 
-_BLOCK_CELLS = 1 << 20
+#: The largest block: (voter, P, table, Q) cells in :func:`table_verdicts`,
+#: packed bytes gathered per block in the pair pass.  At 2^17 a pair-pass
+#: block's arrays stay below glibc's default mmap threshold (128 KiB), so
+#: they are reused from the heap and not page-faulted in again each block.
+_BLOCK_CELLS = 1 << 17
 _FIRST_CELLS = 1 << 12
 _SERIAL_CELLS = 1 << 14
+#: Most bytes of packed key rows the pair pass keeps at once.
+_KEY_CACHE_BYTES = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +153,7 @@ class _Ctx:
 
     __slots__ = (
         "n", "sizes", "strides", "count", "radix", "rank_table", "order_base",
-        "deviations", "arrays", "coalitions",
+        "deviations", "digits", "arrays", "coalitions",
     )
 
     def __init__(self, domain: Domain):
@@ -162,19 +173,27 @@ class _Ctx:
         voter = np.repeat(np.arange(self.n), [m - 1 for m in self.sizes])
         slot = np.concatenate([np.arange(m - 1) for m in self.sizes])
         self.deviations = (voter, slot, self.radix[0][voter])
+        self.digits = None
         self.arrays = None
         self.coalitions = None
 
-    def build_arrays(self):
-        """``(digits, rank_rows, rank_base)``: each voter's order index and
-        that order's rank vector at every profile, and the flat offsets of
-        ``rank_rows`` rows to which an outcome table is added."""
-        if self.arrays is None:
-            idx = np.arange(self.count)
-            digits = np.stack([
+    def build_digits(self):
+        """``(n, count)``: each voter's order index at every profile, in the
+        smallest unsigned dtype that holds it."""
+        if self.digits is None:
+            idx = np.arange(self.count, dtype=np.min_scalar_type(self.count))
+            self.digits = np.stack([
                 (idx // stride) % size
                 for stride, size in zip(self.strides, self.sizes)
-            ])
+            ]).astype(np.min_scalar_type(max(self.sizes)))
+        return self.digits
+
+    def build_arrays(self):
+        """``(digits, rank_rows, rank_base)``: :meth:`build_digits`, each
+        voter's rank vector at every profile, and the flat offsets of
+        ``rank_rows`` rows to which an outcome table is added."""
+        if self.arrays is None:
+            digits = self.build_digits()
             rank_rows = self.rank_table[self.order_base[:, None] + digits]
             base = np.arange(digits.size).reshape(digits.shape) * rank_rows.shape[2]
             self.arrays = (digits, rank_rows, base)
@@ -211,15 +230,16 @@ def _prepare(scf: Scf, max_profiles: int):
     return scf.domain._scan_context, tabulate(scf, max_profiles).table
 
 
-def _growing_blocks(count, per_row):
-    """``(lo, hi)`` profile ranges covering ``range(count)`` for the serial
-    scans, ``per_row`` cells a profile.  The first block holds about
-    ``_FIRST_CELLS`` cells, so an early failure stays cheap, and each next
-    one twice as many, up to ``_SERIAL_CELLS`` (never past ``_BLOCK_CELLS``):
-    their int64 temporaries then stay in cache and are not page-faulted."""
+def _growing_blocks(count, per_row, most=_SERIAL_CELLS):
+    """``(lo, hi)`` profile ranges covering ``range(count)``, ``per_row``
+    cells a profile.  The first block holds about ``_FIRST_CELLS`` cells, so
+    an early failure stays cheap, and each next one twice as many, up to
+    ``most`` (never past ``_BLOCK_CELLS``).  At the default, ISP's and
+    dictatorship's int64 temporaries stay in cache and are not
+    page-faulted."""
     per_row = max(1, per_row)
     rows = max(1, min(_FIRST_CELLS, _BLOCK_CELLS) // per_row)
-    most = max(1, min(_SERIAL_CELLS, _BLOCK_CELLS) // per_row)
+    most = max(1, min(most, _BLOCK_CELLS) // per_row)
     lo = 0
     while lo < count:
         hi = min(lo + rows, count)
@@ -301,31 +321,6 @@ def _gsp_first(ctx, digits, i, cols):
     return best[1], best[0] + 1
 
 
-def _ordered_map(fn, items, workers):
-    """``map(fn, items)`` with up to ``workers`` threads, yielding in order.
-
-    At most ``2 * workers`` calls are submitted ahead of the consumer, and
-    those not yet started are cancelled when it stops, so an early exit
-    leaves little work behind.
-    """
-    if workers <= 1 or len(items) <= 1:
-        yield from map(fn, items)
-        return
-    rest = iter(items)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = collections.deque(
-            pool.submit(fn, item) for item in itertools.islice(rest, 2 * workers)
-        )
-        try:
-            while pending:
-                yield pending.popleft().result()
-                for item in itertools.islice(rest, 1):
-                    pending.append(pool.submit(fn, item))
-        finally:
-            for future in pending:
-                future.cancel()
-
-
 def _require_pairs(count, props, limit) -> int:
     """The ordered profile pairs a scan for ``props`` walks, within ``limit``."""
     total = count * (count - 1)
@@ -338,122 +333,149 @@ def _require_pairs(count, props, limit) -> int:
     return total
 
 
-def _violations(kept, accepted, neq, props, axis, single=None, out=None):
+def _violations(kept, accepted, neq, props, axis, single=None):
     """The violation masks of the module docstring, one per property.
 
     ``kept`` and ``accepted`` carry the voters on ``axis`` (``accepted`` may
     be None when neither PR nor APR is asked for); ``neq`` marks the pairs
     with different outcomes and ``single`` those where exactly one voter
     changed, both without the voter axis.  ISP fails where that voter does
-    not keep.  ``out`` may map "both" (shaped like ``kept``) and "any_kept",
-    "pr" and "apr" (shaped like ``neq``) to buffers: each step that names
-    one writes into it, over the step before.  Without them numpy allocates
-    every step, in the layout its inputs suggest.  ``kept`` and
-    ``accepted`` are left as they are.
+    not keep.  Only bitwise operations are used, so the masks may be bool
+    arrays or rows of bits packed into uint8 whose padding bits are 0 in
+    ``neq``.
     """
-    out = out or {}
-    any_kept = np.logical_or.reduce(kept, axis=axis, out=out.get("any_kept"))
+    any_kept = np.bitwise_or.reduce(kept, axis=axis)
     viol = {}
     if "pr" in props:
-        both = np.logical_and(kept, accepted, out=out.get("both"))
-        any_both = np.logical_or.reduce(both, axis=axis, out=out.get("pr"))
-        viol["pr"] = np.greater(neq, any_both, out=out.get("pr"))
+        viol["pr"] = neq & ~np.bitwise_or.reduce(kept & accepted, axis=axis)
     if "apr" in props:
-        any_accepted = np.logical_or.reduce(accepted, axis=axis, out=out.get("apr"))
-        sides = np.logical_and(any_kept, any_accepted, out=out.get("apr"))
-        viol["apr"] = np.greater(neq, sides, out=out.get("apr"))
+        viol["apr"] = neq & ~(any_kept & np.bitwise_or.reduce(accepted, axis=axis))
     if "isp" in props:
-        viol["isp"] = np.greater(single, any_kept)
+        viol["isp"] = single & ~any_kept
     if "gsp" in props:
-        viol["gsp"] = np.greater(neq, any_kept, out=out.get("any_kept"))
+        viol["gsp"] = neq & ~any_kept
     return viol
 
 
-def _pair_scan(scf, wanted, parallelism, max_profiles, limit):
+class _KeyRows:
+    """The pair pass's rows over Q, one per key (v, d, x), bit-packed and
+    built the first time a block needs them.
+
+    Key (v, d, x) is voter v reporting order d at an outcome x; its global
+    id is ``(order_base[v] + d) * k + x``, and ``slot[id]`` is its place in
+    ``rows`` or -1.  ``rows[s, 0]`` is the key's *keeps* row and, when PR or
+    APR is scanned, ``rows[s, 1]`` its *accepts* row.  ``rows`` has room for
+    ``limit`` keys, but its pages become resident only as rows are written;
+    when a block needs more than are free, every row is dropped and the
+    block's own are built again.
+    """
+
+    def __init__(self, ctx, table, digits, pairwise, limit):
+        self.ctx, self.digits, self.limit = ctx, digits, limit
+        k = self.k = ctx.rank_table.shape[1]
+        # le[r, a, b]: a is weakly better than b under global order r.
+        self.le = ctx.rank_table[:, :, None] <= ctx.rank_table[:, None, :]
+        self.voter_of = np.repeat(np.arange(ctx.n), ctx.sizes)
+        is_out = table == np.arange(k)[:, None]
+        # Packed over Q: phi(Q) == y, and phi(Q) != x.
+        self.outcome = np.packbits(is_out, axis=1, bitorder="little")
+        self.neq = np.packbits(~is_out, axis=1, bitorder="little")
+        self.accepts = None
+        if pairwise:
+            # accepts[x, v]: phi(Q) is weakly better than x under Q_v, packed.
+            by_x = np.ascontiguousarray(self.le.transpose(2, 0, 1)).reshape(k, -1)
+            at_q = (ctx.order_base[:, None].astype(np.int32) + digits) * k + table
+            self.accepts = np.packbits(
+                np.take(by_x, at_q, axis=1), axis=2, bitorder="little"
+            )
+        self.slot = np.full(len(ctx.rank_table) * k, -1, dtype=np.int64)
+        self.rows = np.empty((limit, 1 + pairwise, self.neq.shape[1]), dtype=np.uint8)
+        self.used = 0
+
+    def slots(self, ids):
+        """The slots of ``ids`` (any shape), once every one is built."""
+        slots = self.slot[ids]
+        if slots.min() < 0:
+            missing = np.unique(ids[slots < 0])
+            if self.used + len(missing) > self.limit:
+                self.slot[:] = -1
+                self.used, missing = 0, np.unique(ids)
+            # Build a few keys at a time, so the unpacked temporaries stay
+            # within a block's size.
+            step = max(1, _BLOCK_CELLS // self.digits.shape[1])
+            for at in range(0, len(missing), step):
+                part = missing[at : at + step]
+                self.rows[self.used : self.used + len(part)] = self.build(part)
+                self.slot[part] = np.arange(self.used, self.used + len(part))
+                self.used += len(part)
+            slots = self.slot[ids]
+        return slots
+
+    def build(self, ids):
+        """The packed rows of the keys ``ids``, shaped like ``rows``: for key
+        (v, d, x), keeps[q] = Q_v != d and x is weakly better than phi(Q)
+        under d; accepts[q] = Q_v != d and phi(Q) is weakly better than x
+        under Q_v."""
+        order, x = np.divmod(ids, self.k)
+        v = self.voter_of[order]
+        d = (order - self.ctx.order_base[v]).astype(self.digits.dtype)
+        stay = np.packbits(self.digits[v] == d[:, None], axis=1, bitorder="little")
+        worse = self.outcome * self.le[order, x][:, :, None]
+        rows = [np.bitwise_or.reduce(worse, axis=1) & ~stay]
+        if self.accepts is not None:
+            rows.append(self.accepts[x, v] & ~stay)
+        return np.stack(rows, axis=1)
+
+
+def _pair_scan(scf, wanted, max_profiles, limit):
     """One pass over ordered profile pairs for the ``wanted`` properties.
 
-    Row i of a block is P, column j is Q; the masks are the module
-    docstring's *keeps* and *accepts*, stacked over voters.  Each thread
-    that scans blocks fills its own buffers, allocated once for the largest
-    block; a shorter last block uses their leading part.
+    Row P of a block gathers, for each voter v, the packed rows of its key
+    (v, P_v, phi(P)) from a :class:`_KeyRows`, and the packed ``phi(Q) !=
+    phi(P)`` row; :func:`_violations` combines them.  Only the first row
+    with a violation is unpacked.
     """
     t0 = time.perf_counter()
     ctx, table = _prepare(scf, max_profiles)
     count, n = ctx.count, ctx.n
     total = _require_pairs(count, wanted, limit)
-    digits, rank_rows, rank_base = ctx.build_arrays()
-    own = rank_rows.reshape(-1)[rank_base + table]
-    # keep[v, p, z]: phi(p) is weakly better than z under voter v's order at p.
-    keep = own[:, :, None] <= rank_rows
+    digits = ctx.build_digits()
+    k = ctx.rank_table.shape[1]
     pairwise = "pr" in wanted or "apr" in wanted
-    if pairwise:
-        accept = np.ascontiguousarray(keep.transpose(0, 2, 1))
-    step = max(1, _BLOCK_CELLS // (n * count))
-    voter_masks = ("changed", "kept") + (("accepted", "both") if pairwise else ())
-    row_masks = ("neq", "any_kept") + (("pr", "apr") if pairwise else ())
-    shapes = [((n,), name) for name in voter_masks] + [((), name) for name in row_masks]
-    local = threading.local()
-
-    def buffers(rows):
-        """Leading views of this thread's masks, for a block of ``rows``.
-        Each mask has its own buffer: one buffer for all of them would be
-        large enough to raise the allocator's threshold for handing memory
-        back to the system, and more of it would stay resident."""
-        if not hasattr(local, "masks"):
-            local.masks = {
-                name: np.empty(math.prod(dims) * step * count, dtype=bool)
-                for dims, name in shapes
-            }
-        return {
-            name: local.masks[name][: math.prod(dims) * rows * count].reshape(
-                dims + (rows, count)
-            )
-            for dims, name in shapes
-        }
-
-    def scan_block(lo, hi, props):
-        buf = buffers(hi - lo)
-        ti = table[lo:hi]
-        neq = np.not_equal(ti[:, None], table, out=buf["neq"])
-        changed = np.not_equal(
-            digits[:, lo:hi, None], digits[:, None, :], out=buf["changed"]
-        )
-        kept = np.take(keep[:, lo:hi], table, axis=2, out=buf["kept"], mode="clip")
-        kept &= changed
-        accepted = None
-        if "pr" in props or "apr" in props:
-            accepted = np.take(accept, ti, axis=1, out=buf["accepted"], mode="clip")
-            accepted &= changed
-        viol = _violations(kept, accepted, neq, props, 0, out=buf)
-        found = {}
-        for prop, mask in viol.items():
-            pos = int(mask.argmax())
-            if mask.flat[pos]:
-                r, j = divmod(pos, count)
-                if prop == "gsp":
-                    j, nth = _gsp_first(ctx, digits, lo + r, mask[r].nonzero()[0])
-                else:
-                    nth = j - (j > lo + r) + 1
-                found[prop] = (r * (count - 1) + nth, (lo + r, j))
-        return found
-
-    blocks = [(lo, min(lo + step, count)) for lo in range(0, count, step)]
-    # ``live`` is read when a block starts.  Blocks are consumed in order, so
-    # a property leaves it only after every earlier block is consumed.
+    width = (count + 7) // 8
+    # A profile row gathers n key rows of this many packed bytes.
+    row_bytes = width * (1 + pairwise)
+    # The cache holds at least the largest block's keys, as _growing_blocks
+    # sizes it, and never more keys than there are.
+    most = max(1, _BLOCK_CELLS // (n * row_bytes))
+    fits = _KEY_CACHE_BYTES // row_bytes
+    keys = _KeyRows(
+        ctx, table, digits, pairwise, min(len(ctx.rank_table) * k, max(n * most, fits))
+    )
     live = tuple(wanted)
     results: dict[str, tuple[int, tuple[int, int] | None]] = {}
-    acc = 0
-    scans = _ordered_map(lambda b: scan_block(*b, live), blocks, parallelism)
-    for (lo, hi), found in zip(blocks, scans):
-        for prop in live:
-            if prop in found:
-                ordinal, pair = found[prop]
-                results[prop] = (acc + ordinal, pair)
+    for lo, hi in _growing_blocks(count, n * row_bytes, _BLOCK_CELLS):
+        ti = table[lo:hi]
+        slots = keys.slots((ctx.order_base[:, None] + digits[:, lo:hi]) * k + ti)
+        rows = keys.rows[slots]
+        accepted = rows[:, :, 1] if pairwise else None
+        viol = _violations(rows[:, :, 0], accepted, keys.neq[ti], live, 0)
+        for prop, mask in viol.items():
+            if mask.any():
+                r = int(mask.any(axis=1).argmax())
+                i = lo + r
+                cols = np.flatnonzero(
+                    np.unpackbits(mask[r], count=count, bitorder="little")
+                )
+                if prop == "gsp":
+                    j, nth = _gsp_first(ctx, digits, i, cols)
+                else:
+                    j = int(cols[0])
+                    nth = j - (j > i) + 1
+                results[prop] = (i * (count - 1) + nth, (i, j))
         live = tuple(prop for prop in live if prop not in results)
         if not live:
             break
-        acc += (hi - lo) * (count - 1)
-    scans.close()
     for prop in live:
         results[prop] = (total, None)
 
@@ -511,7 +533,7 @@ def check_gsp(
     enumerated; a manipulation with a passive member induces one by the
     sub-coalition of active members, so nothing is lost.
     """
-    return _pair_scan(scf, ("gsp",), parallelism, max_profiles, max_cases)["gsp"]
+    return _pair_scan(scf, ("gsp",), max_profiles, max_cases)["gsp"]
 
 
 def check_pr(
@@ -522,7 +544,7 @@ def check_pr(
     max_pairs: int = DEFAULT_PAIR_GUARD,
 ) -> PropertyReport:
     """Preference reversal: one voter witnesses both weak comparisons and changed."""
-    return _pair_scan(scf, ("pr",), parallelism, max_profiles, max_pairs)["pr"]
+    return _pair_scan(scf, ("pr",), max_profiles, max_pairs)["pr"]
 
 
 def check_apr(
@@ -533,7 +555,7 @@ def check_apr(
     max_pairs: int = DEFAULT_PAIR_GUARD,
 ) -> PropertyReport:
     """Almost preference reversal: the two sides may be witnessed by different voters."""
-    return _pair_scan(scf, ("apr",), parallelism, max_profiles, max_pairs)["apr"]
+    return _pair_scan(scf, ("apr",), max_profiles, max_pairs)["apr"]
 
 
 def check_pr_apr(
@@ -544,7 +566,7 @@ def check_pr_apr(
     max_pairs: int = DEFAULT_PAIR_GUARD,
 ) -> dict[str, PropertyReport]:
     """Both pairwise properties from a single scan."""
-    return _pair_scan(scf, ("pr", "apr"), parallelism, max_profiles, max_pairs)
+    return _pair_scan(scf, ("pr", "apr"), max_profiles, max_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +683,8 @@ def table_verdicts(
 
 
 def revalidate_witness(scf: Scf, prop: str, witness: Any) -> bool:
-    """Recompute a witness with plain :func:`evaluate` calls."""
+    """Recompute a witness with plain :func:`evaluate` calls; a dictator
+    against the rule's table and the voter's top sets, in one pass."""
     if prop in ("isp", "gsp"):
         w: ManipulationWitness = witness
         if not w.coalition or len(w.coalition) != len(set(w.coalition)):
@@ -702,12 +725,15 @@ def revalidate_witness(scf: Scf, prop: str, witness: Any) -> bool:
         )
     if prop == "dictator":
         if isinstance(witness, int):
-            from .scf import iter_profiles
-
-            return all(
-                evaluate(scf, p) in p[witness].top_set()
-                for p in iter_profiles(scf.domain)
+            # The voter's order at profile i is i // stride % m; phi(P) must
+            # be among that order's tops at every profile.
+            orders = scf.domain.feasible[witness]
+            tops = np.array(
+                [[z in order.top_set() for z in range(scf.domain.k)] for order in orders]
             )
+            table = tabulate(scf).table
+            at = np.arange(len(table)) // profile_strides(scf.domain)[witness] % len(orders)
+            return bool(tops[at, table].all())
         counters: tuple[DictatorCounter, ...] = witness
         if sorted(c.voter for c in counters) != list(range(scf.domain.n)):
             return False

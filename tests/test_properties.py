@@ -5,8 +5,6 @@ import itertools
 import json
 import random
 import sys
-import threading
-import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -29,6 +27,7 @@ from prefrev import (
     check_pr_apr,
     enumerate_strict_orders,
     evaluate,
+    format_order,
     parse_order,
     report_to_dict,
     revalidate_witness,
@@ -46,6 +45,7 @@ from conftest import (
     reference_gsp_scan,
     reference_isp_scan,
     reference_pair_scan,
+    reference_table,
 )
 
 
@@ -314,6 +314,14 @@ def _reference_gsp_doc(scf):
     return _reference_doc(scf, "gsp", reference_gsp_scan)
 
 
+def _pair_docs(scf):
+    return (
+        _reference_gsp_doc(scf),
+        _reference_doc(scf, "pr", reference_pair_scan, "pr"),
+        _reference_doc(scf, "apr", reference_pair_scan, "apr"),
+    )
+
+
 def test_gsp_matches_reference_on_whole_strict_universe(abc):
     strict = sorted(enumerate_strict_orders(3), key=lambda o: o.ranks)[:3]
     domain = Domain.shared(FeasibleSet.explicit(abc, strict), 2)
@@ -393,44 +401,6 @@ def test_checkers_on_fresh_domains_across_threads(abc):
                     assert future.result(timeout=60) == expected
     finally:
         sys.setswitchinterval(interval)
-
-
-@pytest.mark.parametrize("workers", [1, 2, 8])
-def test_ordered_map_yields_in_map_order(workers):
-    def block(x):
-        time.sleep(0.001 * (x % 3))  # later blocks may finish first
-        return x * x
-
-    items = list(range(40))
-    assert list(properties._ordered_map(block, items, workers)) == [x * x for x in items]
-
-
-@pytest.mark.parametrize("workers", [1, 2, 8])
-def test_ordered_map_starts_few_blocks_before_an_early_exit(workers):
-    started = []
-    lock = threading.Lock()
-
-    def block(x):
-        with lock:
-            started.append(x)
-        time.sleep(0.002)
-        return x
-
-    scans = properties._ordered_map(block, list(range(100)), workers)
-    assert next(scans) == 0
-    scans.close()  # waits for running blocks, cancels the queued ones
-    assert len(started) <= 2 * workers
-
-
-@pytest.mark.parametrize("workers", [1, 2, 8])
-def test_ordered_map_raises_a_block_error(workers):
-    def block(x):
-        if x == 5:
-            raise ValueError("block 5")
-        return x
-
-    with pytest.raises(ValueError, match="block 5"):
-        list(properties._ordered_map(block, list(range(20)), workers))
 
 
 # ---------------------------------------------------------------------------
@@ -721,20 +691,18 @@ _EDGE_TABLES = {
 }
 
 
-@pytest.mark.parametrize("cells", [90, 72, 40, 1, None])
+@pytest.mark.parametrize("cells", [90, 72, 40, 32, 20, 16, 8, 1, None])
 def test_buffered_pair_pass_on_first_last_and_split_blocks(monkeypatch, cells):
-    # A row is 18 (voter, row, column) cells: 90 gives the 5-row blocks the
-    # tables were picked for, 72 four rows and a one-row last block, 40 two
-    # rows, 1 a block per row, and the default one block.
+    # A profile row gathers 2 voters' packed 2-byte key rows: 4 bytes for
+    # GSP, 8 for PR and APR, which gather an accepts row too.  So 40 gives
+    # PR and APR the 5-row blocks the tables were picked for and 20 gives
+    # them to GSP; 32 and 16 give four rows and a one-row last block, 16 and
+    # 8 two rows, 1 a block per row, and 90, 72 and the default one block.
     domain = _edge_domain()
     expected = {}
     for name, (values, blocks) in _EDGE_TABLES.items():
         scf = Scf.from_table(domain, values)
-        docs = (
-            _reference_gsp_doc(scf),
-            _reference_doc(scf, "pr", reference_pair_scan, "pr"),
-            _reference_doc(scf, "apr", reference_pair_scan, "apr"),
-        )
+        docs = _pair_docs(scf)
         assert tuple((doc["checked"] - 1) // 8 // 5 for doc in docs) == blocks
         assert not any(doc["holds"] for doc in docs)
         assert not (naive_gsp_holds(scf) or naive_pr_holds(scf) or naive_apr_holds(scf))
@@ -763,3 +731,158 @@ def test_a_domain_and_its_scan_context_die_together(abc):
     del domain, phi
     gc.collect()
     assert alive() is None
+
+
+# ---------------------------------------------------------------------------
+# the packed pair pass: key rows, bit padding, the cache
+# ---------------------------------------------------------------------------
+
+
+def _assert_pair_pass(scf, docs=None):
+    docs = docs or _pair_docs(scf)
+    both = check_pr_apr(scf)
+    got = (check_gsp(scf), both["pr"], both["apr"])
+    assert tuple(map(report_to_dict, got)) == docs
+    assert report_to_dict(check_pr(scf)) == docs[1]
+    assert report_to_dict(check_apr(scf)) == docs[2]
+    return docs
+
+
+def _key_builds(monkeypatch):
+    """Every key id the pair pass builds a row for, in build order."""
+    built = []
+    build = properties._KeyRows.build
+
+    def counting(self, ids):
+        built.extend(ids.tolist())
+        return build(self, ids)
+
+    monkeypatch.setattr(properties._KeyRows, "build", counting)
+    return built
+
+
+@pytest.mark.parametrize("cells", [None, 1, 40])
+def test_pair_pass_through_cache_flushes(monkeypatch, cells):
+    # A budget of 0 leaves the cache one block's keys, so it is flushed
+    # whenever a block meets a key it does not hold.
+    tables = [(scf, _pair_docs(scf)) for scf in _uneven_tables(120, seed=77)]
+    monkeypatch.setattr(properties, "_KEY_CACHE_BYTES", 0)
+    if cells is not None:
+        monkeypatch.setattr(properties, "_BLOCK_CELLS", cells)
+    built = _key_builds(monkeypatch)
+    for scf, docs in tables:
+        _assert_pair_pass(scf, docs)
+    assert len(built) > len(set(built))  # some key was rebuilt after a flush
+
+
+@pytest.mark.parametrize("cells", [None, 1, 7])
+def test_pair_pass_on_one_voter_and_single_order_voters(monkeypatch, cells):
+    rng = random.Random(31)
+    alts = AlternativeSet.letters(4)
+    weak = list(FeasibleSet.universal_weak(alts))
+    domains = [Domain((FeasibleSet.explicit(alts, weak),))]  # 75 profiles
+    domains += [Domain((FeasibleSet.explicit(alts, rng.sample(weak, m)),)) for m in (1, 2, 9)]
+    one = FeasibleSet.explicit(alts, [weak[3]])
+    domains += [
+        Domain((one, FeasibleSet.explicit(alts, rng.sample(weak, 6)))),
+        Domain((FeasibleSet.explicit(alts, rng.sample(weak, 5)), one, one)),
+        Domain((one, one)),
+    ]
+    if cells is not None:
+        monkeypatch.setattr(properties, "_BLOCK_CELLS", cells)
+    seen = set()
+    for domain in domains:
+        count = domain.profile_count()
+        for values in (
+            [rng.randrange(4) for _ in range(count)],
+            [rng.choice((0, 2)) for _ in range(count)],
+            [0] * count,
+        ):
+            docs = _assert_pair_pass(Scf.from_table(domain, values))
+            seen.update(doc["holds"] for doc in docs)
+    assert seen == {True, False}
+
+
+# In canonical (rank vector) order, so the first strictly prefers b to a.
+_B_OVER_A = ["b~c>a", "b>a>c", "c>a>b", "b>c>a", "c>b>a"]
+
+
+@pytest.mark.parametrize("sizes", [(2, 4), (4, 4), (3, 3), (3, 4), (4, 5)])
+def test_pair_pass_finds_a_violation_in_the_last_bit(sizes):
+    # Every voter's first order strictly prefers b to a, and the table is a
+    # everywhere but at the last profile.  Row 0 is the first with a
+    # violation and its only one is Q = count - 1: the last bit of the
+    # packed row, a padded byte when count % 8 != 0.
+    alts = AlternativeSet.letters(3)
+    domain = Domain(tuple(
+        FeasibleSet.explicit(alts, [parse_order(text, alts) for text in _B_OVER_A[:m]])
+        for m in sizes
+    ))
+    count = domain.profile_count()
+    scf = Scf.from_table(domain, [0] * (count - 1) + [1])
+    docs = _assert_pair_pass(scf)
+    for doc in docs[1:]:
+        assert doc["checked"] == count - 1
+        assert doc["witness"]["profile_q"] == [
+            format_order(fs[len(fs) - 1], alts) for fs in domain.feasible
+        ]
+    assert docs[0]["witness"]["coalition"] == [1, 2]
+    assert not any(doc["holds"] for doc in docs)
+
+
+def test_gsp_takes_the_canonical_first_of_a_packed_row():
+    # At P = (0, 0) two deviations reach b: both voters to (1, 1), column 6,
+    # and voter 1 alone to (3, 0), column 15.  Single voters come first, so
+    # the witness is the later column.
+    alts = AlternativeSet.letters(3)
+    fs = FeasibleSet.explicit(alts, [parse_order(t, alts) for t in _B_OVER_A])
+    domain = Domain.shared(fs, 2)
+    values = [0] * 25
+    values[6] = values[15] = 1
+    scf = Scf.from_table(domain, values)
+    doc = _assert_pair_pass(scf)[0]
+    assert doc["witness"]["coalition"] == [1]
+    assert doc["checked"] == 3  # voter 1's third other order
+
+
+def test_pair_pass_builds_each_key_row_once(monkeypatch):
+    # 2 voters x 13 weak orders, k = 3: 78 keys, all held by the cache.  A
+    # constant and a dictatorial table hold every property, so they are
+    # scanned to the end, here in one block per profile row.
+    domain = Domain.shared(FeasibleSet.universal_weak(AlternativeSet.letters(3)), 2)
+    dictator = tabulate(builtin("dictator-tiebreak", domain, voter=1))
+    monkeypatch.setattr(properties, "_BLOCK_CELLS", 1)
+    built = _key_builds(monkeypatch)
+    for scf in (Scf.from_table(domain, [0] * 169), dictator):
+        for check in (check_gsp, check_pr, check_pr_apr):
+            built.clear()
+            report = check(scf)
+            assert all(r.holds for r in (report.values() if isinstance(report, dict) else [report]))
+            assert len(built) == len(set(built)) <= 2 * 13 * 3
+    assert len(built) > 2 * 13  # the dictator's table meets many (v, d, x)
+
+
+def _naive_dictator_valid(scf, voter):
+    from prefrev import iter_profiles
+
+    table = reference_table(scf)
+    return all(
+        int(out) in p[voter].top_set() for p, out in zip(iter_profiles(scf.domain), table)
+    )
+
+
+def test_dictator_revalidation_matches_a_per_profile_check():
+    rng = random.Random(404)
+    seen = set()
+    for _ in range(40):
+        domain = _uneven_domain(rng)
+        scf = _seeded_table(rng, domain)
+        for voter in range(domain.n):
+            valid = revalidate_witness(scf, "dictator", voter)
+            assert valid == _naive_dictator_valid(scf, voter)
+            seen.add(valid)
+    assert seen == {True, False}
+    weak2 = Domain.shared(FeasibleSet.universal_weak(AlternativeSet.letters(3)), 2)
+    rule = builtin("dictator-tiebreak", weak2, voter=1)
+    assert revalidate_witness(rule, "dictator", 1)
+    assert not revalidate_witness(rule, "dictator", 0)
