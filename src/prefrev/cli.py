@@ -49,9 +49,9 @@ from .scf import (
 )
 from .properties import (
     CHECKERS,
-    check_pr_apr,
     report_to_dict,
     revalidate_witness,
+    run_checkers,
     witness_from_dict,
 )
 from .harness import (
@@ -216,9 +216,6 @@ def _render_report(doc: dict) -> list[str]:
 
 def cmd_check(args) -> int:
     scf = load_scf(args.scf)
-    kwargs = {"parallelism": args.parallelism}
-    if args.max_profiles is not None:
-        kwargs["max_profiles"] = args.max_profiles
     if args.recheck_witness:
         data = load_json(args.recheck_witness)
         if not isinstance(data, dict):
@@ -246,14 +243,12 @@ def cmd_check(args) -> int:
     for prop in wanted:
         if prop not in CHECKERS:
             raise PrefrevError(f"unknown property {prop!r}")
+    max_profiles = (
+        DEFAULT_PROFILE_GUARD if args.max_profiles is None else args.max_profiles
+    )
     # One table serves every checker; witnesses read only the domain.
-    scf = tabulate(scf, kwargs.get("max_profiles", DEFAULT_PROFILE_GUARD))
-    reports = {}
-    if "pr" in wanted and "apr" in wanted:
-        reports.update(check_pr_apr(scf, **kwargs))
-    for prop in wanted:
-        if prop not in reports:
-            reports[prop] = CHECKERS[prop](scf, **kwargs)
+    scf = tabulate(scf, max_profiles)
+    reports = run_checkers(scf, wanted, max_profiles=max_profiles)
     ordered = [reports[p] for p in _PROPERTY_ORDER if p in reports]
     report_docs = [report_to_dict(r, include_timing=args.timings) for r in ordered]
     doc = {
@@ -306,8 +301,7 @@ def _universe_spec(args) -> EnumerationSpec:
         )
     else:
         target = tuple(range(domain.k))
-    limit = args.limit if getattr(args, "limit", None) else None
-    return EnumerationSpec(domain, target, limit=limit)
+    return EnumerationSpec(domain, target, limit=args.limit)
 
 
 def _specimen_scf(args) -> Scf:
@@ -338,10 +332,7 @@ def _specimen_scf(args) -> Scf:
 
 
 def cmd_verify(args) -> int:
-    kwargs = {"parallelism": args.parallelism}
-    universe_kwargs = dict(kwargs)
-    if args.max_tables is not None:
-        universe_kwargs["max_tables"] = args.max_tables
+    universe_kwargs = {} if args.max_tables is None else {"max_tables": args.max_tables}
     if args.theorem == "prop-apr-gsp":
         verdict = verify_prop_apr_gsp(_universe_spec(args), **universe_kwargs)
     elif args.theorem == "thm-range3":
@@ -349,13 +340,10 @@ def cmd_verify(args) -> int:
     elif args.theorem == "summary-equivalence":
         verdict = verify_summary_equivalence(_universe_spec(args), **universe_kwargs)
     elif args.theorem == "thm-complete":
-        if args.max_profiles is not None:
-            kwargs["max_profiles"] = args.max_profiles
+        kwargs = {} if args.max_profiles is None else {"max_profiles": args.max_profiles}
         verdict = verify_thm_complete(_specimen_scf(args), **kwargs)
     elif args.theorem == "isp-not-pr":
-        verdict = search_isp_not_pr(
-            _universe_spec(args), args.budget, seed=args.seed, **kwargs
-        )
+        verdict = search_isp_not_pr(_universe_spec(args), args.budget, seed=args.seed)
     else:
         raise PrefrevError(f"unknown theorem {args.theorem!r}")
     doc = {

@@ -18,17 +18,21 @@ property checkers against each other:
   where neither theorem forbids one; it never claims non-existence beyond
   the searched space.
 
-Every suite walks the table universe in uint8 blocks of rows, in canonical
-order (base-|target| numerals, profile 0 most significant) up to the
-universe size or the spec's limit, and decides each block at once with the
-numpy verdict kernel ``properties.table_verdicts``, which builds no witness.
-``prop-apr-gsp`` and ``isp-not-pr`` stop at the first counterexample, and
+Each universe suite is a list of relations between property classes,
+``(a, "<=", b)`` (every table with a has b) or ``(a, "==", b)``, in the
+order it reports them, checked by one walk (``_walk``).  The walk takes the
+table universe in uint8 blocks of rows, in canonical order (base-|target|
+numerals, profile 0 most significant) up to the universe size or the spec's
+limit, and decides each block at once with the numpy verdict kernel
+``properties.table_verdicts``, which builds no witness.  ``prop-apr-gsp``
+and ``isp-not-pr`` stop at the first table that breaks a relation, and
 ``checked`` is its 1-based table number.  ``thm-range3`` and
 ``summary-equivalence`` visit every table, sum the verdicts and keep the
-first counterexample.  Only that one table becomes an :class:`Scf`: the
-full checkers run on it, with ``parallelism``, to build the reports, and a
-verdict that differs from the kernel's is a ``RuntimeError``.  The walk
-itself is serial.
+first such table.  Only that one table becomes an :class:`Scf`: the full
+checker of every property the relations name runs on it, a verdict that
+differs from the kernel's is a ``RuntimeError``, and the reports of the
+first relation it breaks are the counterexample.  The walk is serial, and
+every suite's ``parallelism`` keyword is accepted and has no effect.
 
 The quotient reduction simulates the infinite-society argument on large
 replicated finite societies: voters are collapsed into classes by their
@@ -39,6 +43,7 @@ lifted back to a concrete voter.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -69,13 +74,11 @@ from .scf import (
 from .properties import (
     CHECKERS,
     PropertyReport,
-    check_apr,
-    check_gsp,
     check_isp,
     check_pr,
-    check_pr_apr,
     report_to_dict,
     revalidate_witness,
+    run_checkers,
     table_verdicts,
 )
 
@@ -169,40 +172,48 @@ def _table_blocks(
         yield lo, target[digits]
 
 
-def _first_flagged(domain, blocks, props, flag, counts=None):
-    """The first table that ``flag`` marks, walking ``blocks`` in order.
+#: Where a relation between two verdict arrays is broken.
+_BREAKS = {"<=": lambda a, b: a & ~b, "==": np.not_equal}
 
-    ``flag`` maps a block's verdicts (see ``table_verdicts``) to a bool row
-    mask.  Returns ``(table number, its Scf, its verdicts)``, or None.
-    With ``counts``, every block is walked and the tables where each
-    property holds are added up in it; otherwise the walk stops at the
-    first flagged table.
+
+def _walk(spec, blocks, relations, counts=None):
+    """The first table in ``blocks`` that breaks one of ``relations``.
+
+    Each relation is ``(a, "<=", b)`` or ``(a, "==", b)`` over property
+    names.  With ``counts``, every block is walked and the tables where each
+    named property holds are added up in it; otherwise the walk stops at the
+    first breaking table.  The full checkers of every named property run on
+    that table, and any verdict that differs from the kernel's is a
+    RuntimeError.  Returns ``(its 1-based table number, (its Scf, the
+    reports of a and b))`` for the first relation it breaks, or None.
     """
+    props = tuple(dict.fromkeys(p for a, _, b in relations for p in (a, b)))
     first = None
     for lo, rows in blocks:
-        verdicts = table_verdicts(domain, rows, props)
+        verdicts = table_verdicts(spec.domain, rows, props)
         if counts is not None:
             for prop in props:
                 counts[prop] += int(verdicts[prop].sum())
         if first is None:
-            flagged = flag(verdicts)
+            broken = [_BREAKS[op](verdicts[a], verdicts[b]) for a, op, b in relations]
+            flagged = functools.reduce(np.logical_or, broken)
             if flagged.any():
                 i = int(flagged.argmax())
-                scf = Scf.from_table(domain, rows[i])
-                first = lo + i, scf, {p: bool(v[i]) for p, v in verdicts.items()}
+                rel = next(r for r, mask in zip(relations, broken) if mask[i])
+                first = lo + i, rows[i], rel, {p: verdicts[p][i] for p in props}
                 if counts is None:
                     break
-    return first
-
-
-def _confirm(verdicts, *reports) -> None:
-    """Fail loudly if the full checkers contradict the verdict kernel."""
-    for report in reports:
-        if report is not None and report.holds != verdicts[report.property]:
+    if first is None:
+        return None
+    number, row, (a, _, b), verdicts = first
+    scf = Scf.from_table(spec.domain, row)
+    reports = run_checkers(scf, props)
+    for prop in props:
+        if reports[prop].holds != verdicts[prop]:
             raise RuntimeError(
-                f"verdict kernel and checker disagree on {report.property} "
-                "for a table"
+                f"verdict kernel and checker disagree on {prop} for a table"
             )
+    return number + 1, (scf, (reports[a], reports[b]))
 
 
 def enumerate_scfs(
@@ -267,26 +278,29 @@ def _require_universe(spec: EnumerationSpec, max_tables: int) -> int:
     return size if spec.limit is None else min(size, spec.limit)
 
 
+def _all_complete(domain: Domain) -> bool:
+    """Whether every feasible set is certified complete; a set whose check
+    the completeness guard refuses is not certified."""
+    try:
+        return all(is_complete(fs).complete for fs in set(domain.feasible))
+    except ResourceGuardError:
+        return False
+
+
 def verify_prop_apr_gsp(
     spec: EnumerationSpec,
     *,
     parallelism: int = 1,
     max_tables: int = DEFAULT_TABLE_GUARD,
 ) -> TheoremVerdict:
-    """Group strategy-proofness coincides with almost preference reversal."""
+    """Group strategy-proofness coincides with almost preference reversal.
+
+    ``parallelism`` is accepted and has no effect.
+    """
     t0 = time.perf_counter()
     total = _require_universe(spec, max_tables)
-    checked, counterexample = total, None
-    first = _first_flagged(
-        spec.domain, _table_blocks(spec, total), ("gsp", "apr"),
-        lambda v: v["gsp"] != v["apr"],
-    )
-    if first is not None:
-        number, scf, verdicts = first
-        gsp = check_gsp(scf, parallelism=parallelism)
-        apr = check_apr(scf, parallelism=parallelism)
-        _confirm(verdicts, gsp, apr)
-        checked, counterexample = number + 1, (scf, (gsp, apr))
+    blocks, relations = _table_blocks(spec, total), [("gsp", "==", "apr")]
+    checked, counterexample = _walk(spec, blocks, relations) or (total, None)
     return TheoremVerdict(
         theorem="prop-apr-gsp",
         universe=f"{spec.describe()}; {total} tables",
@@ -304,28 +318,18 @@ def verify_thm_range3(
     parallelism: int = 1,
     max_tables: int = DEFAULT_TABLE_GUARD,
 ) -> TheoremVerdict:
-    """With |target| <= 3, ISP implies PR; corollary: #ISP equals #GSP."""
+    """With |target| <= 3, ISP implies PR; corollary: #ISP equals #GSP.
+
+    ``parallelism`` is accepted and has no effect.
+    """
     if len(spec.target) > 3:
         raise ArgumentError("thm-range3 needs a target range of at most 3")
     t0 = time.perf_counter()
     total = _require_universe(spec, max_tables)
-    counts = {"isp": 0, "gsp": 0, "pr": 0}
-    first = _first_flagged(
-        spec.domain, _table_blocks(spec, total), tuple(counts),
-        lambda v: (v["isp"] & ~v["pr"]) | (v["isp"] != v["gsp"]),
-        counts,
-    )
-    counterexample = None
-    if first is not None:
-        _, scf, verdicts = first
-        isp = check_isp(scf, parallelism=parallelism)
-        gsp = check_gsp(scf, parallelism=parallelism)
-        pr = check_pr(scf, parallelism=parallelism) if isp.holds else None
-        _confirm(verdicts, isp, gsp, pr)
-        if isp.holds and not pr.holds:
-            counterexample = scf, (isp, pr)
-        else:
-            counterexample = scf, (isp, gsp)
+    counts = {"isp": 0, "pr": 0, "gsp": 0}
+    relations = [("isp", "<=", "pr"), ("isp", "==", "gsp")]
+    blocks = _table_blocks(spec, total)
+    _, counterexample = _walk(spec, blocks, relations, counts) or (total, None)
     n_isp, n_gsp = counts["isp"], counts["gsp"]
     return TheoremVerdict(
         theorem="thm-range3",
@@ -344,42 +348,20 @@ def verify_summary_equivalence(
     parallelism: int = 1,
     max_tables: int = DEFAULT_TABLE_GUARD,
 ) -> TheoremVerdict:
-    """The chain {PR} <= {APR} = {GSP} <= {ISP}, with equality under hypotheses."""
+    """The chain {PR} <= {APR} = {GSP} <= {ISP}, with equality under hypotheses.
+
+    ``parallelism`` is accepted and has no effect.
+    """
     t0 = time.perf_counter()
     total = _require_universe(spec, max_tables)
-    try:
-        all_complete = all(
-            is_complete(fs).complete for fs in set(spec.domain.feasible)
-        )
-    except ResourceGuardError:
-        all_complete = False
+    all_complete = _all_complete(spec.domain)
     range_hypothesis = len(spec.target) <= 3
-    equal_hypothesis = range_hypothesis or all_complete
-
-    def broken(v):
-        chain = (v["pr"] & ~v["apr"]) | (v["apr"] != v["gsp"]) | (v["gsp"] & ~v["isp"])
-        return chain | (v["isp"] & ~v["pr"]) if equal_hypothesis else chain
-
+    relations = [("pr", "<=", "apr"), ("apr", "==", "gsp"), ("gsp", "<=", "isp")]
+    if range_hypothesis or all_complete:
+        relations.append(("isp", "<=", "pr"))
     counts = {"pr": 0, "apr": 0, "gsp": 0, "isp": 0}
-    first = _first_flagged(
-        spec.domain, _table_blocks(spec, total), tuple(counts), broken, counts
-    )
-    counterexample = None
-    if first is not None:
-        _, scf, verdicts = first
-        isp = check_isp(scf, parallelism=parallelism)
-        gsp = check_gsp(scf, parallelism=parallelism)
-        both = check_pr_apr(scf, parallelism=parallelism)
-        pr, apr = both["pr"], both["apr"]
-        _confirm(verdicts, isp, gsp, pr, apr)
-        if pr.holds and not apr.holds:
-            counterexample = scf, (pr, apr)
-        elif apr.holds != gsp.holds:
-            counterexample = scf, (apr, gsp)
-        elif gsp.holds and not isp.holds:
-            counterexample = scf, (gsp, isp)
-        else:
-            counterexample = scf, (isp, pr)
+    blocks = _table_blocks(spec, total)
+    _, counterexample = _walk(spec, blocks, relations, counts) or (total, None)
     details = {
         "tables": total,
         "pr_tables": counts["pr"],
@@ -427,7 +409,7 @@ def verify_thm_complete(
 
     Inputs failing a hypothesis (an incomplete feasible set, or an scf that
     is not ISP) yield a vacuous verdict labeled inadmissible instead of a
-    theorem failure.
+    theorem failure.  ``parallelism`` is accepted and has no effect.
     """
     t0 = time.perf_counter()
     certificates = []
@@ -455,7 +437,7 @@ def verify_thm_complete(
     isp = None
     if admissible:
         table = tabulate(phi, max_profiles)
-        isp = check_isp(table, parallelism=parallelism, max_profiles=max_profiles)
+        isp = check_isp(table, max_profiles=max_profiles)
         if not isp.holds:
             admissible = False
             reason = "scf is not individually strategy-proof"
@@ -473,7 +455,7 @@ def verify_thm_complete(
             },
             elapsed=time.perf_counter() - t0,
         )
-    pr = check_pr(table, parallelism=parallelism, max_profiles=max_profiles)
+    pr = check_pr(table, max_profiles=max_profiles)
     count = phi.domain.profile_count()
     details = {
         "admissible": True,
@@ -510,7 +492,8 @@ def search_isp_not_pr(
     Immediately futile when the target range has at most three alternatives
     or every feasible set is complete, since the theorems then prove no such
     table exists.  Otherwise scans the whole universe if it fits the budget,
-    or a seeded random sample of ``budget`` tables.
+    or a seeded random sample of ``budget`` tables.  ``parallelism`` is
+    accepted and has no effect.
     """
     if budget < 0:
         raise ArgumentError(f"table budget {budget} is negative")
@@ -522,18 +505,12 @@ def search_isp_not_pr(
             {"reason": "provably futile: target range has at most 3 alternatives"},
             seed, time.perf_counter() - t0,
         )
-    try:
-        incomplete = [
-            fs for fs in set(spec.domain.feasible) if not is_complete(fs).complete
-        ]
-        if not incomplete:
-            return TheoremVerdict(
-                "isp-not-pr", universe, 0, True, None,
-                {"reason": "provably futile: every feasible set is complete"},
-                seed, time.perf_counter() - t0,
-            )
-    except ResourceGuardError:
-        pass  # completeness undecided within guard; search anyway
+    if _all_complete(spec.domain):
+        return TheoremVerdict(
+            "isp-not-pr", universe, 0, True, None,
+            {"reason": "provably futile: every feasible set is complete"},
+            seed, time.perf_counter() - t0,
+        )
     spec.domain.require_enumerable()
     size = _universe_size(spec, budget)
     if size is not None and size <= budget:
@@ -542,18 +519,12 @@ def search_isp_not_pr(
     else:
         total, blocks = budget, _table_blocks(spec, budget, random.Random(seed))
         scope = "budget-exhausted"
-    checked, counterexample = total, None
-    first = _first_flagged(
-        spec.domain, blocks, ("isp", "pr"), lambda v: v["isp"] & ~v["pr"]
-    )
-    if first is not None:
-        number, scf, verdicts = first
-        isp = check_isp(scf, parallelism=parallelism)
-        pr = check_pr(scf, parallelism=parallelism)
-        _confirm(verdicts, isp, pr)
+    relations = [("isp", "<=", "pr")]
+    checked, counterexample = _walk(spec, blocks, relations) or (total, None)
+    if counterexample is not None:
+        scf, (_, pr) = counterexample
         if not revalidate_witness(scf, "pr", pr.witness):
             raise RuntimeError("search produced a witness that fails revalidation")
-        checked, counterexample = number + 1, (scf, (isp, pr))
     details = {"scope": scope, "tables_examined": checked}
     return TheoremVerdict(
         "isp-not-pr", universe, checked, counterexample is None, counterexample,

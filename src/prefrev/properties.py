@@ -59,7 +59,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ArgumentError, ResourceGuardError
+from .errors import ArgumentError, ParseError, ResourceGuardError
 from .orders import WeakOrder, format_order
 from .domains import DEFAULT_PROFILE_GUARD, Domain
 from .scf import Profile, Scf, evaluate, profile_at, profile_strides, tabulate
@@ -758,6 +758,16 @@ CHECKERS: dict[str, Callable[..., PropertyReport]] = {
 }
 
 
+def run_checkers(scf: Scf, props, **kwargs) -> dict[str, PropertyReport]:
+    """The reports of the ``props`` checkers on ``scf``, by property; PR and
+    APR, when both are asked for, come from one :func:`check_pr_apr` pass."""
+    reports = check_pr_apr(scf, **kwargs) if {"pr", "apr"} <= set(props) else {}
+    for prop in props:
+        if prop not in reports:
+            reports[prop] = CHECKERS[prop](scf, **kwargs)
+    return reports
+
+
 def _profile_strs(profile: Profile, alts) -> list[str]:
     return [format_order(order, alts) for order in profile.orders]
 
@@ -812,17 +822,29 @@ def witness_to_dict(prop: str, witness: Any, scf: Scf):
 
 
 def witness_from_dict(data: dict, scf: Scf):
-    """Rebuild a witness from its serialized form (for replay/recheck)."""
+    """Rebuild a witness from its serialized form (for replay/recheck).
+
+    Voter numbers are 1-based; one outside 1..n is a ParseError, and so is
+    a PR analysis whose entry i does not name voter i + 1.
+    """
     from .orders import parse_order
 
     alts = scf.domain.alts
+    n = scf.domain.n
 
     def _profile(items):
         return Profile(tuple(parse_order(text, alts) for text in items))
 
+    def _voter(number):
+        if not isinstance(number, int) or not 1 <= number <= n:
+            raise ParseError(f"witness names voter {number!r}; voters are 1..{n}")
+        return number - 1
+
     kind = data["type"]
     if kind == "manipulation":
-        coalition = tuple(v - 1 for v in data["coalition"])
+        coalition = tuple(_voter(v) for v in data["coalition"])
+        for key in data["deviation"]:
+            _voter(int(key))
         return ManipulationWitness(
             coalition,
             _profile(data["truthful"]),
@@ -835,21 +857,24 @@ def witness_from_dict(data: dict, scf: Scf):
         q = _profile(data["profile_q"])
         analysis = tuple(
             VoterAnalysis(
-                rec["voter"] - 1, rec["weak_pref_p"], rec["weak_pref_q"], rec["changed"]
+                _voter(rec["voter"]),
+                rec["weak_pref_p"], rec["weak_pref_q"], rec["changed"],
             )
             for rec in data["analysis"]
         )
+        if any(rec.voter != i for i, rec in enumerate(analysis)):
+            raise ParseError("PR analysis entries must name voters 1..n in order")
         return PrViolation(
             data["kind"], p, q,
             alts.index_of(data["outcome_p"]), alts.index_of(data["outcome_q"]),
             analysis,
         )
     if kind == "dictator":
-        return data["voter"] - 1
+        return _voter(data["voter"])
     if kind == "dictator-failure":
         return tuple(
             DictatorCounter(
-                c["voter"] - 1, _profile(c["counter_profile"]),
+                _voter(c["voter"]), _profile(c["counter_profile"]),
                 alts.index_of(c["outcome"]),
             )
             for c in data["candidates"]

@@ -178,6 +178,58 @@ def test_check_recheck_rejects_tampered_witness(capsys, tmp_path, paper_scf_path
     assert "INVALID" in out2
 
 
+def _voter_zero_dictator(report):
+    return {"reports": [{"property": "dictator", "holds": True,
+                         "witness": {"type": "dictator", "voter": 0}}]}
+
+
+def _voter_zero_candidate(report):
+    report["reports"][0]["witness"]["candidates"][0]["voter"] = 0
+    return report
+
+
+def _voter_zero_coalition(report):
+    witness = report["reports"][0]["witness"]
+    witness["coalition"] = [0]
+    witness["deviation"] = {"0": witness["deviation"]["2"]}
+    return report
+
+
+def _analysis_voters(*voters):
+    def edit(report):
+        for rec, voter in zip(report["reports"][0]["witness"]["analysis"], voters):
+            rec["voter"] = voter
+        return report
+    return edit
+
+
+@pytest.mark.parametrize("scf, prop, edit", [
+    ("dictator", "dictator", _voter_zero_dictator),
+    ("constant", "dictator", _voter_zero_candidate),
+    ("paper", "isp", _voter_zero_coalition),
+    ("paper", "pr", _analysis_voters(11, 12)),
+    ("paper", "pr", _analysis_voters(2, 1)),
+], ids=["dictator", "dictator-failure", "manipulation", "pr-violation",
+        "analysis-order"])
+def test_recheck_rejects_voters_outside_the_society(
+    capsys, request, tmp_path, abc, scf, prop, edit
+):
+    # Voter numbers are 1-based: 0 would index the last voter, and 11 or 12
+    # name voters a 2-voter society does not have.
+    if scf == "dictator":
+        domain = Domain.shared(FeasibleSet.universal_weak(abc), 2)
+        scf_path = str(tmp_path / "dictator.json")
+        save_scf(builtin("dictator-tiebreak", domain, voter=1), scf_path)
+    else:
+        scf_path = request.getfixturevalue(f"{scf}_scf_path")
+    _, out, _ = run(capsys, "check", scf_path, "--properties", prop, "--output", "json")
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(edit(json.loads(out))))
+    code, out, err = run(capsys, "check", scf_path, "--recheck-witness", str(report_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "voter" in err
+
+
 def test_check_json_determinism_across_parallelism(capsys, paper_scf_path):
     outs = []
     for workers in ("1", "8"):
@@ -456,6 +508,13 @@ def test_verify_rejects_negative_counts(capsys, theorem, flags, message):
         *flags, "--output", "json",
     )
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_verify_limit_zero_checks_no_table(capsys):
+    code, out, _ = run(capsys, "verify", "prop-apr-gsp", "--limit", "0", "--output", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["checked"] == 0 and doc["universe"].endswith("; 0 tables")
 
 
 def test_verify_orders_flag_with_per_voter_groups(capsys):

@@ -144,31 +144,42 @@ def test_suites_parallel_determinism(spec81):
         assert json.dumps(seq) == json.dumps(par)
 
 
-def _flip_gsp(monkeypatch, wrong, checker=True):
-    """Give the wrong GSP verdict on the tables whose bytes are in ``wrong``:
-    in the verdict kernel, and with ``checker`` also in ``check_gsp``."""
+def _flip(monkeypatch, prop, wrong, checker=True):
+    """Give the wrong ``prop`` verdict on the tables whose bytes are in
+    ``wrong``: in the verdict kernel, and with ``checker`` also in the full
+    checker, alone or in the PR/APR pass."""
     real_verdicts = harness.table_verdicts
 
     def flaky_verdicts(domain, tables, props):
         verdicts = real_verdicts(domain, tables, props)
-        if "gsp" in verdicts:
+        if prop in verdicts:
             for i, row in enumerate(tables):
                 if row.tobytes() in wrong:
-                    verdicts["gsp"][i] = not verdicts["gsp"][i]
+                    verdicts[prop][i] = not verdicts[prop][i]
         return verdicts
 
     monkeypatch.setattr(harness, "table_verdicts", flaky_verdicts)
     if not checker:
         return
-    real_gsp = harness.check_gsp
 
-    def flaky_gsp(scf, **kwargs):
-        report = real_gsp(scf, **kwargs)
-        if scf.table.tobytes() in wrong:
+    def flipped(report):
+        if report.scf.table.tobytes() in wrong:
             report = dataclasses.replace(report, holds=not report.holds)
         return report
 
-    monkeypatch.setattr(harness, "check_gsp", flaky_gsp)
+    real_one = properties.CHECKERS[prop]
+    real_pair = properties.check_pr_apr
+
+    def flaky_pair(scf, **kwargs):
+        reports = real_pair(scf, **kwargs)
+        if prop in reports:
+            reports[prop] = flipped(reports[prop])
+        return reports
+
+    monkeypatch.setitem(
+        properties.CHECKERS, prop, lambda scf, **kwargs: flipped(real_one(scf, **kwargs))
+    )
+    monkeypatch.setattr(properties, "check_pr_apr", flaky_pair)
 
 
 def test_suites_report_the_canonical_first_counterexample(spec81, monkeypatch):
@@ -176,7 +187,7 @@ def test_suites_report_the_canonical_first_counterexample(spec81, monkeypatch):
     # ISP disagree with it there and nowhere else.
     tables = list(enumerate_scfs(spec81))
     wrong = {tables[13].table.tobytes(), tables[57].table.tobytes()}
-    _flip_gsp(monkeypatch, wrong)
+    _flip(monkeypatch, "gsp", wrong)
     verdict = verify_prop_apr_gsp(spec81)
     assert not verdict.holds and verdict.checked == 14
     assert list(verdict.counterexample[0].table) == list(tables[13].table)
@@ -186,12 +197,54 @@ def test_suites_report_the_canonical_first_counterexample(spec81, monkeypatch):
         assert list(verdict.counterexample[0].table) == list(tables[13].table)
 
 
+def _holds_everywhere(scf):
+    return all(properties.CHECKERS[p](scf).holds for p in ("isp", "gsp", "pr", "apr"))
+
+
+@pytest.mark.parametrize(
+    "suite,flip,pair",
+    [
+        (verify_summary_equivalence, "apr", ("pr", "apr")),
+        (verify_summary_equivalence, "gsp", ("apr", "gsp")),
+        (verify_summary_equivalence, "isp", ("gsp", "isp")),
+        (verify_summary_equivalence, "pr", ("isp", "pr")),
+        (verify_thm_range3, "pr", ("isp", "pr")),
+        (verify_thm_range3, "gsp", ("isp", "gsp")),
+        (verify_prop_apr_gsp, "gsp", ("gsp", "apr")),
+    ],
+)
+def test_suites_report_the_first_broken_relation(spec81, monkeypatch, suite, flip, pair):
+    # Every property holds on table 42 (a, a, a, b), so flipping one of them
+    # there breaks only the relations that name it.
+    table = list(enumerate_scfs(spec81))[41]
+    assert list(table.table) == [1, 1, 1, 2] and _holds_everywhere(table)
+    _flip(monkeypatch, flip, {table.table.tobytes()})
+    verdict = suite(spec81)
+    assert not verdict.holds
+    assert verdict.checked == (42 if suite is verify_prop_apr_gsp else 81)
+    scf, reports = verdict.counterexample
+    assert list(scf.table) == list(table.table)
+    assert [(r.property, r.holds) for r in reports] == [(p, p != flip) for p in pair]
+
+
 def test_kernel_and_checker_disagreement_is_an_error(spec81, monkeypatch):
     tables = list(enumerate_scfs(spec81))
-    _flip_gsp(monkeypatch, {tables[13].table.tobytes()}, checker=False)
+    _flip(monkeypatch, "gsp", {tables[13].table.tobytes()}, checker=False)
     for suite in (verify_prop_apr_gsp, verify_thm_range3, verify_summary_equivalence):
         with pytest.raises(RuntimeError, match="disagree on gsp"):
             suite(spec81)
+
+
+def test_thm_range3_cross_checks_pr_on_a_table_without_isp(spec81, monkeypatch):
+    # Table 14 is not ISP.  GSP is flipped there in the kernel and the
+    # checker, so ISP and GSP disagree, and PR in the kernel only.
+    table = list(enumerate_scfs(spec81))[13]
+    assert not properties.CHECKERS["isp"](table).holds
+    wrong = {table.table.tobytes()}
+    _flip(monkeypatch, "gsp", wrong)
+    _flip(monkeypatch, "pr", wrong, checker=False)
+    with pytest.raises(RuntimeError, match="disagree on pr"):
+        verify_thm_range3(spec81)
 
 
 def test_suite_verdicts_do_not_depend_on_the_block_size(spec81, monkeypatch):
@@ -208,7 +261,7 @@ def test_suite_verdicts_do_not_depend_on_the_block_size(spec81, monkeypatch):
     def run_all():
         clean = [verdict_to_dict(suite(spec)) for suite in suites for spec in specs]
         with monkeypatch.context() as patch:
-            _flip_gsp(patch, wrong)
+            _flip(patch, "gsp", wrong)
             flipped = [verdict_to_dict(suite(spec81)) for suite in suites]
         return clean, flipped
 
@@ -345,6 +398,29 @@ def test_search_exhausts_small_incomplete_universe():
     if not verdict.holds:
         scf, reports = verdict.counterexample
         assert revalidate_witness(scf, "pr", reports[1].witness)
+
+
+def test_search_reports_isp_against_pr(monkeypatch):
+    # The universe of test_search_exhausts_small_incomplete_universe has no
+    # ISP table without PR; every property holds on table 11, and PR is
+    # flipped there.  The flipped report has no witness to re-validate.
+    from prefrev import search_isp_not_pr
+
+    alts = AlternativeSet.letters(4)
+    orders = [parse_order("a~b>c~d", alts), parse_order("d>c>a~b", alts)]
+    domain = Domain.shared(FeasibleSet.explicit(alts, orders), 2)
+    spec = EnumerationSpec(domain, (0, 1, 2, 3))
+    assert search_isp_not_pr(spec, budget=256).holds
+    table = list(enumerate_scfs(spec))[10]
+    assert _holds_everywhere(table)
+    _flip(monkeypatch, "pr", {table.table.tobytes()})
+    monkeypatch.setattr(harness, "revalidate_witness", lambda scf, prop, w: w is None)
+    verdict = search_isp_not_pr(spec, budget=256)
+    assert not verdict.holds
+    assert verdict.checked == verdict.details["tables_examined"] == 11
+    scf, reports = verdict.counterexample
+    assert list(scf.table) == list(table.table)
+    assert [(r.property, r.holds) for r in reports] == [("isp", True), ("pr", False)]
 
 
 def test_counterexample_revalidates_from_serialized_form():
