@@ -19,7 +19,6 @@ import sys
 from .errors import ParseError, PrefrevError
 from .orders import (
     AlternativeSet,
-    Axis,
     enumerate_single_peaked,
     enumerate_strict_orders,
     enumerate_weak_orders,
@@ -32,6 +31,7 @@ from .domains import (
     Domain,
     FeasibleSet,
     ResolventGap,
+    _parse_axis_arg,
     _parse_preset,
     is_complete,
     parse_domain_file,
@@ -106,13 +106,6 @@ def _alts_for(args) -> AlternativeSet:
     return AlternativeSet.default(args.k)
 
 
-def _axis_for(args, alts: AlternativeSet) -> Axis:
-    if getattr(args, "axis", None):
-        names = [t.strip() for t in args.axis.split(",")]
-        return Axis(tuple(alts.index_of(name) for name in names))
-    return Axis.identity(alts.k)
-
-
 # ---------------------------------------------------------------------------
 # orders
 # ---------------------------------------------------------------------------
@@ -125,7 +118,7 @@ def cmd_orders(args) -> int:
     elif args.kind == "strict":
         orders = enumerate_strict_orders(alts.k)
     else:
-        axis = _axis_for(args, alts)
+        axis = _parse_axis_arg(args.axis or "", alts, line=None)
         orders = enumerate_single_peaked(alts.k, axis, strict=args.strict)
     # Rendered one at a time: the orders themselves are never all alive.
     rendered = [format_order(order, alts) for order in orders]
@@ -327,7 +320,7 @@ def _specimen_scf(args) -> Scf:
     if not isinstance(raw, dict):
         raise ParseError("--params must be a JSON object")
     with decoding("--params"):
-        params = rule_params_from_dict(args.rule, raw, alts)
+        params = rule_params_from_dict(raw)
     return builtin(args.rule, domain, **params)
 
 

@@ -64,7 +64,7 @@ from .scf import (
     _EVAL_CELLS,
     Profile,
     Scf,
-    cloned_rule,
+    builtin,
     evaluate,
     range_of,
     rule_kernel,
@@ -492,11 +492,16 @@ def search_isp_not_pr(
     Immediately futile when the target range has at most three alternatives
     or every feasible set is complete, since the theorems then prove no such
     table exists.  Otherwise scans the whole universe if it fits the budget,
-    or a seeded random sample of ``budget`` tables.  ``parallelism`` is
-    accepted and has no effect.
+    or a seeded random sample of ``budget`` tables; a spec with a ``limit``
+    is refused, since the budget alone bounds the search.  ``parallelism``
+    is accepted and has no effect.
     """
     if budget < 0:
         raise ArgumentError(f"table budget {budget} is negative")
+    if spec.limit is not None:
+        raise ArgumentError(
+            "isp-not-pr takes no table limit: the search is bounded by --budget"
+        )
     t0 = time.perf_counter()
     universe = f"{spec.describe()}; budget {budget}"
     if len(spec.target) <= 3:
@@ -632,7 +637,7 @@ def quotient_reduce(
                 FeasibleSet.explicit(alts, {c.rep_p, c.rep_q}) for c in classes
             )
         )
-    quotient = Scf.from_rule(qdomain, cloned_rule(phi.rule, assignment))
+    quotient = builtin("cloned", qdomain, base=phi.rule, assignment=assignment)
     quotient_p = Profile(tuple(c.rep_p for c in classes))
     quotient_q = Profile(tuple(c.rep_q for c in classes))
     if evaluate(quotient, quotient_p) != outcome_p or (

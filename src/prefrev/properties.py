@@ -148,8 +148,9 @@ class PropertyReport:
 
 class _Ctx:
     """Per-domain scan data, kept on the domain (``Domain._scan_context``).
-    Lazy members are built in locals and published by one assignment, so
-    threads sharing a context never see them half built."""
+    The whole-space digits, rank rows and GSP coalition offsets are built on
+    first use, because ISP-only and dictator-only scans work per block and
+    never need the pair arrays."""
 
     __slots__ = (
         "n", "sizes", "strides", "count", "radix", "rank_table", "order_base",

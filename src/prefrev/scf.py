@@ -403,14 +403,19 @@ def _as_axis(value, alts: AlternativeSet) -> Axis:
     return axis
 
 
-def builtin(name: str, domain: Domain, **params) -> Scf:
+def builtin(name: str, domain: Domain, /, **params) -> Scf:
     """Construct one of the built-in rules, validated against the domain.
 
     Names: ``constant(alternative)``, ``dictator-tiebreak(voter, tiebreak)``,
     ``paper-example`` (two voters, alphabetical tie-break),
     ``median-peaks(axis)`` (left median for even societies; needs strict
     single-peaked feasible sets), ``plurality-tiebreak(tiebreak)`` (a
-    deliberately manipulable control).
+    deliberately manipulable control), and ``cloned(base, assignment)``: the
+    :class:`Rule` ``base`` evaluated on the profile blown up along
+    ``assignment``, original voter v receiving the report of voter
+    ``assignment[v]`` (the quotient reduction's collapsed rule).  Voters are
+    0-based; alternatives are indices or names.  This is the only place that
+    knows a rule's parameters: an unknown or missing one is an ArgumentError.
     """
     alts = domain.alts
     if name == "constant":
@@ -433,7 +438,11 @@ def builtin(name: str, domain: Domain, **params) -> Scf:
         norm = {}
     elif name == "median-peaks":
         axis = _as_axis(params.pop("axis", None), alts)
+        seen = set()  # voters sharing one feasible set object share its check
         for v, fs in enumerate(domain.feasible):
+            if id(fs) in seen:
+                continue
+            seen.add(id(fs))
             for order in fs:
                 if not order.is_strict() or not is_single_peaked(order, axis):
                     raise ArgumentError(
@@ -443,22 +452,31 @@ def builtin(name: str, domain: Domain, **params) -> Scf:
         norm = {"axis": axis.order}
     elif name == "plurality-tiebreak":
         norm = {"tiebreak": _as_tiebreak(params.pop("tiebreak", None), alts)}
+    elif name == "cloned":
+        for key in ("base", "assignment"):
+            if key not in params:
+                raise ArgumentError(f"cloned needs a {key!r} parameter")
+        base = params.pop("base")
+        assignment = tuple(int(c) for c in params.pop("assignment"))
+        if base.name == "cloned":
+            raise ArgumentError("cannot clone rule 'cloned'")
+        for c in assignment:
+            if not 0 <= c < domain.n:
+                raise ArgumentError(
+                    f"cloned rule assigns voter {c + 1}, outside 1..{domain.n}"
+                )
+        # the base rule runs on the blown-up society, one voter per entry
+        blown = Domain(tuple(domain.feasible[c] for c in assignment))
+        try:
+            base = builtin(base.name, blown, **base.params).rule
+        except ArgumentError as exc:
+            raise ArgumentError(f"cloned rule base on {blown.n} voters: {exc}") from None
+        norm = {"base": base, "assignment": assignment}
     else:
         raise ArgumentError(f"unknown built-in rule {name!r}")
     if params:
         raise ArgumentError(f"unexpected parameters for {name}: {sorted(params)}")
     return Scf.from_rule(domain, Rule(name, norm))
-
-
-def cloned_rule(base: Rule, assignment: Sequence[int]) -> Rule:
-    """Rule evaluating ``base`` on the profile blown up along ``assignment``.
-
-    ``assignment[v]`` is the index of the (class) voter whose report the
-    original voter v receives; used by the quotient reduction.
-    """
-    if base.name not in _RULE_KERNELS or base.name == "cloned":
-        raise ArgumentError(f"cannot clone rule {base.name!r}")
-    return Rule("cloned", {"base": base, "assignment": tuple(int(c) for c in assignment)})
 
 
 # ---------------------------------------------------------------------------
@@ -501,56 +519,38 @@ def domain_from_dict(data: dict, alts: AlternativeSet) -> Domain:
 
 
 def rule_params_to_dict(rule: Rule, alts: AlternativeSet) -> dict:
-    params = rule.params
-    if rule.name == "constant":
-        return {"alternative": alts.names[params["alternative"]]}
-    if rule.name == "dictator-tiebreak":
-        return {
-            "voter": params["voter"] + 1,
-            "tiebreak": [alts.names[x] for x in params["tiebreak"]],
-        }
-    if rule.name == "median-peaks":
-        return {"axis": [alts.names[x] for x in params["axis"]]}
-    if rule.name == "plurality-tiebreak":
-        return {"tiebreak": [alts.names[x] for x in params["tiebreak"]]}
-    if rule.name == "cloned":
-        return {
-            "base": {
-                "name": params["base"].name,
-                "params": rule_params_to_dict(params["base"], alts),
-            },
-            "assignment": [c + 1 for c in params["assignment"]],
-        }
-    return {}
+    """A rule's parameters in file conventions: voters 1-based, alternatives
+    by name, a clone's base as a nested ``{name, params}``."""
+    doc = {}
+    for key, value in rule.params.items():
+        if key == "voter":
+            value = value + 1
+        elif key == "assignment":
+            value = [c + 1 for c in value]
+        elif key == "alternative":
+            value = alts.names[value]
+        elif key in ("tiebreak", "axis"):
+            value = [alts.names[x] for x in value]
+        elif key == "base":
+            value = {"name": value.name, "params": rule_params_to_dict(value, alts)}
+        doc[key] = value
+    return doc
 
 
-def rule_params_from_dict(name: str, data: dict, alts: AlternativeSet) -> dict:
-    try:
-        if name == "constant":
-            return {"alternative": _as_alt(data["alternative"], alts)}
-        if name == "dictator-tiebreak":
-            return {
-                "voter": int(data["voter"]) - 1,
-                "tiebreak": _as_tiebreak(data.get("tiebreak"), alts),
-            }
-        if name == "median-peaks":
-            return {"axis": _as_axis(data.get("axis"), alts).order}
-        if name == "plurality-tiebreak":
-            return {"tiebreak": _as_tiebreak(data.get("tiebreak"), alts)}
-        if name == "cloned":
-            base = data["base"]
-            return {
-                "base": Rule(
-                    base["name"],
-                    rule_params_from_dict(base["name"], base["params"], alts),
-                ),
-                "assignment": tuple(int(c) - 1 for c in data["assignment"]),
-            }
-        return {}
-    except KeyError as exc:
-        raise ParseError(
-            f"rule {name!r} is missing parameter {exc.args[0]!r}"
-        ) from None
+def rule_params_from_dict(data: dict) -> dict:
+    """:func:`builtin` keywords from file conventions: voters back to
+    0-based, a nested base to a :class:`Rule`.  Alternatives stay names,
+    which builtin takes, and every other key passes through for builtin to
+    refuse."""
+    params = {**data}
+    if "voter" in params:
+        params["voter"] = int(params["voter"]) - 1
+    if "assignment" in params:
+        params["assignment"] = [int(c) - 1 for c in params["assignment"]]
+    if "base" in params:
+        base = params["base"]
+        params["base"] = Rule(base["name"], rule_params_from_dict(base.get("params", {})))
+    return params
 
 
 def scf_to_dict(scf: Scf) -> dict:
@@ -608,28 +608,9 @@ def scf_from_dict(
                 f"'voters' is {voters} but the domain lists {domain.n} voters"
             )
         if "rule" in data:
-            name = data["rule"]["name"]
-            if name not in _RULE_KERNELS:
-                raise ParseError(f"unknown rule {name!r}")
-            params = rule_params_from_dict(name, data["rule"].get("params", {}), alts)
-            if name == "cloned":
-                base, assignment = params["base"], params["assignment"]
-                for c in assignment:
-                    if not 0 <= c < domain.n:
-                        raise ParseError(
-                            f"cloned rule assigns voter {c + 1}, outside 1..{domain.n}"
-                        )
-                # the base rule runs on the blown-up society, one voter per entry
-                blown = Domain(tuple(domain.feasible[c] for c in assignment))
-                try:
-                    base = builtin(base.name, blown, **base.params).rule
-                except ArgumentError as exc:
-                    raise ParseError(
-                        f"cloned rule base on {blown.n} voters: {exc}"
-                    ) from None
-                return Scf.from_rule(domain, cloned_rule(base, assignment))
-            # route through builtin so rule-domain consistency is enforced
-            return builtin(name, domain, **params)
+            rule = data["rule"]
+            params = rule_params_from_dict(rule.get("params", {}))
+            return builtin(rule["name"], domain, **params)
         if "table" in data:
             values = [alts.index_of(name) for name in data["table"]]
             return Scf.from_table(domain, values)

@@ -255,10 +255,11 @@ def _scf_with(**fields):
     return json.dumps({**_SCF_DOC, **fields})
 
 
-def _cloned_scf(assignment, voter):
-    """A cloned dictator rule on 2 voters with strict orders over a, b."""
+def _cloned_scf(assignment, voter, **extra):
+    """A cloned dictator rule on 2 voters with strict orders over a, b;
+    ``extra`` joins the base rule's params."""
     base = {"name": "dictator-tiebreak",
-            "params": {"voter": voter, "tiebreak": ["a", "b"]}}
+            "params": {"voter": voter, "tiebreak": ["a", "b"], **extra}}
     return _scf_with(
         domain={"voters": [{"preset": "@universal-strict"}] * 2},
         rule={"name": "cloned", "params": {"base": base, "assignment": assignment}},
@@ -319,6 +320,27 @@ def test_malformed_input_is_a_clean_error(
         code = exc.code
     assert code == expected
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, text, key", [
+    (["check", "{file}"],
+     _scf_with(rule={"name": "dictator-tiebreak",
+                     "params": {"voter": 1, "tie_break": ["b", "a"]}}),
+     "tie_break"),
+    (["check", "{file}"],
+     _scf_with(rule={"name": "paper-example", "params": {"voter": 1}}), "voter"),
+    (["check", "{file}"], _cloned_scf([1, 2], voter=1, tiebrake=["b", "a"]),
+     "tiebrake"),
+    (["verify", "thm-complete", "--rule", "median-peaks", "--k", "3",
+      "--params", '{"axs": ["3", "2", "1"]}'], None, "axs"),
+], ids=["file-tie_break", "paper-example-param", "cloned-base-key", "params-axs"])
+def test_unknown_rule_parameter_is_an_error_naming_it(capsys, tmp_path, argv, text, key):
+    path = tmp_path / "scf.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, *(a.replace("{file}", str(path)) for a in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and repr(key) in err
 
 
 def _node_paths(doc, path=()):
@@ -510,6 +532,15 @@ def test_verify_rejects_negative_counts(capsys, theorem, flags, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+def test_verify_isp_not_pr_refuses_a_limit(capsys):
+    code, out, err = run(
+        capsys, "verify", "isp-not-pr", "--voters", "2", "--orders-per-voter", "3",
+        "--k", "4", "--limit", "5", "--budget", "300", "--output", "json",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "--budget" in err
+
+
 def test_verify_limit_zero_checks_no_table(capsys):
     code, out, _ = run(capsys, "verify", "prop-apr-gsp", "--limit", "0", "--output", "json")
     assert code == 0
@@ -540,6 +571,22 @@ def test_orders_with_custom_axis(capsys):
     assert lines[-1] == "4 orders"
     # peaks must be contiguous along the b,a,c arrangement
     assert "b>a>c" in lines
+
+
+def test_orders_axis_takes_the_preset_axis_syntax(capsys):
+    outs = []
+    for axis in ("1..3", "1,2,3"):
+        code, out, _ = run(
+            capsys, "orders", "--k", "3", "--kind", "single-peaked", "--axis", axis
+        )
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    code, out, err = run(
+        capsys, "orders", "--k", "3", "--kind", "single-peaked", "--axis", "1,1,2"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad axis '1,1,2'")
 
 
 def test_verify_unknown_property_error(capsys, paper_scf_path):

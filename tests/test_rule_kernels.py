@@ -18,7 +18,7 @@ from prefrev import (
 )
 from prefrev import scf as scf_module
 from prefrev.domains import _parse_preset
-from prefrev.scf import cloned_rule, rule_kernel
+from prefrev.scf import rule_kernel
 
 from conftest import reference_evaluate, reference_table
 
@@ -70,7 +70,7 @@ def rule_cases(draw):
     }[base_name]
     rule = builtin(base_name, blown, **params).rule
     if name == "cloned":
-        scf = Scf.from_rule(domain, cloned_rule(rule, assignment))
+        scf = builtin("cloned", domain, base=rule, assignment=assignment)
     else:
         scf = Scf.from_rule(domain, rule)
     row = st.tuples(*(st.integers(0, len(fs) - 1) for fs in domain.feasible))
@@ -148,7 +148,9 @@ def test_tabulate_blocks_of_a_clone_count_its_blown_up_voters(monkeypatch):
     alts = AlternativeSet.letters(3)
     fs = FeasibleSet.universal_weak(alts)
     base = builtin("plurality-tiebreak", Domain.shared(fs, 40)).rule
-    clone = Scf.from_rule(Domain.shared(fs, 2), cloned_rule(base, [0] * 15 + [1] * 25))
+    clone = builtin(
+        "cloned", Domain.shared(fs, 2), base=base, assignment=[0] * 15 + [1] * 25
+    )
     monkeypatch.setattr(scf_module, "_EVAL_CELLS", 40 * 7)
     factory = scf_module._RULE_KERNELS["plurality-tiebreak"]
     widths = []

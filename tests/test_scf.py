@@ -24,7 +24,10 @@ from prefrev import (
     save_scf,
     tabulate,
 )
-from prefrev.scf import cloned_rule, dumps_canonical, scf_from_dict, scf_to_dict
+from prefrev import scf as scf_module
+from prefrev.cli import main
+from prefrev.orders import Axis, is_single_peaked
+from prefrev.scf import dumps_canonical, scf_from_dict, scf_to_dict
 
 
 @pytest.fixture
@@ -212,8 +215,8 @@ def test_cloned_rule_keeps_voter_positions(abc):
     fs = FeasibleSet.universal_strict(abc)
     base_domain = Domain.shared(fs, 4)
     phi = builtin("dictator-tiebreak", base_domain, voter=2)
-    clone = Scf.from_rule(
-        Domain.shared(fs, 2), cloned_rule(phi.rule, (0, 1, 1, 0))
+    clone = builtin(
+        "cloned", Domain.shared(fs, 2), base=phi.rule, assignment=(0, 1, 1, 0)
     )
     a_top = parse_order("a>b>c", abc)
     c_top = parse_order("c>b>a", abc)
@@ -299,12 +302,70 @@ def test_scf_json_rejects_inconsistent_rule(weak2):
         scf_from_dict(doc)
 
 
-def test_rule_params_from_dict_missing_field(abc):
-    from prefrev import ParseError
-    from prefrev.scf import rule_params_from_dict
+def test_rule_params_from_dict_missing_field(tmp_path, capsys, weak2):
+    # A file's params reach builtin, which names the missing one.
+    doc = scf_to_dict(builtin("dictator-tiebreak", weak2, voter=0))
+    del doc["rule"]["params"]["voter"]
+    with pytest.raises(ArgumentError, match="'voter'"):
+        scf_from_dict(doc)
+    path = tmp_path / "scf.json"
+    path.write_text(dumps_canonical(doc))
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'voter'" in err
 
-    with pytest.raises(ParseError, match="missing parameter"):
-        rule_params_from_dict("dictator-tiebreak", {}, abc)
+
+def test_median_peaks_checks_a_shared_feasible_set_once(monkeypatch):
+    calls = []
+
+    def counting(order, axis):
+        calls.append(order)
+        return is_single_peaked(order, axis)
+
+    monkeypatch.setattr(scf_module, "is_single_peaked", counting)
+    doc = {
+        "alternatives": ["1", "2", "3", "4", "5"],
+        "voters": 1000,
+        "domain": {"voters": [{"preset": "@single-peaked-strict"}] * 1000},
+        "rule": {"name": "median-peaks", "params": {}},
+    }
+    assert scf_from_dict(doc).rule.name == "median-peaks"
+    assert 0 < len(calls) <= 16
+
+
+def _rules_in_file_form(abc):
+    strict = Domain.shared(FeasibleSet.universal_strict(abc), 3)
+    peaks = Domain.shared(
+        FeasibleSet.single_peaked(abc, Axis((1, 0, 2)), strict=True), 3
+    )
+    base = {"name": "dictator-tiebreak", "params": {"voter": 3, "tiebreak": "cab"}}
+    cloned = {
+        "alternatives": ["a", "b", "c"],
+        "voters": 2,
+        "domain": {"voters": [{"preset": "@universal-strict"}] * 2},
+        "rule": {"name": "cloned", "params": {"base": base, "assignment": [2, 1, 2]}},
+    }
+    return [
+        builtin("constant", strict, alternative="c"),
+        builtin("dictator-tiebreak", strict, voter=1, tiebreak=["c", "a", "b"]),
+        builtin("paper-example", Domain.shared(FeasibleSet.universal_weak(abc), 2)),
+        builtin("median-peaks", peaks, axis="bac"),
+        builtin("plurality-tiebreak", strict, tiebreak=["b", "c", "a"]),
+        scf_from_dict(cloned),
+    ]
+
+
+def test_every_rule_survives_save_and_load_byte_for_byte(tmp_path, abc):
+    rules = _rules_in_file_form(abc)
+    assert {phi.rule.name for phi in rules} == set(scf_module._RULE_KERNELS)
+    for phi in rules:
+        path, again = tmp_path / "scf.json", tmp_path / "again.json"
+        save_scf(phi, path)
+        loaded = load_scf(path)
+        assert loaded.rule == phi.rule
+        save_scf(loaded, again)
+        assert path.read_bytes() == again.read_bytes()
+        assert path.read_text() == dumps_canonical(scf_to_dict(phi))
 
 
 def test_voters_naming_one_preset_share_one_feasible_set():
