@@ -12,9 +12,11 @@ seed: volatile fields such as elapsed time are only included with
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .errors import ParseError, PrefrevError
 from .orders import (
@@ -120,18 +122,34 @@ def cmd_orders(args) -> int:
     else:
         axis = _parse_axis_arg(args.axis or "", alts, line=None)
         orders = enumerate_single_peaked(alts.k, axis, strict=args.strict)
-    # Rendered one at a time: the orders themselves are never all alive.
-    rendered = [format_order(order, alts) for order in orders]
-    doc = {
-        "command": "orders",
-        "seed": args.seed,
-        "k": alts.k,
-        "kind": args.kind,
-        "strict": bool(args.strict),
-        "orders": rendered,
-        "count": len(rendered),
-    }
-    _emit(args, doc, rendered + [f"{len(rendered)} orders"])
+    # The enumeration guard raises on the first pull, before any output.
+    head = list(itertools.islice(orders, 1))
+    # Each order is written as it is enumerated, in the bytes
+    # ``dumps_canonical`` gives the whole document; no list of them is kept.
+    write = sys.stdout.write
+    count = 0
+    if args.output == "json":
+        header = dumps_canonical({
+            "command": "orders",
+            "seed": args.seed,
+            "k": alts.k,
+            "kind": args.kind,
+            "strict": bool(args.strict),
+        })
+        write(header[: -len("\n}\n")] + ',\n  "orders": [')
+        # encode_basestring_ascii is what json.dumps applies to a string
+        # under ensure_ascii.
+        sep = "\n    "
+        for order in itertools.chain(head, orders):
+            write(sep + encode_basestring_ascii(format_order(order, alts)))
+            sep = ",\n    "
+            count += 1
+        write(("\n  ]" if count else "]") + f',\n  "count": {count}\n}}\n')
+    else:
+        for order in itertools.chain(head, orders):
+            write(format_order(order, alts) + "\n")
+            count += 1
+        write(f"{count} orders\n")
     return EXIT_HOLDS
 
 

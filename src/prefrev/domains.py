@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import ArgumentError, ConstructionError, ParseError, ResourceGuardError
 from .orders import (
     AlternativeSet,
@@ -35,9 +37,13 @@ from .orders import (
 #: Hard ceiling on materialized profile spaces (tables, exhaustive scans).
 DEFAULT_PROFILE_GUARD = 10_000_000
 
-#: Ceiling on elementary checks performed by :func:`is_complete`
-#: (|O| candidate scans for each of the |O|^2 * k * (k-1) quadruples).
+#: Ceiling on the byte ANDs performed by :func:`is_complete`: each of the
+#: m^2 * k^2 cells (p, q, a, b) of an m-order set ANDs two bit rows over the
+#: members, ceil(m / 8) bytes each.
 COMPLETENESS_GUARD = 1_000_000_000
+
+#: uint64 words one block of the completeness pass ANDs (1 MB).
+_BLOCK_WORDS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -344,42 +350,57 @@ def is_complete(
     """Decide completeness; on failure return the lexicographically first gap.
 
     The scan order is (p, q) by canonical member index, then ordered pairs
-    (a, b); inadmissible quadruples are skipped.  Candidate membership is
-    precomputed as one bitmask per (member, point), which turns each
-    quadruple into a single AND.
+    (a, b); inadmissible quadruples are skipped and ``checked`` counts the
+    admissible ones up to and including the gap.  One ``einsum`` builds, for
+    each member p and point a, a bit row over the members w that resolve the
+    p-indifference at a.  A quadruple is covered when the rows of (p, a) and
+    (q, b) share a bit; blocks of (p, q) pairs AND the rows as uint64 words,
+    so ``max_checks`` bounds the m^2 * k^2 * ceil(m / 8) byte ANDs.
     """
     m, k = len(fs), fs.alts.k
-    cost = m * m * k * (k - 1) * m
+    cost = m * m * k * k * -(-m // 8)
     if cost > max_checks:
         raise ResourceGuardError(
-            f"completeness scan needs {cost} elementary checks, guard is {max_checks}"
+            f"completeness pass needs {cost} byte ANDs, guard is {max_checks}"
         )
-    masks = [
-        [
-            sum(
-                1 << wi
-                for wi, w in enumerate(fs.orders)
-                if resolves_indifference_at(w, p, a)
-            )
-            for a in range(k)
-        ]
-        for p in fs.orders
-    ]
+    ranks = np.array([order.ranks for order in fs.orders], dtype=np.int8)
+    # weak[p, a, x]: a weakly above x in p.  w resolves the p-indifference at
+    # a unless some x != a is weakly below a in p and weakly above a in w;
+    # the x = a term is 1 for every (p, a, w), so a resolvent scores exactly 1.
+    weak = ranks[:, :, None] <= ranks[:, None, :]
+    clashes = np.einsum("pax,wxa->paw", weak.view(np.uint8), weak.view(np.uint8))
+    words = -(-m // 64)
+    bits = np.zeros((m, k, 64 * words), dtype=bool)
+    bits[:, :, :m] = clashes == 1
+    # rows[word, p, a]: one uint64 word of the (p, a) row.
+    rows = np.packbits(bits, axis=-1).view(np.uint64).transpose(2, 0, 1).copy()
+    weak_ba = weak.transpose(0, 2, 1)
+    strict = ranks[:, :, None] < ranks[:, None, :]
+    strict_ba = strict.transpose(0, 2, 1)
+    q_step = max(1, _BLOCK_WORDS // (k * k * words))
+    p_step = max(1, q_step // m)  # whole p rows only when every q fits
     checked = 0
-    for pi, p in enumerate(fs.orders):
-        for qi, q in enumerate(fs.orders):
-            for a in range(k):
-                for b in range(k):
-                    if a == b or not admissible_pair(p, q, a, b):
-                        continue
-                    # Completeness of the orders forces one of the two
-                    # constructive cases on every admissible quadruple.
-                    assert p.strictly_prefers(b, a) or q.strictly_prefers(a, b)
-                    checked += 1
-                    if not masks[pi][a] & masks[qi][b]:
-                        return CompletenessReport(
-                            False, ResolventGap(p, q, a, b), checked
-                        )
+    for p0 in range(0, m, p_step):
+        ps = slice(p0, p0 + p_step)
+        for q0 in range(0, m, q_step):
+            qs = slice(q0, q0 + q_step)
+            # admissible[i, j, a, b]: not (a weakly above b in p and b weakly
+            # above a in q); false on the diagonal a == b.
+            admissible = ~(weak[ps, None] & weak_ba[None, qs])
+            # Completeness of the orders forces one of the two constructive
+            # cases on every admissible quadruple.
+            assert not (admissible & ~strict_ba[ps, None] & ~strict[None, qs]).any()
+            shared = rows[0, ps, None, :, None] & rows[0, None, qs, None, :]
+            for word in rows[1:]:
+                shared |= word[ps, None, :, None] & word[None, qs, None, :]
+            gaps = admissible & (shared == 0)
+            if gaps.any():
+                first = int(gaps.argmax())
+                checked += int(np.count_nonzero(admissible.reshape(-1)[: first + 1]))
+                i, j, a, b = (int(x) for x in np.unravel_index(first, gaps.shape))
+                gap = ResolventGap(fs[p0 + i], fs[q0 + j], a, b)
+                return CompletenessReport(False, gap, checked)
+            checked += int(np.count_nonzero(admissible))
     return CompletenessReport(True, None, checked)
 
 

@@ -427,7 +427,7 @@ def builtin(name: str, domain: Domain, /, **params) -> Scf:
             raise ArgumentError("dictator-tiebreak needs a 'voter' parameter")
         voter = int(params.pop("voter"))
         if not 0 <= voter < domain.n:
-            raise ArgumentError(f"dictator {voter} outside range(0, {domain.n})")
+            raise ArgumentError(f"dictator voter {voter + 1} outside 1..{domain.n}")
         norm = {
             "voter": voter,
             "tiebreak": _as_tiebreak(params.pop("tiebreak", None), alts),

@@ -18,7 +18,8 @@ its witness and ``checked`` count are the canonical ones by construction.
 ``reference_gsp_scan`` is the normalized coalition-by-deviation enumeration;
 ``reference_isp_scan`` and ``reference_dictator_scan`` are the pure-Python
 loops ``check_isp`` and ``check_dictator`` once were; ``reference_pair_scan``
-walks PR or APR over ordered profile pairs.
+walks PR or APR over ordered profile pairs.  ``reference_is_complete`` is
+the quadruple loop ``is_complete`` once was.
 """
 
 import itertools
@@ -31,9 +32,12 @@ from prefrev import (
     Axis,
     ManipulationWitness,
     PrViolation,
+    admissible_pair,
     iter_profiles,
     peak_position,
+    resolves_indifference_at,
 )
+from prefrev.domains import CompletenessReport, ResolventGap
 from prefrev.properties import DictatorCounter, VoterAnalysis
 from prefrev.scf import profile_at, profile_strides
 
@@ -292,6 +296,38 @@ def reference_isp_scan(scf):
                     return False, checked, witness
         _odometer(digits, sizes)
     return True, checked, None
+
+
+def reference_is_complete(fs):
+    """``is_complete``'s report from the canonical quadruple loop: (p, q) by
+    member index, then ordered pairs (a, b), admissible quadruples only,
+    with one bitmask over the members per (member, point)."""
+    k = fs.alts.k
+    masks = [
+        [
+            sum(
+                1 << wi
+                for wi, w in enumerate(fs.orders)
+                if resolves_indifference_at(w, p, a)
+            )
+            for a in range(k)
+        ]
+        for p in fs.orders
+    ]
+    checked = 0
+    for pi, p in enumerate(fs.orders):
+        for qi, q in enumerate(fs.orders):
+            for a in range(k):
+                for b in range(k):
+                    if a == b or not admissible_pair(p, q, a, b):
+                        continue
+                    assert p.strictly_prefers(b, a) or q.strictly_prefers(a, b)
+                    checked += 1
+                    if not masks[pi][a] & masks[qi][b]:
+                        return CompletenessReport(
+                            False, ResolventGap(p, q, a, b), checked
+                        )
+    return CompletenessReport(True, None, checked)
 
 
 def reference_dictator_scan(scf):

@@ -10,12 +10,19 @@ from hypothesis import given, settings, strategies as st
 
 from prefrev import (
     AlternativeSet,
+    Axis,
     Domain,
     FeasibleSet,
     builtin,
+    enumerate_single_peaked,
+    enumerate_strict_orders,
+    enumerate_weak_orders,
+    format_order,
+    parse_alternatives,
     save_scf,
 )
 from prefrev.cli import main
+from prefrev.scf import dumps_canonical
 
 
 def run(capsys, *argv):
@@ -79,9 +86,61 @@ def test_orders_json(capsys):
 
 
 def test_orders_guard_is_an_error(capsys):
-    code, _, err = run(capsys, "orders", "--k", "9", "--kind", "weak")
-    assert code == 1
-    assert "error:" in err
+    for output in ("text", "json"):
+        code, out, err = run(
+            capsys, "orders", "--k", "9", "--kind", "weak", "--output", output
+        )
+        assert code == 1
+        assert "error:" in err
+        assert out == ""
+
+
+@pytest.mark.parametrize(
+    "args, kind, strict, axis",
+    [
+        (("--k", "4", "--kind", "weak"), "weak", False, None),
+        (("--k", "4", "--kind", "strict"), "strict", False, None),
+        (("--k", "1", "--kind", "weak"), "weak", False, None),
+        (("--k", "5", "--kind", "single-peaked"), "single-peaked", False, None),
+        (("--k", "4", "--kind", "single-peaked", "--strict", "--axis", "3,1,4,2"),
+         "single-peaked", True, (2, 0, 3, 1)),
+        (("--k", "3", "--kind", "weak", "--names", "x,\u00e9,\"q", "--seed", "5"),
+         "weak", False, None),
+    ],
+)
+def test_orders_stream_the_canonical_document(capsys, args, kind, strict, axis):
+    # The streamed bytes are the ones the whole document dumps to.
+    argv = dict(zip(args[::2], args[1::2]))
+    k = int(argv["--k"])
+    if "--names" in argv:
+        alts = parse_alternatives(argv["--names"])
+    elif kind == "single-peaked":
+        alts = AlternativeSet.numbered(k)
+    else:
+        alts = AlternativeSet.default(k)
+    if kind == "weak":
+        orders = enumerate_weak_orders(k)
+    elif kind == "strict":
+        orders = enumerate_strict_orders(k)
+    else:
+        orders = enumerate_single_peaked(
+            k, None if axis is None else Axis(axis), strict=strict
+        )
+    rendered = [format_order(order, alts) for order in orders]
+    doc = {
+        "command": "orders",
+        "seed": int(argv.get("--seed", 0)),
+        "k": k,
+        "kind": kind,
+        "strict": strict,
+        "orders": rendered,
+        "count": len(rendered),
+    }
+    code, out, _ = run(capsys, "orders", *args, "--output", "json")
+    assert code == 0 and out == dumps_canonical(doc)
+    code, out, _ = run(capsys, "orders", *args)
+    assert code == 0
+    assert out == "".join(line + "\n" for line in rendered + [f"{len(rendered)} orders"])
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +154,15 @@ def test_domain_complete_universal(capsys, tmp_path):
     code, out, _ = run(capsys, "domain-complete", str(path))
     assert code == 0
     assert "complete" in out
+
+
+def test_domain_complete_universal_weak_k5(capsys, tmp_path):
+    path = tmp_path / "dom.txt"
+    path.write_text("alternatives: a,b,c,d,e\nvoter 1: @universal-weak\n")
+    code, out, _ = run(capsys, "domain-complete", str(path), "--output", "json")
+    assert code == 0
+    voter = json.loads(out)["voters"][0]
+    assert (voter["complete"], voter["checked"], voter["orders"]) == (True, 3956340, 541)
 
 
 def test_domain_complete_singleton_gap(capsys, tmp_path):
@@ -341,6 +409,20 @@ def test_unknown_rule_parameter_is_an_error_naming_it(capsys, tmp_path, argv, te
     code, out, err = run(capsys, *(a.replace("{file}", str(path)) for a in argv))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and repr(key) in err
+
+
+@pytest.mark.parametrize("argv, text, voter", [
+    (["check", "{file}"],
+     _scf_with(rule={"name": "dictator-tiebreak", "params": {"voter": 3}}), 3),
+    (["verify", "thm-complete", "--rule", "dictator-tiebreak",
+      "--params", '{"voter": 0}'], None, 0),
+], ids=["file-voter-3", "params-voter-0"])
+def test_dictator_voter_out_of_range_is_named_1_based(capsys, tmp_path, argv, text, voter):
+    path = tmp_path / "scf.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, *(a.replace("{file}", str(path)) for a in argv))
+    assert (code, out, err) == (1, "", f"error: dictator voter {voter} outside 1..2\n")
 
 
 def _node_paths(doc, path=()):

@@ -1,9 +1,12 @@
 """Resolvent constructions, completeness decisions, and the domain file format."""
 
 import itertools
+import random
 
 import pytest
 
+from conftest import reference_is_complete
+from prefrev import domains
 from prefrev import (
     AlternativeSet,
     ArgumentError,
@@ -273,11 +276,88 @@ def test_with_w_ab_completion(abc):
     assert is_complete(with_w_ab_completion(base)).complete
 
 
+def test_is_complete_decides_universal_weak_k5():
+    # 541 orders: 541^2 * 5^2 * 68 = 497,557,700 byte ANDs, inside the guard.
+    report = is_complete(FeasibleSet.universal_weak(AlternativeSet.letters(5)))
+    assert (report.complete, report.gap, report.checked) == (True, None, 3_956_340)
+
+
 def test_is_complete_guard():
-    alts = AlternativeSet.letters(5)
-    fs = FeasibleSet.universal_weak(alts)
-    with pytest.raises(ResourceGuardError):
+    fs = FeasibleSet.universal_weak(AlternativeSet.letters(6))
+    message = "completeness pass needs 462645595944 byte ANDs, guard is 1000000000"
+    with pytest.raises(ResourceGuardError) as info:
         is_complete(fs)
+    assert str(info.value) == message
+
+
+def _report(report):
+    return report.complete, report.gap, report.checked
+
+
+def _preset_sets():
+    for k in range(1, 6):
+        alts = AlternativeSet.letters(k)
+        yield FeasibleSet.universal_weak(alts)
+        yield FeasibleSet.universal_strict(alts)
+        for strict in (False, True):
+            yield FeasibleSet.single_peaked(alts, strict=strict)
+            reversed_axis = Axis(tuple(reversed(range(k))))
+            yield FeasibleSet.single_peaked(alts, reversed_axis, strict=strict)
+    alts = AlternativeSet.letters(4)
+    shuffled = Axis((2, 0, 3, 1))
+    yield FeasibleSet.single_peaked(alts, shuffled)
+    yield FeasibleSet.single_peaked(alts, shuffled, strict=True)
+    for base in (
+        FeasibleSet.explicit(alts, [parse_order("a~b>c~d", alts)]),
+        FeasibleSet.single_peaked(alts, shuffled, strict=True),
+        FeasibleSet.explicit(
+            AlternativeSet.letters(5), [parse_order("a~b~c>d>e", AlternativeSet.letters(5))]
+        ),
+    ):
+        yield with_w_ab_completion(base)
+
+
+def test_is_complete_matches_the_loop_on_every_preset():
+    for fs in _preset_sets():
+        assert _report(is_complete(fs)) == _report(reference_is_complete(fs)), fs.preset
+
+
+def test_is_complete_matches_the_loop_on_random_subsets(monkeypatch):
+    rng = random.Random(20260419)
+    universes = [FeasibleSet.universal_weak(AlternativeSet.letters(k)) for k in (3, 4)]
+    gaps = 0
+    for _ in range(300):
+        full = rng.choice(universes)
+        size = rng.randint(1, min(30, len(full)))
+        fs = FeasibleSet.explicit(full.alts, rng.sample(full.orders, size))
+        expected = _report(reference_is_complete(fs))
+        gaps += not expected[0]
+        for words in (domains._BLOCK_WORDS, 1, 40, 1000):
+            monkeypatch.setattr(domains, "_BLOCK_WORDS", words)
+            assert _report(is_complete(fs)) == expected
+    assert 0 < gaps < 300
+
+
+def test_is_complete_gap_in_the_first_and_the_last_block(abc, monkeypatch):
+    # One (p, q) pair a block: the first gap sits in block p * m + q.
+    monkeypatch.setattr(domains, "_BLOCK_WORDS", 1)
+    first = FeasibleSet.explicit(abc, [parse_order("a~b>c", abc)] + [
+        parse_order(text, abc) for text in ("a>b>c", "c>b>a")
+    ])
+    last = FeasibleSet.explicit(
+        abc, [parse_order(text, abc) for text in ("a>b>c", "b>a>c", "c>a~b")]
+    )
+    for fs, pair in ((first, (0, 0)), (last, (2, 2))):
+        report = is_complete(fs)
+        assert (fs.index_of(report.gap.p), fs.index_of(report.gap.q)) == pair
+        assert _report(report) == _report(reference_is_complete(fs))
+    assert is_complete(last).checked == 35
+    # A (p, q) pair is 9 words here: blocks of 1 and 2 pairs, one p row
+    # (3 pairs), two p rows and every pair.
+    for words in (9, 18, 27, 54, 81):
+        monkeypatch.setattr(domains, "_BLOCK_WORDS", words)
+        for fs in (first, last):
+            assert _report(is_complete(fs)) == _report(reference_is_complete(fs))
 
 
 # ---------------------------------------------------------------------------
