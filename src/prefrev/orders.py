@@ -326,14 +326,40 @@ def enumerate_strict_orders(k: int) -> Iterator[WeakOrder]:
 def enumerate_single_peaked(
     k: int, axis: Axis | None = None, strict: bool = False
 ) -> Iterator[WeakOrder]:
-    """Single-peaked orders on the axis; 2^(k-1) of them when strict."""
+    """Single-peaked orders on the axis, lexicographic in the rank vector;
+    2^(k-1) of them when strict.
+
+    The peak is level 0, and each next level takes the ranked interval's
+    left neighbour on the axis, its right neighbour or, for weak orders,
+    both; so every order is built once and none is filtered out.
+    """
     _check_enumeration_k(k)
     if axis is None:
         axis = Axis.identity(k)
-    source = enumerate_strict_orders(k) if strict else enumerate_weak_orders(k)
-    for order in source:
-        if is_single_peaked(order, axis):
-            yield order
+    found = []
+    # seq[p]: the level of the alternative at axis position p, for lo..hi;
+    # a call writes only positions outside its interval.
+    seq = [0] * k
+
+    def grow(lo: int, hi: int, level: int) -> None:
+        if hi - lo == k - 1:
+            found.append(tuple(seq[p] for p in axis.positions))
+            return
+        if lo:
+            seq[lo - 1] = level
+            grow(lo - 1, hi, level + 1)
+        if hi < k - 1:
+            seq[hi + 1] = level
+            grow(lo, hi + 1, level + 1)
+            if lo and not strict:
+                seq[lo - 1] = level
+                grow(lo - 1, hi + 1, level + 1)
+
+    for peak in range(k):
+        seq[peak] = 0
+        grow(peak, peak, 1)
+    for ranks in sorted(found):
+        yield WeakOrder(ranks)
 
 
 # ---------------------------------------------------------------------------

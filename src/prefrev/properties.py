@@ -6,12 +6,21 @@ all of them when the property holds).  Every scan is a numpy pass over
 blocks of profile rows, so the answer never depends on the block size.
 
 ISP takes profiles, then voters, then each voter's other orders: a row of
-sum(m_v - 1) single-voter deviations, whose targets come from the digits
-and strides of the profile index.  Dictatorship takes voters, then
-profiles: a voter is served where phi(P) has rank 0 under their order.
-Both run serially, in blocks that start at about ``_FIRST_CELLS`` cells and
-double, so an early failure stays cheap, and they build no array over the
-whole profile space.
+sum(m_v - 1) single-voter deviations.  It is decided by lines.  Voter v's
+line through P is the m_v profiles that differ from P at most in v's
+order, and P has a failing deviation of v exactly when some outcome on
+that line is ranked above phi(P) by v's order at P.  One pass ORs the
+table's one-hot outcome rows along each voter's axis into the outcome set
+of every line; then each (P, v) is one AND of that set with the packed row
+of what v's order ranks above phi(P): n * count tests of ceil(k / 8) bytes
+instead of count * sum(m_v - 1) deviations.  Only the first failing line
+is walked, to find its slot.  Dictatorship takes voters, then profiles: a
+voter is served where phi(P) has rank 0 under their order.  Both run
+serially, over blocks of whole chunks of profiles (:meth:`_Ctx.key_blocks`)
+that start at about ``_FIRST_CELLS`` cells and double, so an early failure
+stays cheap.  No block divides per profile or builds an array over the
+whole profile space; ISP's line pass alone builds a one-hot copy of the
+table and count / m_v outcome sets for each voter v.
 
 GSP, PR and APR are constraints on ordered profile pairs (P, Q) and share
 one numpy pass.  With x = phi(P) and y = phi(Q), voter v *keeps* x if P_v
@@ -148,13 +157,13 @@ class PropertyReport:
 
 class _Ctx:
     """Per-domain scan data, kept on the domain (``Domain._scan_context``).
-    The whole-space digits, rank rows and GSP coalition offsets are built on
-    first use, because ISP-only and dictator-only scans work per block and
-    never need the pair arrays."""
+    The whole-space digits and rank rows, ISP's bit rows, the serial scans'
+    chunks and GSP's coalition offsets are built on first use, so a scan
+    builds only what it reads."""
 
     __slots__ = (
-        "n", "sizes", "strides", "count", "radix", "rank_table", "order_base",
-        "deviations", "digits", "arrays", "coalitions",
+        "n", "sizes", "strides", "count", "rank_table", "order_base",
+        "digits", "arrays", "isp_rows", "chunks", "coalitions",
     )
 
     def __init__(self, domain: Domain):
@@ -168,14 +177,10 @@ class _Ctx:
             [order.ranks for fs in domain.feasible for order in fs], dtype=np.int8
         )
         self.order_base = np.cumsum((0,) + self.sizes[:-1])
-        self.radix = (np.array(self.strides), np.array(self.sizes))
-        # ISP's cases at a profile, by voter v and slot j < m_v - 1: the
-        # voter, the slot and v's stride.
-        voter = np.repeat(np.arange(self.n), [m - 1 for m in self.sizes])
-        slot = np.concatenate([np.arange(m - 1) for m in self.sizes])
-        self.deviations = (voter, slot, self.radix[0][voter])
         self.digits = None
         self.arrays = None
+        self.isp_rows = None
+        self.chunks = None
         self.coalitions = None
 
     def build_digits(self):
@@ -200,16 +205,72 @@ class _Ctx:
             self.arrays = (digits, rank_rows, base)
         return self.arrays
 
-    def own_ranks(self, table, lo, hi):
-        """``(digits, rows, own)`` for profiles lo..hi-1, each ``(hi - lo, n)``:
-        voter v's order index at P, that order's flat offset in
-        ``rank_table``, and the rank of phi(P) under it.  Computed per block,
-        so the serial scans need no whole-space arrays."""
-        strides, sizes = self.radix
-        digits = np.arange(lo, hi)[:, None] // strides % sizes
-        rows = (self.order_base + digits) * self.rank_table.shape[1]
-        own = self.rank_table.reshape(-1)[rows + table[lo:hi, None]]
-        return digits, rows, own
+    def build_isp_rows(self):
+        """``(better, onehot)``, rows over the alternatives bit-packed in
+        little bit order: ``better[g * k + x]`` holds what global order g
+        ranks strictly above x, ``onehot[x]`` holds x alone."""
+        if self.isp_rows is None:
+            ranks = self.rank_table
+            k = ranks.shape[1]
+            better = (ranks[:, None, :] < ranks[:, :, None]).reshape(-1, k)
+            self.isp_rows = (
+                np.packbits(better, axis=1, bitorder="little"),
+                np.packbits(np.eye(k, dtype=bool), axis=1, bitorder="little"),
+            )
+        return self.isp_rows
+
+    def build_chunks(self):
+        """What :meth:`key_blocks` needs of the domain: ``(span, head,
+        line_strides, tail)``.
+
+        The serial scans take profiles in chunks of ``span`` consecutive
+        ones, the largest stride (or the whole space) of at most about
+        ``_FIRST_CELLS / n`` profiles.  In profile ``c * span + s`` a voter
+        whose stride is below ``span`` reads their order from s, and the
+        others from c, by ``head``'s divisors and moduli (voter columns).
+        ``tail`` holds the keys less phi and the line numbers of each
+        profile s of chunk 0; chunk c adds to both.  ``line_strides[v, u]``
+        is voter u's stride in the numbering of voter v's lines: C order
+        over the other voters' orders, after the lines of voters 0..v-1.
+        """
+        if self.chunks is None:
+            strides = np.array(self.strides)[:, None]
+            sizes = np.array(self.sizes)[:, None]
+            cap = max(1, _FIRST_CELLS // self.n)
+            span = next(s for s in (self.count,) + self.strides if s <= cap)
+            # Voter v's lines leave out v's axis, so a voter u before v
+            # strides m_v times less.
+            before = np.tri(self.n, dtype=bool)
+            line_strides = np.where(before, strides.T // sizes, strides.T)
+            np.fill_diagonal(line_strides, 0)
+            head = (np.maximum(strides // span, 1), np.where(strides < span, 1, sizes))
+            digits = np.arange(span) // strides % sizes
+            keys = (self.order_base[:, None] + digits) * self.rank_table.shape[1]
+            line_base = np.cumsum([0] + [self.count // m for m in self.sizes[:-1]])
+            lines = line_strides @ digits + line_base[:, None]
+            self.chunks = (span, head, line_strides, (keys[:, None], lines[:, None]))
+        return self.chunks
+
+    def key_blocks(self, table, lines=False):
+        """``(lo, keys, lines)`` for blocks of consecutive profiles from lo,
+        whole chunks sized by :func:`_growing_blocks`; both ``(n, rows)``.
+        ``keys[v, r]`` is ``g * k + phi(P)``, g being voter v's global order
+        at P = lo + r: the flat place of phi(P)'s rank under g in
+        ``rank_table`` and of its row in ISP's ``better``.  ``lines[v, r]``
+        numbers v's line through P (or is None unless asked for).  Nothing
+        is divided per profile, and no block builds a whole-space array."""
+        span, (div, mod), line_strides, (tail_keys, tail_lines) = self.build_chunks()
+        k = self.rank_table.shape[1]
+        chunks = table.reshape(-1, span)
+        for lo, hi in _growing_blocks(self.count // span, self.n * span):
+            keys, at = tail_keys, tail_lines
+            if span < self.count:
+                digits = np.arange(lo, hi) // div % mod
+                keys = keys + (digits * k)[:, :, None]
+                if lines:
+                    at = at + (line_strides @ digits)[:, :, None]
+            keys = (keys + chunks[lo:hi]).reshape(self.n, -1)
+            yield lo * span, keys, at.reshape(self.n, -1) if lines else None
 
     def coalition_offsets(self) -> dict[tuple[int, ...], int]:
         """GSP cases of a profile row before each coalition's first: by size,
@@ -232,12 +293,12 @@ def _prepare(scf: Scf, max_profiles: int):
 
 
 def _growing_blocks(count, per_row, most=_SERIAL_CELLS):
-    """``(lo, hi)`` profile ranges covering ``range(count)``, ``per_row``
-    cells a profile.  The first block holds about ``_FIRST_CELLS`` cells, so
-    an early failure stays cheap, and each next one twice as many, up to
-    ``most`` (never past ``_BLOCK_CELLS``).  At the default, ISP's and
-    dictatorship's int64 temporaries stay in cache and are not
-    page-faulted."""
+    """``(lo, hi)`` ranges covering ``range(count)`` of rows (profiles, or
+    chunks of them), ``per_row`` cells a row.  The first block holds about
+    ``_FIRST_CELLS`` cells, so an early failure stays cheap, and each next
+    one twice as many, up to ``most`` (never past ``_BLOCK_CELLS``).  At
+    the default, ISP's and dictatorship's int64 temporaries stay in cache
+    and are not page-faulted."""
     per_row = max(1, per_row)
     rows = max(1, min(_FIRST_CELLS, _BLOCK_CELLS) // per_row)
     most = max(1, min(most, _BLOCK_CELLS) // per_row)
@@ -262,34 +323,42 @@ def check_isp(
     """No single voter can gain by misreporting.
 
     A profile row has one case per voter v and other order of v, taken in
-    that order: slot j of v is order ``j + (j >= d)``, d being v's truthful
-    order, so the deviation is profile ``P + (j + (j >= d) - d) * stride_v``.
-    It fails where v ranks phi(deviation) above phi(P).
+    that order: slot j of v is order ``e = j + (j >= d)``, d being v's
+    truthful order, and fails where v ranks phi at ``P + (e - d) *
+    stride_v`` above phi(P).  Those targets are v's line through P, so
+    (P, v) has a failing slot exactly when the line's outcome set meets
+    the alternatives d ranks above phi(P): one AND of packed rows per
+    (P, v).  Only the first failing line is walked for its slot.
     """
     t0 = time.perf_counter()
     ctx, table = _prepare(scf, max_profiles)
-    voter, slot, stride = ctx.deviations
-    flat_ranks = ctx.rank_table.reshape(-1)
-    per_row = len(voter)
+    better, onehot = ctx.build_isp_rows()
+    # present[lines[v, r]]: the outcomes on voter v's line through P.
+    cube = onehot.take(table, axis=0).reshape(ctx.sizes + (-1,))
+    present = np.concatenate([
+        np.bitwise_or.reduce(cube, axis=v).reshape(-1, onehot.shape[1])
+        for v in range(ctx.n)
+    ])
+    per_row = sum(ctx.sizes) - ctx.n
     checked = ctx.count * per_row
     witness = None
-    blocks = _growing_blocks(ctx.count, per_row) if per_row else ()
-    for lo, hi in blocks:
-        digits, rows, own = ctx.own_ranks(table, lo, hi)
-        d = digits[:, voter]
-        dev = np.arange(lo, hi)[:, None] + (slot + (slot >= d) - d) * stride
-        dev_out = table[dev]
-        fails = flat_ranks[rows[:, voter] + dev_out] < own[:, voter]
-        pos = int(fails.argmax())
-        if fails.flat[pos]:
-            r, c = divmod(pos, per_row)
-            v, j = int(voter[c]), int(slot[c])
-            order = scf.domain.feasible[v][j + (j >= d[r, c])]
+    for lo, keys, lines in ctx.key_blocks(table, lines=True):
+        fails = (
+            present.take(lines, axis=0) & better.take(keys, axis=0)
+        ).any(axis=2)
+        hit = fails.any(axis=0)
+        r = int(hit.argmax())
+        if hit[r]:
+            i, v = lo + r, int(fails[:, r].argmax())
+            d = i // ctx.strides[v] % ctx.sizes[v]
+            ranks = ctx.rank_table[ctx.order_base[v] + d]
+            line = table[i + (np.arange(ctx.sizes[v]) - d) * ctx.strides[v]]
+            e = int((ranks[line] < ranks[table[i]]).argmax())
             witness = ManipulationWitness(
-                (v,), profile_at(scf.domain, lo + r), (order,),
-                int(table[lo + r]), int(dev_out[r, c]),
+                (v,), profile_at(scf.domain, i), (scf.domain.feasible[v][e],),
+                int(table[i]), int(line[e]),
             )
-            checked = lo * per_row + pos + 1
+            checked = i * per_row + sum(ctx.sizes[:v]) - v + e - (e > d) + 1
             break
     return PropertyReport(
         "isp", witness is None, witness, checked, time.perf_counter() - t0, scf
@@ -591,10 +660,10 @@ def check_dictator(
     t0 = time.perf_counter()
     ctx, table = _prepare(scf, max_profiles)
     first = np.full(ctx.n, -1)
-    for lo, hi in _growing_blocks(ctx.count, ctx.n):
-        unserved = ctx.own_ranks(table, lo, hi)[2] != 0
-        found = (first < 0) & unserved.any(axis=0)
-        first[found] = lo + unserved.argmax(axis=0)[found]
+    for lo, keys, _ in ctx.key_blocks(table):
+        unserved = ctx.rank_table.reshape(-1)[keys] != 0
+        found = (first < 0) & unserved.any(axis=1)
+        first[found] = lo + unserved.argmax(axis=1)[found]
         if (first >= 0).all():
             break
     checked = 0

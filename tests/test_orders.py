@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -269,6 +270,20 @@ def test_single_peaked_counts_are_axis_independent():
         assert sum(1 for _ in enumerate_single_peaked(4, axis)) == sum(
             1 for _ in enumerate_single_peaked(4)
         )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
+def test_single_peaked_enumeration_is_the_filtered_universe(k):
+    # Grown from the peak, the family must be exactly the universal
+    # enumeration filtered by is_single_peaked, in the same order.
+    rng = random.Random(k)
+    axes = [Axis.identity(k), Axis(tuple(reversed(range(k))))]
+    axes += [Axis(tuple(rng.sample(range(k), k))) for _ in range(3)]
+    weak, strict = list(enumerate_weak_orders(k)), list(enumerate_strict_orders(k))
+    for axis in axes:
+        for universe, is_strict in ((weak, False), (strict, True)):
+            want = [order for order in universe if is_single_peaked(order, axis)]
+            assert list(enumerate_single_peaked(k, axis, strict=is_strict)) == want
 
 
 # ---------------------------------------------------------------------------

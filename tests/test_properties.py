@@ -18,6 +18,7 @@ from prefrev import (
     Profile,
     ResourceGuardError,
     Scf,
+    WeakOrder,
     builtin,
     check_apr,
     check_dictator,
@@ -670,6 +671,116 @@ def test_isp_and_dictator_match_the_reference_scans(monkeypatch, cells):
     assert seen == {(p, h) for p in ("isp", "dictator") for h in (True, False)}
     assert {n for n, _ in shapes} == {1, 2, 3}
     assert any(smallest == 1 for _, smallest in shapes)  # a singleton feasible set
+
+
+def _isp_domain(rng, k):
+    """1-3 voters, each a sample of the weak orders on k alternatives; about
+    one voter in five has a single order."""
+    from prefrev import enumerate_weak_orders
+
+    alts = AlternativeSet.letters(k)
+    weak = list(enumerate_weak_orders(k))
+    n = rng.randint(1, 3)
+    most = min(4 if n == 3 else 7, len(weak))
+    return Domain(tuple(
+        FeasibleSet.explicit(
+            alts, rng.sample(weak, 1 if rng.random() < 0.2 else rng.randint(min(2, most), most))
+        )
+        for _ in range(n)
+    ))
+
+
+@pytest.mark.parametrize("cells", [None, 1, 24])
+def test_isp_matches_the_reference_scan_on_seeded_tables(monkeypatch, cells):
+    # 700 tables a block size, so 2,100 in all: n = 1-3, k = 1-4, holding
+    # rules (dictators, constants) and random tables on two alternatives
+    # or on all.  The patched sizes set both the chunks a domain's lines
+    # are cut into and the blocks of chunks a scan takes.
+    if cells is not None:
+        monkeypatch.setattr(properties, "_FIRST_CELLS", cells)
+        monkeypatch.setattr(properties, "_BLOCK_CELLS", cells)
+    rng = random.Random(1606)
+    seen = set()
+    for _ in range(350):
+        domain = _isp_domain(rng, rng.randint(1, 4))
+        count, k = domain.profile_count(), domain.k
+        scfs = [
+            tabulate(builtin("dictator-tiebreak", domain, voter=rng.randrange(domain.n))),
+            Scf.from_table(domain, [rng.randrange(k)] * count),
+            Scf.from_table(domain, [rng.randrange(k) for _ in range(count)]),
+            Scf.from_table(domain, [rng.choice(rng.sample(range(k), min(k, 2))) for _ in range(count)]),
+        ]
+        for scf in rng.sample(scfs, 2):
+            doc = _reference_doc(scf, "isp", reference_isp_scan)
+            assert report_to_dict(check_isp(scf)) == doc
+            seen.add(("holds", doc["holds"]))
+            seen.add(("n", domain.n))
+            seen.add(("k", k))
+            seen.add(("single", min(len(fs) for fs in domain.feasible) == 1))
+    assert seen == {("holds", True), ("holds", False), ("single", True), ("single", False)} | {
+        ("n", n) for n in (1, 2, 3)
+    } | {("k", k) for k in (1, 2, 3, 4)}
+
+
+@pytest.mark.parametrize("cells", [1, 6, 20])
+def test_isp_failure_in_the_first_middle_and_last_block(monkeypatch, cells):
+    # Every order ranks c last, so in a constant-a table with c at one
+    # profile the first ISP failure is there: the voters at that profile
+    # gain a by leaving it, and no one else gains c by moving to it.
+    import numpy as np
+
+    monkeypatch.setattr(properties, "_FIRST_CELLS", cells)
+    monkeypatch.setattr(properties, "_BLOCK_CELLS", cells)
+    alts = AlternativeSet.letters(3)
+    orders = [parse_order(text, alts) for text in ("a>b>c", "b>a>c", "a~b>c")]
+    domain = Domain(tuple(
+        FeasibleSet.explicit(alts, orders[:m]) for m in (3, 1, 2, 3)
+    ))
+    count = domain.profile_count()
+    starts = [lo for lo, _, _ in domain._scan_context.key_blocks(np.zeros(count, np.uint8))]
+    assert len(starts) >= 3
+    for profile in (0, starts[len(starts) // 2], count - 1):
+        values = [0] * count
+        values[profile] = 2
+        scf = Scf.from_table(domain, values)
+        doc = _reference_doc(scf, "isp", reference_isp_scan)
+        assert (doc["checked"] - 1) // 5 == profile  # 2 + 0 + 1 + 2 cases a profile
+        assert report_to_dict(check_isp(scf)) == doc
+    assert report_to_dict(check_isp(Scf.from_table(domain, [0] * count))) == {
+        "property": "isp", "holds": True, "checked": 5 * count,
+    }
+
+
+def test_isp_on_bit_rows_wider_than_a_byte():
+    # k = 10: the outcome sets and the better-than rows take two bytes.
+    rng = random.Random(10)
+    alts = AlternativeSet.letters(10)
+
+    def weak_order():
+        levels = [rng.randrange(4) for _ in range(10)]
+        used = sorted(set(levels))
+        return WeakOrder(tuple(used.index(level) for level in levels))
+
+    for _ in range(30):
+        domain = Domain(tuple(
+            FeasibleSet.explicit(alts, [weak_order() for _ in range(rng.randint(1, 6))])
+            for _ in range(rng.randint(1, 3))
+        ))
+        count = domain.profile_count()
+        for values in (
+            [rng.randrange(10) for _ in range(count)],
+            [rng.choice((1, 8, 9)) for _ in range(count)],
+        ):
+            scf = Scf.from_table(domain, values)
+            assert report_to_dict(check_isp(scf)) == _reference_doc(scf, "isp", reference_isp_scan)
+
+
+def test_isp_checked_count_on_a_holding_weak_dictator():
+    # 75 weak orders a voter: 5,625 profiles and 74 + 74 deviations each.
+    domain = Domain.shared(FeasibleSet.universal_weak(AlternativeSet.letters(4)), 2)
+    report = check_isp(tabulate(builtin("dictator-tiebreak", domain, voter=1)))
+    assert report.holds
+    assert report.checked == 5625 * (74 + 74) == 832_500
 
 
 def _edge_domain():
