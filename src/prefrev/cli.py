@@ -2,11 +2,13 @@
 
 Exit codes follow one convention across subcommands: 0 when the checked
 property or theorem holds, 2 when a witness or counterexample was found,
-1 on errors (bad files, guard violations, inconsistent parameters).
+1 on errors (bad files, guard violations, inconsistent parameters, and
+usage errors such as a missing argument or a value that is not a number).
 
 Structured (``--output json``) reports are byte-deterministic for a given
 seed: volatile fields such as elapsed time are only included with
-``--timings``, and the worker count never changes any reported value.
+``--timings``.  Every scan is serial: ``--parallelism`` (or
+``PREFREV_PARALLELISM``) must be an integer and changes nothing.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .errors import ParseError, PrefrevError
+from .errors import ArgumentError, ParseError, PrefrevError
 from .orders import (
     AlternativeSet,
     enumerate_single_peaked,
@@ -83,8 +85,8 @@ def _common_options(parser: argparse.ArgumentParser) -> None:
         # A string default goes through ``type`` too, so a bad value in the
         # environment is reported like a bad --parallelism.
         default=os.environ.get("PREFREV_PARALLELISM", "1"),
-        help="accepted for compatibility: every scan runs serially, so "
-        "results are identical for any value",
+        help="accepted for compatibility: must be an integer, and changes "
+        "nothing, since every scan runs serially",
     )
     parser.add_argument("--timings", action="store_true",
                         help="include elapsed times in structured output")
@@ -251,6 +253,8 @@ def cmd_check(args) -> int:
         return EXIT_HOLDS if all_valid else EXIT_WITNESS
 
     wanted = [p.strip() for p in args.properties.split(",") if p.strip()]
+    if not wanted:
+        raise PrefrevError("--properties names no property")
     for prop in wanted:
         if prop not in CHECKERS:
             raise PrefrevError(f"unknown property {prop!r}")
@@ -295,6 +299,10 @@ def _universe_domain(args) -> Domain:
                 f"--orders describes {len(per_voter)} voters, expected {args.voters}"
             )
         return Domain(tuple(per_voter))
+    if args.orders_per_voter < 1:
+        raise PrefrevError(
+            f"--orders-per-voter is {args.orders_per_voter}; it must be at least 1"
+        )
     strict = sorted(enumerate_strict_orders(alts.k), key=lambda o: o.ranks)
     if args.orders_per_voter > len(strict):
         raise PrefrevError(
@@ -457,8 +465,17 @@ def cmd_quotient(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors end like every other error:
+    ``error: …`` on stderr and exit 1 (argparse's own exit 2 is the
+    witness code).  Subcommand parsers are made of the same class."""
+
+    def error(self, message):
+        raise ArgumentError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prefrev",
         description="verify strategy-proofness and preference-reversal "
         "properties of social choice functions",
@@ -528,9 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except PrefrevError as exc:
         print(f"error: {exc}", file=sys.stderr)

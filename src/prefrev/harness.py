@@ -31,8 +31,9 @@ and ``isp-not-pr`` stop at the first table that breaks a relation, and
 first such table.  Only that one table becomes an :class:`Scf`: the full
 checker of every property the relations name runs on it, a verdict that
 differs from the kernel's is a ``RuntimeError``, and the reports of the
-first relation it breaks are the counterexample.  The walk is serial, and
-every suite's ``parallelism`` keyword is accepted and has no effect.
+first relation it breaks are the counterexample.  The walk is serial.  A
+universe whose tables are past the checkers' pair guard is refused before
+its first block is built.
 
 The quotient reduction simulates the infinite-society argument on large
 replicated finite societies: voters are collapsed into classes by their
@@ -74,6 +75,7 @@ from .scf import (
 from .properties import (
     CHECKERS,
     PropertyReport,
+    _require_pairs,
     check_isp,
     check_pr,
     report_to_dict,
@@ -180,13 +182,16 @@ def _walk(spec, blocks, relations, counts=None):
     """The first table in ``blocks`` that breaks one of ``relations``.
 
     Each relation is ``(a, "<=", b)`` or ``(a, "==", b)`` over property
-    names.  With ``counts``, every block is walked and the tables where each
-    named property holds are added up in it; otherwise the walk stops at the
+    names, at least one of them decided over profile pairs.  With
+    ``counts``, every block is walked and the tables where each named
+    property holds are added up in it; otherwise the walk stops at the
     first breaking table.  The full checkers of every named property run on
     that table, and any verdict that differs from the kernel's is a
     RuntimeError.  Returns ``(its 1-based table number, (its Scf, the
-    reports of a and b))`` for the first relation it breaks, or None.
+    reports of a and b))`` for the first relation it breaks, or None.  The
+    pair guard is checked before ``blocks`` is first advanced.
     """
+    _require_pairs(spec.domain.profile_count())
     props = tuple(dict.fromkeys(p for a, _, b in relations for p in (a, b)))
     first = None
     for lo, rows in blocks:
@@ -290,13 +295,9 @@ def _all_complete(domain: Domain) -> bool:
 def verify_prop_apr_gsp(
     spec: EnumerationSpec,
     *,
-    parallelism: int = 1,
     max_tables: int = DEFAULT_TABLE_GUARD,
 ) -> TheoremVerdict:
-    """Group strategy-proofness coincides with almost preference reversal.
-
-    ``parallelism`` is accepted and has no effect.
-    """
+    """Group strategy-proofness coincides with almost preference reversal."""
     t0 = time.perf_counter()
     total = _require_universe(spec, max_tables)
     blocks, relations = _table_blocks(spec, total), [("gsp", "==", "apr")]
@@ -315,13 +316,9 @@ def verify_prop_apr_gsp(
 def verify_thm_range3(
     spec: EnumerationSpec,
     *,
-    parallelism: int = 1,
     max_tables: int = DEFAULT_TABLE_GUARD,
 ) -> TheoremVerdict:
-    """With |target| <= 3, ISP implies PR; corollary: #ISP equals #GSP.
-
-    ``parallelism`` is accepted and has no effect.
-    """
+    """With |target| <= 3, ISP implies PR; corollary: #ISP equals #GSP."""
     if len(spec.target) > 3:
         raise ArgumentError("thm-range3 needs a target range of at most 3")
     t0 = time.perf_counter()
@@ -345,13 +342,9 @@ def verify_thm_range3(
 def verify_summary_equivalence(
     spec: EnumerationSpec,
     *,
-    parallelism: int = 1,
     max_tables: int = DEFAULT_TABLE_GUARD,
 ) -> TheoremVerdict:
-    """The chain {PR} <= {APR} = {GSP} <= {ISP}, with equality under hypotheses.
-
-    ``parallelism`` is accepted and has no effect.
-    """
+    """The chain {PR} <= {APR} = {GSP} <= {ISP}, with equality under hypotheses."""
     t0 = time.perf_counter()
     total = _require_universe(spec, max_tables)
     all_complete = _all_complete(spec.domain)
@@ -401,7 +394,6 @@ def _describe_scf(scf: Scf) -> str:
 def verify_thm_complete(
     phi: Scf,
     *,
-    parallelism: int = 1,
     max_profiles: int = DEFAULT_PROFILE_GUARD,
     max_completeness_checks: int = COMPLETENESS_GUARD,
 ) -> TheoremVerdict:
@@ -409,7 +401,7 @@ def verify_thm_complete(
 
     Inputs failing a hypothesis (an incomplete feasible set, or an scf that
     is not ISP) yield a vacuous verdict labeled inadmissible instead of a
-    theorem failure.  ``parallelism`` is accepted and has no effect.
+    theorem failure.
     """
     t0 = time.perf_counter()
     certificates = []
@@ -485,7 +477,6 @@ def search_isp_not_pr(
     budget: int,
     *,
     seed: int = 0,
-    parallelism: int = 1,
 ) -> TheoremVerdict:
     """Look for an ISP table violating PR; report honestly about the scope.
 
@@ -493,8 +484,7 @@ def search_isp_not_pr(
     or every feasible set is complete, since the theorems then prove no such
     table exists.  Otherwise scans the whole universe if it fits the budget,
     or a seeded random sample of ``budget`` tables; a spec with a ``limit``
-    is refused, since the budget alone bounds the search.  ``parallelism``
-    is accepted and has no effect.
+    is refused, since the budget alone bounds the search.
     """
     if budget < 0:
         raise ArgumentError(f"table budget {budget} is negative")

@@ -48,12 +48,14 @@ built the first time a block needs them and kept in a cache of at most
 to when full), so the cost is about (sum of m_v) * k rows plus n packed
 rows per profile instead of n * count**2 bytes.  Blocks grow from about
 ``_FIRST_CELLS`` to about ``_BLOCK_CELLS`` gathered bytes.  Every scan is
-serial; ``parallelism`` is accepted and has no effect on any result.
+serial.  GSP gathers only the *keeps* rows, half the bytes per pair that PR
+and APR gather, so one guard on the number of ordered pairs,
+``PAIR_GUARD``, bounds all three.
 
 Table universes ask only for verdicts, on many small tables.
 :func:`table_verdicts` decides all five properties for a whole block of
 tables in one numpy pass over the same masks, unpacked, with a table axis
-added, the checkers' pair guards and row blocks of about ``_BLOCK_CELLS``
+added, the checkers' pair guard and row blocks of about ``_BLOCK_CELLS``
 cells, and returns one bool per table and property: no scan order, no
 ``checked`` count and no witness.
 """
@@ -73,10 +75,9 @@ from .orders import WeakOrder, format_order
 from .domains import DEFAULT_PROFILE_GUARD, Domain
 from .scf import Profile, Scf, evaluate, profile_at, profile_strides, tabulate
 
-#: Pairwise scans ((P, Q) pairs, and the equally sized normalized GSP
-#: deviation space) get their own ceilings on top of the profile guard.
-DEFAULT_PAIR_GUARD = 2_000_000_000
-DEFAULT_GSP_GUARD = 100_000_000
+#: Most ordered profile pairs (P, Q) a GSP, PR, APR or ISP pair scan walks,
+#: on top of the profile guard.
+PAIR_GUARD = 2_000_000_000
 
 #: The largest block: (voter, P, table, Q) cells in :func:`table_verdicts`,
 #: packed bytes gathered per block in the pair pass.  At 2^17 a pair-pass
@@ -317,7 +318,6 @@ def _growing_blocks(count, per_row, most=_SERIAL_CELLS):
 def check_isp(
     scf: Scf,
     *,
-    parallelism: int = 1,
     max_profiles: int = DEFAULT_PROFILE_GUARD,
 ) -> PropertyReport:
     """No single voter can gain by misreporting.
@@ -391,14 +391,12 @@ def _gsp_first(ctx, digits, i, cols):
     return best[1], best[0] + 1
 
 
-def _require_pairs(count, props, limit) -> int:
-    """The ordered profile pairs a scan for ``props`` walks, within ``limit``."""
+def _require_pairs(count) -> int:
+    """The ordered pairs of ``count`` profiles, within ``PAIR_GUARD``."""
     total = count * (count - 1)
-    if total > limit:
-        what = "group manipulation" if "gsp" in props else "pairwise"
-        unit = "cases" if "gsp" in props else "ordered pairs"
+    if total > PAIR_GUARD:
         raise ResourceGuardError(
-            f"{what} scan needs {total} {unit}, guard is {limit}"
+            f"pairwise scan needs {total} ordered pairs, guard is {PAIR_GUARD}"
         )
     return total
 
@@ -497,7 +495,7 @@ class _KeyRows:
         return np.stack(rows, axis=1)
 
 
-def _pair_scan(scf, wanted, max_profiles, limit):
+def _pair_scan(scf, wanted, max_profiles):
     """One pass over ordered profile pairs for the ``wanted`` properties.
 
     Row P of a block gathers, for each voter v, the packed rows of its key
@@ -508,7 +506,7 @@ def _pair_scan(scf, wanted, max_profiles, limit):
     t0 = time.perf_counter()
     ctx, table = _prepare(scf, max_profiles)
     count, n = ctx.count, ctx.n
-    total = _require_pairs(count, wanted, limit)
+    total = _require_pairs(count)
     digits = ctx.build_digits()
     k = ctx.rank_table.shape[1]
     pairwise = "pr" in wanted or "apr" in wanted
@@ -593,9 +591,7 @@ def _pr_violation(scf, kind, i, j, table) -> PrViolation:
 def check_gsp(
     scf: Scf,
     *,
-    parallelism: int = 1,
     max_profiles: int = DEFAULT_PROFILE_GUARD,
-    max_cases: int = DEFAULT_GSP_GUARD,
 ) -> PropertyReport:
     """No coalition can make every member strictly better off.
 
@@ -603,40 +599,34 @@ def check_gsp(
     enumerated; a manipulation with a passive member induces one by the
     sub-coalition of active members, so nothing is lost.
     """
-    return _pair_scan(scf, ("gsp",), max_profiles, max_cases)["gsp"]
+    return _pair_scan(scf, ("gsp",), max_profiles)["gsp"]
 
 
 def check_pr(
     scf: Scf,
     *,
-    parallelism: int = 1,
     max_profiles: int = DEFAULT_PROFILE_GUARD,
-    max_pairs: int = DEFAULT_PAIR_GUARD,
 ) -> PropertyReport:
     """Preference reversal: one voter witnesses both weak comparisons and changed."""
-    return _pair_scan(scf, ("pr",), max_profiles, max_pairs)["pr"]
+    return _pair_scan(scf, ("pr",), max_profiles)["pr"]
 
 
 def check_apr(
     scf: Scf,
     *,
-    parallelism: int = 1,
     max_profiles: int = DEFAULT_PROFILE_GUARD,
-    max_pairs: int = DEFAULT_PAIR_GUARD,
 ) -> PropertyReport:
     """Almost preference reversal: the two sides may be witnessed by different voters."""
-    return _pair_scan(scf, ("apr",), max_profiles, max_pairs)["apr"]
+    return _pair_scan(scf, ("apr",), max_profiles)["apr"]
 
 
 def check_pr_apr(
     scf: Scf,
     *,
-    parallelism: int = 1,
     max_profiles: int = DEFAULT_PROFILE_GUARD,
-    max_pairs: int = DEFAULT_PAIR_GUARD,
 ) -> dict[str, PropertyReport]:
     """Both pairwise properties from a single scan."""
-    return _pair_scan(scf, ("pr", "apr"), max_profiles, max_pairs)
+    return _pair_scan(scf, ("pr", "apr"), max_profiles)
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +637,6 @@ def check_pr_apr(
 def check_dictator(
     scf: Scf,
     *,
-    parallelism: int = 1,
     max_profiles: int = DEFAULT_PROFILE_GUARD,
 ) -> PropertyReport:
     """Some voter always receives one of their top alternatives.
@@ -701,22 +690,22 @@ def table_verdicts(
     ISP fails where exactly one voter changed and does not keep;
     dictatorship holds where some voter gets a rank-0 (top) alternative at
     every profile.  No witness is built.  ISP, GSP, PR and APR are decided
-    over ordered profile pairs and raise the checkers' pair guard: GSP's
-    when GSP is asked for, the pairwise one otherwise.
+    over ordered profile pairs, so asking for any of them raises the
+    checkers' pair guard before anything is built.
     """
     ctx = domain._scan_context
-    digits, rank_rows, rank_base = ctx.build_arrays()
     count = ctx.count
+    pair_props = [p for p in ("isp", "gsp", "pr", "apr") if p in props]
+    if pair_props:
+        _require_pairs(count)
+    digits, rank_rows, rank_base = ctx.build_arrays()
     # own[v, b, p]: the rank of phi_b(P) under voter v's order at P.
     own = rank_rows.reshape(-1)[rank_base[:, None, :] + tables]
     out = {}
     if "dictator" in props:
         out["dictator"] = (own == 0).all(axis=2).any(axis=0)
-    pair_props = [p for p in ("isp", "gsp", "pr", "apr") if p in props]
     if not pair_props:
         return out
-    limit = DEFAULT_GSP_GUARD if "gsp" in pair_props else DEFAULT_PAIR_GUARD
-    _require_pairs(count, pair_props, limit)
     for prop in pair_props:
         out[prop] = np.ones(len(tables), dtype=bool)
     # Pair arrays are indexed [v, p, b, q], so the voter axis is 0 as in

@@ -5,11 +5,12 @@ Every test prints one line
 with ``pytest -s``); the test name itself carries the criterion number, so a
 plain ``pytest -v`` run also reads as one pass/fail line per criterion.
 
-Results computed at worker count 1 are stashed so the determinism criterion
-can compare them byte-for-byte against fresh worker-count-8 runs.
+Library results are stashed so the determinism criterion can compare them
+byte-for-byte against CLI runs at ``--parallelism 1`` and ``--parallelism 8``.
 """
 
 import itertools
+import json
 import math
 import time
 
@@ -48,8 +49,9 @@ from prefrev import (
     verify_thm_complete,
     verify_thm_range3,
 )
+from prefrev.cli import main
 from prefrev.domains import admissible_pair
-from prefrev.scf import dumps_canonical
+from prefrev.scf import dumps_canonical, save_scf
 
 _BASELINE: dict[str, str] = {}
 
@@ -109,7 +111,7 @@ def test_criterion_02_apr_equals_gsp_over_universes():
             ("81", _strict_universe(2), 81),
             ("19683", _strict_universe(3), 19683),
         ):
-            verdict = verify_prop_apr_gsp(spec, parallelism=1)
+            verdict = verify_prop_apr_gsp(spec)
             assert verdict.holds, f"discrepancy in the {name}-table universe"
             assert verdict.checked == expected
             _BASELINE[f"prop-apr-gsp-{name}"] = dumps_canonical(verdict_to_dict(verdict))
@@ -124,7 +126,7 @@ def test_criterion_03_range3_theorem_over_universes():
             ("19683", _strict_universe(3), 19683),
             ("weak-81", _weak_universe(), 81),
         ):
-            verdict = verify_thm_range3(spec, parallelism=1)
+            verdict = verify_thm_range3(spec)
             assert verdict.holds, f"violation in the {name}-table universe"
             assert verdict.checked == expected
             assert verdict.details["isp_tables"] == verdict.details["gsp_tables"]
@@ -136,7 +138,7 @@ def test_criterion_03_range3_theorem_over_universes():
 def test_criterion_04_implication_chain():
     def body():
         for spec in (_strict_universe(2), _strict_universe(3), _weak_universe()):
-            verdict = verify_summary_equivalence(spec, parallelism=1)
+            verdict = verify_summary_equivalence(spec)
             assert verdict.holds
             d = verdict.details
             assert d["pr_tables"] <= d["apr_tables"]
@@ -201,7 +203,7 @@ def test_criterion_06_resolvent_constructors_exhaustive():
 def test_criterion_07_complete_domain_specimens():
     def body():
         for name, phi in _specimens():
-            verdict = verify_thm_complete(phi, parallelism=1)
+            verdict = verify_thm_complete(phi)
             assert verdict.holds and verdict.details["admissible"], name
             count = phi.domain.profile_count()
             assert verdict.details["pairs_scanned"] == count * (count - 1), name
@@ -277,42 +279,53 @@ def test_criterion_09_quotient_reduction():
     _criterion(9, 10, "100-voter society: alpha=3, 100/100 blow-ups agree, lift valid", body)
 
 
-def test_criterion_10_determinism_across_parallelism():
+def test_criterion_10_determinism_across_parallelism(capsys, tmp_path):
+    def cli_doc(*argv):
+        """The JSON document of one CLI run, the same bytes at 1 and 8."""
+        outs = []
+        for workers in ("1", "8"):
+            assert main([*argv, "--output", "json", "--parallelism", workers]) in (0, 2)
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1], f"--parallelism changed the output of {argv}"
+        doc = json.loads(outs[0])
+        del doc["command"], doc["seed"]
+        return doc
+
     def body():
         assert _BASELINE, "criteria 2, 3 and 7 must run first"
+        # The universes of criteria 2 and 3 as CLI flags.
+        universes = {
+            "81": ("--orders-per-voter", "2"),
+            "19683": ("--orders-per-voter", "3"),
+            "weak-81": ("--orders", "a~b>c;c>a~b"),
+        }
         reruns = {}
-        for name, spec in (("81", _strict_universe(2)), ("19683", _strict_universe(3))):
-            verdict = verify_prop_apr_gsp(spec, parallelism=8)
-            reruns[f"prop-apr-gsp-{name}"] = dumps_canonical(verdict_to_dict(verdict))
-        for name, spec in (
-            ("81", _strict_universe(2)),
-            ("19683", _strict_universe(3)),
-            ("weak-81", _weak_universe()),
+        for suite, names in (
+            ("prop-apr-gsp", ("81", "19683")),
+            ("thm-range3", ("81", "19683", "weak-81")),
         ):
-            verdict = verify_thm_range3(spec, parallelism=8)
-            reruns[f"thm-range3-{name}"] = dumps_canonical(verdict_to_dict(verdict))
-        for name, phi in _specimens():
-            verdict = verify_thm_complete(phi, parallelism=8)
-            reruns[f"thm-complete-{name}"] = dumps_canonical(verdict_to_dict(verdict))
+            for name in names:
+                doc = cli_doc("verify", suite, "--k", "3", "--voters", "2", *universes[name])
+                reruns[f"{suite}-{name}"] = dumps_canonical(doc)
+        for i, (name, phi) in enumerate(_specimens()):
+            path = tmp_path / f"specimen{i}.json"
+            save_scf(phi, path)
+            doc = cli_doc("verify", "thm-complete", "--scf", str(path))
+            reruns[f"thm-complete-{name}"] = dumps_canonical(doc)
         for key, doc in reruns.items():
-            assert _BASELINE[key] == doc, f"parallelism changed the report for {key}"
+            assert _BASELINE[key] == doc, f"the CLI changed the report for {key}"
         # witness-bearing reports must be byte-identical as well
         alts = AlternativeSet.letters(3)
         phi = builtin(
             "paper-example", Domain.shared(FeasibleSet.universal_weak(alts), 2)
         )
-        for workers in (1, 8):
-            docs = [
-                report_to_dict(check_isp(phi, parallelism=workers)),
-                report_to_dict(check_gsp(phi, parallelism=workers)),
-            ]
-            both = check_pr_apr(phi, parallelism=workers)
-            docs += [report_to_dict(both["pr"]), report_to_dict(both["apr"])]
-            blob = dumps_canonical(docs)
-            if workers == 1:
-                baseline = blob
-            else:
-                assert blob == baseline, "witness bytes changed with parallelism"
-        assert '"witness"' in baseline
+        path = tmp_path / "paper.json"
+        save_scf(phi, path)
+        doc = cli_doc("check", str(path), "--properties", "isp,gsp,pr,apr")
+        both = check_pr_apr(phi)
+        docs = [report_to_dict(check_isp(phi)), report_to_dict(check_gsp(phi)),
+                report_to_dict(both["pr"]), report_to_dict(both["apr"])]
+        assert doc["reports"] == docs
+        assert all("witness" in d for d in docs)
 
-    _criterion(10, None, "criteria 2, 3, 7 byte-identical at parallelism 1 and 8", body)
+    _criterion(10, None, "criteria 2, 3, 7 byte-identical at --parallelism 1 and 8", body)

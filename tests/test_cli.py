@@ -356,7 +356,7 @@ _WITNESS_NO_COALITION = json.dumps({"reports": [{
      None, None, 1),
     (["check", "{scf}", "--recheck-witness", "{file}"], "not json", None, 1),
     (["check", "{scf}", "--recheck-witness", "{file}"], _WITNESS_NO_COALITION, None, 1),
-    (["check", "{scf}"], None, "two", 2),
+    (["check", "{scf}"], None, "two", 1),
     (["check", "{file}"], _scf_with(domain=5), None, 1),
     (["check", "{scf}", "--recheck-witness", "{file}"], '{"reports": [1]}', None, 1),
     (["check", "{file}"], _scf_with(alternatives=[1, 2]), None, 1),
@@ -366,11 +366,19 @@ _WITNESS_NO_COALITION = json.dumps({"reports": [{
     (["check", "{file}", "--properties", "isp"], _cloned_scf([5], voter=1), None, 1),
     (["check", "{file}", "--properties", "isp"], _cloned_scf([1, 2], voter=3), None, 1),
     (["check", "{file}", "--properties", "isp,pr"], _WIDE_TABLE_SCF, None, 1),
+    (["check", "{scf}", "--properties", ""], None, None, 1),
+    (["check", "{scf}", "--properties", " , "], None, None, 1),
+    (["check"], None, None, 1),
+    (["orders", "--k", "3", "--parallelism", "two"], None, None, 1),
+    (["verify", "no-such-theorem"], None, None, 1),
+    ([], None, None, 1),
 ], ids=["voters-not-int", "scf-is-a-list", "params-not-json",
         "witness-not-json", "witness-no-coalition", "env-parallelism",
         "domain-not-object", "report-not-object", "alternatives-not-names",
         "preset-not-text", "params-voter-not-int", "cloned-assignment-outside",
-        "cloned-base-voter-outside", "too-many-alternatives"])
+        "cloned-base-voter-outside", "too-many-alternatives", "no-properties",
+        "blank-properties", "missing-file", "parallelism-not-int",
+        "unknown-theorem", "no-command"])
 def test_malformed_input_is_a_clean_error(
     capsys, monkeypatch, tmp_path, paper_scf_path, argv, text, env, expected
 ):
@@ -382,12 +390,17 @@ def test_malformed_input_is_a_clean_error(
     argv = [
         a.replace("{file}", str(path)).replace("{scf}", paper_scf_path) for a in argv
     ]
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse rejects the value
-        code = exc.code
-    assert code == expected
+    # Usage errors too: argparse's own exit code, 2, is the witness code.
+    assert main(argv) == expected
     assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["check", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: prefrev")
 
 
 @pytest.mark.parametrize("argv, text, key", [
@@ -529,16 +542,27 @@ def test_verify_prop_apr_gsp(capsys):
 
 @pytest.mark.parametrize("suite", ["prop-apr-gsp", "thm-range3", "summary-equivalence"])
 def test_verify_table_over_the_gsp_guard_is_an_error(capsys, suite):
-    # One table of 2 voters x 120 orders: 14,400 profiles, so its group
-    # manipulation scan is past the guard before any table is decided.
+    # One table of 3 voters x 36 orders: 46,656 profiles, so its pair scan
+    # is past the guard before any table is decided.
     code, out, err = run(
-        capsys, "verify", suite, "--k", "5", "--orders-per-voter", "120",
-        "--voters", "2", "--target", "a,b,c", "--limit", "1",
+        capsys, "verify", suite, "--k", "5", "--orders-per-voter", "36",
+        "--voters", "3", "--target", "a,b,c", "--limit", "1",
     )
     assert code == 1 and out == ""
     assert err == (
-        "error: group manipulation scan needs 207345600 cases, guard is 100000000\n"
+        "error: pairwise scan needs 2176735680 ordered pairs, guard is 2000000000\n"
     )
+
+
+def test_check_gsp_within_the_pair_guard(capsys, tmp_path):
+    # 4 voters x 13 weak orders: 815,702,160 ordered pairs, within the guard.
+    domain = Domain.shared(FeasibleSet.universal_weak(AlternativeSet.letters(3)), 4)
+    path = tmp_path / "plurality.json"
+    save_scf(builtin("plurality-tiebreak", domain), path)
+    code, out, _ = run(capsys, "check", str(path), "--properties", "gsp", "--output", "json")
+    assert code == 2
+    (report,) = json.loads(out)["reports"]
+    assert (report["holds"], report["checked"]) == (False, 171_403)
 
 
 def test_verify_thm_range3_with_explicit_weak_orders(capsys):
@@ -604,6 +628,10 @@ def test_verify_isp_not_pr_futile(capsys):
     [
         ("isp-not-pr", ("--k", "4", "--budget", "-5"), "table budget -5 is negative"),
         ("thm-range3", ("--limit", "-1"), "table limit -1 is negative"),
+        ("prop-apr-gsp", ("--orders-per-voter", "-2"),
+         "--orders-per-voter is -2; it must be at least 1"),
+        ("prop-apr-gsp", ("--orders-per-voter", "0"),
+         "--orders-per-voter is 0; it must be at least 1"),
     ],
 )
 def test_verify_rejects_negative_counts(capsys, theorem, flags, message):

@@ -4,7 +4,6 @@ import dataclasses
 import json
 import os
 import random
-import sys
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from prefrev import (
     FeasibleSet,
     Profile,
     PropertyReport,
+    ResourceGuardError,
     Scf,
     WeakOrder,
     builtin,
@@ -137,11 +137,45 @@ def test_summary_equivalence_chain(spec81):
     assert d["pr_tables"] == d["isp_tables"]
 
 
-def test_suites_parallel_determinism(spec81):
-    for fn in (verify_prop_apr_gsp, verify_thm_range3, verify_summary_equivalence):
-        seq = verdict_to_dict(fn(spec81, parallelism=1))
-        par = verdict_to_dict(fn(spec81, parallelism=8))
-        assert json.dumps(seq) == json.dumps(par)
+def _cli_json(capsys, *argv):
+    from prefrev.cli import main
+
+    code = main([*argv, "--output", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    del doc["command"]
+    return code, doc
+
+
+def test_suites_parallel_determinism(capsys, spec81):
+    # spec81 as CLI flags: 2 voters, the first 2 strict orders at k=3.
+    universe = ("--k", "3", "--voters", "2", "--orders-per-voter", "2")
+    for fn, suite in ((verify_prop_apr_gsp, "prop-apr-gsp"),
+                      (verify_thm_range3, "thm-range3"),
+                      (verify_summary_equivalence, "summary-equivalence")):
+        expected = verdict_to_dict(fn(spec81))
+        for workers in ("1", "8"):
+            code, doc = _cli_json(capsys, "verify", suite, *universe,
+                                  "--parallelism", workers)
+            assert (code, doc) == (0, {"seed": 0, **expected})
+
+
+def test_walk_refuses_a_universe_past_the_pair_guard_before_any_block(monkeypatch):
+    # 3 voters x 36 strict orders: 46,656 profiles, over 2*10^9 ordered pairs.
+    advanced = []
+
+    def spy_blocks(spec, total, rng=None):
+        advanced.append(total)
+        yield from real_blocks(spec, total, rng)
+
+    real_blocks = harness._table_blocks
+    monkeypatch.setattr(harness, "_table_blocks", spy_blocks)
+    domain = strict_prefix_domain(5, 3, 36)
+    spec = EnumerationSpec(domain, (0, 1, 2), limit=1)
+    guard = "pairwise scan needs 2176735680 ordered pairs, guard is 2000000000"
+    for suite in (verify_prop_apr_gsp, verify_thm_range3, verify_summary_equivalence):
+        with pytest.raises(ResourceGuardError, match=guard):
+            suite(spec)
+    assert advanced == [] and domain._scan_context.arrays is None
 
 
 def _flip(monkeypatch, prop, wrong, checker=True):
@@ -493,29 +527,25 @@ def test_search_verdicts_match_the_recorded_ones(monkeypatch, per_table):
         assert verdict_to_dict(verdict) == case["verdict"]
 
 
-def test_parallel_search_on_fresh_domains_matches_sequential():
-    # Each run builds a fresh domain, so the worker threads meet a checker
-    # context that nobody has built yet.
+def test_parallel_search_on_fresh_domains_matches_sequential(capsys):
+    # Each CLI run builds a fresh domain, whose scan context nobody has
+    # built yet; --parallelism changes nothing.
     from prefrev import search_isp_not_pr
 
-    def fresh_spec():
-        alts = AlternativeSet.letters(4)
-        orders = [
-            parse_order(text, alts) for text in ("a~b>c~d", "d>c>a~b", "b~c>a~d")
-        ]
-        return EnumerationSpec(
-            Domain.shared(FeasibleSet.explicit(alts, orders), 2), (0, 1, 2, 3)
+    alts = AlternativeSet.letters(4)
+    texts = ("a~b>c~d", "d>c>a~b", "b~c>a~d")
+    orders = [parse_order(text, alts) for text in texts]
+    spec = EnumerationSpec(
+        Domain.shared(FeasibleSet.explicit(alts, orders), 2), (0, 1, 2, 3)
+    )
+    expected = verdict_to_dict(search_isp_not_pr(spec, 2000, seed=250522))
+    for workers in ("1", "2"):
+        _, doc = _cli_json(
+            capsys, "verify", "isp-not-pr", "--k", "4", "--voters", "2",
+            "--orders", ";".join(texts), "--budget", "2000", "--seed", "250522",
+            "--parallelism", workers,
         )
-
-    expected = verdict_to_dict(search_isp_not_pr(fresh_spec(), 2000, seed=250522))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(6):
-            verdict = search_isp_not_pr(fresh_spec(), 2000, seed=250522, parallelism=2)
-            assert verdict_to_dict(verdict) == expected
-    finally:
-        sys.setswitchinterval(interval)
+        assert doc == expected
 
 
 # ---------------------------------------------------------------------------

@@ -273,11 +273,22 @@ def test_pr_apr_shared_scan_matches_individual(paper_rule):
 
 
 @pytest.mark.parametrize("workers", [2, 4, 8])
-def test_parallelism_does_not_change_reports(paper_rule, workers):
-    for check in (check_isp, check_gsp, check_pr, check_apr):
-        seq = report_to_dict(check(paper_rule, parallelism=1))
-        par = report_to_dict(check(paper_rule, parallelism=workers))
-        assert json.dumps(seq) == json.dumps(par)
+def test_parallelism_does_not_change_reports(capsys, tmp_path, paper_rule, workers):
+    # Every scan is serial: the CLI flag is parsed and changes no byte of
+    # any checker's report, each run on its own.
+    from prefrev import save_scf
+    from prefrev.cli import main
+
+    path = str(tmp_path / "paper.json")
+    save_scf(paper_rule, path)
+    for prop in ("isp", "gsp", "pr", "apr"):
+        outs = []
+        for flag in ("1", str(workers)):
+            argv = ["check", path, "--properties", prop, "--output", "json"]
+            assert main(argv + ["--parallelism", flag]) == 2
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["reports"] == [report_to_dict(properties.CHECKERS[prop](paper_rule))]
 
 
 def test_guard_rejects_oversized_domains(abc):
@@ -289,11 +300,26 @@ def test_guard_rejects_oversized_domains(abc):
         check_pr(phi)
 
 
-def test_gsp_case_guard(abc):
+def test_gsp_case_guard(monkeypatch, abc):
+    # 169 profiles: 28,392 ordered pairs, past a guard of 100.
+    monkeypatch.setattr(properties, "PAIR_GUARD", 100)
     domain = Domain.shared(FeasibleSet.universal_weak(abc), 2)
     phi = builtin("constant", domain, alternative="a")
-    with pytest.raises(ResourceGuardError):
-        check_gsp(phi, max_cases=100)
+    guard = "pairwise scan needs 28392 ordered pairs, guard is 100"
+    for check in (check_gsp, check_pr_apr):
+        with pytest.raises(ResourceGuardError, match=guard):
+            check(phi)
+
+
+def test_gsp_scans_every_ordered_pair_within_the_guard(abc):
+    # 4 voters x 13 weak orders: 28,561 profiles and 815,702,160 ordered
+    # pairs, under the pair guard that PR and APR have on the same pass.
+    domain = Domain.shared(FeasibleSet.universal_weak(abc), 4)
+    report = check_gsp(builtin("plurality-tiebreak", domain))
+    assert not report.holds and report.checked == 171_403
+    assert revalidate_witness(report.scf, "gsp", report.witness)
+    report = check_gsp(builtin("dictator-tiebreak", domain, voter=0))
+    assert report.holds and report.checked == 815_702_160
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +357,7 @@ def test_gsp_matches_reference_on_whole_strict_universe(abc):
         scf = Scf.from_table(domain, values)
         expected = _reference_gsp_doc(scf)
         holding += expected["holds"]
-        for workers in (1, 2):
-            assert report_to_dict(check_gsp(scf, parallelism=workers)) == expected
+        assert report_to_dict(check_gsp(scf)) == expected
     assert holding == 11
 
 
@@ -370,12 +395,11 @@ def test_pair_scan_matches_reference_on_uneven_domains(monkeypatch, cells):
     for scf, (pr_doc, apr_doc) in zip(tables, pair_docs):
         expected = _reference_gsp_doc(scf)
         outcomes.add((expected["holds"], 1 in map(len, scf.domain.feasible)))
-        for workers in (1, 2):
-            assert report_to_dict(check_gsp(scf, parallelism=workers)) == expected
-            both = check_pr_apr(scf, parallelism=workers)
-            assert report_to_dict(both["pr"]) == pr_doc
-            assert report_to_dict(both["apr"]) == apr_doc
-            assert report_to_dict(check_apr(scf, parallelism=workers)) == apr_doc
+        assert report_to_dict(check_gsp(scf)) == expected
+        both = check_pr_apr(scf)
+        assert report_to_dict(both["pr"]) == pr_doc
+        assert report_to_dict(both["apr"]) == apr_doc
+        assert report_to_dict(check_apr(scf)) == apr_doc
     # holding and failing tables, with and without single-order voters
     assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
@@ -625,22 +649,25 @@ def test_table_verdicts_split_a_table_larger_than_a_block():
 def test_table_verdicts_apply_the_pair_guards():
     import numpy as np
 
-    # 2 voters x 120 strict orders: 14,400 profiles, 207,345,600 GSP cases.
-    domain = _strict_prefix_domain(5, 2, 120)
-    table = np.zeros((1, domain.profile_count()), dtype=np.uint8)
-    guard = "group manipulation scan needs 207345600 cases, guard is 100000000"
-    with pytest.raises(ResourceGuardError, match=guard):
-        properties.table_verdicts(domain, table, ("isp", "gsp"))
-    # Dictatorship is not a pair property: no guard, and a constant table
-    # has no dictator.
-    assert not properties.table_verdicts(domain, table, ("dictator",))["dictator"][0]
+    guard = "pairwise scan needs 2176735680 ordered pairs, guard is 2000000000"
     # 3 voters x 36 strict orders: 46,656 profiles, over 2*10^9 ordered pairs.
     domain = _strict_prefix_domain(5, 3, 36)
     table = np.zeros((1, domain.profile_count()), dtype=np.uint8)
-    guard = "pairwise scan needs 2176735680 ordered pairs, guard is 2000000000"
-    for props in (("isp",), ("pr", "apr")):
+    for props in (("isp",), ("gsp",), ("pr", "apr"), ("isp", "gsp", "dictator")):
         with pytest.raises(ResourceGuardError, match=guard):
             properties.table_verdicts(domain, table, props)
+    # The refusal comes before the whole-space arrays are built.
+    assert domain._scan_context.arrays is None
+    # The checkers raise the same guard; the ISP and dictatorship checkers
+    # do not scan pairs.
+    phi = Scf.from_table(domain, table[0])
+    for check in (check_gsp, check_pr, check_apr, check_pr_apr):
+        with pytest.raises(ResourceGuardError, match=guard):
+            check(phi)
+    assert check_isp(phi).holds and not check_dictator(phi).holds
+    # Dictatorship is not a pair property: no guard, and a constant table
+    # has no dictator.
+    assert not properties.table_verdicts(domain, table, ("dictator",))["dictator"][0]
 
 
 # ---------------------------------------------------------------------------
@@ -665,9 +692,8 @@ def test_isp_and_dictator_match_the_reference_scans(monkeypatch, cells):
             isp = _reference_doc(scf, "isp", reference_isp_scan)
             dictator = _reference_doc(scf, "dictator", reference_dictator_scan)
             seen.update({("isp", isp["holds"]), ("dictator", dictator["holds"])})
-            for workers in (1, 2):
-                assert report_to_dict(check_isp(scf, parallelism=workers)) == isp
-                assert report_to_dict(check_dictator(scf, parallelism=workers)) == dictator
+            assert report_to_dict(check_isp(scf)) == isp
+            assert report_to_dict(check_dictator(scf)) == dictator
     assert seen == {(p, h) for p in ("isp", "dictator") for h in (True, False)}
     assert {n for n, _ in shapes} == {1, 2, 3}
     assert any(smallest == 1 for _, smallest in shapes)  # a singleton feasible set
@@ -821,12 +847,11 @@ def test_buffered_pair_pass_on_first_last_and_split_blocks(monkeypatch, cells):
     if cells is not None:
         monkeypatch.setattr(properties, "_BLOCK_CELLS", cells)
     for name, (scf, docs) in expected.items():
-        for workers in (1, 2):
-            both = check_pr_apr(scf, parallelism=workers)
-            got = (check_gsp(scf, parallelism=workers), both["pr"], both["apr"])
-            assert tuple(map(report_to_dict, got)) == docs, (name, workers)
-            assert report_to_dict(check_pr(scf, parallelism=workers)) == docs[1]
-            assert report_to_dict(check_apr(scf, parallelism=workers)) == docs[2]
+        both = check_pr_apr(scf)
+        got = (check_gsp(scf), both["pr"], both["apr"])
+        assert tuple(map(report_to_dict, got)) == docs, name
+        assert report_to_dict(check_pr(scf)) == docs[1]
+        assert report_to_dict(check_apr(scf)) == docs[2]
 
 
 def test_a_domain_and_its_scan_context_die_together(abc):
@@ -835,7 +860,7 @@ def test_a_domain_and_its_scan_context_die_together(abc):
     domain = Domain.shared(FeasibleSet.universal_weak(abc), 2)
     phi = tabulate(builtin("plurality-tiebreak", domain))
     for check in properties.CHECKERS.values():
-        check(phi, parallelism=2)
+        check(phi)
     properties.table_verdicts(domain, np.stack([phi.table]), properties.CHECKERS)
     assert domain._scan_context.arrays is not None
     alive = weakref.ref(domain)
