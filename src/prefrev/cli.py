@@ -8,7 +8,9 @@ usage errors such as a missing argument or a value that is not a number).
 Structured (``--output json``) reports are byte-deterministic for a given
 seed: volatile fields such as elapsed time are only included with
 ``--timings``.  Every scan is serial: ``--parallelism`` (or
-``PREFREV_PARALLELISM``) must be an integer and changes nothing.
+``PREFREV_PARALLELISM``) must be an integer and changes nothing.  A guard
+flag (``--max-profiles``, ``--max-tables``) is taken only by the commands
+and theorems that apply it; anywhere else it is an error.
 """
 
 from __future__ import annotations
@@ -90,8 +92,16 @@ def _common_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--timings", action="store_true",
                         help="include elapsed times in structured output")
-    parser.add_argument("--max-profiles", type=int, default=None)
-    parser.add_argument("--max-tables", type=int, default=None)
+
+
+def _refuse_guards(args, applied: tuple[str, ...], what: str) -> None:
+    """An error for a guard flag given to a mode that does not apply it.
+    Only ``check`` and ``verify`` take guard flags at all; the other
+    subcommands' parsers refuse them as unknown arguments."""
+    for flag in ("--max-profiles", "--max-tables"):
+        given = getattr(args, flag[2:].replace("-", "_"), None) is not None
+        if given and flag not in applied:
+            raise ArgumentError(f"{what} takes no {flag}")
 
 
 def _emit(args, doc: dict, text_lines: list[str]) -> None:
@@ -230,6 +240,7 @@ def _render_report(doc: dict) -> list[str]:
 def cmd_check(args) -> int:
     scf = load_scf(args.scf)
     if args.recheck_witness:
+        _refuse_guards(args, (), "check --recheck-witness")
         data = load_json(args.recheck_witness)
         if not isinstance(data, dict):
             raise ParseError(f"{args.recheck_witness}: report must be a JSON object")
@@ -350,7 +361,18 @@ def _specimen_scf(args) -> Scf:
     return builtin(args.rule, domain, **params)
 
 
+#: The guard flags each theorem applies.
+_THEOREM_GUARDS = {
+    "prop-apr-gsp": ("--max-tables",),
+    "thm-range3": ("--max-tables",),
+    "summary-equivalence": ("--max-tables",),
+    "thm-complete": ("--max-profiles",),
+    "isp-not-pr": (),
+}
+
+
 def cmd_verify(args) -> int:
+    _refuse_guards(args, _THEOREM_GUARDS[args.theorem], f"verify {args.theorem}")
     universe_kwargs = {} if args.max_tables is None else {"max_tables": args.max_tables}
     if args.theorem == "prop-apr-gsp":
         verdict = verify_prop_apr_gsp(_universe_spec(args), **universe_kwargs)
@@ -504,14 +526,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--recheck-witness", default=None,
                          help="re-validate witnesses from a previous report")
     _common_options(p_check)
+    p_check.add_argument("--max-profiles", type=int, default=None)
     p_check.set_defaults(fn=cmd_check)
 
     p_verify = sub.add_parser("verify", help="run a theorem suite")
-    p_verify.add_argument(
-        "theorem",
-        choices=("prop-apr-gsp", "thm-range3", "summary-equivalence",
-                 "thm-complete", "isp-not-pr"),
-    )
+    p_verify.add_argument("theorem", choices=tuple(_THEOREM_GUARDS))
     p_verify.add_argument("--k", type=int, default=3)
     p_verify.add_argument("--voters", type=int, default=2)
     p_verify.add_argument("--orders-per-voter", type=int, default=2)
@@ -532,6 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--axis", default=None)
     p_verify.add_argument("--names", default=None)
     _common_options(p_verify)
+    p_verify.add_argument("--max-profiles", type=int, default=None)
+    p_verify.add_argument("--max-tables", type=int, default=None)
     p_verify.set_defaults(fn=cmd_verify)
 
     p_quot = sub.add_parser("quotient", help="quotient-reduce a replicated society")

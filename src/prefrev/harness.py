@@ -87,9 +87,9 @@ from .properties import (
 #: Ceiling on full table-universe enumerations (|target| ** |profiles|).
 DEFAULT_TABLE_GUARD = 100_000_000
 
-#: Verdict blocks hold about this many (table, voter, P, Q) cells.  Larger
-#: blocks raised peak memory and were no faster on 9-profile tables.
-_TABLE_BLOCK_CELLS = 1 << 16
+#: Verdict blocks gather about this many bytes of packed rows per property
+#: (count * ceil(count * k / 64) uint64 words a table).
+_TABLE_BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -135,13 +135,13 @@ def _universe_size(spec: EnumerationSpec, cap: int) -> int | None:
 
 
 def _block_size(domain: Domain) -> int:
-    """Tables per verdict block: about ``_TABLE_BLOCK_CELLS`` cells.
+    """Tables per verdict block: about ``_TABLE_BLOCK_BYTES`` gathered bytes.
 
     A table larger than that is a block of its own, and ``table_verdicts``
-    splits it into row blocks as the checkers do.
+    splits it into blocks of profile rows as the checkers do.
     """
     count = domain.profile_count()
-    return max(1, _TABLE_BLOCK_CELLS // (domain.n * count * count))
+    return max(1, _TABLE_BLOCK_BYTES // (count * -(-count * domain.k // 64) * 8))
 
 
 def _table_blocks(
@@ -153,8 +153,8 @@ def _table_blocks(
     significant digit, so the walk order is the canonical order every suite
     reports its first counterexample in.  Digits are peeled off the table
     numbers, never off |target| ** count, so a limit into a universe past
-    the int64 range still works.  With ``rng`` the tables are drawn from it
-    instead, one profile after another.
+    the int64 range still works, and only until the numbers are 0.  With
+    ``rng`` the tables are drawn from it instead, one profile after another.
     """
     count = spec.domain.profile_count()
     radix = len(spec.target)
@@ -163,15 +163,39 @@ def _table_blocks(
     for lo in range(0, total, step):
         rows = min(step, total - lo)
         if rng is not None:
-            draws = [rng.randrange(radix) for _ in range(rows * count)]
-            yield lo, target[np.array(draws, dtype=np.intp).reshape(rows, count)]
+            yield lo, target[_draws(rng, radix, rows * count).reshape(rows, count)]
             continue
         numbers = np.arange(lo, lo + rows, dtype=np.int64)
-        digits = np.empty((rows, count), dtype=np.intp)
+        digits = np.zeros((rows, count), dtype=np.intp)
+        # Once the largest number is peeled to 0, the digits left are 0.
         for p in range(count - 1, -1, -1):
+            if not numbers[-1]:
+                break
             digits[:, p] = numbers % radix
             numbers //= radix
         yield lo, target[digits]
+
+
+def _draws(rng: random.Random, radix: int, m: int) -> np.ndarray:
+    """``[rng.randrange(radix) for _ in range(m)]`` as an array, leaving
+    ``rng`` in the same state, from bulk ``getrandbits`` calls.
+
+    CPython's ``randrange(radix)`` takes 32-bit Mersenne Twister words,
+    keeps the top ``radix.bit_length()`` bits of each and rejects values
+    from ``radix`` up; ``getrandbits(32 * m)`` returns the next m words,
+    the first least significant.  Only as many words are drawn as values
+    are still needed, so none is drawn ahead.
+    """
+    out = np.empty(m, dtype=np.intp)
+    shift, done = 32 - radix.bit_length(), 0
+    while done < m:
+        need = m - done
+        bits = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        values = np.frombuffer(bits, dtype="<u4") >> shift
+        kept = values[values < radix]
+        out[done : done + len(kept)] = kept
+        done += len(kept)
+    return out
 
 
 #: Where a relation between two verdict arrays is broken.

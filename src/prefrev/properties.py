@@ -54,10 +54,17 @@ and APR gather, so one guard on the number of ordered pairs,
 
 Table universes ask only for verdicts, on many small tables.
 :func:`table_verdicts` decides all five properties for a whole block of
-tables in one numpy pass over the same masks, unpacked, with a table axis
-added, the checkers' pair guard and row blocks of about ``_BLOCK_CELLS``
-cells, and returns one bool per table and property: no scan order, no
-``checked`` count and no witness.
+tables and returns one bool per table and property: no scan order, no
+``checked`` count and no witness.  A pair's violation depends on the
+table only through x = phi(P) and y = phi(Q), so the same masks give, per
+cell (P, x), one bit-packed row over the cells (Q, y) that break the
+property against it.  A table t breaks the property exactly when its rows
+at the cells (P, t[P]), ORed over P, meet t's own one-hot row {(Q, t[Q])}:
+count * ceil(count * k / 64) words gathered per table.  The rows are kept
+on the domain's context within ``_KEY_CACHE_BYTES`` and built per block of
+P rows past it; dictatorship gathers each voter's rank-0 set at (P, t[P]).
+The pass has the checkers' pair guard and takes P rows in blocks of about
+``_BLOCK_CELLS`` bytes.
 """
 
 from __future__ import annotations
@@ -79,14 +86,16 @@ from .scf import Profile, Scf, evaluate, profile_at, profile_strides, tabulate
 #: on top of the profile guard.
 PAIR_GUARD = 2_000_000_000
 
-#: The largest block: (voter, P, table, Q) cells in :func:`table_verdicts`,
-#: packed bytes gathered per block in the pair pass.  At 2^17 a pair-pass
-#: block's arrays stay below glibc's default mmap threshold (128 KiB), so
-#: they are reused from the heap and not page-faulted in again each block.
+#: The largest block: packed bytes gathered per block in the pair pass and
+#: in :func:`table_verdicts`, and (voter, cell, cell) bools built at once
+#: for the verdict rows.  At 2^17 a pair-pass block's arrays stay below
+#: glibc's default mmap threshold (128 KiB), so they are reused from the
+#: heap and not page-faulted in again each block.
 _BLOCK_CELLS = 1 << 17
 _FIRST_CELLS = 1 << 12
 _SERIAL_CELLS = 1 << 14
-#: Most bytes of packed key rows the pair pass keeps at once.
+#: Most bytes of packed key rows the pair pass keeps at once, and of
+#: verdict rows a domain's context keeps.
 _KEY_CACHE_BYTES = 1 << 24
 
 
@@ -158,13 +167,13 @@ class PropertyReport:
 
 class _Ctx:
     """Per-domain scan data, kept on the domain (``Domain._scan_context``).
-    The whole-space digits and rank rows, ISP's bit rows, the serial scans'
-    chunks and GSP's coalition offsets are built on first use, so a scan
-    builds only what it reads."""
+    The whole-space digits, the verdict kernel's rows, ISP's bit rows, the
+    serial scans' chunks and GSP's coalition offsets are built on first
+    use, so a scan builds only what it reads."""
 
     __slots__ = (
         "n", "sizes", "strides", "count", "rank_table", "order_base",
-        "digits", "arrays", "isp_rows", "chunks", "coalitions",
+        "digits", "verdict_rows", "isp_rows", "chunks", "coalitions",
     )
 
     def __init__(self, domain: Domain):
@@ -179,7 +188,7 @@ class _Ctx:
         )
         self.order_base = np.cumsum((0,) + self.sizes[:-1])
         self.digits = None
-        self.arrays = None
+        self.verdict_rows = None
         self.isp_rows = None
         self.chunks = None
         self.coalitions = None
@@ -195,16 +204,26 @@ class _Ctx:
             ]).astype(np.min_scalar_type(max(self.sizes)))
         return self.digits
 
-    def build_arrays(self):
-        """``(digits, rank_rows, rank_base)``: :meth:`build_digits`, each
-        voter's rank vector at every profile, and the flat offsets of
-        ``rank_rows`` rows to which an outcome table is added."""
-        if self.arrays is None:
-            digits = self.build_digits()
-            rank_rows = self.rank_table[self.order_base[:, None] + digits]
-            base = np.arange(digits.size).reshape(digits.shape) * rank_rows.shape[2]
-            self.arrays = (digits, rank_rows, base)
-        return self.arrays
+    def build_verdict_rows(self, props):
+        """The packed rows of every (P, x) cell over every (Q, y) cell for
+        the pair properties ``props`` (:func:`_row_builder`), built in
+        blocks of about ``_BLOCK_CELLS`` cells and kept for the last
+        ``props`` asked; None, and nothing built, when they would take more
+        than ``_KEY_CACHE_BYTES``."""
+        if self.verdict_rows is None or self.verdict_rows[0] != props:
+            self.verdict_rows = None
+            cells = self.count * self.rank_table.shape[1]
+            words = -(-cells // 64)
+            if cells * len(props) * words * 8 > _KEY_CACHE_BYTES:
+                return None
+            cols = np.arange(cells)
+            build = _row_builder(self, props, cols)
+            rows = np.empty((cells, len(props), words), dtype=np.uint64)
+            step = max(1, _BLOCK_CELLS // (self.n * cells))
+            for lo in range(0, cells, step):
+                rows[lo : lo + step] = build(cols[lo : lo + step])
+            self.verdict_rows = (props, rows)
+        return self.verdict_rows[1]
 
     def build_isp_rows(self):
         """``(better, onehot)``, rows over the alternatives bit-packed in
@@ -677,62 +696,116 @@ def check_dictator(
 # ---------------------------------------------------------------------------
 
 
+def _row_builder(ctx, props, cols):
+    """``build(cells)``: the packed rows of the (P, x) cells ``cells`` over
+    the (Q, y) cells ``cols``, both flat (``P * k + x``).
+
+    The rows are a ``(len(cells), len(props), words)`` uint64 array in
+    which bit j is set where the pair (P, Q) breaks the property if phi(P)
+    = x and phi(Q) = y, (Q, y) being ``cols[j]``; padding bits are 0.  The
+    masks are :func:`_violations` of the module docstring's *keeps* and
+    *accepts*, on ``(voter, cell, col)`` bool arrays in C order, so the
+    reductions over voters run over whole rows.  What depends only on the
+    columns is built once.
+    """
+    n, digits, ranks = ctx.n, ctx.build_digits(), ctx.rank_table
+    k = ranks.shape[1]
+    q, y = np.divmod(cols, k)
+    on_q = digits.take(q, axis=1)
+    # accepts[v * k + x, j]: y is weakly better than x under Q_v.
+    at_q = ranks[ctx.order_base[:, None] + on_q]
+    rank_y = np.take_along_axis(at_q, y[None, :, None], axis=2)
+    accepts = (rank_y <= at_q).transpose(0, 2, 1).reshape(n * k, -1)
+    base, words = np.arange(0, n * k, k), -(-len(cols) // 64)
+
+    def build(cells):
+        p, x = np.divmod(cells, k)
+        on_p = digits.take(p, axis=1)
+        changed = on_p[:, :, None] != on_q[:, None]
+        # x is weakly better than y under P_v.
+        at_p = ranks[ctx.order_base[:, None] + on_p]
+        rank_x = np.take_along_axis(at_p, x[None, :, None], axis=2)
+        kept = changed & (rank_x <= at_p.take(y, axis=2))
+        accepted = None
+        if "pr" in props or "apr" in props:
+            accepted = changed & accepts.take(base[:, None] + x, axis=0)
+        # The uint8 count cannot wrap: at most 15 voters with two orders or
+        # more fit under the pair guard.
+        single = changed.sum(axis=0, dtype=np.uint8) == 1 if "isp" in props else None
+        viol = _violations(kept, accepted, x[:, None] != y, props, 0, single)
+        bits = np.zeros((len(cells), len(props), words * 64), dtype=bool)
+        for i, prop in enumerate(props):
+            bits[:, i, : len(cols)] = viol[prop]
+        return np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
+
+    return build
+
+
 def table_verdicts(
     domain: Domain, tables: np.ndarray, props
 ) -> dict[str, np.ndarray]:
     """Whether each property in ``props`` holds, for every row of ``tables``.
 
     ``tables`` is a ``(B, count)`` uint8 block, one table per row; the
-    result maps each property to a length-B bool array.  The masks are
-    :func:`_violations`, as in :func:`_pair_scan`, with a table axis added,
-    and the P rows are taken in blocks of about ``_BLOCK_CELLS`` (voter, P,
-    table, Q) cells, so a large table is split as the checkers split it.
-    ISP fails where exactly one voter changed and does not keep;
-    dictatorship holds where some voter gets a rank-0 (top) alternative at
-    every profile.  No witness is built.  ISP, GSP, PR and APR are decided
-    over ordered profile pairs, so asking for any of them raises the
-    checkers' pair guard before anything is built.
+    result maps each property to a length-B bool array.  A table t breaks a
+    pair property exactly when the packed rows of its cells (P, t[P])
+    (:func:`_row_builder`), ORed over P, meet its own one-hot row of cells
+    {(Q, t[Q])}: count * ceil(count * k / 64) words gathered per table and
+    property.  The rows of every cell are built once per domain and kept on
+    its context when they fit in ``_KEY_CACHE_BYTES``.  Past that, each
+    call builds, per block of P rows, the rows of the cells its tables use,
+    over the (Q, y) cells they use.  The P rows are taken in blocks of about
+    ``_BLOCK_CELLS`` gathered bytes (and built cells), so a large table is
+    split as the checkers split it.  Dictatorship holds where some voter
+    gets a rank-0 (top) alternative at every profile.  No witness is built.
+    ISP, GSP, PR and APR are decided over ordered profile pairs, so asking
+    for any of them raises the checkers' pair guard before anything is
+    built.
     """
     ctx = domain._scan_context
-    count = ctx.count
-    pair_props = [p for p in ("isp", "gsp", "pr", "apr") if p in props]
+    count, k = ctx.count, ctx.rank_table.shape[1]
+    pair_props = tuple(p for p in ("isp", "gsp", "pr", "apr") if p in props)
     if pair_props:
         _require_pairs(count)
-    digits, rank_rows, rank_base = ctx.build_arrays()
-    # own[v, b, p]: the rank of phi_b(P) under voter v's order at P.
-    own = rank_rows.reshape(-1)[rank_base[:, None, :] + tables]
+    # at[b, p]: table b's cell (P, phi_b(P)).
+    at = tables + np.arange(0, count * k, k)
     out = {}
     if "dictator" in props:
-        out["dictator"] = (own == 0).all(axis=2).any(axis=0)
+        tops = (ctx.rank_table == 0)[ctx.order_base[:, None] + ctx.build_digits()]
+        out["dictator"] = tops.reshape(ctx.n, -1)[:, at].all(axis=2).any(axis=0)
     if not pair_props:
         return out
-    for prop in pair_props:
-        out[prop] = np.ones(len(tables), dtype=bool)
-    # Pair arrays are indexed [v, p, b, q], so the voter axis is 0 as in
-    # _pair_scan.  by_alt[v, z, q] is the rank of z under voter v's order at Q.
-    own_p = own.transpose(0, 2, 1)[..., None]
-    own_q = own[:, None]
-    by_alt = np.ascontiguousarray(rank_rows.transpose(0, 2, 1))
-    step = max(1, _BLOCK_CELLS // (len(tables) * ctx.n * count))
+    # The one-hot rows cover every (Q, y) cell, or without cached rows only
+    # those these tables use; then each block of P rows builds the rows of
+    # the (P, x) cells they use.
+    rows, width, place = ctx.build_verdict_rows(pair_props), count * k, at
+    if rows is None:
+        cols = np.unique(at)
+        width, place = len(cols), np.searchsorted(cols, at)
+        build = _row_builder(ctx, pair_props, cols)
+    blocks, words = len(tables), -(-width // 64)
+    onehot = np.zeros((blocks, words * 64), dtype=bool)
+    onehot[np.arange(blocks)[:, None], place] = True
+    onehot = np.packbits(onehot, axis=1, bitorder="little").view(np.uint64)
+    step = _BLOCK_CELLS // (blocks * len(pair_props) * words * 8)
+    if rows is None:
+        step = min(step, _BLOCK_CELLS // (ctx.n * width * min(blocks, k)))
+    step = max(1, step)
+    # met[b, i]: the OR of table b's rows so far; the AND with its one-hot
+    # row distributes over it.
+    met = np.zeros((blocks, len(pair_props), words), dtype=np.uint64)
     for lo in range(0, count, step):
-        hi = min(lo + step, count)
-        changed = digits[:, lo:hi, None, None] != digits[:, None, None, :]
-        # np.take gives the rank of phi_b(Q) under voter v's order at P.
-        kept = own_p[:, lo:hi] <= np.take(rank_rows[:, lo:hi], tables, axis=2)
-        kept &= changed
-        accepted = None
-        if "pr" in props or "apr" in props:
-            # ranks[v, b, p, q]: the rank of phi_b(P) under voter v's order at Q.
-            ranks = np.take(by_alt, tables[:, lo:hi], axis=1)
-            accepted = own_q <= ranks.transpose(0, 2, 1, 3)
-            accepted &= changed
-        neq = tables.T[lo:hi, :, None] != tables
-        single = changed.sum(axis=0) == 1 if "isp" in props else None
-        viol = _violations(kept, accepted, neq, pair_props, 0, single)
-        for prop, mask in viol.items():
-            out[prop] &= ~mask.any(axis=0).any(axis=1)
-        if not any(out[prop].any() for prop in pair_props):
+        cells = at[:, lo : lo + step].T
+        if rows is None:
+            used = np.unique(cells)
+            hits = build(used)[np.searchsorted(used, cells)]
+        else:
+            hits = rows[cells]
+        met |= np.bitwise_or.reduce(hits, axis=0)
+        holds = ~(met & onehot[:, None]).any(axis=2)
+        if not holds.any():
             break
+    out.update((prop, holds[:, i]) for i, prop in enumerate(pair_props))
     return out
 
 

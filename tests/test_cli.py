@@ -642,6 +642,69 @@ def test_verify_rejects_negative_counts(capsys, theorem, flags, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+_UNIVERSE = ("--k", "3", "--voters", "2", "--orders-per-voter", "2")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "isp-not-pr", "--k", "4", "--orders-per-voter", "3",
+      "--budget", "100", "--max-tables", "0"),
+     "verify isp-not-pr takes no --max-tables"),
+    (("verify", "isp-not-pr", "--k", "4", "--orders-per-voter", "3",
+      "--max-profiles", "5"),
+     "verify isp-not-pr takes no --max-profiles"),
+    (("verify", "prop-apr-gsp", *_UNIVERSE, "--max-profiles", "1"),
+     "verify prop-apr-gsp takes no --max-profiles"),
+    (("verify", "thm-range3", *_UNIVERSE, "--max-profiles", "1"),
+     "verify thm-range3 takes no --max-profiles"),
+    (("verify", "summary-equivalence", *_UNIVERSE, "--max-profiles", "1"),
+     "verify summary-equivalence takes no --max-profiles"),
+    (("verify", "thm-complete", "--rule", "median-peaks", "--k", "3",
+      "--max-tables", "1"),
+     "verify thm-complete takes no --max-tables"),
+    (("orders", "--k", "3", "--max-profiles", "1"),
+     "unrecognized arguments: --max-profiles 1"),
+    (("orders", "--k", "3", "--max-tables", "1"),
+     "unrecognized arguments: --max-tables 1"),
+    (("domain-complete", "PATH", "--max-profiles", "1"),
+     "unrecognized arguments: --max-profiles 1"),
+    (("domain-complete", "PATH", "--max-tables", "1"),
+     "unrecognized arguments: --max-tables 1"),
+    (("quotient", "--scf", "PATH", "--profile-p", "PATH", "--profile-q", "PATH",
+      "--max-profiles", "1"),
+     "unrecognized arguments: --max-profiles 1"),
+    (("quotient", "--scf", "PATH", "--profile-p", "PATH", "--profile-q", "PATH",
+      "--max-tables", "1"),
+     "unrecognized arguments: --max-tables 1"),
+    (("check", "SCF", "--max-tables", "1"),
+     "unrecognized arguments: --max-tables 1"),
+    (("check", "SCF", "--recheck-witness", "PATH", "--max-profiles", "1"),
+     "check --recheck-witness takes no --max-profiles"),
+])
+def test_guard_flags_a_command_does_not_apply_are_refused(
+    capsys, paper_scf_path, argv, message
+):
+    # PATH stands for a file that is never read; the refusal comes first.
+    argv = [paper_scf_path if a == "SCF" else "missing.txt" if a == "PATH" else a
+            for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("check", "SCF", "--max-profiles", "8"), "profile space has 169 profiles, guard is 8"),
+    (("verify", "thm-range3", *_UNIVERSE, "--max-tables", "80"),
+     "table universe exceeds 80; set a limit or shrink the spec"),
+    (("verify", "thm-complete", "--rule", "median-peaks", "--k", "3",
+      "--max-profiles", "15"),
+     "profile space has 16 profiles, guard is 15"),
+])
+def test_guard_flags_a_command_applies_act(capsys, paper_scf_path, argv, message):
+    argv = [paper_scf_path if a == "SCF" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_verify_isp_not_pr_refuses_a_limit(capsys):
     code, out, err = run(
         capsys, "verify", "isp-not-pr", "--voters", "2", "--orders-per-voter", "3",

@@ -175,7 +175,8 @@ def test_walk_refuses_a_universe_past_the_pair_guard_before_any_block(monkeypatc
     for suite in (verify_prop_apr_gsp, verify_thm_range3, verify_summary_equivalence):
         with pytest.raises(ResourceGuardError, match=guard):
             suite(spec)
-    assert advanced == [] and domain._scan_context.arrays is None
+    ctx = domain._scan_context
+    assert advanced == [] and ctx.digits is None and ctx.verdict_rows is None
 
 
 def _flip(monkeypatch, prop, wrong, checker=True):
@@ -310,7 +311,11 @@ def test_suite_verdicts_do_not_depend_on_the_block_size(spec81, monkeypatch):
     for cells in (1, 100):
         monkeypatch.setattr(properties, "_BLOCK_CELLS", cells)
         assert run_all() == expected, cells
-    assert default(spec81.domain) == (1 << 16) // (2 * 4 * 4)
+    # Without cached rows, as with them.
+    monkeypatch.setattr(properties, "_KEY_CACHE_BYTES", 0)
+    assert run_all() == expected
+    # 4 profiles at k=3: one 8-byte word of (Q, y) cells a row.
+    assert default(spec81.domain) == (1 << 16) // (4 * 8)
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +509,24 @@ def test_search_random_sampling_is_seeded():
     two = search_isp_not_pr(spec, budget=50, seed=11)
     assert one.details["scope"] == "budget-exhausted"
     assert verdict_to_dict(one) == verdict_to_dict(two)
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2024])
+@pytest.mark.parametrize("radix", [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 32, 33, 39])
+def test_bulk_draws_equal_randrange_and_leave_the_same_state(seed, radix):
+    # The sampled isp-not-pr walk draws a block's profiles at once; it must
+    # give what one randrange per profile gives and leave the generator as
+    # that loop does, whatever CPython's word layout: this fails loudly on
+    # a version where it changes.
+    spec = EnumerationSpec(strict_prefix_domain(3, 2, 3), (0, 1, 2))
+    block = harness._block_size(spec.domain) * spec.domain.profile_count()
+    for count in (0, 1, 2, block):
+        bulk, loop = random.Random(seed), random.Random(seed)
+        bulk.random(), loop.random()
+        drawn = harness._draws(bulk, radix, count)
+        assert drawn.tolist() == [loop.randrange(radix) for _ in range(count)]
+        assert bulk.getstate() == loop.getstate()
+        assert bulk.random() == loop.random()
 
 
 @pytest.mark.parametrize("per_table", [None, 1, 7])

@@ -571,6 +571,38 @@ def test_table_verdicts_match_the_naive_oracles_on_uneven_domains(monkeypatch, c
     assert any(smallest == 1 for _, smallest in shapes)  # a singleton feasible set
 
 
+@pytest.mark.parametrize("cells", [None, 1, 40])
+def test_table_verdicts_without_cached_rows_match_the_naive_oracles(monkeypatch, cells):
+    # No rows fit the cache, so every call builds the rows of the cells its
+    # tables use, per block of P rows.
+    import numpy as np
+
+    monkeypatch.setattr(properties, "_KEY_CACHE_BYTES", 0)
+    if cells is not None:
+        monkeypatch.setattr(properties, "_BLOCK_CELLS", cells)
+    rng = random.Random(20240512)
+    seen = {p: set() for p in properties.CHECKERS}
+    for _ in range(40):
+        domain = _uneven_domain(rng)
+        scfs = [_seeded_table(rng, domain) for _ in range(5)]
+        for per_call in (scfs, scfs[:1]):
+            verdicts = _assert_kernel_matches_oracles(domain, per_call)
+            for prop, holds in verdicts.items():
+                seen[prop].update(bool(x) for x in holds)
+        assert domain._scan_context.verdict_rows is None
+    assert all(outcomes == {True, False} for outcomes in seen.values())
+    # The whole 19,683-table universe gives the cached rows' verdicts.
+    domain = _strict_prefix_domain(3, 2, 3)
+    tables = np.array(list(itertools.product(range(3), repeat=9)), dtype=np.uint8)
+    verdicts = properties.table_verdicts(domain, tables, properties.CHECKERS)
+    monkeypatch.undo()
+    cached = properties.table_verdicts(domain, tables, properties.CHECKERS)
+    assert domain._scan_context.verdict_rows is not None
+    assert {p: v.tolist() for p, v in verdicts.items()} == {
+        p: v.tolist() for p, v in cached.items()
+    }
+
+
 @pytest.mark.parametrize("orders, voters", [
     (("a~b>c~d", "d>c>a~b", "b~c>a~d"), 2),
     (("a~b>c", "c>a~b", "a>b~c"), 2),
@@ -646,6 +678,66 @@ def test_table_verdicts_split_a_table_larger_than_a_block():
     assert not verdicts["gsp"][1]
 
 
+def test_table_verdicts_split_a_large_table_without_cached_rows(monkeypatch):
+    # The same 900-profile domain with a cache too small for its rows: each
+    # block of P rows builds the rows of the cells its table uses.
+    import numpy as np
+
+    domain = _strict_prefix_domain(5, 2, 30)
+    count = domain.profile_count()
+    rng = random.Random(7)
+    scfs = [
+        tabulate(builtin("dictator-tiebreak", domain, voter=0)),
+        Scf.from_table(domain, [0] * (count - 1) + [2]),
+        Scf.from_table(domain, [rng.choice((1, 4)) for _ in range(count)]),
+    ]
+    want = properties.table_verdicts(
+        domain, np.stack([scf.table for scf in scfs]), properties.CHECKERS
+    )
+    assert want["isp"][0] and not want["gsp"][1]
+    monkeypatch.setattr(properties, "_KEY_CACHE_BYTES", 1 << 16)
+    for per_block in (scfs, scfs[1:2]):
+        fresh = _strict_prefix_domain(5, 2, 30)
+        block = np.stack([scf.table for scf in per_block])
+        verdicts = properties.table_verdicts(fresh, block, properties.CHECKERS)
+        assert fresh._scan_context.verdict_rows is None
+        rows = [scfs.index(scf) for scf in per_block]
+        assert {p: v.tolist() for p, v in verdicts.items()} == {
+            p: v[rows].tolist() for p, v in want.items()
+        }
+
+
+@pytest.mark.parametrize("cache", [None, 0])
+@pytest.mark.parametrize("cells", [None, 1, 100])
+@pytest.mark.parametrize("k, sizes", [
+    (3, (3, 7)),   # 21 profiles: rows of 63 bits
+    (4, (4, 4)),   # 16 profiles: rows of 64 bits
+    (5, (13,)),    # 13 profiles: rows of 65 bits, two words
+])
+def test_table_verdicts_on_rows_around_a_word(monkeypatch, k, sizes, cells, cache):
+    # cache=0 builds the rows per call, over only the cells the tables use.
+    from prefrev import enumerate_weak_orders
+
+    rng = random.Random(k * 100 + len(sizes))
+    alts = AlternativeSet.letters(k)
+    weak = list(enumerate_weak_orders(k))
+    domain = Domain(tuple(FeasibleSet.explicit(alts, rng.sample(weak, m)) for m in sizes))
+    assert domain.profile_count() * k in (63, 64, 65)
+    if cells is not None:
+        monkeypatch.setattr(properties, "_BLOCK_CELLS", cells)
+    if cache is not None:
+        monkeypatch.setattr(properties, "_KEY_CACHE_BYTES", cache)
+    seen = {p: set() for p in properties.CHECKERS}
+    for _ in range(4):
+        verdicts = _assert_kernel_matches_oracles(
+            domain, [_seeded_table(rng, domain) for _ in range(6)]
+        )
+        for prop, holds in verdicts.items():
+            seen[prop].update(bool(x) for x in holds)
+    assert all(outcomes == {True, False} for outcomes in seen.values())
+    assert (domain._scan_context.verdict_rows is None) == (cache == 0)
+
+
 def test_table_verdicts_apply_the_pair_guards():
     import numpy as np
 
@@ -656,8 +748,9 @@ def test_table_verdicts_apply_the_pair_guards():
     for props in (("isp",), ("gsp",), ("pr", "apr"), ("isp", "gsp", "dictator")):
         with pytest.raises(ResourceGuardError, match=guard):
             properties.table_verdicts(domain, table, props)
-    # The refusal comes before the whole-space arrays are built.
-    assert domain._scan_context.arrays is None
+    # The refusal comes before the whole-space digits or any row is built.
+    ctx = domain._scan_context
+    assert ctx.digits is None and ctx.verdict_rows is None
     # The checkers raise the same guard; the ISP and dictatorship checkers
     # do not scan pairs.
     phi = Scf.from_table(domain, table[0])
@@ -862,7 +955,7 @@ def test_a_domain_and_its_scan_context_die_together(abc):
     for check in properties.CHECKERS.values():
         check(phi)
     properties.table_verdicts(domain, np.stack([phi.table]), properties.CHECKERS)
-    assert domain._scan_context.arrays is not None
+    assert domain._scan_context.verdict_rows is not None
     alive = weakref.ref(domain)
     del domain, phi
     gc.collect()
