@@ -344,9 +344,7 @@ class CompletenessReport:
     checked: int
 
 
-def is_complete(
-    fs: FeasibleSet, max_checks: int = COMPLETENESS_GUARD
-) -> CompletenessReport:
+def is_complete(fs: FeasibleSet) -> CompletenessReport:
     """Decide completeness; on failure return the lexicographically first gap.
 
     The scan order is (p, q) by canonical member index, then ordered pairs
@@ -355,13 +353,13 @@ def is_complete(
     each member p and point a, a bit row over the members w that resolve the
     p-indifference at a.  A quadruple is covered when the rows of (p, a) and
     (q, b) share a bit; blocks of (p, q) pairs AND the rows as uint64 words,
-    so ``max_checks`` bounds the m^2 * k^2 * ceil(m / 8) byte ANDs.
+    so ``COMPLETENESS_GUARD`` bounds the m^2 * k^2 * ceil(m / 8) byte ANDs.
     """
     m, k = len(fs), fs.alts.k
     cost = m * m * k * k * -(-m // 8)
-    if cost > max_checks:
+    if cost > COMPLETENESS_GUARD:
         raise ResourceGuardError(
-            f"completeness pass needs {cost} byte ANDs, guard is {max_checks}"
+            f"completeness pass needs {cost} byte ANDs, guard is {COMPLETENESS_GUARD}"
         )
     ranks = np.array([order.ranks for order in fs.orders], dtype=np.int8)
     # weak[p, a, x]: a weakly above x in p.  w resolves the p-indifference at

@@ -55,7 +55,6 @@ import numpy as np
 from .errors import ArgumentError, ResourceGuardError
 from .orders import WeakOrder, format_order
 from .domains import (
-    COMPLETENESS_GUARD,
     DEFAULT_PROFILE_GUARD,
     Domain,
     FeasibleSet,
@@ -419,7 +418,6 @@ def verify_thm_complete(
     phi: Scf,
     *,
     max_profiles: int = DEFAULT_PROFILE_GUARD,
-    max_completeness_checks: int = COMPLETENESS_GUARD,
 ) -> TheoremVerdict:
     """Complete feasible sets + ISP imply PR, checked on one supplied scf.
 
@@ -436,7 +434,7 @@ def verify_thm_complete(
         if fs in done:
             complete = done[fs]
         else:
-            report = is_complete(fs, max_completeness_checks)
+            report = is_complete(fs)
             complete = report.complete
             done[fs] = complete
             certificates.append(
@@ -587,10 +585,8 @@ def quotient_reduce(
     p_profile: Profile,
     q_profile: Profile,
     *,
-    mode: str = "auto",
     samples: int = 100,
     seed: int = 0,
-    max_profiles: int = DEFAULT_PROFILE_GUARD,
 ) -> QuotientResult:
     """Collapse voters with identical (P_v, Q_v) pairs into a small society.
 
@@ -612,16 +608,8 @@ def quotient_reduce(
         raise ArgumentError("quotient reduction needs a rule-based scf")
     if samples < 0:
         raise ArgumentError(f"sample count {samples} is negative")
-    if mode not in ("auto", "shared", "pairs"):
-        raise ArgumentError(f"unknown quotient mode {mode!r}")
     domain = phi.domain
-    shared = domain.is_shared()
-    if mode == "shared" and not shared:
-        raise ArgumentError(
-            "mixed feasible sets: the shared-domain case needs one feasible "
-            "set common to all voters"
-        )
-    case = "shared" if (mode in ("auto", "shared") and shared) else "pairs"
+    case = "shared" if domain.is_shared() else "pairs"
     outcome_p = evaluate(phi, p_profile)
     outcome_q = evaluate(phi, q_profile)
 
@@ -669,7 +657,7 @@ def quotient_reduce(
                           "note": "completeness undecided within guard"}
     if not hypothesis["verified"]:
         try:
-            rng_size = len(range_of(quotient, max_profiles))
+            rng_size = len(range_of(quotient))
             verified = rng_size <= 3
             if verified or hypothesis["kind"] is None:
                 hypothesis = {

@@ -37,34 +37,37 @@ key: the coalition's offset plus the mixed-radix index of the new orders,
 each member's truthful order skipped.  The key is computed only over the
 violations of the first row that has any.
 
-Voter v's masks depend on P only through (v, P_v, phi(P)), so the pass
-builds them per such key, not per pair: a *keeps* row over Q, and for PR
-and APR an *accepts* row, each bit-packed (``np.packbits``, little bit
-order), plus one packed ``phi(Q) != x`` row per alternative x.  A block of
-P rows gathers its n rows per profile and combines them with bitwise
-operations; only the first row with a violation is unpacked.  Rows are
-built the first time a block needs them and kept in a cache of at most
-``_KEY_CACHE_BYTES`` (never less than one block's keys, which it flushes
-to when full), so the cost is about (sum of m_v) * k rows plus n packed
-rows per profile instead of n * count**2 bytes.  Blocks grow from about
-``_FIRST_CELLS`` to about ``_BLOCK_CELLS`` gathered bytes.  Every scan is
-serial.  GSP gathers only the *keeps* rows, half the bytes per pair that PR
-and APR gather, so one guard on the number of ordered pairs,
-``PAIR_GUARD``, bounds all three.
+Voter v's masks depend on P only through (v, P_v, phi(P)), so one builder,
+:class:`_KeyRows`, makes them per such key, not per pair: a *keeps* row over
+the columns Q, and for PR and APR an *accepts* row, each bit-packed
+(``np.packbits``, little bit order), plus one packed ``phi(Q) != x`` row
+per alternative x.  A block of P rows gathers its n rows per profile and
+combines them with bitwise operations; only the first row with a violation
+is unpacked.  Rows are built the first time a block needs them and kept in
+a cache of at most ``_KEY_CACHE_BYTES`` (never less than one block's keys,
+which it flushes to when full), so the cost is about (sum of m_v) * k rows
+plus n packed rows per profile instead of n * count**2 bytes.  Blocks grow
+from about ``_FIRST_CELLS`` to about ``_BLOCK_CELLS`` gathered bytes.
+Every scan is serial.  GSP gathers only the *keeps* rows, half the bytes
+per pair that PR and APR gather, so one guard on the number of ordered
+pairs, ``PAIR_GUARD``, bounds all three.
 
 Table universes ask only for verdicts, on many small tables.
 :func:`table_verdicts` decides all five properties for a whole block of
 tables and returns one bool per table and property: no scan order, no
 ``checked`` count and no witness.  A pair's violation depends on the
-table only through x = phi(P) and y = phi(Q), so the same masks give, per
-cell (P, x), one bit-packed row over the cells (Q, y) that break the
-property against it.  A table t breaks the property exactly when its rows
-at the cells (P, t[P]), ORed over P, meet t's own one-hot row {(Q, t[Q])}:
-count * ceil(count * k / 64) words gathered per table.  The rows are kept
-on the domain's context within ``_KEY_CACHE_BYTES`` and built per block of
-P rows past it; dictatorship gathers each voter's rank-0 set at (P, t[P]).
-The pass has the checkers' pair guard and takes P rows in blocks of about
-``_BLOCK_CELLS`` bytes.
+table only through x = phi(P) and y = phi(Q), so the same builder, given
+the cells (Q, y) as its columns, gives per cell (P, x) the packed row of
+the cells that break the property against it: the violation rows the
+pair pass combines for its own table's cells, with ISP's "exactly one
+voter changed" rows besides.  A table t breaks the property exactly when
+its rows at the cells (P, t[P]), ORed over P, meet t's own one-hot row
+{(Q, t[Q])}: count * ceil(count * k / 64) words gathered per table, the
+rows padded with 0 to whole words.  The rows of every cell are kept on the domain's context within
+``_KEY_CACHE_BYTES``; past it, each call builds key rows over only the
+cells its tables use, and cell rows per block of P rows.  Dictatorship
+gathers each voter's rank-0 set at (P, t[P]).  The pass has the checkers'
+pair guard and takes P rows in blocks of about ``_BLOCK_CELLS`` bytes.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ from .scf import Profile, Scf, evaluate, profile_at, profile_strides, tabulate
 PAIR_GUARD = 2_000_000_000
 
 #: The largest block: packed bytes gathered per block in the pair pass and
-#: in :func:`table_verdicts`, and (voter, cell, cell) bools built at once
+#: in :func:`table_verdicts`, and per call of :meth:`_KeyRows.violations`
 #: for the verdict rows.  At 2^17 a pair-pass block's arrays stay below
 #: glibc's default mmap threshold (128 KiB), so they are reused from the
 #: heap and not page-faulted in again each block.
@@ -205,24 +208,19 @@ class _Ctx:
         return self.digits
 
     def build_verdict_rows(self, props):
-        """The packed rows of every (P, x) cell over every (Q, y) cell for
-        the pair properties ``props`` (:func:`_row_builder`), built in
-        blocks of about ``_BLOCK_CELLS`` cells and kept for the last
-        ``props`` asked; None, and nothing built, when they would take more
-        than ``_KEY_CACHE_BYTES``."""
+        """The :func:`_cell_rows` of every (P, x) cell over every (Q, y)
+        cell for the pair properties ``props``, kept for the last ``props``
+        asked; None, and nothing built, when they would take more than
+        ``_KEY_CACHE_BYTES``."""
         if self.verdict_rows is None or self.verdict_rows[0] != props:
             self.verdict_rows = None
-            cells = self.count * self.rank_table.shape[1]
-            words = -(-cells // 64)
-            if cells * len(props) * words * 8 > _KEY_CACHE_BYTES:
+            k = self.rank_table.shape[1]
+            size = self.count * k
+            if size * len(props) * -(-size // 64) * 8 > _KEY_CACHE_BYTES:
                 return None
-            cols = np.arange(cells)
-            build = _row_builder(self, props, cols)
-            rows = np.empty((cells, len(props), words), dtype=np.uint64)
-            step = max(1, _BLOCK_CELLS // (self.n * cells))
-            for lo in range(0, cells, step):
-                rows[lo : lo + step] = build(cols[lo : lo + step])
-            self.verdict_rows = (props, rows)
+            cells = np.arange(size)
+            keys = _KeyRows(self, *np.divmod(cells, k), "pr" in props or "apr" in props)
+            self.verdict_rows = (props, _cell_rows(keys, cells, props))
         return self.verdict_rows[1]
 
     def build_isp_rows(self):
@@ -420,23 +418,23 @@ def _require_pairs(count) -> int:
     return total
 
 
-def _violations(kept, accepted, neq, props, axis, single=None):
-    """The violation masks of the module docstring, one per property.
+def _violations(kept, accepted, neq, props, single=None):
+    """The violation masks of the module docstring, one per property, as
+    rows of bits packed into uint8.
 
-    ``kept`` and ``accepted`` carry the voters on ``axis`` (``accepted`` may
-    be None when neither PR nor APR is asked for); ``neq`` marks the pairs
-    with different outcomes and ``single`` those where exactly one voter
-    changed, both without the voter axis.  ISP fails where that voter does
-    not keep.  Only bitwise operations are used, so the masks may be bool
-    arrays or rows of bits packed into uint8 whose padding bits are 0 in
-    ``neq``.
+    ``kept`` and ``accepted`` carry the voters on their first axis
+    (``accepted`` may be None when neither PR nor APR is asked for);
+    ``neq`` marks the pairs with different outcomes and ``single`` those
+    where exactly one voter changed.  ISP fails where that voter does not
+    keep.  The padding bits of ``neq`` and ``single`` are 0, so no mask sets
+    a padding bit.
     """
-    any_kept = np.bitwise_or.reduce(kept, axis=axis)
+    any_kept = np.bitwise_or.reduce(kept, axis=0)
     viol = {}
     if "pr" in props:
-        viol["pr"] = neq & ~np.bitwise_or.reduce(kept & accepted, axis=axis)
+        viol["pr"] = neq & ~np.bitwise_or.reduce(kept & accepted, axis=0)
     if "apr" in props:
-        viol["apr"] = neq & ~(any_kept & np.bitwise_or.reduce(accepted, axis=axis))
+        viol["apr"] = neq & ~(any_kept & np.bitwise_or.reduce(accepted, axis=0))
     if "isp" in props:
         viol["isp"] = single & ~any_kept
     if "gsp" in props:
@@ -445,38 +443,53 @@ def _violations(kept, accepted, neq, props, axis, single=None):
 
 
 class _KeyRows:
-    """The pair pass's rows over Q, one per key (v, d, x), bit-packed and
-    built the first time a block needs them.
+    """The one builder of the pair masks: per key (v, d, x), packed rows
+    over a list of columns (Q, y), built the first time a call needs them.
 
+    The pair pass takes the columns (Q, phi(Q)) of one table, and the
+    verdict rows every (Q, y) cell or the cells a block of tables uses.
     Key (v, d, x) is voter v reporting order d at an outcome x; its global
     id is ``(order_base[v] + d) * k + x``, and ``slot[id]`` is its place in
-    ``rows`` or -1.  ``rows[s, 0]`` is the key's *keeps* row and, when PR or
-    APR is scanned, ``rows[s, 1]`` its *accepts* row.  ``rows`` has room for
-    ``limit`` keys, but its pages become resident only as rows are written;
-    when a block needs more than are free, every row is dropped and the
-    block's own are built again.
+    ``rows`` or -1.  ``rows[s, 0]`` is the key's *keeps* row and, when
+    ``pairwise`` (PR or APR is asked for), ``rows[s, 1]`` its *accepts*
+    row; column j is set where Q_v != d and x is weakly better than y under
+    d, resp. y is weakly better than x under Q_v.  A call of
+    :meth:`violations` gathers ``cell_bytes`` per cell and takes at most
+    ``most`` cells, about ``_BLOCK_CELLS`` bytes.  ``rows`` has room for
+    that many cells' keys, or ``_KEY_CACHE_BYTES`` of them if more, and
+    never for more keys than there are; its pages become resident only as
+    rows are written.  When a call needs more keys than are free, every row
+    is dropped and the call's own are built again.
     """
 
-    def __init__(self, ctx, table, digits, pairwise, limit):
-        self.ctx, self.digits, self.limit = ctx, digits, limit
+    def __init__(self, ctx, q, y, pairwise):
+        self.ctx, self.digits = ctx, ctx.build_digits()
+        self.on_q = self.digits[:, q]
         k = self.k = ctx.rank_table.shape[1]
+        self.width = (len(y) + 7) // 8
         # le[r, a, b]: a is weakly better than b under global order r.
         self.le = ctx.rank_table[:, :, None] <= ctx.rank_table[:, None, :]
         self.voter_of = np.repeat(np.arange(ctx.n), ctx.sizes)
-        is_out = table == np.arange(k)[:, None]
-        # Packed over Q: phi(Q) == y, and phi(Q) != x.
+        is_out = y == np.arange(k)[:, None]
+        # Packed over the columns: y == z for each alternative z, and y != x.
         self.outcome = np.packbits(is_out, axis=1, bitorder="little")
         self.neq = np.packbits(~is_out, axis=1, bitorder="little")
         self.accepts = None
         if pairwise:
-            # accepts[x, v]: phi(Q) is weakly better than x under Q_v, packed.
+            # accepts[x, v]: y is weakly better than x under Q_v, packed.
             by_x = np.ascontiguousarray(self.le.transpose(2, 0, 1)).reshape(k, -1)
-            at_q = (ctx.order_base[:, None].astype(np.int32) + digits) * k + table
+            at_q = (ctx.order_base[:, None].astype(np.int32) + self.on_q) * k + y
             self.accepts = np.packbits(
                 np.take(by_x, at_q, axis=1), axis=2, bitorder="little"
             )
-        self.slot = np.full(len(ctx.rank_table) * k, -1, dtype=np.int64)
-        self.rows = np.empty((limit, 1 + pairwise, self.neq.shape[1]), dtype=np.uint8)
+        self.moved = None
+        row_bytes = self.width * (1 + pairwise)
+        self.cell_bytes = ctx.n * row_bytes
+        self.most = max(1, _BLOCK_CELLS // self.cell_bytes)
+        keys = len(self.voter_of) * k
+        limit = min(keys, max(ctx.n * self.most, _KEY_CACHE_BYTES // row_bytes))
+        self.slot = np.full(keys, -1, dtype=np.int64)
+        self.rows = np.empty((limit, 1 + pairwise, self.width), dtype=np.uint8)
         self.used = 0
 
     def slots(self, ids):
@@ -484,12 +497,12 @@ class _KeyRows:
         slots = self.slot[ids]
         if slots.min() < 0:
             missing = np.unique(ids[slots < 0])
-            if self.used + len(missing) > self.limit:
+            if self.used + len(missing) > len(self.rows):
                 self.slot[:] = -1
                 self.used, missing = 0, np.unique(ids)
             # Build a few keys at a time, so the unpacked temporaries stay
             # within a block's size.
-            step = max(1, _BLOCK_CELLS // self.digits.shape[1])
+            step = max(1, _BLOCK_CELLS // self.on_q.shape[1])
             for at in range(0, len(missing), step):
                 part = missing[at : at + step]
                 self.rows[self.used : self.used + len(part)] = self.build(part)
@@ -498,55 +511,67 @@ class _KeyRows:
             slots = self.slot[ids]
         return slots
 
+    def changed(self, order):
+        """For each global order g in ``order``, the packed row of the
+        columns where g's voter reports another order."""
+        v = self.voter_of[order]
+        d = (order - self.ctx.order_base[v]).astype(self.on_q.dtype)
+        return np.packbits(self.on_q[v] != d[:, None], axis=1, bitorder="little")
+
     def build(self, ids):
-        """The packed rows of the keys ``ids``, shaped like ``rows``: for key
-        (v, d, x), keeps[q] = Q_v != d and x is weakly better than phi(Q)
-        under d; accepts[q] = Q_v != d and phi(Q) is weakly better than x
-        under Q_v."""
+        """The packed rows of the keys ``ids``, shaped like ``rows``."""
         order, x = np.divmod(ids, self.k)
         v = self.voter_of[order]
-        d = (order - self.ctx.order_base[v]).astype(self.digits.dtype)
-        stay = np.packbits(self.digits[v] == d[:, None], axis=1, bitorder="little")
+        changed = self.changed(order)
         worse = self.outcome * self.le[order, x][:, :, None]
-        rows = [np.bitwise_or.reduce(worse, axis=1) & ~stay]
+        rows = [np.bitwise_or.reduce(worse, axis=1) & changed]
         if self.accepts is not None:
-            rows.append(self.accepts[x, v] & ~stay)
+            rows.append(self.accepts[x, v] & changed)
         return np.stack(rows, axis=1)
+
+    def violations(self, p, x, props):
+        """The packed violation rows of the cells (P, x) over the columns,
+        one ``(cells, width)`` uint8 array per property in ``props``.
+
+        ``p`` (an index array or a slice of profiles) and ``x`` give the
+        cells, at most ``most`` of them.  Each cell gathers the rows of its
+        n keys (v, P_v, x) and :func:`_violations` combines them.  For ISP,
+        ``single`` is "some voter changed and no two did", from every
+        order's :meth:`changed` row, built when ISP is first asked for.
+        """
+        at = self.ctx.order_base[:, None] + self.digits[:, p]
+        rows = self.rows[self.slots(at * self.k + x)]
+        single = None
+        if "isp" in props:
+            if self.moved is None:
+                self.moved = self.changed(np.arange(len(self.voter_of)))
+            one = two = 0
+            for moved in self.moved[at]:
+                two = two | one & moved
+                one = one | moved
+            single = one & ~two
+        accepted = rows[:, :, 1] if self.accepts is not None else None
+        return _violations(rows[:, :, 0], accepted, self.neq[x], props, single)
 
 
 def _pair_scan(scf, wanted, max_profiles):
     """One pass over ordered profile pairs for the ``wanted`` properties.
 
     Row P of a block gathers, for each voter v, the packed rows of its key
-    (v, P_v, phi(P)) from a :class:`_KeyRows`, and the packed ``phi(Q) !=
-    phi(P)`` row; :func:`_violations` combines them.  Only the first row
-    with a violation is unpacked.
+    (v, P_v, phi(P)) over the table's columns (Q, phi(Q)) from a
+    :class:`_KeyRows`, and the packed ``phi(Q) != phi(P)`` row.  Only the
+    first row with a violation is unpacked.
     """
     t0 = time.perf_counter()
     ctx, table = _prepare(scf, max_profiles)
-    count, n = ctx.count, ctx.n
+    count = ctx.count
     total = _require_pairs(count)
-    digits = ctx.build_digits()
-    k = ctx.rank_table.shape[1]
-    pairwise = "pr" in wanted or "apr" in wanted
-    width = (count + 7) // 8
-    # A profile row gathers n key rows of this many packed bytes.
-    row_bytes = width * (1 + pairwise)
-    # The cache holds at least the largest block's keys, as _growing_blocks
-    # sizes it, and never more keys than there are.
-    most = max(1, _BLOCK_CELLS // (n * row_bytes))
-    fits = _KEY_CACHE_BYTES // row_bytes
-    keys = _KeyRows(
-        ctx, table, digits, pairwise, min(len(ctx.rank_table) * k, max(n * most, fits))
-    )
+    keys = _KeyRows(ctx, slice(None), table, "pr" in wanted or "apr" in wanted)
+    digits = keys.digits
     live = tuple(wanted)
     results: dict[str, tuple[int, tuple[int, int] | None]] = {}
-    for lo, hi in _growing_blocks(count, n * row_bytes, _BLOCK_CELLS):
-        ti = table[lo:hi]
-        slots = keys.slots((ctx.order_base[:, None] + digits[:, lo:hi]) * k + ti)
-        rows = keys.rows[slots]
-        accepted = rows[:, :, 1] if pairwise else None
-        viol = _violations(rows[:, :, 0], accepted, keys.neq[ti], live, 0)
+    for lo, hi in _growing_blocks(count, keys.cell_bytes, _BLOCK_CELLS):
+        viol = keys.violations(slice(lo, hi), table[lo:hi], live)
         for prop, mask in viol.items():
             if mask.any():
                 r = int(mask.any(axis=1).argmax())
@@ -696,49 +721,21 @@ def check_dictator(
 # ---------------------------------------------------------------------------
 
 
-def _row_builder(ctx, props, cols):
-    """``build(cells)``: the packed rows of the (P, x) cells ``cells`` over
-    the (Q, y) cells ``cols``, both flat (``P * k + x``).
-
-    The rows are a ``(len(cells), len(props), words)`` uint64 array in
-    which bit j is set where the pair (P, Q) breaks the property if phi(P)
-    = x and phi(Q) = y, (Q, y) being ``cols[j]``; padding bits are 0.  The
-    masks are :func:`_violations` of the module docstring's *keeps* and
-    *accepts*, on ``(voter, cell, col)`` bool arrays in C order, so the
-    reductions over voters run over whole rows.  What depends only on the
-    columns is built once.
+def _cell_rows(keys, cells, props):
+    """The verdict rows of the flat (P, x) cells ``cells`` (``P * k + x``)
+    over the columns (Q, y) of ``keys``: a ``(len(cells), len(props),
+    words)`` uint64 array whose bit j is set where the pair (P, Q) breaks
+    the property if phi(P) = x and phi(Q) = y, (Q, y) being column j.
+    :meth:`_KeyRows.violations` builds them ``keys.most`` cells at a time;
+    the padding bits are 0.
     """
-    n, digits, ranks = ctx.n, ctx.build_digits(), ctx.rank_table
-    k = ranks.shape[1]
-    q, y = np.divmod(cols, k)
-    on_q = digits.take(q, axis=1)
-    # accepts[v * k + x, j]: y is weakly better than x under Q_v.
-    at_q = ranks[ctx.order_base[:, None] + on_q]
-    rank_y = np.take_along_axis(at_q, y[None, :, None], axis=2)
-    accepts = (rank_y <= at_q).transpose(0, 2, 1).reshape(n * k, -1)
-    base, words = np.arange(0, n * k, k), -(-len(cols) // 64)
-
-    def build(cells):
-        p, x = np.divmod(cells, k)
-        on_p = digits.take(p, axis=1)
-        changed = on_p[:, :, None] != on_q[:, None]
-        # x is weakly better than y under P_v.
-        at_p = ranks[ctx.order_base[:, None] + on_p]
-        rank_x = np.take_along_axis(at_p, x[None, :, None], axis=2)
-        kept = changed & (rank_x <= at_p.take(y, axis=2))
-        accepted = None
-        if "pr" in props or "apr" in props:
-            accepted = changed & accepts.take(base[:, None] + x, axis=0)
-        # The uint8 count cannot wrap: at most 15 voters with two orders or
-        # more fit under the pair guard.
-        single = changed.sum(axis=0, dtype=np.uint8) == 1 if "isp" in props else None
-        viol = _violations(kept, accepted, x[:, None] != y, props, 0, single)
-        bits = np.zeros((len(cells), len(props), words * 64), dtype=bool)
+    words = -(-keys.width // 8)
+    out = np.zeros((len(cells), len(props), words * 8), dtype=np.uint8)
+    for lo in range(0, len(cells), keys.most):
+        viol = keys.violations(*np.divmod(cells[lo : lo + keys.most], keys.k), props)
         for i, prop in enumerate(props):
-            bits[:, i, : len(cols)] = viol[prop]
-        return np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
-
-    return build
+            out[lo : lo + keys.most, i, : keys.width] = viol[prop]
+    return out.view(np.uint64)
 
 
 def table_verdicts(
@@ -749,18 +746,18 @@ def table_verdicts(
     ``tables`` is a ``(B, count)`` uint8 block, one table per row; the
     result maps each property to a length-B bool array.  A table t breaks a
     pair property exactly when the packed rows of its cells (P, t[P])
-    (:func:`_row_builder`), ORed over P, meet its own one-hot row of cells
+    (:func:`_cell_rows`), ORed over P, meet its own one-hot row of cells
     {(Q, t[Q])}: count * ceil(count * k / 64) words gathered per table and
     property.  The rows of every cell are built once per domain and kept on
     its context when they fit in ``_KEY_CACHE_BYTES``.  Past that, each
-    call builds, per block of P rows, the rows of the cells its tables use,
-    over the (Q, y) cells they use.  The P rows are taken in blocks of about
-    ``_BLOCK_CELLS`` gathered bytes (and built cells), so a large table is
-    split as the checkers split it.  Dictatorship holds where some voter
-    gets a rank-0 (top) alternative at every profile.  No witness is built.
-    ISP, GSP, PR and APR are decided over ordered profile pairs, so asking
-    for any of them raises the checkers' pair guard before anything is
-    built.
+    call builds one :class:`_KeyRows` over the (Q, y) cells its tables use,
+    and from it, per block of P rows, the rows of the (P, x) cells they
+    use.  The P rows are taken in blocks of about ``_BLOCK_CELLS`` gathered
+    bytes, so a large table is split as the checkers split it.
+    Dictatorship holds where some voter gets a rank-0 (top) alternative at
+    every profile.  No witness is built.  ISP, GSP, PR and APR are decided
+    over ordered profile pairs, so asking for any of them raises the
+    checkers' pair guard before anything is built.
     """
     ctx = domain._scan_context
     count, k = ctx.count, ctx.rank_table.shape[1]
@@ -776,21 +773,17 @@ def table_verdicts(
     if not pair_props:
         return out
     # The one-hot rows cover every (Q, y) cell, or without cached rows only
-    # those these tables use; then each block of P rows builds the rows of
-    # the (P, x) cells they use.
+    # those these tables use.
     rows, width, place = ctx.build_verdict_rows(pair_props), count * k, at
     if rows is None:
         cols = np.unique(at)
         width, place = len(cols), np.searchsorted(cols, at)
-        build = _row_builder(ctx, pair_props, cols)
+        keys = _KeyRows(ctx, *np.divmod(cols, k), "pr" in props or "apr" in props)
     blocks, words = len(tables), -(-width // 64)
     onehot = np.zeros((blocks, words * 64), dtype=bool)
     onehot[np.arange(blocks)[:, None], place] = True
     onehot = np.packbits(onehot, axis=1, bitorder="little").view(np.uint64)
-    step = _BLOCK_CELLS // (blocks * len(pair_props) * words * 8)
-    if rows is None:
-        step = min(step, _BLOCK_CELLS // (ctx.n * width * min(blocks, k)))
-    step = max(1, step)
+    step = max(1, _BLOCK_CELLS // (blocks * len(pair_props) * words * 8))
     # met[b, i]: the OR of table b's rows so far; the AND with its one-hot
     # row distributes over it.
     met = np.zeros((blocks, len(pair_props), words), dtype=np.uint64)
@@ -798,7 +791,7 @@ def table_verdicts(
         cells = at[:, lo : lo + step].T
         if rows is None:
             used = np.unique(cells)
-            hits = build(used)[np.searchsorted(used, cells)]
+            hits = _cell_rows(keys, used, pair_props)[np.searchsorted(used, cells)]
         else:
             hits = rows[cells]
         met |= np.bitwise_or.reduce(hits, axis=0)

@@ -656,8 +656,6 @@ def test_quotient_pairs_case_for_mixed_domains(abc):
     assert result.case == "pairs"
     assert result.alpha == 1
     assert result.hypothesis["kind"] == "range-le-3"
-    with pytest.raises(ArgumentError, match="mixed"):
-        quotient_reduce(phi, p, q, mode="shared")
 
 
 @pytest.fixture

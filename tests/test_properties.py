@@ -197,14 +197,40 @@ def _oracle_domains():
     ]
 
 
-@pytest.mark.parametrize("domain_index", range(5))
+def _word_edge_domain(sizes):
+    """Weak orders on 4 alternatives, the first m of them for a voter with m
+    orders: pair-pass rows of 63, 64 or 65 bits for sizes (3, 21), (4, 4, 4)
+    and (5, 13)."""
+    weak = FeasibleSet.universal_weak(AlternativeSet.letters(4))
+    return Domain(tuple(FeasibleSet.explicit(weak.alts, weak.orders[:m]) for m in sizes))
+
+
+@pytest.mark.parametrize(
+    "domain_index", [0, 1, 2, 3, 4, (3, 21), (4, 4, 4), (5, 13)],
+    ids=lambda d: str(d) if isinstance(d, int) else "x".join(map(str, d)),
+)
 def test_checkers_agree_with_naive_oracles(domain_index):
-    domain = _oracle_domains()[domain_index]
-    for scf in _random_tables(domain, 40, seed=domain_index):
+    # The word-edge domains also run a holding dictator and a constant
+    # table, where a padding bit taken for a violation would break the
+    # verdict, and compare the witness and `checked` with the reference
+    # scans.
+    if isinstance(domain_index, int):
+        domain, tables = _oracle_domains()[domain_index], []
+    else:
+        domain = _word_edge_domain(domain_index)
+        tables = [
+            tabulate(builtin("dictator-tiebreak", domain, voter=domain.n - 1)),
+            Scf.from_table(domain, [2] * domain.profile_count()),
+        ]
+    seed = domain_index if isinstance(domain_index, int) else sum(domain_index)
+    for scf in tables + list(_random_tables(domain, 40, seed=seed)):
+        if tables:
+            _assert_pair_pass(scf)
+        both = check_pr_apr(scf)
         assert check_isp(scf).holds == naive_isp_holds(scf)
         assert check_gsp(scf).holds == naive_gsp_holds(scf)
-        assert check_pr(scf).holds == naive_pr_holds(scf)
-        assert check_apr(scf).holds == naive_apr_holds(scf)
+        assert check_pr(scf).holds == both["pr"].holds == naive_pr_holds(scf)
+        assert check_apr(scf).holds == both["apr"].holds == naive_apr_holds(scf)
 
 
 @pytest.mark.parametrize("domain_index", range(5))
@@ -607,6 +633,9 @@ def test_table_verdicts_without_cached_rows_match_the_naive_oracles(monkeypatch,
     (("a~b>c~d", "d>c>a~b", "b~c>a~d"), 2),
     (("a~b>c", "c>a~b", "a>b~c"), 2),
     (("a~b>c", "c>a~b"), 3),
+    # Each voter's first m orders: the first 2-voter universe's tables,
+    # with a third voter who never changes.
+    (("a~b>c~d", "d>c>a~b", "b~c>a~d"), (3, 3, 1)),
 ])
 @pytest.mark.parametrize("cells", [None, 7])
 def test_table_verdicts_match_the_oracles_on_every_verdict_pattern(
@@ -622,14 +651,23 @@ def test_table_verdicts_match_the_oracles_on_every_verdict_pattern(
         monkeypatch.setattr(properties, "_BLOCK_CELLS", cells)
 
     alts = AlternativeSet.letters(len(orders[0].replace("~", ">").split(">")))
-    fs = FeasibleSet.explicit(alts, [parse_order(text, alts) for text in orders])
-    domain = Domain.shared(fs, voters)
+    parsed = [parse_order(text, alts) for text in orders]
+    if isinstance(voters, int):
+        domain = Domain.shared(FeasibleSet.explicit(alts, parsed), voters)
+    else:
+        domain = Domain(tuple(FeasibleSet.explicit(alts, parsed[:m]) for m in voters))
     count = domain.profile_count()
     numbers = np.arange(4096)
     tables = np.stack(
         [(numbers // alts.k ** (count - 1 - p)) % alts.k for p in range(count)], axis=1
     ).astype(np.uint8)
     verdicts = properties.table_verdicts(domain, tables, properties.CHECKERS)
+    # The kernel's ISP counts the voters who changed; a miscount would move
+    # an ISP table into a failing pattern, where no pick may show it, so
+    # every ISP verdict is compared with check_isp's line method.
+    assert verdicts["isp"].tolist() == [
+        check_isp(Scf.from_table(domain, table)).holds for table in tables
+    ]
     patterns = {}
     for i in range(len(tables)):
         key = tuple(bool(verdicts[p][i]) for p in properties.CHECKERS)
