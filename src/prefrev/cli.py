@@ -41,6 +41,7 @@ from .domains import (
     _parse_preset,
     is_complete,
     parse_domain_file,
+    parse_profile_file,
 )
 from .scf import (
     Profile,
@@ -314,7 +315,7 @@ def _universe_domain(args) -> Domain:
         raise PrefrevError(
             f"--orders-per-voter is {args.orders_per_voter}; it must be at least 1"
         )
-    strict = sorted(enumerate_strict_orders(alts.k), key=lambda o: o.ranks)
+    strict = list(enumerate_strict_orders(alts.k))
     if args.orders_per_voter > len(strict):
         raise PrefrevError(
             f"only {len(strict)} strict orders exist at k={alts.k}"
@@ -408,47 +409,11 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_profile_file(path, alts) -> Profile:
-    orders = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    header_seen = False
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if not header_seen:
-            key, _, value = stripped.partition(":")
-            if key.strip() != "alternatives":
-                raise PrefrevError(
-                    f"{path}: line {lineno}: expected 'alternatives:' header"
-                )
-            declared = parse_alternatives(value)
-            if declared != alts:
-                raise PrefrevError(
-                    f"{path}: alternatives do not match the scf"
-                )
-            header_seen = True
-            continue
-        count = 1
-        body = stripped
-        if "x" in stripped:
-            head, _, rest = stripped.partition("x")
-            if head.strip().isdigit():
-                count = int(head.strip())
-                body = rest.strip()
-        order = parse_order(body, alts)
-        orders.extend([order] * count)
-    if not orders:
-        raise PrefrevError(f"{path}: no orders found")
-    return Profile(tuple(orders))
-
-
 def cmd_quotient(args) -> int:
     scf = load_scf(args.scf)
     alts = scf.domain.alts
-    p = _parse_profile_file(args.profile_p, alts)
-    q = _parse_profile_file(args.profile_q, alts)
+    p = Profile(parse_profile_file(args.profile_p, alts))
+    q = Profile(parse_profile_file(args.profile_q, alts))
     verdict = verify_thm_infinite(scf, p, q, samples=args.samples, seed=args.seed)
     result = {key: value for key, value in verdict.details.items() if key != "reason"}
     if result["case"] == "pairs" and not result["hypothesis"]["verified"]:

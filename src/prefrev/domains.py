@@ -13,6 +13,7 @@ standard complete families.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -109,7 +110,7 @@ class FeasibleSet:
 
     @classmethod
     def universal_strict(cls, alts: AlternativeSet) -> "FeasibleSet":
-        orders = tuple(sorted(enumerate_strict_orders(alts.k), key=lambda o: o.ranks))
+        orders = tuple(enumerate_strict_orders(alts.k))
         return cls(alts, orders, tag="universal-strict", preset="@universal-strict")
 
     @classmethod
@@ -452,6 +453,36 @@ def _parse_preset(token: str, alts: AlternativeSet, line: int) -> FeasibleSet:
     )
 
 
+def _read_lines(text: str) -> tuple[AlternativeSet, list[tuple[int, str]]]:
+    """The ``alternatives: a,b,c`` header of a domain or profile file, and
+    its other lines as ``(line number, text)``, without blank lines and
+    ``#`` comments."""
+    alts: AlternativeSet | None = None
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if alts is not None:
+            lines.append((lineno, stripped))
+            continue
+        key, _, value = stripped.partition(":")
+        if key.strip() != "alternatives":
+            raise ParseError("expected header line 'alternatives: ...'", line=lineno)
+        alts = _at_line(lineno, parse_alternatives, value)
+    if alts is None:
+        raise ParseError("empty file: missing 'alternatives:' header")
+    return alts, lines
+
+
+def _at_line(lineno: int, parse, *args):
+    """``parse(*args)``, with a ParseError it raises placed at ``lineno``."""
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        raise ParseError(str(exc), line=lineno) from None
+
+
 def parse_domain_text(text: str) -> Domain:
     """Parse the domain file format.
 
@@ -461,23 +492,9 @@ def parse_domain_text(text: str) -> Domain:
     ``voter 2: @single-peaked(axis=1..5)``.  Blank lines and ``#`` comments
     are ignored.
     """
-    alts: AlternativeSet | None = None
+    alts, body = _read_lines(text)
     blocks: list[tuple[int, str, list[tuple[int, str]]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if alts is None:
-            key, _, value = stripped.partition(":")
-            if key.strip() != "alternatives":
-                raise ParseError(
-                    "expected header line 'alternatives: ...'", line=lineno
-                )
-            try:
-                alts = parse_alternatives(value)
-            except ParseError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-            continue
+    for lineno, stripped in body:
         if stripped.startswith("voter"):
             header, _, rest = stripped.partition(":")
             voter_id = header[len("voter"):].strip()
@@ -493,8 +510,6 @@ def parse_domain_text(text: str) -> Domain:
         if not blocks:
             raise ParseError(f"unexpected line {stripped!r} before any voter", line=lineno)
         blocks[-1][2].append((lineno, stripped))
-    if alts is None:
-        raise ParseError("empty domain file: missing 'alternatives:' header")
     if not blocks:
         raise ParseError("domain file declares no voters")
 
@@ -514,12 +529,7 @@ def parse_domain_text(text: str) -> Domain:
             raise ParseError(
                 f"voter {len(feasible) + 1} has no orders", line=header_line
             )
-        orders = []
-        for lineno, line in lines:
-            try:
-                orders.append(parse_order(line, alts))
-            except ParseError as exc:
-                raise ParseError(str(exc), line=lineno) from None
+        orders = [_at_line(lineno, parse_order, line, alts) for lineno, line in lines]
         feasible.append(FeasibleSet.explicit(alts, orders))
     return Domain(tuple(feasible))
 
@@ -527,6 +537,33 @@ def parse_domain_text(text: str) -> Domain:
 def parse_domain_file(path) -> Domain:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_domain_text(fh.read())
+
+
+def parse_profile_file(path, alts: AlternativeSet) -> tuple[WeakOrder, ...]:
+    """The orders of a profile file for an scf over ``alts``, voter by voter.
+
+    After the ``alternatives:`` header (the scf's), each line holds one
+    order in ``a~b>c`` notation, or ``<count> x <order>`` for ``count``
+    voters: digits, ``x`` and whitespace, so ``1x>2x>3x`` is one order.
+    Blank lines and ``#`` comments are ignored; errors name the file and
+    the line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        declared, lines = _read_lines(text)
+        if declared != alts:
+            raise ParseError("alternatives do not match the scf")
+        orders: list[WeakOrder] = []
+        for lineno, line in lines:
+            counted = re.fullmatch(r"([0-9]+)\s*x\s+(.*)", line)
+            count, body = (int(counted[1]), counted[2]) if counted else (1, line)
+            orders.extend([_at_line(lineno, parse_order, body, alts)] * count)
+        if not orders:
+            raise ParseError("no orders found")
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    return tuple(orders)
 
 
 def format_domain(domain: Domain) -> str:

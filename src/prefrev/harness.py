@@ -18,22 +18,30 @@ property checkers against each other:
   where neither theorem forbids one; it never claims non-existence beyond
   the searched space.
 
-Each universe suite is a list of relations between property classes,
+Each universe suite declares only its relations between property classes,
 ``(a, "<=", b)`` (every table with a has b) or ``(a, "==", b)``, in the
-order it reports them, checked by one walk (``_walk``).  The walk takes the
-table universe in uint8 blocks of rows, in canonical order (base-|target|
-numerals, profile 0 most significant) up to the universe size or the spec's
-limit, and decides each block at once with the numpy verdict kernel
-``properties.table_verdicts``, which builds no witness.  ``prop-apr-gsp``
-and ``isp-not-pr`` stop at the first table that breaks a relation, and
-``checked`` is its 1-based table number.  ``thm-range3`` and
-``summary-equivalence`` visit every table, sum the verdicts and keep the
-first such table.  Only that one table becomes an :class:`Scf`: the full
-checker of every property the relations name runs on it, a verdict that
-differs from the kernel's is a ``RuntimeError``, and the reports of the
-first relation it breaks are the counterexample.  The walk is serial.  A
-universe whose tables are past the checkers' pair guard is refused before
-its first block is built.
+order it reports them, and the properties whose table counts it reports.
+One driver, ``_suite``, checks them by one walk (``_walk``) and builds the
+verdict.  The walk takes the table universe in uint8 blocks of rows, in
+canonical order (base-|target| numerals, profile 0 most significant) up to
+the universe size or the spec's limit, and decides each block at once with
+the numpy verdict kernel ``properties.table_verdicts``, which builds no
+witness.  ``prop-apr-gsp`` and ``isp-not-pr`` stop at the first table that
+breaks a relation, and ``checked`` is its 1-based table number.
+``thm-range3`` and ``summary-equivalence`` visit every table, sum the
+counted verdicts and keep the first such table.  Only that one table
+becomes an :class:`Scf`: the full checker of every property the relations
+name runs on it, a verdict that differs from the kernel's is a
+``RuntimeError``, and the reports of the first relation it breaks are the
+counterexample.  The walk is serial.  A universe whose tables are past the
+checkers' pair guard is refused before its first block is built.
+
+Whether a theorem forbids an ISP table without PR is decided in one place,
+``_hypothesis``: the range hypothesis (at most three target alternatives)
+first, then the complete-domain one (every feasible set certified by
+``is_complete``; a set the completeness guard refuses is not certified).
+Under either, ``summary-equivalence`` adds ISP <= PR to its relations and
+``isp-not-pr`` returns at once, naming it.
 
 The quotient reduction simulates the infinite-society argument on large
 replicated finite societies: voters are collapsed into classes by their
@@ -205,9 +213,9 @@ def _walk(spec, blocks, relations, counts=None):
     """The first table in ``blocks`` that breaks one of ``relations``.
 
     Each relation is ``(a, "<=", b)`` or ``(a, "==", b)`` over property
-    names, at least one of them decided over profile pairs.  With
-    ``counts``, every block is walked and the tables where each named
-    property holds are added up in it; otherwise the walk stops at the
+    names, at least one of them decided over profile pairs.  With a
+    non-empty ``counts``, every block is walked and the tables where each of
+    its properties holds are added up in it; otherwise the walk stops at the
     first breaking table.  The full checkers of every named property run on
     that table, and any verdict that differs from the kernel's is a
     RuntimeError.  Returns ``(its 1-based table number, (its Scf, the
@@ -219,9 +227,8 @@ def _walk(spec, blocks, relations, counts=None):
     first = None
     for lo, rows in blocks:
         verdicts = table_verdicts(spec.domain, rows, props)
-        if counts is not None:
-            for prop in props:
-                counts[prop] += int(verdicts[prop].sum())
+        for prop in counts or ():
+            counts[prop] += int(verdicts[prop].sum())
         if first is None:
             broken = [_BREAKS[op](verdicts[a], verdicts[b]) for a, op, b in relations]
             flagged = functools.reduce(np.logical_or, broken)
@@ -229,7 +236,7 @@ def _walk(spec, blocks, relations, counts=None):
                 i = int(flagged.argmax())
                 rel = next(r for r, mask in zip(relations, broken) if mask[i])
                 first = lo + i, rows[i], rel, {p: verdicts[p][i] for p in props}
-                if counts is None:
+                if not counts:
                     break
     if first is None:
         return None
@@ -306,13 +313,43 @@ def _require_universe(spec: EnumerationSpec, max_tables: int) -> int:
     return size if spec.limit is None else min(size, spec.limit)
 
 
-def _all_complete(domain: Domain) -> bool:
-    """Whether every feasible set is certified complete; a set whose check
-    the completeness guard refuses is not certified."""
+def _hypothesis(spec: EnumerationSpec) -> str | None:
+    """Which theorem forbids an ISP table without PR on ``spec``, if any:
+    ``"range-le-3"`` (at most three target alternatives) before
+    ``"complete-domain"`` (every feasible set certified complete; a set the
+    completeness guard refuses is not certified)."""
+    if len(spec.target) <= 3:
+        return "range-le-3"
     try:
-        return all(is_complete(fs).complete for fs in set(domain.feasible))
+        if all(is_complete(fs).complete for fs in set(spec.domain.feasible)):
+            return "complete-domain"
     except ResourceGuardError:
-        return False
+        pass
+    return None
+
+
+def _suite(theorem, spec, t0, total, relations, counted=(), **details):
+    """The verdict of walking ``relations`` over ``total`` tables of ``spec``.
+
+    With ``counted``, every table is visited and the tables where each
+    counted property holds are reported as ``<prop>_tables``; otherwise the
+    walk stops at the first table that breaks a relation.  ``details`` go
+    last.  ``elapsed`` runs from ``t0``, so it covers the caller's guard
+    and hypothesis checks too.
+    """
+    counts = dict.fromkeys(counted, 0)
+    found = _walk(spec, _table_blocks(spec, total), relations, counts)
+    checked, counterexample = found or (total, None)
+    return TheoremVerdict(
+        theorem=theorem,
+        universe=f"{spec.describe()}; {total} tables",
+        checked=total if counted else checked,
+        holds=counterexample is None,
+        counterexample=counterexample,
+        details={"tables": total, **{f"{p}_tables": counts[p] for p in counted},
+                 **details},
+        elapsed=time.perf_counter() - t0,
+    )
 
 
 def verify_prop_apr_gsp(
@@ -323,17 +360,7 @@ def verify_prop_apr_gsp(
     """Group strategy-proofness coincides with almost preference reversal."""
     t0 = time.perf_counter()
     total = _require_universe(spec, max_tables)
-    blocks, relations = _table_blocks(spec, total), [("gsp", "==", "apr")]
-    checked, counterexample = _walk(spec, blocks, relations) or (total, None)
-    return TheoremVerdict(
-        theorem="prop-apr-gsp",
-        universe=f"{spec.describe()}; {total} tables",
-        checked=checked,
-        holds=counterexample is None,
-        counterexample=counterexample,
-        details={"tables": total},
-        elapsed=time.perf_counter() - t0,
-    )
+    return _suite("prop-apr-gsp", spec, t0, total, [("gsp", "==", "apr")])
 
 
 def verify_thm_range3(
@@ -346,20 +373,8 @@ def verify_thm_range3(
         raise ArgumentError("thm-range3 needs a target range of at most 3")
     t0 = time.perf_counter()
     total = _require_universe(spec, max_tables)
-    counts = {"isp": 0, "pr": 0, "gsp": 0}
     relations = [("isp", "<=", "pr"), ("isp", "==", "gsp")]
-    blocks = _table_blocks(spec, total)
-    _, counterexample = _walk(spec, blocks, relations, counts) or (total, None)
-    n_isp, n_gsp = counts["isp"], counts["gsp"]
-    return TheoremVerdict(
-        theorem="thm-range3",
-        universe=f"{spec.describe()}; {total} tables",
-        checked=total,
-        holds=counterexample is None and n_isp == n_gsp,
-        counterexample=counterexample,
-        details={"tables": total, "isp_tables": n_isp, "gsp_tables": n_gsp},
-        elapsed=time.perf_counter() - t0,
-    )
+    return _suite("thm-range3", spec, t0, total, relations, ("isp", "gsp"))
 
 
 def verify_summary_equivalence(
@@ -370,33 +385,13 @@ def verify_summary_equivalence(
     """The chain {PR} <= {APR} = {GSP} <= {ISP}, with equality under hypotheses."""
     t0 = time.perf_counter()
     total = _require_universe(spec, max_tables)
-    all_complete = _all_complete(spec.domain)
-    range_hypothesis = len(spec.target) <= 3
+    hypothesis = _hypothesis(spec)
     relations = [("pr", "<=", "apr"), ("apr", "==", "gsp"), ("gsp", "<=", "isp")]
-    if range_hypothesis or all_complete:
+    if hypothesis is not None:
         relations.append(("isp", "<=", "pr"))
-    counts = {"pr": 0, "apr": 0, "gsp": 0, "isp": 0}
-    blocks = _table_blocks(spec, total)
-    _, counterexample = _walk(spec, blocks, relations, counts) or (total, None)
-    details = {
-        "tables": total,
-        "pr_tables": counts["pr"],
-        "apr_tables": counts["apr"],
-        "gsp_tables": counts["gsp"],
-        "isp_tables": counts["isp"],
-        "equality_hypothesis": (
-            "range-le-3" if range_hypothesis
-            else ("complete-domain" if all_complete else None)
-        ),
-    }
-    return TheoremVerdict(
-        theorem="summary-equivalence",
-        universe=f"{spec.describe()}; {total} tables",
-        checked=total,
-        holds=counterexample is None,
-        counterexample=counterexample,
-        details=details,
-        elapsed=time.perf_counter() - t0,
+    return _suite(
+        "summary-equivalence", spec, t0, total, relations,
+        ("pr", "apr", "gsp", "isp"), equality_hypothesis=hypothesis,
     )
 
 
@@ -516,17 +511,15 @@ def search_isp_not_pr(
         )
     t0 = time.perf_counter()
     universe = f"{spec.describe()}; budget {budget}"
-    if len(spec.target) <= 3:
+    hypothesis = _hypothesis(spec)
+    if hypothesis is not None:
+        reason = {
+            "range-le-3": "target range has at most 3 alternatives",
+            "complete-domain": "every feasible set is complete",
+        }[hypothesis]
         return TheoremVerdict(
             "isp-not-pr", universe, 0, True, None,
-            {"reason": "provably futile: target range has at most 3 alternatives"},
-            seed, time.perf_counter() - t0,
-        )
-    if _all_complete(spec.domain):
-        return TheoremVerdict(
-            "isp-not-pr", universe, 0, True, None,
-            {"reason": "provably futile: every feasible set is complete"},
-            seed, time.perf_counter() - t0,
+            {"reason": f"provably futile: {reason}"}, seed, time.perf_counter() - t0,
         )
     spec.domain.require_enumerable()
     size = _universe_size(spec, budget)

@@ -856,6 +856,16 @@ def test_quotient_rejects_a_negative_sample_count(capsys, quotient_files):
     assert (code, out, err) == (1, "", "error: sample count -1 is negative\n")
 
 
+def test_quotient_profile_errors_name_the_file_and_the_line(capsys, quotient_files):
+    scf, p, q = quotient_files
+    with open(p, "a") as fh:
+        fh.write("1 x 2>3>9>5>1\n")
+    code, out, err = run(
+        capsys, "quotient", "--scf", scf, "--profile-p", p, "--profile-q", q,
+    )
+    assert (code, out, err) == (1, "", f"error: {p}: line 5: unknown alternative '9'\n")
+
+
 def test_quotient_seed_recorded_and_deterministic(capsys, quotient_files):
     scf, p, q = quotient_files
     outs = []

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import reference_is_complete
 from prefrev import domains
+from prefrev.domains import parse_profile_file
 from prefrev import (
     AlternativeSet,
     ArgumentError,
@@ -27,6 +28,7 @@ from prefrev import (
     make_sp_resolvent,
     make_w_ab,
     make_w_prime,
+    parse_alternatives,
     parse_domain_text,
     parse_order,
     resolves_indifference_at,
@@ -449,3 +451,41 @@ def test_comments_and_blank_lines_ignored():
     text = "# header\nalternatives: a,b\n\nvoter 1:  # block\na>b\nb>a\n"
     domain = parse_domain_text(text)
     assert len(domain.feasible[0]) == 2
+
+
+def test_profile_file_reads_counts_and_names_that_end_in_x(tmp_path):
+    path = tmp_path / "p.profile"
+    # ``1x>2x>3x`` is one order: its digits are not followed by x and space.
+    path.write_text(
+        "# society\nalternatives: 1x,2x,3x\n1x>2x>3x\n\n"
+        "2x 2x>1x>3x  # two voters\n3 x 3x~2x>1x\n"
+    )
+    alts = parse_alternatives("1x,2x,3x")
+    expected = ["1x>2x>3x"] + ["2x>1x>3x"] * 2 + ["3x~2x>1x"] * 3
+    assert parse_profile_file(path, alts) == tuple(
+        parse_order(text, alts) for text in expected
+    )
+    path.write_text("alternatives: 1,2,3\n40 x 2>3>1\n1>2>3\n")
+    alts = parse_alternatives("1,2,3")
+    orders = parse_profile_file(path, alts)
+    assert orders == (parse_order("2>3>1", alts),) * 40 + (parse_order("1>2>3", alts),)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("alternatives: a,b,c\na>b>c\n1 x a>z>c\n", "line 3: unknown alternative 'z'"),
+        ("alternatives: a,b,c\n\n# c\n2x a>>c\n", "line 4: empty level in order 'a>>c'"),
+        ("a>b>c\n", "line 1: expected header line 'alternatives: ...'"),
+        ("alternatives: a,,c\n", "line 1: empty alternative name in 'a,,c'"),
+        ("alternatives: a,c,b\na>b>c\n", "alternatives do not match the scf"),
+        ("alternatives: a,b,c\n# none\n", "no orders found"),
+        ("# none\n", "empty file: missing 'alternatives:' header"),
+    ],
+)
+def test_profile_file_errors_name_the_file_and_the_line(tmp_path, text, message):
+    path = tmp_path / "p.profile"
+    path.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        parse_profile_file(path, parse_alternatives("a,b,c"))
+    assert str(exc.value) == f"{path}: {message}"

@@ -137,6 +137,47 @@ def test_summary_equivalence_chain(spec81):
     assert d["pr_tables"] == d["isp_tables"]
 
 
+@pytest.mark.parametrize("guard", [None, 0], ids=["guard", "guard-0"])
+@pytest.mark.parametrize("complete", [True, False], ids=["complete", "incomplete"])
+def test_one_hypothesis_for_summary_equivalence_and_search(monkeypatch, complete, guard):
+    from prefrev import domains, search_isp_not_pr
+
+    if complete:
+        domain = strict_prefix_domain(4, 2, 3)
+    else:
+        alts = AlternativeSet.letters(4)
+        orders = [parse_order(t, alts) for t in ("a~b>c~d", "b~c>a~d", "d>c>a~b")]
+        domain = Domain.shared(FeasibleSet.explicit(alts, orders), 2)
+    if guard is not None:
+        # A set whose completeness check the guard refuses is not certified.
+        monkeypatch.setattr(domains, "COMPLETENESS_GUARD", guard)
+    certified = complete and guard is None
+    spec = EnumerationSpec(domain, (0, 1, 2, 3))
+    verdict = verify_summary_equivalence(dataclasses.replace(spec, limit=50))
+    assert verdict.details["equality_hypothesis"] == (
+        "complete-domain" if certified else None
+    )
+    search = search_isp_not_pr(spec, budget=10)
+    if certified:
+        assert search.details == {"reason": "provably futile: every feasible set is complete"}
+    else:
+        assert search.details["scope"] == "budget-exhausted"
+
+
+def test_range_hypothesis_runs_no_completeness_check(spec81, monkeypatch):
+    from prefrev import search_isp_not_pr
+
+    def refuse(fs):
+        raise AssertionError("is_complete called under the range hypothesis")
+
+    monkeypatch.setattr(harness, "is_complete", refuse)
+    verdict = verify_summary_equivalence(spec81)
+    assert verdict.details["equality_hypothesis"] == "range-le-3"
+    assert search_isp_not_pr(spec81, budget=10).details == {
+        "reason": "provably futile: target range has at most 3 alternatives"
+    }
+
+
 def _cli_json(capsys, *argv):
     from prefrev.cli import main
 
