@@ -36,10 +36,9 @@ from .domains import (
     DEFAULT_PROFILE_GUARD,
     Domain,
     FeasibleSet,
-    ResolventGap,
     _parse_axis_arg,
     _parse_preset,
-    is_complete,
+    certificates,
     parse_domain_file,
     parse_profile_file,
 )
@@ -171,39 +170,32 @@ def cmd_orders(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _gap_to_dict(gap: ResolventGap, alts) -> dict:
-    return {
-        "p": format_order(gap.p, alts),
-        "q": format_order(gap.q, alts),
-        "a": alts.names[gap.a],
-        "b": alts.names[gap.b],
-    }
-
-
 def cmd_domain_complete(args) -> int:
     domain = parse_domain_file(args.file)
     alts = domain.alts
-    seen: dict[FeasibleSet, dict] = {}
-    voter_reports = []
-    any_gap = False
-    for v, fs in enumerate(domain.feasible, start=1):
-        if fs not in seen:
-            report = is_complete(fs)
-            seen[fs] = {
-                "complete": report.complete,
-                "checked": report.checked,
-                "gap": None if report.gap is None else _gap_to_dict(report.gap, alts),
-            }
-        entry = dict(seen[fs])
-        entry["voter"] = v
-        entry["orders"] = len(fs)
-        any_gap = any_gap or not entry["complete"]
-        voter_reports.append(entry)
+    found = {}
+    for _, fs, report in certificates(domain):
+        gap = report.gap
+        found[fs] = {
+            "complete": report.complete,
+            "checked": report.checked,
+            "gap": None if gap is None else {
+                "p": format_order(gap.p, alts),
+                "q": format_order(gap.q, alts),
+                "a": alts.names[gap.a],
+                "b": alts.names[gap.b],
+            },
+        }
+    voter_reports = [
+        {**found[fs], "voter": v, "orders": len(fs)}
+        for v, fs in enumerate(domain.feasible, start=1)
+    ]
+    complete = all(entry["complete"] for entry in found.values())
     doc = {
         "command": "domain-complete",
         "seed": args.seed,
         "file": os.fspath(args.file),
-        "complete": not any_gap,
+        "complete": complete,
         "voters": voter_reports,
     }
     lines = []
@@ -219,9 +211,9 @@ def cmd_domain_complete(args) -> int:
                 f"voter {entry['voter']}: INCOMPLETE; no ({gap['a']},{gap['b']})-resolvent "
                 f"of P={gap['p']}, Q={gap['q']}"
             )
-    lines.append("complete" if not any_gap else "incomplete")
+    lines.append("complete" if complete else "incomplete")
     _emit(args, doc, lines)
-    return EXIT_HOLDS if not any_gap else EXIT_WITNESS
+    return EXIT_HOLDS if complete else EXIT_WITNESS
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +404,8 @@ def cmd_verify(args) -> int:
 def cmd_quotient(args) -> int:
     scf = load_scf(args.scf)
     alts = scf.domain.alts
-    p = Profile(parse_profile_file(args.profile_p, alts))
-    q = Profile(parse_profile_file(args.profile_q, alts))
+    p = Profile(parse_profile_file(args.profile_p, alts, scf.domain.n))
+    q = Profile(parse_profile_file(args.profile_q, alts, scf.domain.n))
     verdict = verify_thm_infinite(scf, p, q, samples=args.samples, seed=args.seed)
     result = {key: value for key, value in verdict.details.items() if key != "reason"}
     if result["case"] == "pairs" and not result["hypothesis"]["verified"]:

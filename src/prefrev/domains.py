@@ -51,14 +51,12 @@ _BLOCK_WORDS = 1 << 17
 class FeasibleSet:
     """A voter's finite set of admissible orders, deduplicated and sorted.
 
-    ``tag`` records provenance (universal-weak | universal-strict |
-    single-peaked | explicit-list); ``preset`` keeps the exact shorthand the
-    set was built from, when there is one, so files can round-trip.
+    ``preset`` keeps the exact shorthand the set was built from, when there
+    is one, so files can round-trip; an explicit list has None.
     """
 
     alts: AlternativeSet
     orders: tuple[WeakOrder, ...]
-    tag: str = "explicit-list"
     preset: str | None = None
 
     def __post_init__(self):
@@ -100,18 +98,17 @@ class FeasibleSet:
     def explicit(
         cls, alts: AlternativeSet, orders: Iterable[WeakOrder]
     ) -> "FeasibleSet":
-        canonical = tuple(sorted(set(orders), key=lambda o: o.ranks))
-        return cls(alts, canonical, tag="explicit-list")
+        return cls(alts, tuple(sorted(set(orders), key=lambda o: o.ranks)))
 
     @classmethod
     def universal_weak(cls, alts: AlternativeSet) -> "FeasibleSet":
         orders = tuple(enumerate_weak_orders(alts.k))
-        return cls(alts, orders, tag="universal-weak", preset="@universal-weak")
+        return cls(alts, orders, preset="@universal-weak")
 
     @classmethod
     def universal_strict(cls, alts: AlternativeSet) -> "FeasibleSet":
         orders = tuple(enumerate_strict_orders(alts.k))
-        return cls(alts, orders, tag="universal-strict", preset="@universal-strict")
+        return cls(alts, orders, preset="@universal-strict")
 
     @classmethod
     def single_peaked(
@@ -125,7 +122,7 @@ class FeasibleSet:
         name = "@single-peaked-strict" if strict else "@single-peaked"
         if axis != Axis.identity(alts.k):
             name += "(axis=" + ",".join(alts.names[x] for x in axis.order) + ")"
-        return cls(alts, orders, tag="single-peaked", preset=name)
+        return cls(alts, orders, preset=name)
 
 
 def with_w_ab_completion(base: FeasibleSet) -> FeasibleSet:
@@ -403,6 +400,18 @@ def is_complete(fs: FeasibleSet) -> CompletenessReport:
     return CompletenessReport(True, None, checked)
 
 
+def certificates(domain: Domain) -> Iterator[tuple[int, FeasibleSet, CompletenessReport]]:
+    """``(first voter, feasible set, is_complete(set))`` for each distinct
+    feasible set of ``domain`` (by equality), in the order of the first
+    voter who has it.  A set is decided only when the caller reaches it,
+    so a caller that stops at an incomplete set decides no later one."""
+    distinct: list[FeasibleSet] = []
+    for v, fs in enumerate(domain.feasible):
+        if fs not in distinct:
+            distinct.append(fs)
+            yield v, fs, is_complete(fs)
+
+
 # ---------------------------------------------------------------------------
 # Domain file format
 # ---------------------------------------------------------------------------
@@ -534,35 +543,62 @@ def parse_domain_text(text: str) -> Domain:
     return Domain(tuple(feasible))
 
 
+def _read_file(path, parse, *args):
+    """``parse(text, *args)`` on the text of the UTF-8 file ``path``.  A
+    byte that is not UTF-8 and every ParseError of ``parse`` become one
+    ParseError that names the file and the line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return parse(data.decode("utf-8"), *args)
+    except UnicodeDecodeError as exc:
+        # The bytes before the bad one decode; count lines as _read_lines does.
+        line = len((data[: exc.start].decode("utf-8") + "_").splitlines())
+        bad = f"line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+    except ParseError as exc:
+        bad = exc
+    raise ParseError(f"{path}: {bad}")
+
+
 def parse_domain_file(path) -> Domain:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_domain_text(fh.read())
+    """The domain in the UTF-8 file ``path``; errors name the file and line."""
+    return _read_file(path, parse_domain_text)
 
 
-def parse_profile_file(path, alts: AlternativeSet) -> tuple[WeakOrder, ...]:
-    """The orders of a profile file for an scf over ``alts``, voter by voter.
+def parse_profile_file(path, alts: AlternativeSet, voters: int) -> tuple[WeakOrder, ...]:
+    """The orders of a profile file for an scf over ``alts`` with
+    ``voters`` voters, voter by voter.
 
     After the ``alternatives:`` header (the scf's), each line holds one
     order in ``a~b>c`` notation, or ``<count> x <order>`` for ``count``
     voters: digits, ``x`` and whitespace, so ``1x>2x>3x`` is one order.
-    Blank lines and ``#`` comments are ignored; errors name the file and
-    the line.
+    Blank lines and ``#`` comments are ignored.  The file must list
+    exactly ``voters`` voters, and a line that takes them past it is an
+    error before its orders are repeated.  Errors name the file and the
+    line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        declared, lines = _read_lines(text)
-        if declared != alts:
-            raise ParseError("alternatives do not match the scf")
-        orders: list[WeakOrder] = []
-        for lineno, line in lines:
-            counted = re.fullmatch(r"([0-9]+)\s*x\s+(.*)", line)
-            count, body = (int(counted[1]), counted[2]) if counted else (1, line)
-            orders.extend([_at_line(lineno, parse_order, body, alts)] * count)
-        if not orders:
-            raise ParseError("no orders found")
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    return _read_file(path, _parse_profile_text, alts, voters)
+
+
+def _parse_profile_text(text, alts, voters):
+    declared, lines = _read_lines(text)
+    if declared != alts:
+        raise ParseError("alternatives do not match the scf")
+    orders: list[WeakOrder] = []
+    for lineno, line in lines:
+        counted = re.fullmatch(r"([0-9]+)\s*x\s+(.*)", line)
+        count, body = (int(counted[1]), counted[2]) if counted else (1, line)
+        order = _at_line(lineno, parse_order, body, alts)
+        if len(orders) + count > voters:
+            raise ParseError(
+                f"{len(orders) + count} voters so far; the scf has {voters}",
+                line=lineno,
+            )
+        orders.extend([order] * count)
+    if not orders:
+        raise ParseError("no orders found")
+    if len(orders) < voters:
+        raise ParseError(f"the scf has {voters} voters; the file lists {len(orders)}")
     return tuple(orders)
 
 

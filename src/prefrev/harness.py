@@ -38,8 +38,10 @@ checkers' pair guard is refused before its first block is built.
 
 Whether a theorem forbids an ISP table without PR is decided in one place,
 ``_hypothesis``: the range hypothesis (at most three target alternatives)
-first, then the complete-domain one (every feasible set certified by
-``is_complete``; a set the completeness guard refuses is not certified).
+first, then the complete-domain one.  That one certifies the distinct
+feasible sets with ``domains.certificates``, in the order of their first
+voters, up to the first set that is not complete; a set the completeness
+guard refuses is not certified.
 Under either, ``summary-equivalence`` adds ISP <= PR to its relations and
 ``isp-not-pr`` returns at once, naming it.
 
@@ -66,6 +68,7 @@ from .domains import (
     DEFAULT_PROFILE_GUARD,
     Domain,
     FeasibleSet,
+    certificates,
     is_complete,
 )
 from .scf import (
@@ -131,14 +134,12 @@ class EnumerationSpec:
 
 
 def _universe_size(spec: EnumerationSpec, cap: int) -> int | None:
-    """|target| ** |profiles| when it fits under ``cap``, else None."""
+    """|target| ** |profiles| when it fits under ``cap``, else None.  Past
+    ``cap.bit_length() + 1`` profiles a target of two or more is over
+    ``cap``, so the power is taken at most that far."""
     count = spec.domain.profile_count()
-    size = 1
-    for _ in range(count):
-        size *= len(spec.target)
-        if size > cap:
-            return None
-    return size
+    size = len(spec.target) ** min(count, cap.bit_length() + 1)
+    return size if size <= cap else None
 
 
 def _block_size(domain: Domain) -> int:
@@ -316,12 +317,13 @@ def _require_universe(spec: EnumerationSpec, max_tables: int) -> int:
 def _hypothesis(spec: EnumerationSpec) -> str | None:
     """Which theorem forbids an ISP table without PR on ``spec``, if any:
     ``"range-le-3"`` (at most three target alternatives) before
-    ``"complete-domain"`` (every feasible set certified complete; a set the
-    completeness guard refuses is not certified)."""
+    ``"complete-domain"`` (every feasible set certified complete, in the
+    order of their first voters; a set the completeness guard refuses is
+    not certified)."""
     if len(spec.target) <= 3:
         return "range-le-3"
     try:
-        if all(is_complete(fs).complete for fs in set(spec.domain.feasible)):
+        if all(report.complete for _, _, report in certificates(spec.domain)):
             return "complete-domain"
     except ResourceGuardError:
         pass
@@ -421,66 +423,36 @@ def verify_thm_complete(
     theorem failure.
     """
     t0 = time.perf_counter()
-    certificates = []
-    admissible = True
-    reason = None
-    done: dict[FeasibleSet, bool] = {}
-    for v, fs in enumerate(phi.domain.feasible):
-        if fs in done:
-            complete = done[fs]
-        else:
-            report = is_complete(fs)
-            complete = report.complete
-            done[fs] = complete
-            certificates.append(
-                {
-                    "orders": len(fs),
-                    "complete": report.complete,
-                    "checked": report.checked,
-                }
-            )
-        if not complete:
-            admissible = False
+    completeness, reason = [], None
+    for v, fs, report in certificates(phi.domain):
+        completeness.append(
+            {"orders": len(fs), "complete": report.complete, "checked": report.checked}
+        )
+        if not report.complete:
             reason = f"voter {v + 1}'s feasible set is not complete"
             break
-    isp = None
-    if admissible:
+    else:
         table = tabulate(phi, max_profiles)
         isp = check_isp(table, max_profiles=max_profiles)
         if not isp.holds:
-            admissible = False
             reason = "scf is not individually strategy-proof"
-    if not admissible:
-        return TheoremVerdict(
-            theorem="thm-complete",
-            universe=_describe_scf(phi),
-            checked=0,
-            holds=True,
-            counterexample=None,
-            details={
-                "admissible": False,
-                "reason": reason,
-                "completeness": certificates,
-            },
-            elapsed=time.perf_counter() - t0,
-        )
-    pr = check_pr(table, max_profiles=max_profiles)
-    count = phi.domain.profile_count()
-    details = {
-        "admissible": True,
-        "completeness": certificates,
-        "isp_checked": isp.checked,
-        "pairs_scanned": pr.checked,
-        "pairs_total": count * (count - 1),
-    }
+    checked, counterexample = 0, None
+    if reason is not None:
+        details = {"admissible": False, "reason": reason, "completeness": completeness}
+    else:
+        pr = check_pr(table, max_profiles=max_profiles)
+        count = phi.domain.profile_count()
+        checked, counterexample = pr.checked, None if pr.holds else (phi, (isp, pr))
+        details = {
+            "admissible": True,
+            "completeness": completeness,
+            "isp_checked": isp.checked,
+            "pairs_scanned": pr.checked,
+            "pairs_total": count * (count - 1),
+        }
     return TheoremVerdict(
-        theorem="thm-complete",
-        universe=_describe_scf(phi),
-        checked=pr.checked,
-        holds=pr.holds,
-        counterexample=None if pr.holds else (phi, (isp, pr)),
-        details=details,
-        elapsed=time.perf_counter() - t0,
+        "thm-complete", _describe_scf(phi), checked, counterexample is None,
+        counterexample, details, elapsed=time.perf_counter() - t0,
     )
 
 
@@ -523,7 +495,7 @@ def search_isp_not_pr(
         )
     spec.domain.require_enumerable()
     size = _universe_size(spec, budget)
-    if size is not None and size <= budget:
+    if size is not None:
         total, blocks = size, _table_blocks(spec, size)
         scope = "exhausted-universe"
     else:

@@ -76,6 +76,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -170,14 +171,9 @@ class PropertyReport:
 
 class _Ctx:
     """Per-domain scan data, kept on the domain (``Domain._scan_context``).
-    The whole-space digits, the verdict kernel's rows, ISP's bit rows, the
-    serial scans' chunks and GSP's coalition offsets are built on first
-    use, so a scan builds only what it reads."""
-
-    __slots__ = (
-        "n", "sizes", "strides", "count", "rank_table", "order_base",
-        "digits", "verdict_rows", "isp_rows", "chunks", "coalitions",
-    )
+    Each array past the rank table is a cached property built on first use,
+    so a scan builds only what it reads; ``verdict_rows`` keeps the verdict
+    kernel's rows for the last properties asked for, or None."""
 
     def __init__(self, domain: Domain):
         self.n = domain.n
@@ -189,23 +185,34 @@ class _Ctx:
         self.rank_table = np.array(
             [order.ranks for fs in domain.feasible for order in fs], dtype=np.int8
         )
+        self.k = self.rank_table.shape[1]
         self.order_base = np.cumsum((0,) + self.sizes[:-1])
-        self.digits = None
         self.verdict_rows = None
-        self.isp_rows = None
-        self.chunks = None
-        self.coalitions = None
 
-    def build_digits(self):
+    @cached_property
+    def digits(self):
         """``(n, count)``: each voter's order index at every profile, in the
         smallest unsigned dtype that holds it."""
-        if self.digits is None:
-            idx = np.arange(self.count, dtype=np.min_scalar_type(self.count))
-            self.digits = np.stack([
-                (idx // stride) % size
-                for stride, size in zip(self.strides, self.sizes)
-            ]).astype(np.min_scalar_type(max(self.sizes)))
-        return self.digits
+        idx = np.arange(self.count, dtype=np.min_scalar_type(self.count))
+        return np.stack([
+            (idx // stride) % size for stride, size in zip(self.strides, self.sizes)
+        ]).astype(np.min_scalar_type(max(self.sizes)))
+
+    @cached_property
+    def le(self):
+        """``le[g, a, b]``: a is weakly better than b under global order g.
+        Only pair scans read it, so the pair guard bounds its size."""
+        return self.rank_table[:, :, None] <= self.rank_table[:, None, :]
+
+    @cached_property
+    def by_x(self):
+        """``by_x[x, g * k + y]``: y is weakly better than x under order g."""
+        return np.ascontiguousarray(self.le.transpose(2, 0, 1)).reshape(self.k, -1)
+
+    @cached_property
+    def voter_of(self):
+        """The voter of each global order."""
+        return np.repeat(np.arange(self.n), self.sizes)
 
     def build_verdict_rows(self, props):
         """The :func:`_cell_rows` of every (P, x) cell over every (Q, y)
@@ -214,30 +221,28 @@ class _Ctx:
         ``_KEY_CACHE_BYTES``."""
         if self.verdict_rows is None or self.verdict_rows[0] != props:
             self.verdict_rows = None
-            k = self.rank_table.shape[1]
-            size = self.count * k
+            size = self.count * self.k
             if size * len(props) * -(-size // 64) * 8 > _KEY_CACHE_BYTES:
                 return None
             cells = np.arange(size)
-            keys = _KeyRows(self, *np.divmod(cells, k), "pr" in props or "apr" in props)
+            keys = _KeyRows(self, *np.divmod(cells, self.k), "pr" in props or "apr" in props)
             self.verdict_rows = (props, _cell_rows(keys, cells, props))
         return self.verdict_rows[1]
 
-    def build_isp_rows(self):
+    @cached_property
+    def isp_rows(self):
         """``(better, onehot)``, rows over the alternatives bit-packed in
         little bit order: ``better[g * k + x]`` holds what global order g
         ranks strictly above x, ``onehot[x]`` holds x alone."""
-        if self.isp_rows is None:
-            ranks = self.rank_table
-            k = ranks.shape[1]
-            better = (ranks[:, None, :] < ranks[:, :, None]).reshape(-1, k)
-            self.isp_rows = (
-                np.packbits(better, axis=1, bitorder="little"),
-                np.packbits(np.eye(k, dtype=bool), axis=1, bitorder="little"),
-            )
-        return self.isp_rows
+        ranks, k = self.rank_table, self.k
+        better = (ranks[:, None, :] < ranks[:, :, None]).reshape(-1, k)
+        return (
+            np.packbits(better, axis=1, bitorder="little"),
+            np.packbits(np.eye(k, dtype=bool), axis=1, bitorder="little"),
+        )
 
-    def build_chunks(self):
+    @cached_property
+    def chunks(self):
         """What :meth:`key_blocks` needs of the domain: ``(span, head,
         line_strides, tail)``.
 
@@ -251,23 +256,21 @@ class _Ctx:
         is voter u's stride in the numbering of voter v's lines: C order
         over the other voters' orders, after the lines of voters 0..v-1.
         """
-        if self.chunks is None:
-            strides = np.array(self.strides)[:, None]
-            sizes = np.array(self.sizes)[:, None]
-            cap = max(1, _FIRST_CELLS // self.n)
-            span = next(s for s in (self.count,) + self.strides if s <= cap)
-            # Voter v's lines leave out v's axis, so a voter u before v
-            # strides m_v times less.
-            before = np.tri(self.n, dtype=bool)
-            line_strides = np.where(before, strides.T // sizes, strides.T)
-            np.fill_diagonal(line_strides, 0)
-            head = (np.maximum(strides // span, 1), np.where(strides < span, 1, sizes))
-            digits = np.arange(span) // strides % sizes
-            keys = (self.order_base[:, None] + digits) * self.rank_table.shape[1]
-            line_base = np.cumsum([0] + [self.count // m for m in self.sizes[:-1]])
-            lines = line_strides @ digits + line_base[:, None]
-            self.chunks = (span, head, line_strides, (keys[:, None], lines[:, None]))
-        return self.chunks
+        strides = np.array(self.strides)[:, None]
+        sizes = np.array(self.sizes)[:, None]
+        cap = max(1, _FIRST_CELLS // self.n)
+        span = next(s for s in (self.count,) + self.strides if s <= cap)
+        # Voter v's lines leave out v's axis, so a voter u before v
+        # strides m_v times less.
+        before = np.tri(self.n, dtype=bool)
+        line_strides = np.where(before, strides.T // sizes, strides.T)
+        np.fill_diagonal(line_strides, 0)
+        head = (np.maximum(strides // span, 1), np.where(strides < span, 1, sizes))
+        digits = np.arange(span) // strides % sizes
+        keys = (self.order_base[:, None] + digits) * self.k
+        line_base = np.cumsum([0] + [self.count // m for m in self.sizes[:-1]])
+        lines = line_strides @ digits + line_base[:, None]
+        return span, head, line_strides, (keys[:, None], lines[:, None])
 
     def key_blocks(self, table, lines=False):
         """``(lo, keys, lines)`` for blocks of consecutive profiles from lo,
@@ -277,33 +280,31 @@ class _Ctx:
         ``rank_table`` and of its row in ISP's ``better``.  ``lines[v, r]``
         numbers v's line through P (or is None unless asked for).  Nothing
         is divided per profile, and no block builds a whole-space array."""
-        span, (div, mod), line_strides, (tail_keys, tail_lines) = self.build_chunks()
-        k = self.rank_table.shape[1]
+        span, (div, mod), line_strides, (tail_keys, tail_lines) = self.chunks
         chunks = table.reshape(-1, span)
         for lo, hi in _growing_blocks(self.count // span, self.n * span):
             keys, at = tail_keys, tail_lines
             if span < self.count:
                 digits = np.arange(lo, hi) // div % mod
-                keys = keys + (digits * k)[:, :, None]
+                keys = keys + (digits * self.k)[:, :, None]
                 if lines:
                     at = at + (line_strides @ digits)[:, :, None]
             keys = (keys + chunks[lo:hi]).reshape(self.n, -1)
             yield lo * span, keys, at.reshape(self.n, -1) if lines else None
 
-    def coalition_offsets(self) -> dict[tuple[int, ...], int]:
+    @cached_property
+    def coalitions(self) -> dict[tuple[int, ...], int]:
         """GSP cases of a profile row before each coalition's first: by size,
         then lexicographically, coalition C holding prod(m_v - 1) cases.
         Voters with one feasible order never change and are left out."""
-        if self.coalitions is None:
-            active = [v for v in range(self.n) if self.sizes[v] > 1]
-            offsets = {}
-            acc = 0
-            for size in range(1, len(active) + 1):
-                for coalition in itertools.combinations(active, size):
-                    offsets[coalition] = acc
-                    acc += math.prod(self.sizes[v] - 1 for v in coalition)
-            self.coalitions = offsets
-        return self.coalitions
+        active = [v for v in range(self.n) if self.sizes[v] > 1]
+        offsets = {}
+        acc = 0
+        for size in range(1, len(active) + 1):
+            for coalition in itertools.combinations(active, size):
+                offsets[coalition] = acc
+                acc += math.prod(self.sizes[v] - 1 for v in coalition)
+        return offsets
 
 
 def _prepare(scf: Scf, max_profiles: int):
@@ -349,7 +350,7 @@ def check_isp(
     """
     t0 = time.perf_counter()
     ctx, table = _prepare(scf, max_profiles)
-    better, onehot = ctx.build_isp_rows()
+    better, onehot = ctx.isp_rows
     # present[lines[v, r]]: the outcomes on voter v's line through P.
     cube = onehot.take(table, axis=0).reshape(ctx.sizes + (-1,))
     present = np.concatenate([
@@ -387,14 +388,14 @@ def check_isp(
 # ---------------------------------------------------------------------------
 
 
-def _gsp_first(ctx, digits, i, cols):
+def _gsp_first(ctx, i, cols):
     """Row i's canonically first deviation among ``cols``, and its ordinal.
 
     A column's coalition is the set of voters whose order changed; its
     ordinal is the coalition's offset plus the mixed-radix index of the
     members' new orders, each counted without the member's truthful one.
     """
-    offsets, sizes = ctx.coalition_offsets(), ctx.sizes
+    offsets, sizes, digits = ctx.coalitions, ctx.sizes, ctx.digits
     di = digits[:, i].tolist()
     best = None
     for j, dj in zip(cols.tolist(), digits[:, cols].T.tolist()):
@@ -459,17 +460,15 @@ class _KeyRows:
     that many cells' keys, or ``_KEY_CACHE_BYTES`` of them if more, and
     never for more keys than there are; its pages become resident only as
     rows are written.  When a call needs more keys than are free, every row
-    is dropped and the call's own are built again.
+    is dropped and the call's own are built again.  What depends only on
+    the domain's orders (``le``, ``by_x``, ``voter_of``) is the context's.
     """
 
     def __init__(self, ctx, q, y, pairwise):
-        self.ctx, self.digits = ctx, ctx.build_digits()
-        self.on_q = self.digits[:, q]
-        k = self.k = ctx.rank_table.shape[1]
+        self.ctx = ctx
+        self.on_q = ctx.digits[:, q]
+        k = ctx.k
         self.width = (len(y) + 7) // 8
-        # le[r, a, b]: a is weakly better than b under global order r.
-        self.le = ctx.rank_table[:, :, None] <= ctx.rank_table[:, None, :]
-        self.voter_of = np.repeat(np.arange(ctx.n), ctx.sizes)
         is_out = y == np.arange(k)[:, None]
         # Packed over the columns: y == z for each alternative z, and y != x.
         self.outcome = np.packbits(is_out, axis=1, bitorder="little")
@@ -477,16 +476,14 @@ class _KeyRows:
         self.accepts = None
         if pairwise:
             # accepts[x, v]: y is weakly better than x under Q_v, packed.
-            by_x = np.ascontiguousarray(self.le.transpose(2, 0, 1)).reshape(k, -1)
             at_q = (ctx.order_base[:, None].astype(np.int32) + self.on_q) * k + y
             self.accepts = np.packbits(
-                np.take(by_x, at_q, axis=1), axis=2, bitorder="little"
+                np.take(ctx.by_x, at_q, axis=1), axis=2, bitorder="little"
             )
-        self.moved = None
         row_bytes = self.width * (1 + pairwise)
         self.cell_bytes = ctx.n * row_bytes
         self.most = max(1, _BLOCK_CELLS // self.cell_bytes)
-        keys = len(self.voter_of) * k
+        keys = len(ctx.rank_table) * k
         limit = min(keys, max(ctx.n * self.most, _KEY_CACHE_BYTES // row_bytes))
         self.slot = np.full(keys, -1, dtype=np.int64)
         self.rows = np.empty((limit, 1 + pairwise, self.width), dtype=np.uint8)
@@ -514,16 +511,21 @@ class _KeyRows:
     def changed(self, order):
         """For each global order g in ``order``, the packed row of the
         columns where g's voter reports another order."""
-        v = self.voter_of[order]
+        v = self.ctx.voter_of[order]
         d = (order - self.ctx.order_base[v]).astype(self.on_q.dtype)
         return np.packbits(self.on_q[v] != d[:, None], axis=1, bitorder="little")
 
+    @cached_property
+    def moved(self):
+        """Every global order's :meth:`changed` row."""
+        return self.changed(np.arange(len(self.ctx.rank_table)))
+
     def build(self, ids):
         """The packed rows of the keys ``ids``, shaped like ``rows``."""
-        order, x = np.divmod(ids, self.k)
-        v = self.voter_of[order]
+        order, x = np.divmod(ids, self.ctx.k)
+        v = self.ctx.voter_of[order]
         changed = self.changed(order)
-        worse = self.outcome * self.le[order, x][:, :, None]
+        worse = self.outcome * self.ctx.le[order, x][:, :, None]
         rows = [np.bitwise_or.reduce(worse, axis=1) & changed]
         if self.accepts is not None:
             rows.append(self.accepts[x, v] & changed)
@@ -539,12 +541,10 @@ class _KeyRows:
         ``single`` is "some voter changed and no two did", from every
         order's :meth:`changed` row, built when ISP is first asked for.
         """
-        at = self.ctx.order_base[:, None] + self.digits[:, p]
-        rows = self.rows[self.slots(at * self.k + x)]
+        at = self.ctx.order_base[:, None] + self.ctx.digits[:, p]
+        rows = self.rows[self.slots(at * self.ctx.k + x)]
         single = None
         if "isp" in props:
-            if self.moved is None:
-                self.moved = self.changed(np.arange(len(self.voter_of)))
             one = two = 0
             for moved in self.moved[at]:
                 two = two | one & moved
@@ -567,7 +567,6 @@ def _pair_scan(scf, wanted, max_profiles):
     count = ctx.count
     total = _require_pairs(count)
     keys = _KeyRows(ctx, slice(None), table, "pr" in wanted or "apr" in wanted)
-    digits = keys.digits
     live = tuple(wanted)
     results: dict[str, tuple[int, tuple[int, int] | None]] = {}
     for lo, hi in _growing_blocks(count, keys.cell_bytes, _BLOCK_CELLS):
@@ -580,7 +579,7 @@ def _pair_scan(scf, wanted, max_profiles):
                     np.unpackbits(mask[r], count=count, bitorder="little")
                 )
                 if prop == "gsp":
-                    j, nth = _gsp_first(ctx, digits, i, cols)
+                    j, nth = _gsp_first(ctx, i, cols)
                 else:
                     j = int(cols[0])
                     nth = j - (j > i) + 1
@@ -598,7 +597,7 @@ def _pair_scan(scf, wanted, max_profiles):
         witness = None
         if pair is not None:
             if prop == "gsp":
-                witness = _gsp_witness(scf, digits, *pair, table)
+                witness = _gsp_witness(scf, ctx.digits, *pair, table)
             else:
                 witness = _pr_violation(scf, prop, *pair, table)
         reports[prop] = PropertyReport(
@@ -732,7 +731,7 @@ def _cell_rows(keys, cells, props):
     words = -(-keys.width // 8)
     out = np.zeros((len(cells), len(props), words * 8), dtype=np.uint8)
     for lo in range(0, len(cells), keys.most):
-        viol = keys.violations(*np.divmod(cells[lo : lo + keys.most], keys.k), props)
+        viol = keys.violations(*np.divmod(cells[lo : lo + keys.most], keys.ctx.k), props)
         for i, prop in enumerate(props):
             out[lo : lo + keys.most, i, : keys.width] = viol[prop]
     return out.view(np.uint64)
@@ -760,7 +759,7 @@ def table_verdicts(
     checkers' pair guard before anything is built.
     """
     ctx = domain._scan_context
-    count, k = ctx.count, ctx.rank_table.shape[1]
+    count, k = ctx.count, ctx.k
     pair_props = tuple(p for p in ("isp", "gsp", "pr", "apr") if p in props)
     if pair_props:
         _require_pairs(count)
@@ -768,7 +767,7 @@ def table_verdicts(
     at = tables + np.arange(0, count * k, k)
     out = {}
     if "dictator" in props:
-        tops = (ctx.rank_table == 0)[ctx.order_base[:, None] + ctx.build_digits()]
+        tops = (ctx.rank_table == 0)[ctx.order_base[:, None] + ctx.digits]
         out["dictator"] = tops.reshape(ctx.n, -1)[:, at].all(axis=2).any(axis=0)
     if not pair_props:
         return out

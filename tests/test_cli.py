@@ -184,6 +184,20 @@ def test_domain_complete_parse_error(capsys, tmp_path):
     assert "line 3" in err
 
 
+def test_domain_file_that_is_not_utf8_is_an_error(capsys, tmp_path):
+    path = tmp_path / "dom.txt"
+    path.write_bytes(b"alternatives: a,b,c\nvoter 1:\na>b\xff>c\n")
+    message = f"error: {path}: line 3: byte 0xff is not UTF-8 (invalid start byte)\n"
+    assert run(capsys, "domain-complete", str(path)) == (1, "", message)
+    # A domain file that an scf file names is reported under its own name.
+    scf = tmp_path / "constant.json"
+    scf.write_text(json.dumps({
+        "alternatives": ["a", "b", "c"], "voters": 1, "domain": "dom.txt",
+        "rule": {"name": "constant", "params": {"alternative": "a"}},
+    }))
+    assert run(capsys, "check", str(scf)) == (1, "", message)
+
+
 def test_missing_file_is_an_error(capsys):
     code, _, err = run(capsys, "domain-complete", "/nonexistent/file")
     assert code == 1
@@ -864,6 +878,28 @@ def test_quotient_profile_errors_name_the_file_and_the_line(capsys, quotient_fil
         capsys, "quotient", "--scf", scf, "--profile-p", p, "--profile-q", q,
     )
     assert (code, out, err) == (1, "", f"error: {p}: line 5: unknown alternative '9'\n")
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # The count is refused before 10^11 orders are listed.
+        (b"100000000000 x 2>3>4>5>1\n",
+         "line 2: 100000000000 voters so far; the scf has 100"),
+        (b"40 x 2>3>4>5>1\n# more\n61 x 3>4>5>2>1\n",
+         "line 4: 101 voters so far; the scf has 100"),
+        (b"40 x 2>3>4>5>1\n59 x 3>4>5>2>1\n", "the scf has 100 voters; the file lists 99"),
+        (b"100 x 2>3>4>5>1\n\xff\n", "line 3: byte 0xff is not UTF-8 (invalid start byte)"),
+    ],
+)
+def test_quotient_profile_file_errors_end_cleanly(capsys, quotient_files, body, message):
+    scf, p, q = quotient_files
+    with open(p, "wb") as fh:
+        fh.write(b"alternatives: 1,2,3,4,5\n" + body)
+    code, out, err = run(
+        capsys, "quotient", "--scf", scf, "--profile-p", p, "--profile-q", q,
+    )
+    assert (code, out, err) == (1, "", f"error: {p}: {message}\n")
 
 
 def test_quotient_seed_recorded_and_deterministic(capsys, quotient_files):

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import reference_is_complete
 from prefrev import domains
-from prefrev.domains import parse_profile_file
+from prefrev.domains import certificates, parse_domain_file, parse_profile_file
 from prefrev import (
     AlternativeSet,
     ArgumentError,
@@ -410,7 +410,7 @@ def test_parse_domain_text():
     assert domain.n == 2
     assert len(domain.feasible[0]) == 13
     assert len(domain.feasible[1]) == 2
-    assert domain.feasible[0].tag == "universal-weak"
+    assert domain.feasible[0].preset == "@universal-weak"
 
 
 def test_parse_domain_presets():
@@ -462,12 +462,12 @@ def test_profile_file_reads_counts_and_names_that_end_in_x(tmp_path):
     )
     alts = parse_alternatives("1x,2x,3x")
     expected = ["1x>2x>3x"] + ["2x>1x>3x"] * 2 + ["3x~2x>1x"] * 3
-    assert parse_profile_file(path, alts) == tuple(
+    assert parse_profile_file(path, alts, 6) == tuple(
         parse_order(text, alts) for text in expected
     )
     path.write_text("alternatives: 1,2,3\n40 x 2>3>1\n1>2>3\n")
     alts = parse_alternatives("1,2,3")
-    orders = parse_profile_file(path, alts)
+    orders = parse_profile_file(path, alts, 41)
     assert orders == (parse_order("2>3>1", alts),) * 40 + (parse_order("1>2>3", alts),)
 
 
@@ -481,11 +481,54 @@ def test_profile_file_reads_counts_and_names_that_end_in_x(tmp_path):
         ("alternatives: a,c,b\na>b>c\n", "alternatives do not match the scf"),
         ("alternatives: a,b,c\n# none\n", "no orders found"),
         ("# none\n", "empty file: missing 'alternatives:' header"),
+        # A count is checked against the scf's 3 voters before it is expanded.
+        ("alternatives: a,b,c\n2 x a>b>c\nc>b>a\nb>a>c\n",
+         "line 4: 4 voters so far; the scf has 3"),
+        ("alternatives: a,b,c\n100000000000 x a>b>c\n",
+         "line 2: 100000000000 voters so far; the scf has 3"),
+        ("alternatives: a,b,c\n2 x a>b>c\n", "the scf has 3 voters; the file lists 2"),
+        ("alternatives: a,b,c\r\n\na>b\udcff>c\n",
+         "line 3: byte 0xff is not UTF-8 (invalid start byte)"),
     ],
 )
 def test_profile_file_errors_name_the_file_and_the_line(tmp_path, text, message):
     path = tmp_path / "p.profile"
-    path.write_text(text)
+    # Lone surrogates stand for bytes that are not UTF-8.
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with pytest.raises(ParseError) as exc:
-        parse_profile_file(path, parse_alternatives("a,b,c"))
+        parse_profile_file(path, parse_alternatives("a,b,c"), 3)
     assert str(exc.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"alternatives: a,b\nvoter 1:\na>>b\n", "line 3: empty level in order 'a>>b'"),
+        (b"alternatives: a,b\nvoter 1:\nb>a\na\xe9>b\n",
+         "line 4: byte 0xe9 is not UTF-8 (invalid continuation byte)"),
+    ],
+)
+def test_domain_file_errors_name_the_file_and_the_line(tmp_path, data, message):
+    path = tmp_path / "d.domain"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        parse_domain_file(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_certificates_one_per_distinct_set_in_first_voter_order(abc, monkeypatch):
+    a = FeasibleSet.universal_strict(abc)
+    b = FeasibleSet.explicit(abc, [parse_order("a~b>c", abc)])
+    c = FeasibleSet.universal_weak(abc)
+    # Voter 3's set is a copy of voter 1's: equal, so not certified again.
+    domain = Domain((a, b, FeasibleSet.universal_strict(abc), c))
+    got = [(v, fs, report.complete) for v, fs, report in certificates(domain)]
+    assert got == [(0, a, True), (1, b, False), (3, c, True)]
+    # Each set is decided only when the caller reaches it.
+    decided = []
+    real = domains.is_complete
+    monkeypatch.setattr(domains, "is_complete", lambda fs: decided.append(fs) or real(fs))
+    for _, fs, report in certificates(domain):
+        if not report.complete:
+            break
+    assert decided == [a, b]

@@ -165,12 +165,13 @@ def test_one_hypothesis_for_summary_equivalence_and_search(monkeypatch, complete
 
 
 def test_range_hypothesis_runs_no_completeness_check(spec81, monkeypatch):
-    from prefrev import search_isp_not_pr
+    from prefrev import domains, search_isp_not_pr
 
     def refuse(fs):
         raise AssertionError("is_complete called under the range hypothesis")
 
     monkeypatch.setattr(harness, "is_complete", refuse)
+    monkeypatch.setattr(domains, "is_complete", refuse)
     verdict = verify_summary_equivalence(spec81)
     assert verdict.details["equality_hypothesis"] == "range-le-3"
     assert search_isp_not_pr(spec81, budget=10).details == {
@@ -217,7 +218,7 @@ def test_walk_refuses_a_universe_past_the_pair_guard_before_any_block(monkeypatc
         with pytest.raises(ResourceGuardError, match=guard):
             suite(spec)
     ctx = domain._scan_context
-    assert advanced == [] and ctx.digits is None and ctx.verdict_rows is None
+    assert advanced == [] and "digits" not in vars(ctx) and ctx.verdict_rows is None
 
 
 def _flip(monkeypatch, prop, wrong, checker=True):
@@ -440,6 +441,53 @@ def test_thm_complete_labels_incomplete_domain_inadmissible(abc):
     assert verdict.holds
     assert verdict.details["admissible"] is False
     assert "complete" in verdict.details["reason"]
+
+
+def test_thm_complete_certifies_sets_up_to_the_first_incomplete_one(abc, monkeypatch):
+    from prefrev import domains
+
+    middle = FeasibleSet.explicit(abc, [parse_order(o, abc) for o in ("a~b~c", "a~b>c")])
+    domain = Domain(
+        (FeasibleSet.universal_strict(abc), middle, FeasibleSet.universal_weak(abc))
+    )
+    certified, real = [], domains.is_complete
+    monkeypatch.setattr(domains, "is_complete", lambda fs: certified.append(fs) or real(fs))
+    verdict = verify_thm_complete(builtin("constant", domain, alternative="a"))
+    # Voter 2's set is not complete, so voter 3's @universal-weak is never
+    # certified.
+    assert certified == list(domain.feasible[:2])
+    assert verdict_to_dict(verdict) == {
+        "theorem": "thm-complete",
+        "universe": "constant on 3 voters; orders per voter [6,2,13]; k=3",
+        "holds": True,
+        "checked": 0,
+        "details": {
+            "admissible": False,
+            "reason": "voter 2's feasible set is not complete",
+            "completeness": [
+                {"orders": 6, "complete": True, "checked": 162},
+                {"orders": 2, "complete": False, "checked": 1},
+            ],
+        },
+    }
+
+
+@pytest.mark.parametrize("radix", [1, 2, 3, 4])
+def test_universe_size_is_the_bounded_power(radix):
+    def loop(count, cap):
+        size = 1
+        for _ in range(count):
+            size *= radix
+            if size > cap:
+                return None
+        return size
+
+    for voters, per_voter in ((1, 1), (1, 2), (1, 5), (2, 3), (2, 6), (3, 4)):
+        spec = EnumerationSpec(strict_prefix_domain(4, voters, per_voter), range(radix))
+        count = spec.domain.profile_count()
+        power = radix**count
+        for cap in (0, 1, power - 1, power, power + 1, 10**8):
+            assert harness._universe_size(spec, cap) == loop(count, cap), (count, cap)
 
 
 # ---------------------------------------------------------------------------
