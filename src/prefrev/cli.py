@@ -173,10 +173,10 @@ def cmd_orders(args) -> int:
 def cmd_domain_complete(args) -> int:
     domain = parse_domain_file(args.file)
     alts = domain.alts
-    found = {}
+    found = []  # by Domain.distinct's set number
     for _, fs, report in certificates(domain):
         gap = report.gap
-        found[fs] = {
+        found.append({
             "complete": report.complete,
             "checked": report.checked,
             "gap": None if gap is None else {
@@ -185,12 +185,12 @@ def cmd_domain_complete(args) -> int:
                 "a": alts.names[gap.a],
                 "b": alts.names[gap.b],
             },
-        }
+        })
     voter_reports = [
-        {**found[fs], "voter": v, "orders": len(fs)}
-        for v, fs in enumerate(domain.feasible, start=1)
+        {**found[i], "voter": v + 1, "orders": len(domain.feasible[v])}
+        for v, i in enumerate(domain.distinct[1])
     ]
-    complete = all(entry["complete"] for entry in found.values())
+    complete = all(entry["complete"] for entry in found)
     doc = {
         "command": "domain-complete",
         "seed": args.seed,

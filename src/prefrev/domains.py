@@ -94,6 +94,13 @@ class FeasibleSet:
         """Canonical position of ``order`` in the set, or None."""
         return self._positions.get(order)
 
+    @cached_property
+    def rank_rows(self) -> np.ndarray:
+        """``rank_rows[d, x]``: the rank of x under order d, read-only int8."""
+        rows = np.array([order.ranks for order in self.orders], dtype=np.int8)
+        rows.setflags(write=False)
+        return rows
+
     @classmethod
     def explicit(
         cls, alts: AlternativeSet, orders: Iterable[WeakOrder]
@@ -170,8 +177,19 @@ class Domain:
             raise ConstructionError("domain needs at least one voter")
         return cls((fs,) * n)
 
+    @cached_property
+    def distinct(self) -> tuple[tuple[FeasibleSet, ...], tuple[int, ...]]:
+        """``(sets, number)``: the distinct feasible sets in first-voter
+        order, voter v's being ``sets[number[v]]``.  Compared by equality,
+        identity first, never hashed: a set's hash walks every order."""
+        sets: list[FeasibleSet] = []
+        for fs in self.feasible:
+            if fs not in sets:
+                sets.append(fs)
+        return tuple(sets), tuple(sets.index(fs) for fs in self.feasible)
+
     def is_shared(self) -> bool:
-        return all(fs == self.feasible[0] for fs in self.feasible)
+        return len(self.distinct[0]) == 1
 
     def profile_count(self) -> int:
         count = 1
@@ -359,7 +377,7 @@ def is_complete(fs: FeasibleSet) -> CompletenessReport:
         raise ResourceGuardError(
             f"completeness pass needs {cost} byte ANDs, guard is {COMPLETENESS_GUARD}"
         )
-    ranks = np.array([order.ranks for order in fs.orders], dtype=np.int8)
+    ranks = fs.rank_rows
     # weak[p, a, x]: a weakly above x in p.  w resolves the p-indifference at
     # a unless some x != a is weakly below a in p and weakly above a in w;
     # the x = a term is 1 for every (p, a, w), so a resolvent scores exactly 1.
@@ -401,15 +419,12 @@ def is_complete(fs: FeasibleSet) -> CompletenessReport:
 
 
 def certificates(domain: Domain) -> Iterator[tuple[int, FeasibleSet, CompletenessReport]]:
-    """``(first voter, feasible set, is_complete(set))`` for each distinct
-    feasible set of ``domain`` (by equality), in the order of the first
-    voter who has it.  A set is decided only when the caller reaches it,
-    so a caller that stops at an incomplete set decides no later one."""
-    distinct: list[FeasibleSet] = []
-    for v, fs in enumerate(domain.feasible):
-        if fs not in distinct:
-            distinct.append(fs)
-            yield v, fs, is_complete(fs)
+    """``(first voter, set, is_complete(set))`` for each ``Domain.distinct``
+    set, in order.  A set is decided only when the caller reaches it, so a
+    caller that stops at an incomplete set decides no later one."""
+    sets, number = domain.distinct
+    for i, fs in enumerate(sets):
+        yield number.index(i), fs, is_complete(fs)
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +448,19 @@ def _parse_axis_arg(arg: str, alts: AlternativeSet, line: int) -> Axis:
         return Axis(tuple(alts.index_of(name) for name in names))
     except (ParseError, ConstructionError) as exc:
         raise ParseError(f"bad axis {arg!r}: {exc}", line=line) from None
+
+
+def _shared_presets(alts: AlternativeSet):
+    """``preset(token, line)``: the set a preset token names over ``alts``,
+    built once per token, so voters naming one token share it."""
+    built: dict[str, FeasibleSet] = {}
+
+    def preset(token, line):
+        if token not in built:
+            built[token] = _parse_preset(token, alts, line)
+        return built[token]
+
+    return preset
 
 
 def _parse_preset(token: str, alts: AlternativeSet, line: int) -> FeasibleSet:
@@ -462,13 +490,19 @@ def _parse_preset(token: str, alts: AlternativeSet, line: int) -> FeasibleSet:
     )
 
 
+def _split_lines(text: str) -> list[str]:
+    """``text``'s lines as text-mode ``open`` reads them: ended by CR LF, CR
+    or LF only, not by the form feeds and other ends ``splitlines`` knows."""
+    return re.split(r"\r\n|\r|\n", text)
+
+
 def _read_lines(text: str) -> tuple[AlternativeSet, list[tuple[int, str]]]:
     """The ``alternatives: a,b,c`` header of a domain or profile file, and
     its other lines as ``(line number, text)``, without blank lines and
     ``#`` comments."""
     alts: AlternativeSet | None = None
     lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_split_lines(text), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -502,6 +536,7 @@ def parse_domain_text(text: str) -> Domain:
     are ignored.
     """
     alts, body = _read_lines(text)
+    preset = _shared_presets(alts)
     blocks: list[tuple[int, str, list[tuple[int, str]]]] = []
     for lineno, stripped in body:
         if stripped.startswith("voter"):
@@ -532,7 +567,7 @@ def parse_domain_text(text: str) -> Domain:
                 )
             if not inline.startswith("@"):
                 raise ParseError(f"expected a preset, got {inline!r}", line=header_line)
-            feasible.append(_parse_preset(inline, alts, header_line))
+            feasible.append(preset(inline, header_line))
             continue
         if not lines:
             raise ParseError(
@@ -553,7 +588,7 @@ def _read_file(path, parse, *args):
         return parse(data.decode("utf-8"), *args)
     except UnicodeDecodeError as exc:
         # The bytes before the bad one decode; count lines as _read_lines does.
-        line = len((data[: exc.start].decode("utf-8") + "_").splitlines())
+        line = len(_split_lines(data[: exc.start].decode("utf-8")))
         bad = f"line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
     except ParseError as exc:
         bad = exc

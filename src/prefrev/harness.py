@@ -69,7 +69,6 @@ from .domains import (
     Domain,
     FeasibleSet,
     certificates,
-    is_complete,
 )
 from .scf import (
     _EVAL_CELLS,
@@ -314,20 +313,22 @@ def _require_universe(spec: EnumerationSpec, max_tables: int) -> int:
     return size if spec.limit is None else min(size, spec.limit)
 
 
+def _certified(domain: Domain) -> bool | None:
+    """Whether every feasible set of ``domain`` is certified complete, up to
+    the first that is not; None if the completeness guard refuses one first."""
+    try:
+        return all(report.complete for _, _, report in certificates(domain))
+    except ResourceGuardError:
+        return None
+
+
 def _hypothesis(spec: EnumerationSpec) -> str | None:
     """Which theorem forbids an ISP table without PR on ``spec``, if any:
     ``"range-le-3"`` (at most three target alternatives) before
-    ``"complete-domain"`` (every feasible set certified complete, in the
-    order of their first voters; a set the completeness guard refuses is
-    not certified)."""
+    ``"complete-domain"`` (every feasible set :func:`_certified`)."""
     if len(spec.target) <= 3:
         return "range-le-3"
-    try:
-        if all(report.complete for _, _, report in certificates(spec.domain)):
-            return "complete-domain"
-    except ResourceGuardError:
-        pass
-    return None
+    return "complete-domain" if _certified(spec.domain) else None
 
 
 def _suite(theorem, spec, t0, total, relations, counted=(), **details):
@@ -614,12 +615,10 @@ def quotient_reduce(
 
     hypothesis: dict[str, Any] = {"kind": None, "verified": False}
     if case == "shared":
-        try:
-            report = is_complete(domain.feasible[0])
-            hypothesis = {"kind": "complete-domain", "verified": report.complete}
-        except ResourceGuardError:
-            hypothesis = {"kind": "complete-domain", "verified": False,
-                          "note": "completeness undecided within guard"}
+        complete = _certified(qdomain)
+        hypothesis = {"kind": "complete-domain", "verified": bool(complete)}
+        if complete is None:
+            hypothesis["note"] = "completeness undecided within guard"
     if not hypothesis["verified"]:
         try:
             rng_size = len(range_of(quotient))
@@ -658,11 +657,10 @@ def quotient_reduce(
     lookup: list[int] = []
     offset = np.empty(domain.n, dtype=np.intp)
     for v, c in enumerate(assignment):
-        fs = domain.feasible[v]
-        key = (c, id(fs))
+        key = (c, domain.distinct[1][v])
         if key not in offsets:
             offsets[key] = len(lookup)
-            found = (fs.index_of(order) for order in qdomain.feasible[c])
+            found = (domain.feasible[v].index_of(o) for o in qdomain.feasible[c])
             lookup.extend(-1 if d is None else d for d in found)
         offset[v] = offsets[key]
     lookup = np.array(lookup, dtype=np.intp)

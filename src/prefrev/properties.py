@@ -182,9 +182,7 @@ class _Ctx:
         self.count = domain.profile_count()
         # rank_table[order_base[v] + d, z]: the rank of z under voter v's
         # order d; rank 0 is the top class.
-        self.rank_table = np.array(
-            [order.ranks for fs in domain.feasible for order in fs], dtype=np.int8
-        )
+        self.rank_table = np.concatenate([fs.rank_rows for fs in domain.feasible])
         self.k = self.rank_table.shape[1]
         self.order_base = np.cumsum((0,) + self.sizes[:-1])
         self.verdict_rows = None
@@ -243,14 +241,14 @@ class _Ctx:
 
     @cached_property
     def chunks(self):
-        """What :meth:`key_blocks` needs of the domain: ``(span, head,
+        """What :meth:`key_blocks` needs of the domain: ``(span,
         line_strides, tail)``.
 
         The serial scans take profiles in chunks of ``span`` consecutive
         ones, the largest stride (or the whole space) of at most about
         ``_FIRST_CELLS / n`` profiles.  In profile ``c * span + s`` a voter
         whose stride is below ``span`` reads their order from s, and the
-        others from c, by ``head``'s divisors and moduli (voter columns).
+        others from the chunk's first profile, ``c * span``.
         ``tail`` holds the keys less phi and the line numbers of each
         profile s of chunk 0; chunk c adds to both.  ``line_strides[v, u]``
         is voter u's stride in the numbering of voter v's lines: C order
@@ -265,12 +263,11 @@ class _Ctx:
         before = np.tri(self.n, dtype=bool)
         line_strides = np.where(before, strides.T // sizes, strides.T)
         np.fill_diagonal(line_strides, 0)
-        head = (np.maximum(strides // span, 1), np.where(strides < span, 1, sizes))
         digits = np.arange(span) // strides % sizes
         keys = (self.order_base[:, None] + digits) * self.k
         line_base = np.cumsum([0] + [self.count // m for m in self.sizes[:-1]])
         lines = line_strides @ digits + line_base[:, None]
-        return span, head, line_strides, (keys[:, None], lines[:, None])
+        return span, line_strides, (keys[:, None], lines[:, None])
 
     def key_blocks(self, table, lines=False):
         """``(lo, keys, lines)`` for blocks of consecutive profiles from lo,
@@ -280,12 +277,13 @@ class _Ctx:
         ``rank_table`` and of its row in ISP's ``better``.  ``lines[v, r]``
         numbers v's line through P (or is None unless asked for).  Nothing
         is divided per profile, and no block builds a whole-space array."""
-        span, (div, mod), line_strides, (tail_keys, tail_lines) = self.chunks
+        span, line_strides, (tail_keys, tail_lines) = self.chunks
+        strides, sizes = np.array(self.strides)[:, None], np.array(self.sizes)[:, None]
         chunks = table.reshape(-1, span)
         for lo, hi in _growing_blocks(self.count // span, self.n * span):
             keys, at = tail_keys, tail_lines
             if span < self.count:
-                digits = np.arange(lo, hi) // div % mod
+                digits = np.arange(lo, hi) * span // strides % sizes
                 keys = keys + (digits * self.k)[:, :, None]
                 if lines:
                     at = at + (line_strides @ digits)[:, :, None]

@@ -45,7 +45,7 @@ from .domains import (
     Domain,
     FeasibleSet,
     parse_domain_file,
-    _parse_preset,
+    _shared_presets,
 )
 
 
@@ -175,20 +175,12 @@ def _order_arrays(domain: Domain):
 
     Voter v's order d has rank vector ``ranks[base[v] + d]`` and unique top
     alternative ``top[base[v] + d]``, or k when the top is tied.  Voters
-    sharing one feasible set share its rows, so a large society built from a
-    few sets costs a few rows.
+    with equal feasible sets share its rows (``Domain.distinct``), so a
+    large society built from a few sets costs a few rows.
     """
-    first: dict[int, int] = {}
-    sets = []
-    rows = 0
-    base = np.empty(domain.n, dtype=np.intp)
-    for v, fs in enumerate(domain.feasible):
-        if id(fs) not in first:
-            first[id(fs)] = rows
-            sets.append(fs)
-            rows += len(fs)
-        base[v] = first[id(fs)]
-    ranks = np.array([order.ranks for fs in sets for order in fs], dtype=np.int8)
+    sets, number = domain.distinct
+    base = np.cumsum([0] + [len(fs) for fs in sets], dtype=np.intp)[list(number)]
+    ranks = np.concatenate([fs.rank_rows for fs in sets])
     tops = ranks == 0
     top = np.where(tops.sum(axis=1) == 1, tops.argmax(axis=1), domain.k)
     return base, ranks, top
@@ -438,16 +430,13 @@ def builtin(name: str, domain: Domain, /, **params) -> Scf:
         norm = {}
     elif name == "median-peaks":
         axis = _as_axis(params.pop("axis", None), alts)
-        seen = set()  # voters sharing one feasible set object share its check
-        for v, fs in enumerate(domain.feasible):
-            if id(fs) in seen:
-                continue
-            seen.add(id(fs))
+        sets, number = domain.distinct
+        for i, fs in enumerate(sets):
             for order in fs:
                 if not order.is_strict() or not is_single_peaked(order, axis):
                     raise ArgumentError(
                         f"median-peaks needs strict single-peaked feasible sets; "
-                        f"voter {v + 1} admits {format_order(order, alts)}"
+                        f"voter {number.index(i) + 1} admits {format_order(order, alts)}"
                     )
         norm = {"axis": axis.order}
     elif name == "plurality-tiebreak":
@@ -502,14 +491,11 @@ def domain_to_dict(domain: Domain) -> dict:
 
 
 def domain_from_dict(data: dict, alts: AlternativeSet) -> Domain:
-    presets: dict[str, FeasibleSet] = {}  # voters naming one preset share it
+    preset = _shared_presets(alts)
     feasible = []
     for i, entry in enumerate(data["voters"], start=1):
         if "preset" in entry:
-            token = entry["preset"]
-            if token not in presets:
-                presets[token] = _parse_preset(token, alts, line=None)
-            feasible.append(presets[token])
+            feasible.append(preset(entry["preset"], None))
         elif "orders" in entry:
             orders = [parse_order(text, alts) for text in entry["orders"]]
             feasible.append(FeasibleSet.explicit(alts, orders))

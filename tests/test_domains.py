@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from conftest import reference_is_complete
@@ -439,6 +440,43 @@ def test_parse_domain_errors_carry_line_numbers():
         parse_domain_text("alternatives: a,b\nvoter 1: @weird\n")
 
 
+def test_voters_naming_one_preset_token_share_one_set():
+    text = (
+        "alternatives: a,b,c\n"
+        "voter 1: @universal-weak\nvoter 2: @single-peaked\n"
+        "voter 3: @universal-weak\nvoter 4:\na>b>c\nvoter 5: @universal-weak\n"
+    )
+    domain = parse_domain_text(text)
+    weak = domain.feasible[0]
+    assert domain.feasible[2] is weak and domain.feasible[4] is weak
+    assert domain.feasible[1] is not weak
+    assert format_domain(domain) == text
+    assert domain.distinct == ((weak, domain.feasible[1], domain.feasible[3]), (0, 1, 0, 2, 0))
+
+
+def test_distinct_sets_by_equality_identity_first(abc, monkeypatch):
+    weak, copy = FeasibleSet.universal_weak(abc), FeasibleSet.universal_weak(abc)
+    strict = FeasibleSet.universal_strict(abc)
+    domain = Domain((strict, weak, copy, strict, weak))
+    assert domain.distinct == ((strict, weak), (0, 1, 1, 0, 1))
+    assert domain.distinct[0][1] is weak
+    assert not domain.is_shared() and Domain((weak, copy)).is_shared()
+    # A shared object is never compared field by field, and nothing is hashed.
+    monkeypatch.setattr(FeasibleSet, "__eq__", lambda self, other: 1 / 0)
+    monkeypatch.setattr(FeasibleSet, "__hash__", lambda self: 1 / 0)
+    assert Domain((weak,) * 4).distinct == ((weak,), (0, 0, 0, 0))
+
+
+def test_rank_rows_are_the_rank_vectors_read_only(abc):
+    for fs in (FeasibleSet.universal_weak(abc), FeasibleSet.single_peaked(abc)):
+        rows = fs.rank_rows
+        assert rows.dtype == np.int8
+        assert rows.tolist() == [list(order.ranks) for order in fs]
+        assert fs.rank_rows is rows
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1
+
+
 def test_format_domain_round_trip():
     domain = parse_domain_text(GOOD_FILE)
     text = format_domain(domain)
@@ -489,6 +527,9 @@ def test_profile_file_reads_counts_and_names_that_end_in_x(tmp_path):
         ("alternatives: a,b,c\n2 x a>b>c\n", "the scf has 3 voters; the file lists 2"),
         ("alternatives: a,b,c\r\n\na>b\udcff>c\n",
          "line 3: byte 0xff is not UTF-8 (invalid start byte)"),
+        ("alternatives: a,b,c\f\n\u2028\na>b\udcff>c\n",
+         "line 3: byte 0xff is not UTF-8 (invalid start byte)"),
+        ("alternatives: a,b,c\x85\n3 x a>>c\n", "line 2: empty level in order 'a>>c'"),
     ],
 )
 def test_profile_file_errors_name_the_file_and_the_line(tmp_path, text, message):
@@ -505,6 +546,13 @@ def test_profile_file_errors_name_the_file_and_the_line(tmp_path, text, message)
     [
         (b"alternatives: a,b\nvoter 1:\na>>b\n", "line 3: empty level in order 'a>>b'"),
         (b"alternatives: a,b\nvoter 1:\nb>a\na\xe9>b\n",
+         "line 4: byte 0xe9 is not UTF-8 (invalid continuation byte)"),
+        # Lines end only at \r\n, \r and \n: form feeds, vertical tabs,
+        # \x1c-\x1e, \x85 and U+2028/2029 do not end one.
+        (b"alternatives: a,b\f\nvoter 1:\na>>b\n", "line 3: empty level in order 'a>>b'"),
+        (b"# x\xc2\x85y\xe2\x80\xa8z\xe2\x80\xa9\nalternatives: a,b\r\nvoter 1:\na>>b\n",
+         "line 4: empty level in order 'a>>b'"),
+        (b"alternatives: a,b\x0b\x1c\x1d\x1e\rvoter 1:\r\nb>a\f\na\xe9>b\n",
          "line 4: byte 0xe9 is not UTF-8 (invalid continuation byte)"),
     ],
 )

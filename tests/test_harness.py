@@ -170,7 +170,6 @@ def test_range_hypothesis_runs_no_completeness_check(spec81, monkeypatch):
     def refuse(fs):
         raise AssertionError("is_complete called under the range hypothesis")
 
-    monkeypatch.setattr(harness, "is_complete", refuse)
     monkeypatch.setattr(domains, "is_complete", refuse)
     verdict = verify_summary_equivalence(spec81)
     assert verdict.details["equality_hypothesis"] == "range-le-3"
@@ -745,6 +744,65 @@ def test_quotient_pairs_case_for_mixed_domains(abc):
     assert result.case == "pairs"
     assert result.alpha == 1
     assert result.hypothesis["kind"] == "range-le-3"
+
+
+_GUARDED = {"kind": "complete-domain", "verified": False,
+            "note": "completeness undecided within guard"}
+
+
+@pytest.mark.parametrize("sets,rule,guard,case,hypothesis", [
+    ("strict", "dictator-tiebreak", None, "shared",
+     {"kind": "complete-domain", "verified": True}),
+    ("three", "dictator-tiebreak", None, "shared",
+     {"kind": "range-le-3", "verified": True, "range": 3}),
+    ("four", "dictator-tiebreak", None, "shared",
+     {"kind": "complete-domain", "verified": False}),
+    ("strict", "dictator-tiebreak", 0, "shared", _GUARDED),
+    ("three", "dictator-tiebreak", 0, "shared",
+     {"kind": "range-le-3", "verified": True, "range": 3}),
+    ("mixed", "dictator-tiebreak", None, "pairs",
+     {"kind": "range-le-3", "verified": True, "range": 2}),
+    ("mixed", "plurality-tiebreak", None, "pairs",
+     {"kind": "range-le-3", "verified": False, "range": 4}),
+], ids=["complete", "incomplete-range-3", "incomplete-range-4", "guard-range-4",
+        "guard-range-3", "pairs-range-2", "pairs-range-4"])
+def test_quotient_hypothesis_on_every_branch(
+    monkeypatch, abcd, sets, rule, guard, case, hypothesis
+):
+    # A shared set is certified first; past an incomplete or refused one,
+    # the collapsed range decides if it is at most 3.  The pairs case has
+    # only the range.
+    from prefrev import domains
+
+    def explicit(*texts):
+        return FeasibleSet.explicit(abcd, [parse_order(t, abcd) for t in texts])
+
+    tops = ("a>b~c~d", "b>a~c~d", "c>a~b~d", "d>a~b~c")
+    strict = FeasibleSet.universal_strict(abcd)
+    feasible = {
+        "strict": (strict,) * 4,
+        "three": (explicit(*tops[:3]),) * 4,
+        "four": (explicit(*tops),) * 4,
+        "mixed": (FeasibleSet.universal_weak(abcd), strict, strict, strict),
+    }[sets]
+    if guard is not None:
+        monkeypatch.setattr(domains, "COMPLETENESS_GUARD", guard)
+    if sets == "mixed":
+        p = ("a>b>c>d", "c>a>b>d", "d>a>b>c", "a>b>c>d")
+        q = ("b>a>c>d", "d>a>b>c", "b>a>c>d", "c>a>b>d")
+    elif sets == "strict":
+        p, q = ("a>b>c>d",) * 4, ("b>a>c>d",) * 4
+    else:
+        p, q = (tops[0],) * 4, (tops[1],) * 4
+    params = {"voter": 0} if rule == "dictator-tiebreak" else {}
+    phi = builtin(rule, Domain(feasible), **params)
+    result = quotient_reduce(
+        phi, Profile(tuple(parse_order(t, abcd) for t in p)),
+        Profile(tuple(parse_order(t, abcd) for t in q)), samples=0,
+    )
+    assert result.case == case
+    assert result.hypothesis == hypothesis
+    assert list(result.hypothesis) == list(hypothesis)  # the JSON key order
 
 
 @pytest.fixture

@@ -879,6 +879,33 @@ def test_isp_matches_the_reference_scan_on_seeded_tables(monkeypatch, cells):
     } | {("k", k) for k in (1, 2, 3, 4)}
 
 
+@pytest.mark.parametrize("cells", [None, 1, 7, 60])
+def test_key_blocks_give_every_profiles_orders_and_lines(monkeypatch, cells):
+    # The chunks take each chunk's digits from its first profile, on uneven
+    # domains: voters with one, two or more orders, in every place.
+    import numpy as np
+
+    if cells is not None:
+        monkeypatch.setattr(properties, "_FIRST_CELLS", cells)
+        monkeypatch.setattr(properties, "_BLOCK_CELLS", cells)
+    alts = AlternativeSet.letters(3)
+    weak = list(FeasibleSet.universal_weak(alts))
+    for sizes in ((3, 1, 2, 3), (1, 5), (2, 2, 2), (13, 1, 1), (4, 3, 2, 1), (1, 1, 7, 2)):
+        domain = Domain(tuple(FeasibleSet.explicit(alts, weak[:m]) for m in sizes))
+        ctx = domain._scan_context
+        blocks = list(ctx.key_blocks(np.zeros(ctx.count, np.uint8), lines=True))
+        assert [lo for lo, _, _ in blocks][0] == 0
+        keys = np.concatenate([keys for _, keys, _ in blocks], axis=1)
+        lines = np.concatenate([at for _, _, at in blocks], axis=1)
+        assert (keys // ctx.k - ctx.order_base[:, None] == ctx.digits).all()
+        base = 0
+        for v in range(ctx.n):
+            others = [u for u in range(ctx.n) if u != v]
+            line = np.ravel_multi_index(ctx.digits[others], [sizes[u] for u in others])
+            assert (lines[v] == base + line).all(), (sizes, v)
+            base += ctx.count // sizes[v]
+
+
 @pytest.mark.parametrize("cells", [1, 6, 20])
 def test_isp_failure_in_the_first_middle_and_last_block(monkeypatch, cells):
     # Every order ranks c last, so in a constant-a table with c at one

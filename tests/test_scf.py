@@ -333,6 +333,30 @@ def test_median_peaks_checks_a_shared_feasible_set_once(monkeypatch):
     assert 0 < len(calls) <= 16
 
 
+def test_equal_feasible_sets_share_rows_and_one_median_peaks_check(monkeypatch, abc):
+    # Equal copies, not one object: rows, checks and errors go by equality,
+    # and an error names the first voter with the set.
+    weak, copy = FeasibleSet.universal_weak(abc), FeasibleSet.universal_weak(abc)
+    assert weak == copy and weak is not copy
+    base, ranks, top = scf_module._order_arrays(Domain((weak, copy, weak)))
+    assert base.tolist() == [0, 0, 0]
+    assert ranks.tolist() == [list(order.ranks) for order in weak]
+    assert len(top) == len(weak)
+    peaks = FeasibleSet.single_peaked(abc, strict=True)
+    calls = []
+
+    def counting(order, axis):
+        calls.append(order)
+        return is_single_peaked(order, axis)
+
+    monkeypatch.setattr(scf_module, "is_single_peaked", counting)
+    domain = Domain((peaks, FeasibleSet.single_peaked(abc, strict=True), peaks))
+    assert builtin("median-peaks", domain).rule.name == "median-peaks"
+    assert calls == list(peaks)
+    with pytest.raises(ArgumentError, match="voter 2 admits a~b~c"):
+        builtin("median-peaks", Domain((peaks, weak, copy)))
+
+
 def _rules_in_file_form(abc):
     strict = Domain.shared(FeasibleSet.universal_strict(abc), 3)
     peaks = Domain.shared(
