@@ -16,6 +16,7 @@ and theorems that apply it; anywhere else it is an error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -78,15 +79,15 @@ EXIT_WITNESS = 2
 _PROPERTY_ORDER = ("isp", "gsp", "pr", "apr", "dictator")
 
 
-def _common_options(parser: argparse.ArgumentParser) -> None:
+def _common_options(parser: argparse.ArgumentParser, parallelism: str) -> None:
     parser.add_argument("--output", choices=("text", "json"), default="text")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--parallelism",
         type=int,
-        # A string default goes through ``type`` too, so a bad value in the
-        # environment is reported like a bad --parallelism.
-        default=os.environ.get("PREFREV_PARALLELISM", "1"),
+        # A string default goes through ``type`` at each parse, so a bad
+        # value in the environment is reported like a bad --parallelism.
+        default=parallelism,
         help="accepted for compatibility: must be an integer, and changes "
         "nothing, since every scan runs serially",
     )
@@ -453,7 +454,9 @@ class _Parser(argparse.ArgumentParser):
         raise ArgumentError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(parallelism: str) -> argparse.ArgumentParser:
+    """The parser of every subcommand; ``parallelism`` is the string
+    default of ``--parallelism``."""
     parser = _Parser(
         prog="prefrev",
         description="verify strategy-proofness and preference-reversal "
@@ -469,12 +472,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help="restrict single-peaked enumeration to strict orders")
     p_orders.add_argument("--axis", default=None)
     p_orders.add_argument("--names", default=None)
-    _common_options(p_orders)
+    _common_options(p_orders, parallelism)
     p_orders.set_defaults(fn=cmd_orders)
 
     p_dom = sub.add_parser("domain-complete", help="decide domain completeness")
     p_dom.add_argument("file")
-    _common_options(p_dom)
+    _common_options(p_dom, parallelism)
     p_dom.set_defaults(fn=cmd_domain_complete)
 
     p_check = sub.add_parser("check", help="check properties of an scf file")
@@ -482,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--properties", default="isp,gsp,pr,apr,dictator")
     p_check.add_argument("--recheck-witness", default=None,
                          help="re-validate witnesses from a previous report")
-    _common_options(p_check)
+    _common_options(p_check, parallelism)
     p_check.add_argument("--max-profiles", type=int, default=None)
     p_check.set_defaults(fn=cmd_check)
 
@@ -507,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--axis", default=None)
     p_verify.add_argument("--names", default=None)
-    _common_options(p_verify)
+    _common_options(p_verify, parallelism)
     p_verify.add_argument("--max-profiles", type=int, default=None)
     p_verify.add_argument("--max-tables", type=int, default=None)
     p_verify.set_defaults(fn=cmd_verify)
@@ -517,14 +520,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_quot.add_argument("--profile-p", required=True)
     p_quot.add_argument("--profile-q", required=True)
     p_quot.add_argument("--samples", type=int, default=100)
-    _common_options(p_quot)
+    _common_options(p_quot, parallelism)
     p_quot.set_defaults(fn=cmd_quotient)
     return parser
 
 
+#: The parser is built once per process for each ``PREFREV_PARALLELISM``
+#: value: building it costs about 1 ms, more than a small theorem suite.
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser(os.environ.get("PREFREV_PARALLELISM", "1")).parse_args(argv)
         return args.fn(args)
     except PrefrevError as exc:
         print(f"error: {exc}", file=sys.stderr)

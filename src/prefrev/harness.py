@@ -12,8 +12,11 @@ property checkers against each other:
   {PR} <= {APR} = {GSP} <= {ISP} as sets, with all four equal whenever the
   range-at-most-3 or complete-domain hypothesis applies.
 * ``thm-complete``: specimen verification (complete feasible sets + ISP
-  imply PR); the table universe over a complete domain is far too large to
-  enumerate, so named rules are checked exhaustively instead.
+  imply PR) of one named rule.  The table universes of complete domains
+  are far past ``--max-tables``, which bounds every universe suite, though
+  the search below lists their ISP tables where few prefixes stay live
+  (80 of the 4^64 tables on 2 voters with single-peaked strict orders over
+  4 alternatives).
 * ``isp-not-pr``: bounded search for an ISP table violating PR on domains
   where neither theorem forbids one; it never claims non-existence beyond
   the searched space.
@@ -22,19 +25,26 @@ Each universe suite declares only its relations between property classes,
 ``(a, "<=", b)`` (every table with a has b) or ``(a, "==", b)``, in the
 order it reports them, and the properties whose table counts it reports.
 One driver, ``_suite``, checks them by one walk (``_walk``) and builds the
-verdict.  The walk takes the table universe in uint8 blocks of rows, in
-canonical order (base-|target| numerals, profile 0 most significant) up to
-the universe size or the spec's limit, and decides each block at once with
-the numpy verdict kernel ``properties.table_verdicts``, which builds no
-witness.  ``prop-apr-gsp`` and ``isp-not-pr`` stop at the first table that
-breaks a relation, and ``checked`` is its 1-based table number.
-``thm-range3`` and ``summary-equivalence`` visit every table, sum the
+verdict.  A table where every property the relations name fails breaks no
+relation and adds to no count, so the walk decides only the others, which
+``_search`` lists in canonical order (base-|target| numerals, profile 0
+most significant) up to the universe size or the spec's limit.  The search
+builds tables profile by profile; each prefix carries the OR of its cells'
+packed verdict rows (those of ``properties.table_verdicts``) and its one-hot
+row of cells, and a prefix that already breaks every named property is
+dropped with all of its tables.  No witness is built.  ``prop-apr-gsp`` and
+``isp-not-pr`` stop at the first table that breaks a relation, and
+``checked`` is its 1-based table number.  ``thm-range3`` and
+``summary-equivalence`` visit every table the search leaves, sum the
 counted verdicts and keep the first such table.  Only that one table
 becomes an :class:`Scf`: the full checker of every property the relations
 name runs on it, a verdict that differs from the kernel's is a
 ``RuntimeError``, and the reports of the first relation it breaks are the
 counterexample.  The walk is serial.  A universe whose tables are past the
-checkers' pair guard is refused before its first block is built.
+checkers' pair guard is refused before anything is built.  When the
+universe is past its budget, ``isp-not-pr`` walks a seeded sample instead,
+in uint8 blocks (``_table_blocks``) decided by ``table_verdicts``, which
+also serves ``enumerate_scfs``' filters.
 
 Whether a theorem forbids an ISP table without PR is decided in one place,
 ``_hypothesis``: the range hypothesis (at most three target alternatives)
@@ -84,6 +94,8 @@ from .scf import (
 from .properties import (
     CHECKERS,
     PropertyReport,
+    _KeyRows,
+    _cell_rows,
     _require_pairs,
     check_isp,
     check_pr,
@@ -142,7 +154,8 @@ def _universe_size(spec: EnumerationSpec, cap: int) -> int | None:
 
 
 def _block_size(domain: Domain) -> int:
-    """Tables per verdict block: about ``_TABLE_BLOCK_BYTES`` gathered bytes.
+    """Tables per verdict block, and prefixes per chunk of :func:`_search`:
+    about ``_TABLE_BLOCK_BYTES`` gathered bytes.
 
     A table larger than that is a block of its own, and ``table_verdicts``
     splits it into blocks of profile rows as the checkers do.
@@ -205,28 +218,137 @@ def _draws(rng: random.Random, radix: int, m: int) -> np.ndarray:
     return out
 
 
+def _search(
+    spec: EnumerationSpec, total: int, props
+) -> Iterator[tuple[np.ndarray, dict]]:
+    """The tables among the first ``total`` where some property in ``props``
+    holds, as ``(uint8 rows, verdicts)`` blocks in table order; ``verdicts``
+    maps each property to a bool per row, as :func:`table_verdicts` would.
+
+    A pair's violation depends on the table only through its cells
+    (P, phi(P)) and (Q, phi(Q)), so the tables are built profile by profile
+    in table order, and each live prefix keeps the OR of its cells' verdict
+    rows and its one-hot row of cells: where they meet, two decided profiles
+    break the property in every table the prefix leads to.  A prefix that
+    breaks every property in ``props`` is dropped with all of its tables.
+    The rows are the context's (``_Ctx.build_verdict_rows``), or, past
+    ``_KEY_CACHE_BYTES``, one profile's at a time from a :class:`_KeyRows`
+    over the (Q, y) cells the tables can have.
+
+    ``total`` bounds the digits: the one prefix equal to the leading digits
+    of ``total - 1`` takes no larger next digit, and its leading 0s are the
+    first node.  Prefixes are expanded depth first in chunks of
+    ``_block_size`` nodes, so at most count * |target| chunks are live at
+    once.  A ``total`` past the universe goes round it again, as
+    :func:`_table_blocks`' digits do.
+    """
+    universe = _universe_size(spec, total)
+    if universe is not None and universe < total:
+        blocks = list(_search(spec, universe, props))
+        for _ in range(total // universe):
+            yield from blocks
+        yield from _search(spec, total % universe, props)
+        return
+    if not total:
+        return
+    ctx = spec.domain._scan_context
+    count, k, radix = ctx.count, ctx.k, len(spec.target)
+    target = np.array(spec.target, dtype=np.uint8)
+    # high[p]: digit p of the last table number.
+    high, last = [0] * count, total - 1
+    for p in range(count - 1, -1, -1):
+        if not last:
+            break
+        last, high[p] = divmod(last, radix)
+    depth = next((p for p in range(count - 1) if high[p]), count - 1)
+    # cells[p, j]: the flat cell (p, target[j]); place[p, j]: its column.
+    cells = np.arange(count)[:, None] * k + target
+    rows, keys = ctx.build_verdict_rows(props), None
+    if rows is None:
+        # Only the cells the tables can have: the leading 0s allow no other.
+        reach = np.ones((count, radix), dtype=bool)
+        reach[:depth, 1:] = False
+        place = np.cumsum(reach).reshape(count, radix) - 1
+        cols = cells[reach]
+        keys = _KeyRows(ctx, *np.divmod(cols, k), "pr" in props or "apr" in props)
+        words = -(-len(cols) // 64)
+    else:
+        place, words = cells, -(-count * k // 64)
+
+    def verdict_rows(at):
+        return rows[at] if keys is None else _cell_rows(keys, at, props)
+
+    def onehot(at):
+        """Packed rows over the columns, row i with the columns ``at[i]``."""
+        bits = np.zeros((len(at), words * 64), dtype=bool)
+        bits[np.arange(len(at))[:, None], at] = True
+        return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+
+    lead = np.arange(depth)
+    node = (
+        np.bitwise_or.reduce(verdict_rows(cells[lead, 0]), axis=0)[None],
+        onehot(place[lead, 0][None]),
+        np.ones(1, dtype=bool),
+        np.full((1, depth), target[0], dtype=np.uint8),
+    )
+    digit = np.arange(radix)
+    step = _block_size(spec.domain)
+    stack = [(depth, node)]
+    while stack:
+        p, (met, seen, tight, tables) = stack.pop()
+        met = met[:, None] | verdict_rows(cells[p])
+        seen = seen[:, None] | onehot(place[p, :, None])
+        holds = ~(met & seen[:, :, None]).any(axis=3)
+        live = holds.any(axis=2) & (~tight[:, None] | (digit <= high[p]))
+        i, j = np.nonzero(live)
+        tables = np.column_stack([tables[i], target[j]])
+        if p + 1 == count:
+            yield tables, {prop: holds[i, j, n] for n, prop in enumerate(props)}
+            continue
+        child = (met[i, j], seen[i, j], tight[i] & (j == high[p]), tables)
+        for lo in reversed(range(0, len(i), step)):
+            stack.append((p + 1, tuple(a[lo : lo + step] for a in child)))
+
+
+def _table_number(spec: EnumerationSpec, row) -> int:
+    """The 0-based number of the table ``row``: its base-|target| numeral."""
+    return functools.reduce(
+        lambda number, x: number * len(spec.target) + spec.target.index(x), row, 0
+    )
+
+
 #: Where a relation between two verdict arrays is broken.
 _BREAKS = {"<=": lambda a, b: a & ~b, "==": np.not_equal}
 
 
-def _walk(spec, blocks, relations, counts=None):
-    """The first table in ``blocks`` that breaks one of ``relations``.
+def _walk(spec, total, relations, counts=None, rng=None):
+    """The first of ``total`` tables that breaks one of ``relations``.
 
-    Each relation is ``(a, "<=", b)`` or ``(a, "==", b)`` over property
-    names, at least one of them decided over profile pairs.  With a
-    non-empty ``counts``, every block is walked and the tables where each of
-    its properties holds are added up in it; otherwise the walk stops at the
-    first breaking table.  The full checkers of every named property run on
-    that table, and any verdict that differs from the kernel's is a
-    RuntimeError.  Returns ``(its 1-based table number, (its Scf, the
-    reports of a and b))`` for the first relation it breaks, or None.  The
-    pair guard is checked before ``blocks`` is first advanced.
+    Each relation is ``(a, "<=", b)`` or ``(a, "==", b)`` over the pair
+    properties.  The tables are the first ``total`` in table order, from
+    :func:`_search`: a table where every named property fails breaks no
+    relation and adds to no count, so only the others are decided.  With
+    ``rng`` they are a sample of ``total`` drawn from it instead, decided
+    by :func:`table_verdicts`.  With a non-empty ``counts``, every table is
+    walked and the tables where each of its properties holds are added up
+    in it; otherwise the walk stops at the first breaking table.  The full
+    checkers of every named property run on that table, and any verdict
+    that differs from the kernel's is a RuntimeError.  Returns ``(its
+    1-based number, (its Scf, the reports of a and b))`` for the first
+    relation it breaks, or None.  The pair guard is checked before
+    anything is built.
     """
     _require_pairs(spec.domain.profile_count())
     props = tuple(dict.fromkeys(p for a, _, b in relations for p in (a, b)))
+    if rng is None:
+        blocks = ((None, *block) for block in _search(spec, total, props))
+    else:
+        blocks = (
+            (lo, rows, table_verdicts(spec.domain, rows, props))
+            for lo, rows in _table_blocks(spec, total, rng)
+        )
     first = None
-    for lo, rows in blocks:
-        verdicts = table_verdicts(spec.domain, rows, props)
+    for lo, rows, verdicts in blocks:
         for prop in counts or ():
             counts[prop] += int(verdicts[prop].sum())
         if first is None:
@@ -235,7 +357,8 @@ def _walk(spec, blocks, relations, counts=None):
             if flagged.any():
                 i = int(flagged.argmax())
                 rel = next(r for r, mask in zip(relations, broken) if mask[i])
-                first = lo + i, rows[i], rel, {p: verdicts[p][i] for p in props}
+                number = _table_number(spec, rows[i]) if lo is None else lo + i
+                first = number, rows[i], rel, {p: verdicts[p][i] for p in props}
                 if not counts:
                     break
     if first is None:
@@ -341,7 +464,7 @@ def _suite(theorem, spec, t0, total, relations, counted=(), **details):
     and hypothesis checks too.
     """
     counts = dict.fromkeys(counted, 0)
-    found = _walk(spec, _table_blocks(spec, total), relations, counts)
+    found = _walk(spec, total, relations, counts)
     checked, counterexample = found or (total, None)
     return TheoremVerdict(
         theorem=theorem,
@@ -497,13 +620,11 @@ def search_isp_not_pr(
     spec.domain.require_enumerable()
     size = _universe_size(spec, budget)
     if size is not None:
-        total, blocks = size, _table_blocks(spec, size)
-        scope = "exhausted-universe"
+        total, rng, scope = size, None, "exhausted-universe"
     else:
-        total, blocks = budget, _table_blocks(spec, budget, random.Random(seed))
-        scope = "budget-exhausted"
+        total, rng, scope = budget, random.Random(seed), "budget-exhausted"
     relations = [("isp", "<=", "pr")]
-    checked, counterexample = _walk(spec, blocks, relations) or (total, None)
+    checked, counterexample = _walk(spec, total, relations, rng=rng) or (total, None)
     if counterexample is not None:
         scf, (_, pr) = counterexample
         if not revalidate_witness(scf, "pr", pr.witness):

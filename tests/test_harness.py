@@ -204,12 +204,12 @@ def test_walk_refuses_a_universe_past_the_pair_guard_before_any_block(monkeypatc
     # 3 voters x 36 strict orders: 46,656 profiles, over 2*10^9 ordered pairs.
     advanced = []
 
-    def spy_blocks(spec, total, rng=None):
+    def spy_search(spec, total, props):
         advanced.append(total)
-        yield from real_blocks(spec, total, rng)
+        yield from real_search(spec, total, props)
 
-    real_blocks = harness._table_blocks
-    monkeypatch.setattr(harness, "_table_blocks", spy_blocks)
+    real_search = harness._search
+    monkeypatch.setattr(harness, "_search", spy_search)
     domain = strict_prefix_domain(5, 3, 36)
     spec = EnumerationSpec(domain, (0, 1, 2), limit=1)
     guard = "pairwise scan needs 2176735680 ordered pairs, guard is 2000000000"
@@ -222,19 +222,31 @@ def test_walk_refuses_a_universe_past_the_pair_guard_before_any_block(monkeypatc
 
 def _flip(monkeypatch, prop, wrong, checker=True):
     """Give the wrong ``prop`` verdict on the tables whose bytes are in
-    ``wrong``: in the verdict kernel, and with ``checker`` also in the full
-    checker, alone or in the PR/APR pass."""
-    real_verdicts = harness.table_verdicts
+    ``wrong``: in the search's verdict blocks, where a table the search
+    prunes is put back at its place in table order, and with ``checker``
+    also in the full checker, alone or in the PR/APR pass."""
+    real_search = harness._search
 
-    def flaky_verdicts(domain, tables, props):
-        verdicts = real_verdicts(domain, tables, props)
-        if prop in verdicts:
-            for i, row in enumerate(tables):
-                if row.tobytes() in wrong:
-                    verdicts[prop][i] = not verdicts[prop][i]
-        return verdicts
+    def flaky_search(spec, total, props):
+        found = {}
+        for rows, verdicts in real_search(spec, total, props):
+            for i, row in enumerate(rows):
+                found[row.tobytes()] = {p: bool(v[i]) for p, v in verdicts.items()}
+        for raw in wrong:
+            row = np.frombuffer(raw, dtype=np.uint8)
+            if prop not in props or harness._table_number(spec, row) >= total:
+                continue
+            if raw not in found:
+                kernel = properties.table_verdicts(spec.domain, row[None], props)
+                found[raw] = {p: bool(v[0]) for p, v in kernel.items()}
+            found[raw][prop] = not found[raw][prop]
+        order = sorted(found, key=lambda raw: harness._table_number(
+            spec, np.frombuffer(raw, dtype=np.uint8)))
+        if order:
+            rows = np.stack([np.frombuffer(raw, dtype=np.uint8) for raw in order])
+            yield rows, {p: np.array([found[raw][p] for raw in order]) for p in props}
 
-    monkeypatch.setattr(harness, "table_verdicts", flaky_verdicts)
+    monkeypatch.setattr(harness, "_search", flaky_search)
     if not checker:
         return
 
@@ -323,12 +335,45 @@ def test_thm_range3_cross_checks_pr_on_a_table_without_isp(spec81, monkeypatch):
         verify_thm_range3(spec81)
 
 
+#: The properties named by the relations of prop-apr-gsp, thm-range3,
+#: summary-equivalence and isp-not-pr.
+_SUITE_PROPS = [("gsp", "apr"), ("isp", "pr", "gsp"), ("pr", "apr", "gsp", "isp"),
+                ("isp", "pr")]
+
+
+def _leaves(blocks):
+    """``(rows, verdicts)`` blocks as a list of (table, verdicts) pairs."""
+    return [
+        (row.tolist(), {p: bool(v[i]) for p, v in verdicts.items()})
+        for rows, verdicts in blocks
+        for i, row in enumerate(rows)
+    ]
+
+
+def _searched(spec, props):
+    total = harness._require_universe(spec, harness.DEFAULT_TABLE_GUARD)
+    return _leaves(harness._search(spec, total, props))
+
+
+def _walked(spec, props):
+    """The oracle of the search: every table of the walk, decided by the
+    verdict kernel, less those where every property fails."""
+    total = harness._require_universe(spec, harness.DEFAULT_TABLE_GUARD)
+    blocks = []
+    for _, rows in harness._table_blocks(spec, total):
+        verdicts = properties.table_verdicts(spec.domain, rows, props)
+        some = np.logical_or.reduce([verdicts[p] for p in props])
+        blocks.append((rows[some], {p: v[some] for p, v in verdicts.items()}))
+    return _leaves(blocks)
+
+
 def test_suite_verdicts_do_not_depend_on_the_block_size(spec81, monkeypatch):
     specs = [
         spec81,
         EnumerationSpec(strict_prefix_domain(3, 2, 3), (0, 1, 2), limit=700),
         EnumerationSpec(weak_pair_domain(), (0, 1, 2)),
         EnumerationSpec(strict_prefix_domain(3, 2, 3), (0, 2), limit=200),
+        EnumerationSpec(strict_prefix_domain(3, 2, 3), (0, 1, 2), limit=1),
     ]
     suites = (verify_prop_apr_gsp, verify_thm_range3, verify_summary_equivalence)
     tables = list(enumerate_scfs(spec81))
@@ -339,10 +384,15 @@ def test_suite_verdicts_do_not_depend_on_the_block_size(spec81, monkeypatch):
         with monkeypatch.context() as patch:
             _flip(patch, "gsp", wrong)
             flipped = [verdict_to_dict(suite(spec81)) for suite in suites]
-        return clean, flipped
+        searched = [_searched(spec, props) for spec in specs for props in _SUITE_PROPS]
+        return clean, flipped, searched
 
     expected = run_all()
     assert [doc["holds"] for doc in expected[1]] == [False] * 3
+    # The search gives the walk's tables where some property holds, in
+    # table order, with the kernel's verdicts.
+    walked = [_walked(spec, props) for spec in specs for props in _SUITE_PROPS]
+    assert expected[2] == walked and all(walked)
     default = harness._block_size
     for per_table in (1, 5, 37):
         monkeypatch.setattr(harness, "_block_size", lambda domain: per_table)
@@ -357,6 +407,39 @@ def test_suite_verdicts_do_not_depend_on_the_block_size(spec81, monkeypatch):
     assert run_all() == expected
     # 4 profiles at k=3: one 8-byte word of (Q, y) cells a row.
     assert default(spec81.domain) == (1 << 16) // (4 * 8)
+
+
+def _single_peaked_strict(alts):
+    return FeasibleSet.single_peaked(alts, strict=True)
+
+
+@pytest.mark.parametrize("voters, k, feasible, isp", [
+    (2, 3, FeasibleSet.universal_strict, 17),
+    (2, 4, _single_peaked_strict, 80),
+    (3, 3, _single_peaked_strict, 186),
+], ids=["2x-universal-strict-k3", "2x-single-peaked-strict-k4",
+        "3x-single-peaked-strict-k3"])
+def test_search_counts_the_isp_tables_past_the_table_guard(voters, k, feasible, isp):
+    # The counts of an independent program that lists ISP tables by option
+    # sets; 3^36, 4^64 and 3^64 tables are far past the walk.
+    domain = Domain.shared(feasible(AlternativeSet.letters(k)), voters)
+    spec = EnumerationSpec(domain, tuple(range(k)))
+    total = k ** domain.profile_count()
+    assert total > harness.DEFAULT_TABLE_GUARD
+    leaves = _leaves(harness._search(spec, total, ("isp",)))
+    assert len(leaves) == isp and all(v["isp"] for _, v in leaves)
+
+
+def test_search_counts_on_the_benchmark_universes():
+    spec = EnumerationSpec(strict_prefix_domain(3, 2, 3), (0, 1, 2))
+    assert len(_searched(spec, ("isp",))) == 11
+    alts = AlternativeSet.letters(4)
+    orders = [parse_order(text, alts) for text in ("a~b>c~d", "d>c>a~b", "b~c>a~d")]
+    spec = EnumerationSpec(
+        Domain.shared(FeasibleSet.explicit(alts, orders), 2), (0, 1, 2, 3)
+    )
+    leaves = _searched(spec, ("isp", "pr"))
+    assert [sum(v[p] for _, v in leaves) for p in ("isp", "pr")] == [778, 738]
 
 
 # ---------------------------------------------------------------------------
