@@ -154,14 +154,20 @@ def _universe_size(spec: EnumerationSpec, cap: int) -> int | None:
 
 
 def _block_size(domain: Domain) -> int:
-    """Tables per verdict block, and prefixes per chunk of :func:`_search`:
-    about ``_TABLE_BLOCK_BYTES`` gathered bytes.
+    """Tables per verdict block: about ``_TABLE_BLOCK_BYTES`` gathered bytes.
 
     A table larger than that is a block of its own, and ``table_verdicts``
     splits it into blocks of profile rows as the checkers do.
     """
     count = domain.profile_count()
     return max(1, _TABLE_BLOCK_BYTES // (count * -(-count * domain.k // 64) * 8))
+
+
+def _chunk_size(props, words: int) -> int:
+    """Prefixes per chunk of :func:`_search`: about ``_TABLE_BLOCK_BYTES``
+    of their packed rows, one of ``words`` words per property in ``props``
+    and one of cells."""
+    return max(1, _TABLE_BLOCK_BYTES // (8 * words * (len(props) + 1)))
 
 
 def _table_blocks(
@@ -238,17 +244,9 @@ def _search(
     ``total`` bounds the digits: the one prefix equal to the leading digits
     of ``total - 1`` takes no larger next digit, and its leading 0s are the
     first node.  Prefixes are expanded depth first in chunks of
-    ``_block_size`` nodes, so at most count * |target| chunks are live at
-    once.  A ``total`` past the universe goes round it again, as
-    :func:`_table_blocks`' digits do.
+    ``_chunk_size`` nodes, so at most count * |target| chunks are live at
+    once.  ``total`` is at most the universe size.
     """
-    universe = _universe_size(spec, total)
-    if universe is not None and universe < total:
-        blocks = list(_search(spec, universe, props))
-        for _ in range(total // universe):
-            yield from blocks
-        yield from _search(spec, total % universe, props)
-        return
     if not total:
         return
     ctx = spec.domain._scan_context
@@ -292,7 +290,7 @@ def _search(
         np.full((1, depth), target[0], dtype=np.uint8),
     )
     digit = np.arange(radix)
-    step = _block_size(spec.domain)
+    step = _chunk_size(props, words)
     stack = [(depth, node)]
     while stack:
         p, (met, seen, tight, tables) = stack.pop()
@@ -425,15 +423,18 @@ def verdict_to_dict(verdict: TheoremVerdict, include_timing: bool = False) -> di
 
 
 def _require_universe(spec: EnumerationSpec, max_tables: int) -> int:
+    """The number of tables to walk: the universe, or the limit if smaller.
+    Without a limit, a universe past ``max_tables`` is refused."""
     spec.domain.require_enumerable()
+    if spec.limit is not None:
+        size = _universe_size(spec, spec.limit)
+        return spec.limit if size is None else size
     size = _universe_size(spec, max_tables)
     if size is None:
-        if spec.limit is None:
-            raise ResourceGuardError(
-                f"table universe exceeds {max_tables}; set a limit or shrink the spec"
-            )
-        return spec.limit
-    return size if spec.limit is None else min(size, spec.limit)
+        raise ResourceGuardError(
+            f"table universe exceeds {max_tables}; set a limit or shrink the spec"
+        )
+    return size
 
 
 def _certified(domain: Domain) -> bool | None:
@@ -683,10 +684,11 @@ def quotient_reduce(
     The check draws each sample's class digits with ``random.Random(seed)``,
     one ``randrange`` per class, sample after sample, and takes the samples
     in blocks of about ``_EVAL_CELLS`` (sample, voter) cells.  Per block, the
-    collapsed function's kernel runs on the class digits, and ``phi``'s own
+    collapsed function's kernel runs on the class digits alone, counting
+    each class once per voter in it (O(rows * alpha)), and ``phi``'s own
     kernel on each voter's digit looked up in their own feasible set (an
-    order missing there is an ArgumentError); a sample agrees where the two
-    outcomes are equal.
+    order missing there is an ArgumentError), so the two sides are two
+    computations; a sample agrees where their outcomes are equal.
     If the outcomes differ and a hypothesis (range at most 3, or a shared
     complete feasible set) is verified, the preference-reversal witness at
     class level is located and lifted to the least voter of its class.
@@ -772,20 +774,22 @@ def quotient_reduce(
                 and q_profile[voter].weakly_prefers(outcome_q, outcome_p)
             )
 
-    # lookup[offset[v] + d]: voter v's digit for the order d of their class's
-    # feasible set, or -1 when v's own feasible set lacks it.
-    offsets: dict[tuple[int, int], int] = {}
-    lookup: list[int] = []
-    offset = np.empty(domain.n, dtype=np.intp)
-    for v, c in enumerate(assignment):
-        key = (c, domain.distinct[1][v])
-        if key not in offsets:
-            offsets[key] = len(lookup)
-            found = (domain.feasible[v].index_of(o) for o in qdomain.feasible[c])
-            lookup.extend(-1 if d is None else d for d in found)
-        offset[v] = offsets[key]
-    lookup = np.array(lookup, dtype=np.intp)
-    columns = np.array(assignment, dtype=np.intp)
+    # The voters of one class with one feasible set form a group.
+    # lookup[start[g] + d]: the digit, in group g's set, of the order d of
+    # its class's set, or -1 where group g's set lacks it.
+    sets, number = domain.distinct
+    groups: dict[tuple[int, int], int] = {}
+    group = np.array(
+        [groups.setdefault(key, len(groups)) for key in zip(assignment, number)]
+    )
+    start, lookup = [], []
+    for c, i in groups:
+        start.append(len(lookup))
+        found = (sets[i].index_of(order) for order in qdomain.feasible[c])
+        lookup.extend(-1 if d is None else d for d in found)
+    lookup = np.array(lookup).astype(np.min_scalar_type(-max(map(len, sets))))
+    start = np.array(start, dtype=np.intp)
+    drawn = np.array([c for c, _ in groups], dtype=np.intp)
     sizes = [len(fs) for fs in qdomain.feasible]
     quotient_outcomes, phi_outcomes = rule_kernel(quotient), rule_kernel(phi)
     rng = random.Random(seed)
@@ -795,8 +799,9 @@ def quotient_reduce(
         rows = min(step, samples - lo)
         draws = [rng.randrange(m) for _ in range(rows) for m in sizes]
         digits = np.array(draws, dtype=np.intp).reshape(rows, alpha)
-        blown = lookup[offset + digits[:, columns]]
-        if (blown < 0).any():
+        found = lookup[start + digits[:, drawn]]
+        blown = found[:, group]
+        if (found < 0).any():
             v = int(np.nonzero(blown < 0)[1][0])
             raise ArgumentError(f"voter {v + 1}'s order is outside their feasible set")
         agreed += int(np.count_nonzero(quotient_outcomes(digits) == phi_outcomes(blown)))

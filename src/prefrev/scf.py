@@ -13,11 +13,15 @@ fit the guard.
 Rules are evaluated in numpy over blocks of profile digits.  Each rule has
 one kernel, built once per scf from arrays over its voters' feasible sets
 (rank rows, the unique top, and the peak position), that maps a
-``(rows, n)`` block of digits to the rows' outcomes; a cloned rule runs its
-base rule's kernel on the columns its assignment picks.  :func:`evaluate` makes a
-one-row call, :func:`tabulate` feeds blocks of profile indices split into
-digits, and the quotient reduction feeds its sampled profiles.  Blocks hold
-about ``_EVAL_CELLS`` (row, voter) cells.
+``(rows, n)`` block of digits to the rows' outcomes.  A cloned rule runs its
+base rule's kernel on its own class columns, never on the blown-up
+society: the base rule's voter v reads column ``assignment[v]``, and the
+anonymous rules (median-peaks, plurality-tiebreak) count each class once
+per voter assigned to it, so a clone costs its class count, not its
+voters.  :func:`evaluate` makes a one-row call, :func:`tabulate` feeds
+blocks of profile indices split into digits, and the quotient reduction
+feeds its sampled profiles.  Blocks hold about ``_EVAL_CELLS``
+(row, voter) cells.
 """
 
 from __future__ import annotations
@@ -176,36 +180,58 @@ def _order_arrays(domain: Domain):
     Voter v's order d has rank vector ``ranks[base[v] + d]`` and unique top
     alternative ``top[base[v] + d]``, or k when the top is tied.  Voters
     with equal feasible sets share its rows (``Domain.distinct``), so a
-    large society built from a few sets costs a few rows.
+    large society built from a few sets costs a few rows.  ``base`` has the
+    smallest integer type that holds every row number and ``top`` is uint8,
+    so a block of a large society gathers few bytes.
     """
     sets, number = domain.distinct
-    base = np.cumsum([0] + [len(fs) for fs in sets], dtype=np.intp)[list(number)]
+    sizes = [len(fs) for fs in sets]
+    base = np.cumsum([0] + sizes[:-1]).astype(np.min_scalar_type(-sum(sizes)))
     ranks = np.concatenate([fs.rank_rows for fs in sets])
     tops = ranks == 0
     top = np.where(tops.sum(axis=1) == 1, tops.argmax(axis=1), domain.k)
-    return base, ranks, top
+    return base[list(number)], ranks, top.astype(np.uint8)
 
 
-def _kernel_constant(params, domain):
+def _weights(domain, assignment):
+    """Voters per column: None (one each) without an assignment."""
+    return None if assignment is None else np.bincount(assignment, minlength=domain.n)
+
+
+def _tally(bins, width, weights):
+    """``counts[b, r]``: the voters of row r whose column holds b in
+    ``bins``, column c counting ``weights[c]`` voters (one without weights).
+    Bin-major, so a sum over the bins runs along whole rows of counts."""
+    rows = len(bins)
+    flat = bins.astype(np.intp)
+    flat *= rows
+    flat += np.arange(rows)[:, None]
+    if weights is not None:
+        weights = np.broadcast_to(weights, bins.shape).ravel()
+    return np.bincount(flat.ravel(), weights, minlength=width * rows).reshape(width, rows)
+
+
+def _kernel_constant(params, domain, assignment=None):
     alternative = params["alternative"]
     return lambda digits: np.full(len(digits), alternative, dtype=np.intp)
 
 
-def _kernel_dictator(params, domain):
+def _kernel_dictator(params, domain, assignment=None):
     base, ranks, _ = _order_arrays(domain)
-    v = params["voter"]
+    v = (assignment or range(domain.n))[params["voter"]]
     tiebreak = np.array(params["tiebreak"])
     # The first alternative of the tie-break among each order's tops.
     choice = tiebreak[(ranks[:, tiebreak] == 0).argmax(axis=1)]
     return lambda digits: choice[base[v] + digits[:, v]]
 
 
-def _kernel_paper_example(params, domain):
+def _kernel_paper_example(params, domain, assignment=None):
     # Voter 1 picks; a tie among their tops is settled by the best of those
     # tops under voter 2's inverted report, alphabetically first if several.
     # Alternative x scores (level of x in voter 2's inverted report, x's
     # alphabetical place), and the least score among voter 1's tops wins.
     base, ranks, _ = _order_arrays(domain)
+    first, second = assignment or (0, 1)
     k = domain.k
     names = domain.alts.names
     alphabetical = np.empty(k, dtype=np.intp)
@@ -215,53 +241,54 @@ def _kernel_paper_example(params, domain):
     excluded = np.intp(k * k)
 
     def kernel(digits):
-        tops = ranks[base[0] + digits[:, 0]] == 0
-        return np.where(tops, score[base[1] + digits[:, 1]], excluded).argmin(axis=1)
+        tops = ranks[base[first] + digits[:, first]] == 0
+        return np.where(tops, score[base[second] + digits[:, second]], excluded).argmin(axis=1)
 
     return kernel
 
 
-def _kernel_median_peaks(params, domain):
+def _kernel_median_peaks(params, domain, assignment=None):
     base, _, top = _order_arrays(domain)
     axis = Axis(params["axis"])
     # Feasible sets are strict, so every top is unique.
-    peak = np.array(axis.positions)[top]
+    peak = np.array(axis.positions, dtype=np.uint8)[top]
     order = np.array(axis.order)
-    middle = (domain.n - 1) // 2
+    weights = _weights(domain, assignment)
+    voters = domain.n if assignment is None else len(assignment)
+    middle = (voters - 1) // 2
 
     def kernel(digits):
-        peaks = peak[base + digits]
-        return order[np.partition(peaks, middle, axis=1)[:, middle]]
+        # The left median is at the first axis position with more than
+        # ``middle`` peaks at or left of it.
+        below = _tally(np.take(peak, base + digits), domain.k, weights).cumsum(axis=0)
+        return order[(below[:-1] <= middle).sum(axis=0)]
 
     return kernel
 
 
-def _kernel_plurality(params, domain):
+def _kernel_plurality(params, domain, assignment=None):
     base, _, top = _order_arrays(domain)
-    k = domain.k
     tiebreak = np.array(params["tiebreak"])
+    weights = _weights(domain, assignment)
 
     def kernel(digits):
-        rows = len(digits)
-        # A voter with a tied top votes in the spare bin k of their row.
-        bins = top[base + digits] + (k + 1) * np.arange(rows)[:, None]
-        counts = np.bincount(bins.ravel(), minlength=rows * (k + 1))
-        counts = counts.reshape(rows, k + 1)[:, tiebreak]
-        best = counts.max(axis=1, keepdims=True)
-        return tiebreak[(counts == best).argmax(axis=1)]
+        # A voter with a tied top votes in the spare bin k.
+        counts = _tally(np.take(top, base + digits), domain.k + 1, weights)[tiebreak]
+        return tiebreak[(counts == counts.max(axis=0)).argmax(axis=0)]
 
     return kernel
 
 
 def _kernel_cloned(params, domain):
-    base, assignment = params["base"], np.array(params["assignment"], dtype=np.intp)
-    blown = Domain(tuple(domain.feasible[c] for c in params["assignment"]))
-    inner = _RULE_KERNELS[base.name](base.params, blown)
-    return lambda digits: inner(digits[:, assignment])
+    base = params["base"]
+    return _RULE_KERNELS[base.name](base.params, domain, params["assignment"])
 
 
 #: Rule name -> kernel factory ``(params, domain) -> kernel``.  A kernel maps
-#: a ``(rows, n)`` block of feasible-set digits to the rows' outcomes.
+#: a ``(rows, n)`` block of feasible-set digits to the rows' outcomes.  A
+#: built-in rule's factory also takes a clone's ``assignment``: the rule's
+#: voter v then reads column ``assignment[v]``, and an anonymous rule counts
+#: column c once per voter assigned to it.
 _RULE_KERNELS: dict[str, Callable] = {
     "constant": _kernel_constant,
     "dictator-tiebreak": _kernel_dictator,
@@ -343,9 +370,7 @@ def tabulate(scf: Scf, guard: int = DEFAULT_PROFILE_GUARD) -> Scf:
     kernel = rule_kernel(scf)
     strides = np.array(profile_strides(domain))
     sizes = np.array([len(fs) for fs in domain.feasible])
-    # A clone's kernel reads one column per voter of the blown-up society.
-    width = len(scf.rule.params.get("assignment", ())) or domain.n
-    step = max(1, _EVAL_CELLS // width)
+    step = max(1, _EVAL_CELLS // domain.n)
     values = np.empty(count, dtype=np.uint8)
     for lo in range(0, count, step):
         hi = min(lo + step, count)
@@ -405,7 +430,9 @@ def builtin(name: str, domain: Domain, /, **params) -> Scf:
     deliberately manipulable control), and ``cloned(base, assignment)``: the
     :class:`Rule` ``base`` evaluated on the profile blown up along
     ``assignment``, original voter v receiving the report of voter
-    ``assignment[v]`` (the quotient reduction's collapsed rule).  Voters are
+    ``assignment[v]`` (the quotient reduction's collapsed rule).  The base
+    rule is validated on the blown-up society, but evaluated on this one's
+    columns, with each column counted once per voter assigned to it.  Voters are
     0-based; alternatives are indices or names.  This is the only place that
     knows a rule's parameters: an unknown or missing one is an ArgumentError.
     """

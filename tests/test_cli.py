@@ -735,6 +735,18 @@ def test_verify_limit_zero_checks_no_table(capsys):
     assert doc["checked"] == 0 and doc["universe"].endswith("; 0 tables")
 
 
+@pytest.mark.parametrize("max_tables", ["10", "1000"])
+def test_verify_limit_past_the_universe_walks_it_once(capsys, max_tables):
+    # 81 tables, 7 of them ISP, whether or not the universe is past the
+    # table guard: the limit never takes the walk round it again.
+    code, out, _ = run(
+        capsys, "verify", "thm-range3", "--voters", "2", "--orders-per-voter", "2",
+        "--k", "3", "--max-tables", max_tables, "--limit", "162",
+    )
+    assert code == 0
+    assert "; 81 tables\nchecked 81 cases\n  tables: 81\n  isp_tables: 7\n" in out
+
+
 def test_verify_orders_flag_with_per_voter_groups(capsys):
     # '|' separates voters, ';' separates orders within a voter
     code, out, _ = run(

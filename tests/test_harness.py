@@ -393,12 +393,14 @@ def test_suite_verdicts_do_not_depend_on_the_block_size(spec81, monkeypatch):
     # table order, with the kernel's verdicts.
     walked = [_walked(spec, props) for spec in specs for props in _SUITE_PROPS]
     assert expected[2] == walked and all(walked)
-    default = harness._block_size
+    default, chunk = harness._block_size, harness._chunk_size
     for per_table in (1, 5, 37):
         monkeypatch.setattr(harness, "_block_size", lambda domain: per_table)
+        monkeypatch.setattr(harness, "_chunk_size", lambda props, words: per_table)
         assert run_all() == expected, per_table
     # Row blocks inside the kernel: one profile row, or a few, at a time.
     monkeypatch.setattr(harness, "_block_size", default)
+    monkeypatch.setattr(harness, "_chunk_size", chunk)
     for cells in (1, 100):
         monkeypatch.setattr(properties, "_BLOCK_CELLS", cells)
         assert run_all() == expected, cells
@@ -407,6 +409,10 @@ def test_suite_verdicts_do_not_depend_on_the_block_size(spec81, monkeypatch):
     assert run_all() == expected
     # 4 profiles at k=3: one 8-byte word of (Q, y) cells a row.
     assert default(spec81.domain) == (1 << 16) // (4 * 8)
+    # A prefix of the search holds a row per property and one of cells,
+    # whatever the number of profiles.
+    assert chunk(("isp", "pr"), 1) == (1 << 16) // (3 * 8)
+    assert chunk(("isp",), 8) == (1 << 16) // (2 * 8 * 8)
 
 
 def _single_peaked_strict(alts):
@@ -973,6 +979,25 @@ def test_quotient_sample_check_counts_disagreements(monkeypatch, median_thousand
     assert (result.samples_checked, result.samples_agreed) == (131, 131 - 32 - 32)
     assert not verify_thm_infinite(phi, p, q, samples=131, seed=0).holds
     assert verify_thm_infinite(phi, p, q, samples=1, seed=0).holds
+
+
+def test_quotient_sample_check_is_not_vacuous(monkeypatch, median_thousand):
+    # The collapsed function counts each class once per voter, and phi's
+    # kernel reads every voter: they are two computations.  A clone that
+    # counts the last class as 100 voters, not 250, still gives P's and Q's
+    # outcomes, but other samples tell the two apart.
+    phi, p, q = median_thousand
+    weights = scf_module._weights
+
+    def lighter(domain, assignment):
+        counts = weights(domain, assignment)
+        if counts is not None:
+            counts[2] = 100
+        return counts
+
+    monkeypatch.setattr(scf_module, "_weights", lighter)
+    result = quotient_reduce(phi, p, q, samples=300, seed=0)
+    assert 0 < result.samples_agreed < result.samples_checked == 300
 
 
 def test_quotient_sample_check_keeps_the_membership_check(monkeypatch, abc):

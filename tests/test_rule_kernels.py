@@ -142,30 +142,95 @@ def test_tabulate_matches_the_reference_table_across_blocks():
         assert tabulate(phi).table.tobytes() == reference_table(phi).tobytes(), phi.rule
 
 
-def test_tabulate_blocks_of_a_clone_count_its_blown_up_voters(monkeypatch):
-    # A clone's kernel reads one column per original voter; its blocks are
-    # sized by those, and every profile is still tabulated once.
+def test_tabulate_blocks_of_a_clone_count_its_class_columns(monkeypatch):
+    # A clone's kernel reads one column per class, never one per original
+    # voter: its blocks are sized by those columns like any rule's, and
+    # every profile is still tabulated once.
     alts = AlternativeSet.letters(3)
     fs = FeasibleSet.universal_weak(alts)
     base = builtin("plurality-tiebreak", Domain.shared(fs, 40)).rule
     clone = builtin(
         "cloned", Domain.shared(fs, 2), base=base, assignment=[0] * 15 + [1] * 25
     )
-    monkeypatch.setattr(scf_module, "_EVAL_CELLS", 40 * 7)
+    monkeypatch.setattr(scf_module, "_EVAL_CELLS", 2 * 7)
     factory = scf_module._RULE_KERNELS["plurality-tiebreak"]
-    widths = []
+    shapes = []
 
-    def recording(params, domain):
-        kernel = factory(params, domain)
+    def recording(*args):
+        kernel = factory(*args)
 
         def run(digits):
-            widths.append(digits.shape)
+            shapes.append(digits.shape)
             return kernel(digits)
 
         return run
 
     monkeypatch.setitem(scf_module._RULE_KERNELS, "plurality-tiebreak", recording)
     table = tabulate(clone).table
-    assert [rows for rows, _ in widths] == [7] * 24 + [1]
-    assert {cols for _, cols in widths} == {40}
+    assert [rows for rows, _ in shapes] == [7] * 24 + [1]
+    assert {cols for _, cols in shapes} == {2}
     assert table.tobytes() == reference_table(clone).tobytes()
+
+
+@st.composite
+def clone_cases(draw):
+    """``(clone, blown rule scf, class digit rows)``: a built-in rule on a
+    society blown up from classes of 1 to 40 voters, and rows to evaluate.
+
+    The median's society is drawn even or odd, so both sides of the left
+    median are met; the paper example has two voters in one or two classes.
+    """
+    k = draw(st.integers(2, 5))
+    alts = AlternativeSet.letters(k)
+    name = draw(st.sampled_from(sorted(scf_module.RULE_NAMES)))
+    if name == "median-peaks":
+        axis = Axis(tuple(draw(st.permutations(range(k)))))
+        universe = list(enumerate_single_peaked(k, axis, strict=True))
+    else:
+        universe = list(enumerate_weak_orders(k))
+    subsets = st.lists(st.sampled_from(universe), min_size=1, max_size=8)
+    if name == "paper-example":
+        sizes = draw(st.sampled_from([[2], [1, 1]]))
+    else:
+        sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))
+        if name == "median-peaks" and sum(sizes) % 2 != draw(st.integers(0, 1)):
+            sizes[0] += 1
+    classes = Domain(tuple(
+        FeasibleSet.explicit(alts, draw(subsets)) for _ in sizes
+    ))
+    assignment = draw(st.permutations(
+        [c for c, size in enumerate(sizes) for _ in range(size)]
+    ))
+    blown = Domain(tuple(classes.feasible[c] for c in assignment))
+    tiebreak = tuple(draw(st.permutations(range(k))))
+    params = {
+        "constant": {"alternative": draw(st.integers(0, k - 1))},
+        "dictator-tiebreak": {
+            "voter": draw(st.integers(0, blown.n - 1)), "tiebreak": tiebreak,
+        },
+        "paper-example": {},
+        "median-peaks": {"axis": axis if name == "median-peaks" else None},
+        "plurality-tiebreak": {"tiebreak": tiebreak},
+    }[name]
+    phi = builtin(name, blown, **params)
+    clone = builtin("cloned", classes, base=phi.rule, assignment=assignment)
+    row = st.tuples(*(st.integers(0, len(fs) - 1) for fs in classes.feasible))
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    return clone, phi, np.array(rows, dtype=np.intp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(clone_cases())
+def test_clone_kernels_match_the_blown_up_society(case):
+    # The clone's kernel reads the class columns, with the class sizes as
+    # voter counts; the base rule's kernel reads every voter's column, and
+    # the oracle evaluates every voter's order.
+    clone, phi, rows = case
+    assignment = np.array(clone.rule.params["assignment"])
+    outcomes = rule_kernel(clone)(rows).tolist()
+    assert outcomes == rule_kernel(phi)(rows[:, assignment]).tolist()
+    blown = [
+        Profile(tuple(fs[d] for fs, d in zip(phi.domain.feasible, row)))
+        for row in rows[:, assignment]
+    ]
+    assert outcomes == [reference_evaluate(phi, profile) for profile in blown]
