@@ -14,7 +14,7 @@ standard complete families.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -52,12 +52,13 @@ class FeasibleSet:
     """A voter's finite set of admissible orders, deduplicated and sorted.
 
     ``preset`` keeps the exact shorthand the set was built from, when there
-    is one, so files can round-trip; an explicit list has None.
+    is one, so files can round-trip; an explicit list has None.  Equality
+    ignores it: a preset and an explicit list of its orders are one set.
     """
 
     alts: AlternativeSet
     orders: tuple[WeakOrder, ...]
-    preset: str | None = None
+    preset: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.orders:

@@ -30,9 +30,10 @@ relation and adds to no count, so the walk decides only the others, which
 ``_search`` lists in canonical order (base-|target| numerals, profile 0
 most significant) up to the universe size or the spec's limit.  The search
 builds tables profile by profile; each prefix carries the OR of its cells'
-packed verdict rows (those of ``properties.table_verdicts``) and its one-hot
-row of cells, and a prefix that already breaks every named property is
-dropped with all of its tables.  No witness is built.  ``prop-apr-gsp`` and
+packed verdict rows and its one-hot row of cells, both from
+``properties._CellRows``, the one source ``table_verdicts`` reads too, and a
+prefix that already breaks every named property is dropped with all of its
+tables.  No witness is built.  ``prop-apr-gsp`` and
 ``isp-not-pr`` stop at the first table that breaks a relation, and
 ``checked`` is its 1-based table number.  ``thm-range3`` and
 ``summary-equivalence`` visit every table the search leaves, sum the
@@ -94,8 +95,7 @@ from .scf import (
 from .properties import (
     CHECKERS,
     PropertyReport,
-    _KeyRows,
-    _cell_rows,
+    _cell_source,
     _require_pairs,
     check_isp,
     check_pr,
@@ -237,9 +237,8 @@ def _search(
     rows and its one-hot row of cells: where they meet, two decided profiles
     break the property in every table the prefix leads to.  A prefix that
     breaks every property in ``props`` is dropped with all of its tables.
-    The rows are the context's (``_Ctx.build_verdict_rows``), or, past
-    ``_KEY_CACHE_BYTES``, one profile's at a time from a :class:`_KeyRows`
-    over the (Q, y) cells the tables can have.
+    The rows and one-hot rows come from ``properties._CellRows``, past the
+    cache over the (Q, y) cells the tables can have.
 
     ``total`` bounds the digits: the one prefix equal to the leading digits
     of ``total - 1`` takes no larger next digit, and its leading 0s are the
@@ -259,43 +258,24 @@ def _search(
             break
         last, high[p] = divmod(last, radix)
     depth = next((p for p in range(count - 1) if high[p]), count - 1)
-    # cells[p, j]: the flat cell (p, target[j]); place[p, j]: its column.
+    # cells[p, j]: the flat cell (p, target[j]).  The leading 0s allow no
+    # other cell at the first ``depth`` profiles.
     cells = np.arange(count)[:, None] * k + target
-    rows, keys = ctx.build_verdict_rows(props), None
-    if rows is None:
-        # Only the cells the tables can have: the leading 0s allow no other.
-        reach = np.ones((count, radix), dtype=bool)
-        reach[:depth, 1:] = False
-        place = np.cumsum(reach).reshape(count, radix) - 1
-        cols = cells[reach]
-        keys = _KeyRows(ctx, *np.divmod(cols, k), "pr" in props or "apr" in props)
-        words = -(-len(cols) // 64)
-    else:
-        place, words = cells, -(-count * k // 64)
-
-    def verdict_rows(at):
-        return rows[at] if keys is None else _cell_rows(keys, at, props)
-
-    def onehot(at):
-        """Packed rows over the columns, row i with the columns ``at[i]``."""
-        bits = np.zeros((len(at), words * 64), dtype=bool)
-        bits[np.arange(len(at))[:, None], at] = True
-        return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
-
-    lead = np.arange(depth)
+    lead = cells[:depth, 0]
+    source = _cell_source(ctx, props, lambda: np.concatenate([lead, cells[depth:].ravel()]))
     node = (
-        np.bitwise_or.reduce(verdict_rows(cells[lead, 0]), axis=0)[None],
-        onehot(place[lead, 0][None]),
+        np.bitwise_or.reduce(source.rows(lead), axis=0)[None],
+        source.onehot(lead[None]),
         np.ones(1, dtype=bool),
         np.full((1, depth), target[0], dtype=np.uint8),
     )
     digit = np.arange(radix)
-    step = _chunk_size(props, words)
+    step = _chunk_size(props, source.words)
     stack = [(depth, node)]
     while stack:
         p, (met, seen, tight, tables) = stack.pop()
-        met = met[:, None] | verdict_rows(cells[p])
-        seen = seen[:, None] | onehot(place[p, :, None])
+        met = met[:, None] | source.rows(cells[p])
+        seen = seen[:, None] | source.onehot(cells[p, :, None])
         holds = ~(met & seen[:, :, None]).any(axis=3)
         live = holds.any(axis=2) & (~tight[:, None] | (digit <= high[p]))
         i, j = np.nonzero(live)

@@ -55,19 +55,12 @@ pairs, ``PAIR_GUARD``, bounds all three.
 Table universes ask only for verdicts, on many small tables.
 :func:`table_verdicts` decides all five properties for a whole block of
 tables and returns one bool per table and property: no scan order, no
-``checked`` count and no witness.  A pair's violation depends on the
-table only through x = phi(P) and y = phi(Q), so the same builder, given
-the cells (Q, y) as its columns, gives per cell (P, x) the packed row of
-the cells that break the property against it: the violation rows the
-pair pass combines for its own table's cells, with ISP's "exactly one
-voter changed" rows besides.  A table t breaks the property exactly when
-its rows at the cells (P, t[P]), ORed over P, meet t's own one-hot row
-{(Q, t[Q])}: count * ceil(count * k / 64) words gathered per table, the
-rows padded with 0 to whole words.  The rows of every cell are kept on the domain's context within
-``_KEY_CACHE_BYTES``; past it, each call builds key rows over only the
-cells its tables use, and cell rows per block of P rows.  Dictatorship
-gathers each voter's rank-0 set at (P, t[P]).  The pass has the checkers'
-pair guard and takes P rows in blocks of about ``_BLOCK_CELLS`` bytes.
+``checked`` count and no witness.  It and ``harness._search`` read their
+per-cell verdict rows from one source, :class:`_CellRows`, which builds
+them from the same :class:`_KeyRows`, kept on the domain's context or
+built per call past ``_KEY_CACHE_BYTES``.  Dictatorship gathers each
+voter's rank-0 set at (P, t[P]).  The pass has the checkers' pair guard
+and takes P rows in blocks of about ``_BLOCK_CELLS`` bytes.
 """
 
 from __future__ import annotations
@@ -172,8 +165,8 @@ class PropertyReport:
 class _Ctx:
     """Per-domain scan data, kept on the domain (``Domain._scan_context``).
     Each array past the rank table is a cached property built on first use,
-    so a scan builds only what it reads; ``verdict_rows`` keeps the verdict
-    kernel's rows for the last properties asked for, or None."""
+    so a scan builds only what it reads; ``verdict_rows`` holds the kept
+    :class:`_CellRows` of the last properties asked for, or None."""
 
     def __init__(self, domain: Domain):
         self.n = domain.n
@@ -211,21 +204,6 @@ class _Ctx:
     def voter_of(self):
         """The voter of each global order."""
         return np.repeat(np.arange(self.n), self.sizes)
-
-    def build_verdict_rows(self, props):
-        """The :func:`_cell_rows` of every (P, x) cell over every (Q, y)
-        cell for the pair properties ``props``, kept for the last ``props``
-        asked; None, and nothing built, when they would take more than
-        ``_KEY_CACHE_BYTES``."""
-        if self.verdict_rows is None or self.verdict_rows[0] != props:
-            self.verdict_rows = None
-            size = self.count * self.k
-            if size * len(props) * -(-size // 64) * 8 > _KEY_CACHE_BYTES:
-                return None
-            cells = np.arange(size)
-            keys = _KeyRows(self, *np.divmod(cells, self.k), "pr" in props or "apr" in props)
-            self.verdict_rows = (props, _cell_rows(keys, cells, props))
-        return self.verdict_rows[1]
 
     @cached_property
     def isp_rows(self):
@@ -445,8 +423,8 @@ class _KeyRows:
     """The one builder of the pair masks: per key (v, d, x), packed rows
     over a list of columns (Q, y), built the first time a call needs them.
 
-    The pair pass takes the columns (Q, phi(Q)) of one table, and the
-    verdict rows every (Q, y) cell or the cells a block of tables uses.
+    The pair pass takes the columns (Q, phi(Q)) of one table, and
+    :class:`_CellRows` every (Q, y) cell or those its caller's tables can have.
     Key (v, d, x) is voter v reporting order d at an outcome x; its global
     id is ``(order_base[v] + d) * k + x``, and ``slot[id]`` is its place in
     ``rows`` or -1.  ``rows[s, 0]`` is the key's *keeps* row and, when
@@ -718,21 +696,68 @@ def check_dictator(
 # ---------------------------------------------------------------------------
 
 
-def _cell_rows(keys, cells, props):
-    """The verdict rows of the flat (P, x) cells ``cells`` (``P * k + x``)
-    over the columns (Q, y) of ``keys``: a ``(len(cells), len(props),
-    words)`` uint64 array whose bit j is set where the pair (P, Q) breaks
-    the property if phi(P) = x and phi(Q) = y, (Q, y) being column j.
-    :meth:`_KeyRows.violations` builds them ``keys.most`` cells at a time;
-    the padding bits are 0.
+class _CellRows:
+    """The one source of verdict rows, made by :func:`_cell_source`.
+
+    A pair's violation depends on the table only through x = phi(P) and
+    y = phi(Q), so a :class:`_KeyRows` given cells (Q, y) as its columns
+    gives, per cell (P, x), the packed row of the cells that break a
+    property against it: bit j is set where the pair (P, Q) breaks it if
+    phi(P) = x and phi(Q) = y, (Q, y) being column j; the padding bits are
+    0.  A table t breaks the property exactly when its rows at the cells
+    (P, t[P]), ORed over P, meet t's own one-hot row {(Q, t[Q])} over the
+    same columns: count * ``words`` words gathered per table.
+
+    With ``cols`` None the columns are every cell, and the rows of every
+    cell are built at once and kept; the key rows are then dropped.
+    Otherwise the columns are ``cols``, the sorted cells a caller's tables
+    can have, and :meth:`rows` builds the rows asked for at each call,
+    ``keys.most`` cells at a time.
     """
-    words = -(-keys.width // 8)
-    out = np.zeros((len(cells), len(props), words * 8), dtype=np.uint8)
-    for lo in range(0, len(cells), keys.most):
-        viol = keys.violations(*np.divmod(cells[lo : lo + keys.most], keys.ctx.k), props)
-        for i, prop in enumerate(props):
-            out[lo : lo + keys.most, i, : keys.width] = viol[prop]
-    return out.view(np.uint64)
+
+    def __init__(self, ctx, props, cols):
+        self.props, self.cols, self.kept = props, cols, None
+        cells = np.arange(ctx.count * ctx.k) if cols is None else cols
+        self.words = -(-len(cells) // 64)
+        self.keys = _KeyRows(ctx, *np.divmod(cells, ctx.k), "pr" in props or "apr" in props)
+        if cols is None:
+            self.kept, self.keys = self.rows(cells), None
+
+    def rows(self, at):
+        """The ``(*at.shape, len(props), words)`` uint64 verdict rows of the
+        flat (P, x) cells ``at`` (``P * k + x``).  Unless they are kept,
+        ``at`` is one-dimensional and its cells are distinct."""
+        if self.kept is not None:
+            return self.kept[at]
+        keys = self.keys
+        out = np.zeros((len(at), len(self.props), self.words * 8), dtype=np.uint8)
+        for lo in range(0, len(at), keys.most):
+            viol = keys.violations(*np.divmod(at[lo : lo + keys.most], keys.ctx.k), self.props)
+            for i, prop in enumerate(self.props):
+                out[lo : lo + keys.most, i, : keys.width] = viol[prop]
+        return out.view(np.uint64)
+
+    def onehot(self, at):
+        """Packed uint64 rows over the columns, row i with the cells ``at[i]``."""
+        place = at if self.cols is None else np.searchsorted(self.cols, at)
+        bits = np.zeros((len(at), self.words * 64), dtype=bool)
+        bits[np.arange(len(at))[:, None], place] = True
+        return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+
+
+def _cell_source(ctx, props, cols) -> _CellRows:
+    """The verdict-row source of the pair properties ``props`` on ``ctx``'s
+    domain.  Rows of every cell that fit in ``_KEY_CACHE_BYTES`` are kept
+    on the context (``verdict_rows``) for the last ``props`` asked for;
+    past that, a source over ``cols()``, the sorted cells the caller's
+    tables can have, serves the one call."""
+    kept = ctx.verdict_rows
+    if kept is None or kept.props != props:
+        size = ctx.count * ctx.k
+        fits = size * len(props) * -(-size // 64) * 8 <= _KEY_CACHE_BYTES
+        ctx.verdict_rows = None  # the old rows go before new ones are built
+        ctx.verdict_rows = kept = _CellRows(ctx, props, None) if fits else None
+    return kept if kept is not None else _CellRows(ctx, props, cols())
 
 
 def table_verdicts(
@@ -741,20 +766,15 @@ def table_verdicts(
     """Whether each property in ``props`` holds, for every row of ``tables``.
 
     ``tables`` is a ``(B, count)`` uint8 block, one table per row; the
-    result maps each property to a length-B bool array.  A table t breaks a
-    pair property exactly when the packed rows of its cells (P, t[P])
-    (:func:`_cell_rows`), ORed over P, meet its own one-hot row of cells
-    {(Q, t[Q])}: count * ceil(count * k / 64) words gathered per table and
-    property.  The rows of every cell are built once per domain and kept on
-    its context when they fit in ``_KEY_CACHE_BYTES``.  Past that, each
-    call builds one :class:`_KeyRows` over the (Q, y) cells its tables use,
-    and from it, per block of P rows, the rows of the (P, x) cells they
-    use.  The P rows are taken in blocks of about ``_BLOCK_CELLS`` gathered
-    bytes, so a large table is split as the checkers split it.
-    Dictatorship holds where some voter gets a rank-0 (top) alternative at
-    every profile.  No witness is built.  ISP, GSP, PR and APR are decided
-    over ordered profile pairs, so asking for any of them raises the
-    checkers' pair guard before anything is built.
+    result maps each property to a length-B bool array.  A table breaks a
+    pair property exactly when the verdict rows of its cells, ORed over P,
+    meet its one-hot row of cells (:class:`_CellRows`; past the cache, over
+    the cells these tables use).  The P rows are taken in blocks of about
+    ``_BLOCK_CELLS`` gathered bytes, so a large table is split as the
+    checkers split it.  Dictatorship holds where some voter gets a rank-0
+    (top) alternative at every profile.  No witness is built.  ISP, GSP, PR
+    and APR are decided over ordered profile pairs, so asking for any of
+    them raises the checkers' pair guard before anything is built.
     """
     ctx = domain._scan_context
     count, k = ctx.count, ctx.k
@@ -769,28 +789,21 @@ def table_verdicts(
         out["dictator"] = tops.reshape(ctx.n, -1)[:, at].all(axis=2).any(axis=0)
     if not pair_props:
         return out
-    # The one-hot rows cover every (Q, y) cell, or without cached rows only
-    # those these tables use.
-    rows, width, place = ctx.build_verdict_rows(pair_props), count * k, at
-    if rows is None:
-        cols = np.unique(at)
-        width, place = len(cols), np.searchsorted(cols, at)
-        keys = _KeyRows(ctx, *np.divmod(cols, k), "pr" in props or "apr" in props)
-    blocks, words = len(tables), -(-width // 64)
-    onehot = np.zeros((blocks, words * 64), dtype=bool)
-    onehot[np.arange(blocks)[:, None], place] = True
-    onehot = np.packbits(onehot, axis=1, bitorder="little").view(np.uint64)
+    source = _cell_source(ctx, pair_props, lambda: np.unique(at))
+    blocks, words = len(tables), source.words
+    onehot = source.onehot(at)
     step = max(1, _BLOCK_CELLS // (blocks * len(pair_props) * words * 8))
     # met[b, i]: the OR of table b's rows so far; the AND with its one-hot
     # row distributes over it.
     met = np.zeros((blocks, len(pair_props), words), dtype=np.uint64)
     for lo in range(0, count, step):
         cells = at[:, lo : lo + step].T
-        if rows is None:
-            used = np.unique(cells)
-            hits = _cell_rows(keys, used, pair_props)[np.searchsorted(used, cells)]
+        if source.cols is None:
+            hits = source.rows(cells)
         else:
-            hits = rows[cells]
+            # Each distinct cell of the block is built once.
+            used = np.unique(cells)
+            hits = source.rows(used)[np.searchsorted(used, cells)]
         met |= np.bitwise_or.reduce(hits, axis=0)
         holds = ~(met & onehot[:, None]).any(axis=2)
         if not holds.any():

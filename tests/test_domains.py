@@ -467,6 +467,22 @@ def test_distinct_sets_by_equality_identity_first(abc, monkeypatch):
     assert Domain((weak,) * 4).distinct == ((weak,), (0, 0, 0, 0))
 
 
+def test_a_preset_and_an_explicit_copy_are_one_set_that_keeps_its_lines(abc):
+    weak = FeasibleSet.universal_weak(abc)
+    copy = FeasibleSet.explicit(abc, list(weak))
+    assert copy.preset is None and copy == weak and hash(copy) == hash(weak)
+    domain = Domain((weak, copy))
+    assert domain.distinct == ((weak,), (0, 0)) and domain.is_shared()
+    # Each voter still prints its own form: the preset, then the orders.
+    text = format_domain(domain)
+    lines = text.splitlines()
+    assert lines[1] == "voter 1: @universal-weak" and lines[2] == "voter 2:"
+    assert lines[3:] == [format_order(order, abc) for order in weak]
+    again = parse_domain_text(text)
+    assert again == domain and format_domain(again) == text
+    assert [fs.preset for fs in again.feasible] == ["@universal-weak", None]
+
+
 def test_rank_rows_are_the_rank_vectors_read_only(abc):
     for fs in (FeasibleSet.universal_weak(abc), FeasibleSet.single_peaked(abc)):
         rows = fs.rank_rows

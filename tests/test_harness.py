@@ -448,6 +448,50 @@ def test_search_counts_on_the_benchmark_universes():
     assert [sum(v[p] for _, v in leaves) for p in ("isp", "pr")] == [778, 738]
 
 
+def _key_columns(monkeypatch):
+    """The (Q, y) columns of every key-row builder made, in build order."""
+    made = []
+    init = properties._KeyRows.__init__
+
+    def spy(self, ctx, q, y, pairwise):
+        made.append(list(zip(np.asarray(q).tolist(), np.asarray(y).tolist())))
+        init(self, ctx, q, y, pairwise)
+
+    monkeypatch.setattr(properties._KeyRows, "__init__", spy)
+    return made
+
+
+def test_verdict_rows_past_the_cache_come_from_one_builder_per_call(monkeypatch):
+    monkeypatch.setattr(properties, "_KEY_CACHE_BYTES", 0)
+    made = _key_columns(monkeypatch)
+    spec = EnumerationSpec(strict_prefix_domain(3, 2, 3), (0, 2))
+    # Tables 0..2^5 - 1 have digit 0 at the first 4 of the 9 profiles, so
+    # the search's columns are (P, 0) there and (P, y) for y in the target
+    # at the last 5.
+    list(harness._search(spec, 2 ** 5, ("isp", "pr")))
+    assert made == [[(p, 0) for p in range(4)] + [(p, y) for p in range(4, 9) for y in (0, 2)]]
+    assert spec.domain._scan_context.verdict_rows is None
+    # table_verdicts' columns are the distinct cells its tables use.
+    made.clear()
+    _, tables = next(harness._table_blocks(spec, 6, random.Random(5)))
+    properties.table_verdicts(spec.domain, tables, ("gsp", "apr"))
+    used = sorted({(p, int(x)) for row in tables for p, x in enumerate(row)})
+    assert made == [used]
+
+
+def test_search_and_sampled_verdicts_share_one_kept_source(monkeypatch):
+    made = _key_columns(monkeypatch)
+    spec = EnumerationSpec(strict_prefix_domain(3, 2, 3), (0, 1, 2))
+    ctx = spec.domain._scan_context
+    list(harness._search(spec, 3 ** 9, ("isp", "pr")))
+    kept = ctx.verdict_rows
+    assert kept is not None and kept.keys is None and kept.cols is None
+    _, tables = next(harness._table_blocks(spec, 50, random.Random(3)))
+    properties.table_verdicts(spec.domain, tables, ("isp", "pr", "dictator"))
+    assert ctx.verdict_rows is kept and len(made) == 1
+    assert made[0] == [(p, y) for p in range(9) for y in range(3)]
+
+
 # ---------------------------------------------------------------------------
 # complete-domain specimens
 # ---------------------------------------------------------------------------
