@@ -8,9 +8,8 @@ usage errors such as a missing argument or a value that is not a number).
 Structured (``--output json``) reports are byte-deterministic for a given
 seed: volatile fields such as elapsed time are only included with
 ``--timings``.  Every scan is serial: ``--parallelism`` (or
-``PREFREV_PARALLELISM``) must be an integer and changes nothing.  A guard
-flag (``--max-profiles``, ``--max-tables``) is taken only by the commands
-and theorems that apply it; anywhere else it is an error.
+``PREFREV_PARALLELISM``) must be an integer and changes nothing.  Each
+command and theorem takes exactly the flags it reads; any other is an error.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -62,6 +62,7 @@ from .properties import (
     witness_from_dict,
 )
 from .harness import (
+    DEFAULT_TABLE_GUARD,
     EnumerationSpec,
     search_isp_not_pr,
     verdict_to_dict,
@@ -79,32 +80,6 @@ EXIT_WITNESS = 2
 _PROPERTY_ORDER = ("isp", "gsp", "pr", "apr", "dictator")
 
 
-def _common_options(parser: argparse.ArgumentParser, parallelism: str) -> None:
-    parser.add_argument("--output", choices=("text", "json"), default="text")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--parallelism",
-        type=int,
-        # A string default goes through ``type`` at each parse, so a bad
-        # value in the environment is reported like a bad --parallelism.
-        default=parallelism,
-        help="accepted for compatibility: must be an integer, and changes "
-        "nothing, since every scan runs serially",
-    )
-    parser.add_argument("--timings", action="store_true",
-                        help="include elapsed times in structured output")
-
-
-def _refuse_guards(args, applied: tuple[str, ...], what: str) -> None:
-    """An error for a guard flag given to a mode that does not apply it.
-    Only ``check`` and ``verify`` take guard flags at all; the other
-    subcommands' parsers refuse them as unknown arguments."""
-    for flag in ("--max-profiles", "--max-tables"):
-        given = getattr(args, flag[2:].replace("-", "_"), None) is not None
-        if given and flag not in applied:
-            raise ArgumentError(f"{what} takes no {flag}")
-
-
 def _emit(args, doc: dict, text_lines: list[str]) -> None:
     if args.output == "json":
         sys.stdout.write(dumps_canonical(doc))
@@ -113,12 +88,14 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _alts_for(args) -> AlternativeSet:
-    if getattr(args, "names", None):
-        return parse_alternatives(args.names)
-    if getattr(args, "kind", None) == "single-peaked":
-        return AlternativeSet.numbered(args.k)
-    return AlternativeSet.default(args.k)
+def _alts_for(names: str | None, k: int, numbered: bool = False) -> AlternativeSet:
+    """The k alternatives ``--names`` lists, or k default names."""
+    if not names:
+        return AlternativeSet.numbered(k) if numbered else AlternativeSet.default(k)
+    alts = parse_alternatives(names)
+    if alts.k != k:
+        raise ArgumentError(f"--names lists {alts.k} alternatives; --k is {k}")
+    return alts
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +104,10 @@ def _alts_for(args) -> AlternativeSet:
 
 
 def cmd_orders(args) -> int:
-    alts = _alts_for(args)
+    if args.kind != "single-peaked" and (args.strict or args.axis is not None):
+        flag = "--strict" if args.strict else "--axis"
+        raise ArgumentError(f"{flag} applies only to --kind single-peaked")
+    alts = _alts_for(args.names, args.k, numbered=args.kind == "single-peaked")
     if args.kind == "weak":
         orders = enumerate_weak_orders(alts.k)
     elif args.kind == "strict":
@@ -234,7 +214,8 @@ def _render_report(doc: dict) -> list[str]:
 def cmd_check(args) -> int:
     scf = load_scf(args.scf)
     if args.recheck_witness:
-        _refuse_guards(args, (), "check --recheck-witness")
+        if args.max_profiles is not None:
+            raise ArgumentError("check --recheck-witness takes no --max-profiles")
         data = load_json(args.recheck_witness)
         if not isinstance(data, dict):
             raise ParseError(f"{args.recheck_witness}: report must be a JSON object")
@@ -291,8 +272,8 @@ def cmd_check(args) -> int:
 
 
 def _universe_domain(args) -> Domain:
-    alts = _alts_for(args)
-    if args.orders:
+    alts = _alts_for(args.names, args.k)
+    if args.orders is not None:
         per_voter = []
         for chunk in args.orders.split("|"):
             orders = [parse_order(text, alts) for text in chunk.split(";") if text.strip()]
@@ -304,45 +285,39 @@ def _universe_domain(args) -> Domain:
                 f"--orders describes {len(per_voter)} voters, expected {args.voters}"
             )
         return Domain(tuple(per_voter))
-    if args.orders_per_voter < 1:
+    count = 2 if args.orders_per_voter is None else args.orders_per_voter
+    if count < 1:
+        raise PrefrevError(f"--orders-per-voter is {count}; it must be at least 1")
+    strict = list(itertools.islice(enumerate_strict_orders(alts.k), count))
+    if len(strict) < count:
         raise PrefrevError(
-            f"--orders-per-voter is {args.orders_per_voter}; it must be at least 1"
+            f"only {math.factorial(alts.k)} strict orders exist at k={alts.k}"
         )
-    strict = list(enumerate_strict_orders(alts.k))
-    if args.orders_per_voter > len(strict):
-        raise PrefrevError(
-            f"only {len(strict)} strict orders exist at k={alts.k}"
-        )
-    fs = FeasibleSet.explicit(alts, strict[: args.orders_per_voter])
-    return Domain.shared(fs, args.voters)
+    return Domain.shared(FeasibleSet.explicit(alts, strict), args.voters)
 
 
-def _universe_spec(args) -> EnumerationSpec:
+def _universe_spec(args, limit: int | None = None) -> EnumerationSpec:
     domain = _universe_domain(args)
-    if args.target:
-        target = tuple(
-            domain.alts.index_of(t.strip()) for t in args.target.split(",")
-        )
-    else:
-        target = tuple(range(domain.k))
-    return EnumerationSpec(domain, target, limit=args.limit)
+    names = args.target.split(",") if args.target else domain.alts.names
+    target = tuple(domain.alts.index_of(name.strip()) for name in names)
+    return EnumerationSpec(domain, target, limit=limit)
 
 
 def _specimen_scf(args) -> Scf:
-    if args.scf:
+    if args.scf is not None:  # then none of the flags the rule is built from
+        given = [name for name in ("k", "voters", "params", "feasible", "axis", "names")
+                 if getattr(args, name) is not None]
+        if given:
+            raise ArgumentError(f"argument --{given[0]}: not allowed with argument --scf")
         return load_scf(args.scf)
-    if not args.rule:
-        raise PrefrevError("thm-complete needs --scf FILE or --rule NAME")
-    alts = _alts_for(args)
+    alts = _alts_for(args.names, 3 if args.k is None else args.k)
     preset = args.feasible
     if preset is None:
-        preset = (
-            "@single-peaked-strict" if args.rule == "median-peaks"
-            else "@universal-weak"
-        )
+        preset = "@single-peaked-strict" if args.rule == "median-peaks" else "@universal-weak"
     if args.axis and "(" not in preset:
         preset += f"(axis={args.axis})"
-    domain = Domain.shared(_parse_preset(preset, alts, line=None), args.voters)
+    voters = 2 if args.voters is None else args.voters
+    domain = Domain.shared(_parse_preset(preset, alts, line=None), voters)
     # --params follows the scf file conventions (1-based voters, names)
     try:
         raw = json.loads(args.params) if args.params else {}
@@ -355,32 +330,8 @@ def _specimen_scf(args) -> Scf:
     return builtin(args.rule, domain, **params)
 
 
-#: The guard flags each theorem applies.
-_THEOREM_GUARDS = {
-    "prop-apr-gsp": ("--max-tables",),
-    "thm-range3": ("--max-tables",),
-    "summary-equivalence": ("--max-tables",),
-    "thm-complete": ("--max-profiles",),
-    "isp-not-pr": (),
-}
-
-
 def cmd_verify(args) -> int:
-    _refuse_guards(args, _THEOREM_GUARDS[args.theorem], f"verify {args.theorem}")
-    universe_kwargs = {} if args.max_tables is None else {"max_tables": args.max_tables}
-    if args.theorem == "prop-apr-gsp":
-        verdict = verify_prop_apr_gsp(_universe_spec(args), **universe_kwargs)
-    elif args.theorem == "thm-range3":
-        verdict = verify_thm_range3(_universe_spec(args), **universe_kwargs)
-    elif args.theorem == "summary-equivalence":
-        verdict = verify_summary_equivalence(_universe_spec(args), **universe_kwargs)
-    elif args.theorem == "thm-complete":
-        kwargs = {} if args.max_profiles is None else {"max_profiles": args.max_profiles}
-        verdict = verify_thm_complete(_specimen_scf(args), **kwargs)
-    elif args.theorem == "isp-not-pr":
-        verdict = search_isp_not_pr(_universe_spec(args), args.budget, seed=args.seed)
-    else:
-        raise PrefrevError(f"unknown theorem {args.theorem!r}")
+    verdict = args.run(args)
     doc = {
         "command": "verify",
         "seed": args.seed,
@@ -454,6 +405,43 @@ class _Parser(argparse.ArgumentParser):
         raise ArgumentError(message)
 
 
+def _common_options(parallelism: str) -> argparse.ArgumentParser:
+    """The flags every command takes, as a parent parser."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--output", choices=("text", "json"), default="text")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--parallelism",
+        type=int,
+        # A string default goes through ``type`` at each parse, so a bad
+        # value in the environment is reported like a bad --parallelism.
+        default=parallelism,
+        help="accepted for compatibility: must be an integer, and changes "
+        "nothing, since every scan runs serially",
+    )
+    parser.add_argument("--timings", action="store_true",
+                        help="include elapsed times in structured output")
+    return parser
+
+
+def _universe_options() -> argparse.ArgumentParser:
+    """The flags of a table universe, as a parent parser."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--k", type=int, default=3)
+    parser.add_argument("--voters", type=int, default=2)
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--orders", default=None,
+                        help="explicit orders: voters split by '|', orders by ';'")
+    # None, not 2: argparse takes a given value equal to the default as
+    # not given, so the group would let "--orders-per-voter 2" through.
+    source.add_argument("--orders-per-voter", type=int, default=None,
+                        help="the first M strict orders for every voter (default: 2)")
+    parser.add_argument("--target", default=None,
+                        help="comma-separated target range (default: all)")
+    parser.add_argument("--names", default=None)
+    return parser
+
+
 def build_parser(parallelism: str) -> argparse.ArgumentParser:
     """The parser of every subcommand; ``parallelism`` is the string
     default of ``--parallelism``."""
@@ -463,8 +451,10 @@ def build_parser(parallelism: str) -> argparse.ArgumentParser:
         "properties of social choice functions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = [_common_options(parallelism)]
+    universe = [_universe_options(), *common]
 
-    p_orders = sub.add_parser("orders", help="enumerate orders")
+    p_orders = sub.add_parser("orders", parents=common, help="enumerate orders")
     p_orders.add_argument("--k", type=int, required=True)
     p_orders.add_argument("--kind", choices=("weak", "strict", "single-peaked"),
                           default="weak")
@@ -472,61 +462,69 @@ def build_parser(parallelism: str) -> argparse.ArgumentParser:
                           help="restrict single-peaked enumeration to strict orders")
     p_orders.add_argument("--axis", default=None)
     p_orders.add_argument("--names", default=None)
-    _common_options(p_orders, parallelism)
     p_orders.set_defaults(fn=cmd_orders)
 
-    p_dom = sub.add_parser("domain-complete", help="decide domain completeness")
+    p_dom = sub.add_parser("domain-complete", parents=common,
+                           help="decide domain completeness")
     p_dom.add_argument("file")
-    _common_options(p_dom, parallelism)
     p_dom.set_defaults(fn=cmd_domain_complete)
 
-    p_check = sub.add_parser("check", help="check properties of an scf file")
+    p_check = sub.add_parser("check", parents=common, help="check properties of an scf file")
     p_check.add_argument("scf")
     p_check.add_argument("--properties", default="isp,gsp,pr,apr,dictator")
     p_check.add_argument("--recheck-witness", default=None,
                          help="re-validate witnesses from a previous report")
-    _common_options(p_check, parallelism)
     p_check.add_argument("--max-profiles", type=int, default=None)
     p_check.set_defaults(fn=cmd_check)
 
     p_verify = sub.add_parser("verify", help="run a theorem suite")
-    p_verify.add_argument("theorem", choices=tuple(_THEOREM_GUARDS))
-    p_verify.add_argument("--k", type=int, default=3)
-    p_verify.add_argument("--voters", type=int, default=2)
-    p_verify.add_argument("--orders-per-voter", type=int, default=2)
-    p_verify.add_argument("--orders", default=None,
-                          help="explicit orders: voters split by '|', orders by ';'")
-    p_verify.add_argument("--target", default=None,
-                          help="comma-separated target range (default: all)")
-    p_verify.add_argument("--limit", type=int, default=None)
-    p_verify.add_argument("--budget", type=int, default=10000)
-    p_verify.add_argument("--scf", default=None)
-    p_verify.add_argument("--rule", default=None)
-    p_verify.add_argument("--params", default=None, help="rule params as JSON")
-    p_verify.add_argument(
+    theorems = p_verify.add_subparsers(dest="theorem", required=True)
+    p_verify.set_defaults(fn=cmd_verify)
+    for name, suite in (("prop-apr-gsp", verify_prop_apr_gsp),
+                        ("thm-range3", verify_thm_range3),
+                        ("summary-equivalence", verify_summary_equivalence)):
+        p_suite = theorems.add_parser(name, parents=universe)
+        p_suite.add_argument("--limit", type=int, default=None)
+        p_suite.add_argument("--max-tables", type=int, default=DEFAULT_TABLE_GUARD)
+        p_suite.set_defaults(run=lambda args, suite=suite: suite(
+            _universe_spec(args, args.limit), max_tables=args.max_tables))
+
+    p_search = theorems.add_parser("isp-not-pr", parents=universe)
+    p_search.add_argument("--budget", type=int, default=10000)
+    p_search.set_defaults(run=lambda args: search_isp_not_pr(
+        _universe_spec(args), args.budget, seed=args.seed))
+
+    p_complete = theorems.add_parser("thm-complete", parents=common)
+    specimen = p_complete.add_mutually_exclusive_group(required=True)
+    specimen.add_argument("--scf", default=None)
+    specimen.add_argument("--rule", default=None)
+    # None stands for a flag not given: --scf refuses every one of these.
+    p_complete.add_argument("--k", type=int, default=None, help="default: 3")
+    p_complete.add_argument("--voters", type=int, default=None, help="default: 2")
+    p_complete.add_argument("--params", default=None, help="rule params as JSON")
+    p_complete.add_argument(
         "--feasible", default=None,
         help="feasible-set preset in domain-file syntax, such as "
         "@single-peaked(axis=c,a,b) (default: matches the rule)",
     )
-    p_verify.add_argument("--axis", default=None)
-    p_verify.add_argument("--names", default=None)
-    _common_options(p_verify, parallelism)
-    p_verify.add_argument("--max-profiles", type=int, default=None)
-    p_verify.add_argument("--max-tables", type=int, default=None)
-    p_verify.set_defaults(fn=cmd_verify)
+    p_complete.add_argument("--axis", default=None)
+    p_complete.add_argument("--names", default=None)
+    p_complete.add_argument("--max-profiles", type=int, default=DEFAULT_PROFILE_GUARD)
+    p_complete.set_defaults(run=lambda args: verify_thm_complete(
+        _specimen_scf(args), max_profiles=args.max_profiles))
 
-    p_quot = sub.add_parser("quotient", help="quotient-reduce a replicated society")
+    p_quot = sub.add_parser("quotient", parents=common,
+                            help="quotient-reduce a replicated society")
     p_quot.add_argument("--scf", required=True)
     p_quot.add_argument("--profile-p", required=True)
     p_quot.add_argument("--profile-q", required=True)
     p_quot.add_argument("--samples", type=int, default=100)
-    _common_options(p_quot, parallelism)
     p_quot.set_defaults(fn=cmd_quotient)
     return parser
 
 
 #: The parser is built once per process for each ``PREFREV_PARALLELISM``
-#: value: building it costs about 1 ms, more than a small theorem suite.
+#: value: building it costs about 2 ms, more than a small theorem suite.
 _parser = functools.lru_cache(maxsize=1)(build_parser)
 
 

@@ -76,7 +76,7 @@ class AlternativeSet:
 
     @classmethod
     def default(cls, k: int) -> "AlternativeSet":
-        return cls.letters(k) if k <= 26 else cls.numbered(k)
+        return cls.letters(k) if 1 <= k <= 26 else cls.numbered(k)
 
     @cached_property
     def _index(self) -> dict[str, int]:

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: output, exit codes, determinism, replay."""
 
+import argparse
 import copy
 import io
 import json
@@ -21,7 +22,8 @@ from prefrev import (
     parse_alternatives,
     save_scf,
 )
-from prefrev.cli import main
+from prefrev import cli
+from prefrev.cli import build_parser, main
 from prefrev.scf import dumps_canonical
 
 
@@ -662,19 +664,19 @@ _UNIVERSE = ("--k", "3", "--voters", "2", "--orders-per-voter", "2")
 @pytest.mark.parametrize("argv, message", [
     (("verify", "isp-not-pr", "--k", "4", "--orders-per-voter", "3",
       "--budget", "100", "--max-tables", "0"),
-     "verify isp-not-pr takes no --max-tables"),
+     "unrecognized arguments: --max-tables 0"),
     (("verify", "isp-not-pr", "--k", "4", "--orders-per-voter", "3",
       "--max-profiles", "5"),
-     "verify isp-not-pr takes no --max-profiles"),
+     "unrecognized arguments: --max-profiles 5"),
     (("verify", "prop-apr-gsp", *_UNIVERSE, "--max-profiles", "1"),
-     "verify prop-apr-gsp takes no --max-profiles"),
+     "unrecognized arguments: --max-profiles 1"),
     (("verify", "thm-range3", *_UNIVERSE, "--max-profiles", "1"),
-     "verify thm-range3 takes no --max-profiles"),
+     "unrecognized arguments: --max-profiles 1"),
     (("verify", "summary-equivalence", *_UNIVERSE, "--max-profiles", "1"),
-     "verify summary-equivalence takes no --max-profiles"),
+     "unrecognized arguments: --max-profiles 1"),
     (("verify", "thm-complete", "--rule", "median-peaks", "--k", "3",
       "--max-tables", "1"),
-     "verify thm-complete takes no --max-tables"),
+     "unrecognized arguments: --max-tables 1"),
     (("orders", "--k", "3", "--max-profiles", "1"),
      "unrecognized arguments: --max-profiles 1"),
     (("orders", "--k", "3", "--max-tables", "1"),
@@ -724,8 +726,101 @@ def test_verify_isp_not_pr_refuses_a_limit(capsys):
         capsys, "verify", "isp-not-pr", "--voters", "2", "--orders-per-voter", "3",
         "--k", "4", "--limit", "5", "--budget", "300", "--output", "json",
     )
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and "--budget" in err
+    # --budget alone bounds the search, so its parser has no --limit.
+    assert (code, out, err) == (1, "", "error: unrecognized arguments: --limit 5\n")
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _long_flags(parser: argparse.ArgumentParser) -> dict[str, bool]:
+    """Each long flag of a parser, with whether it takes a value."""
+    return {flag: action.nargs != 0 for action in parser._actions
+            for flag in action.option_strings if flag.startswith("--")}
+
+
+#: Flags that make a run of each theorem valid, and small.
+_THEOREM_BASE = {"thm-complete": ("--rule", "median-peaks")}
+
+
+def test_each_theorem_refuses_the_flags_only_another_theorem_reads(capsys):
+    theorems = {name: _long_flags(p)
+                for name, p in _subparsers(_subparsers(build_parser("1"))["verify"]).items()}
+    assert set(theorems) == {"prop-apr-gsp", "thm-range3", "summary-equivalence",
+                             "isp-not-pr", "thm-complete"}
+    for theorem, own in theorems.items():
+        foreign = {flag: takes_value for other in theorems.values()
+                   for flag, takes_value in other.items() if flag not in own}
+        assert foreign, theorem
+        base = _THEOREM_BASE.get(theorem, ("--orders-per-voter", "2"))
+        for flag, takes_value in foreign.items():
+            given = (flag, "1") if takes_value else (flag,)
+            code, out, err = run(capsys, "verify", theorem, *base, *given)
+            assert (code, out, err) == (
+                1, "", f"error: unrecognized arguments: {' '.join(given)}\n"
+            ), (theorem, flag)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "thm-range3", "--voters", "2", "--orders-per-voter", "2", "--k", "3",
+      "--budget", "5"), "unrecognized arguments: --budget 5"),
+    (("verify", "thm-complete", "--rule", "median-peaks", "--k", "4", "--voters", "2",
+      "--limit", "3"), "unrecognized arguments: --limit 3"),
+    # "2" is also the default, which argparse's own test of a group misses.
+    (("verify", "thm-range3", "--k", "3", "--orders", "a>b>c", "--orders-per-voter", "2"),
+     "argument --orders-per-voter: not allowed with argument --orders"),
+    # An empty --orders lists no orders; it does not stand for the default.
+    (("verify", "thm-range3", "--orders", ""), "feasible set must be non-empty"),
+    (("verify", "thm-complete", "--scf", "F", "--rule", "median-peaks"),
+     "argument --rule: not allowed with argument --scf"),
+    (("verify", "thm-complete"), "one of the arguments --scf --rule is required"),
+    (("orders", "--k", "2", "--kind", "weak", "--strict"),
+     "--strict applies only to --kind single-peaked"),
+    (("orders", "--k", "3", "--kind", "strict", "--axis", "b,a,c"),
+     "--axis applies only to --kind single-peaked"),
+    (("orders", "--k", "3", "--names", "x,y"), "--names lists 2 alternatives; --k is 3"),
+    (("orders", "--k", "2", "--kind", "single-peaked", "--names", "x,y,z"),
+     "--names lists 3 alternatives; --k is 2"),
+    (("verify", "prop-apr-gsp", "--names", "x,y,z,w"),
+     "--names lists 4 alternatives; --k is 3"),
+    (("verify", "thm-complete", "--rule", "constant", "--names", "x,y"),
+     "--names lists 2 alternatives; --k is 3"),
+    (("orders", "--k", "0"), "need at least one alternative"),
+    (("verify", "prop-apr-gsp", "--k", "3", "--orders-per-voter", "7"),
+     "only 6 strict orders exist at k=3"),
+])
+def test_flags_that_contradict_each_other_are_refused(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("flag", [
+    ("--k", "3"), ("--voters", "2"), ("--params", "{}"),
+    ("--feasible", "@universal-weak"), ("--axis", "a,b,c"), ("--names", "a,b,c"),
+])
+def test_verify_thm_complete_scf_refuses_the_rule_flags(capsys, paper_scf_path, flag):
+    # The rule's defaults, given explicitly, are refused all the same.
+    code, out, err = run(capsys, "verify", "thm-complete", "--scf", paper_scf_path, *flag)
+    assert (code, out, err) == (
+        1, "", f"error: argument {flag[0]}: not allowed with argument --scf\n"
+    )
+
+
+def test_verify_orders_per_voter_builds_only_the_orders_it_keeps(capsys, monkeypatch):
+    pulled = []
+
+    def counted(k):
+        for order in enumerate_strict_orders(k):
+            pulled.append(order)
+            yield order
+
+    monkeypatch.setattr(cli, "enumerate_strict_orders", counted)
+    code, out, _ = run(capsys, "verify", "thm-range3", "--k", "8",
+                       "--orders-per-voter", "2", "--target", "a,b,c")
+    assert code == 0 and out.endswith("holds\n")
+    assert len(pulled) == 2
 
 
 def test_verify_limit_zero_checks_no_table(capsys):

@@ -645,6 +645,15 @@ def test_search_futile_on_complete_domain():
     assert "complete" in verdict.details["reason"]
 
 
+def test_search_refuses_a_spec_with_a_limit():
+    from prefrev import search_isp_not_pr
+
+    # The budget alone bounds the search; the refusal names it.
+    spec = EnumerationSpec(strict_prefix_domain(4, 2, 3), (0, 1, 2, 3), limit=5)
+    with pytest.raises(ArgumentError, match="bounded by --budget"):
+        search_isp_not_pr(spec, 300)
+
+
 def test_search_exhausts_small_incomplete_universe():
     from prefrev import search_isp_not_pr
 

@@ -98,6 +98,10 @@ def test_alternative_set_validation():
     assert AlternativeSet.numbered(128).k == 128
     with pytest.raises(ConstructionError, match="at most 128"):
         AlternativeSet.numbered(129)
+    # default names are letters up to 26, then numbers; below 1 there are none
+    for k in (0, -3):
+        with pytest.raises(ConstructionError, match="^need at least one alternative$"):
+            AlternativeSet.default(k)
 
 
 # ---------------------------------------------------------------------------
