@@ -90,8 +90,10 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
 
 def _alts_for(names: str | None, k: int, numbered: bool = False) -> AlternativeSet:
     """The k alternatives ``--names`` lists, or k default names."""
-    if not names:
+    if names is None:
         return AlternativeSet.numbered(k) if numbered else AlternativeSet.default(k)
+    if not names.strip():
+        raise ArgumentError("--names lists no alternative")
     alts = parse_alternatives(names)
     if alts.k != k:
         raise ArgumentError(f"--names lists {alts.k} alternatives; --k is {k}")
@@ -298,7 +300,9 @@ def _universe_domain(args) -> Domain:
 
 def _universe_spec(args, limit: int | None = None) -> EnumerationSpec:
     domain = _universe_domain(args)
-    names = args.target.split(",") if args.target else domain.alts.names
+    if args.target is not None and not args.target.strip():
+        raise ArgumentError("--target lists no alternative")
+    names = domain.alts.names if args.target is None else args.target.split(",")
     target = tuple(domain.alts.index_of(name.strip()) for name in names)
     return EnumerationSpec(domain, target, limit=limit)
 

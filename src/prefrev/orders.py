@@ -120,6 +120,15 @@ class WeakOrder:
                 f"rank vector {ranks} is not contiguous from level 0"
             )
 
+    def __hash__(self) -> int:
+        # The dataclass's own hash, computed at the first dict or set lookup
+        # and kept; the same value keeps every set's iteration order.
+        value = self.__dict__.get("_hash")
+        if value is None:
+            value = hash((self.ranks,))
+            object.__setattr__(self, "_hash", value)
+        return value
+
     @property
     def k(self) -> int:
         return len(self.ranks)

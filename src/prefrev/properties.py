@@ -2,8 +2,9 @@
 
 Every checker scans a fixed canonical order and reports the first failure
 it meets; ``checked`` counts the cases up to and including the witness (or
-all of them when the property holds).  Every scan is a numpy pass over
-blocks of profile rows, so the answer never depends on the block size.
+all of them when the property holds).  ISP and dictatorship are numpy
+passes over blocks of profile rows, so the answer never depends on the
+block size.
 
 ISP takes profiles, then voters, then each voter's other orders: a row of
 sum(m_v - 1) single-voter deviations.  It is decided by lines.  Voter v's
@@ -22,43 +23,48 @@ stays cheap.  No block divides per profile or builds an array over the
 whole profile space; ISP's line pass alone builds a one-hot copy of the
 table and count / m_v outcome sets for each voter v.
 
-GSP, PR and APR are constraints on ordered profile pairs (P, Q) and share
-one numpy pass.  With x = phi(P) and y = phi(Q), voter v *keeps* x if P_v
-!= Q_v and x is weakly best against y under P_v, and *accepts* y if P_v !=
-Q_v and y is weakly best against x under Q_v.  Where x != y, GSP fails if
-no voter keeps x (every voter who changed strictly gains; they are the
-coalition, and a passive member would add nothing), APR fails if no voter
-keeps x or none accepts y, and PR fails if no single voter does both.
+GSP, PR and APR are constraints on ordered profile pairs (P, Q).  With x =
+phi(P) and y = phi(Q), voter v *keeps* x if P_v != Q_v and x is weakly best
+against y under P_v, and *accepts* y if P_v != Q_v and y is weakly best
+against x under Q_v.  Where x != y, GSP fails if no voter keeps x (every
+voter who changed strictly gains; they are the coalition, and a passive
+member would add nothing), APR fails if no voter keeps x or none accepts y,
+and PR fails if no single voter does both.
+
+Each failure is a conjunction over the voters of a condition on (P_v, Q_v)
+and the two outcomes alone: for GSP, Q_v = P_v or y is strictly better
+than x under P_v; for "no voter accepts" (section "acc"), Q_v = P_v or x is
+strictly better than y under Q_v; for PR, any of the three.  So
+:func:`_pair_scan` eliminates one voter axis at a time.  Each profile holds
+one word array with a bit per (section, x, y), seeded with the bits of its
+own outcome y, and each voter's step ORs and ANDs it along that voter's
+axis with masks of the voter's orders, built once per domain
+(:meth:`_Ctx.elimination`).  After the last voter, P fails a property
+where its bits (phi(P), y != phi(P)) meet the property's sections: about
+7 * n numpy operations over count rows of ceil(sections * k**2 / 64)
+words, however many pairs there are.  Only the first failing P's row is
+then computed over the profiles Q, for its witness.
 
 Row P has count - 1 cases, one per Q != P.  PR and APR take them left to
 right.  GSP takes them by coalition size, then coalition, then the members'
 new orders in canonical product order, so a case's place in the row is a
 key: the coalition's offset plus the mixed-radix index of the new orders,
 each member's truthful order skipped.  The key is computed only over the
-violations of the first row that has any.
-
-Voter v's masks depend on P only through (v, P_v, phi(P)), so one builder,
-:class:`_KeyRows`, makes them per such key, not per pair: a *keeps* row over
-the columns Q, and for PR and APR an *accepts* row, each bit-packed
-(``np.packbits``, little bit order), plus one packed ``phi(Q) != x`` row
-per alternative x.  A block of P rows gathers its n rows per profile and
-combines them with bitwise operations; only the first row with a violation
-is unpacked.  Rows are built the first time a block needs them and kept in
-a cache of at most ``_KEY_CACHE_BYTES`` (never less than one block's keys,
-which it flushes to when full), so the cost is about (sum of m_v) * k rows
-plus n packed rows per profile instead of n * count**2 bytes.  Blocks grow
-from about ``_FIRST_CELLS`` to about ``_BLOCK_CELLS`` gathered bytes.
-Every scan is serial.  GSP gathers only the *keeps* rows, half the bytes
-per pair that PR and APR gather, so one guard on the number of ordered
-pairs, ``PAIR_GUARD``, bounds all three.
+violations of the first row that has any.  Every scan is serial.  One
+guard on the number of ordered pairs, ``PAIR_GUARD``, bounds all three
+properties and the verdict rows below.
 
 Table universes ask only for verdicts, on many small tables.
 :func:`table_verdicts` decides all five properties for a whole block of
 tables and returns one bool per table and property: no scan order, no
 ``checked`` count and no witness.  It and ``harness._search`` read their
-per-cell verdict rows from one source, :class:`_CellRows`, which builds
-them from the same :class:`_KeyRows`, kept on the domain's context or
-built per call past ``_KEY_CACHE_BYTES``.  Dictatorship gathers each
+per-cell verdict rows from one source, :class:`_CellRows`.  Voter v's
+masks depend on P only through (v, P_v, phi(P)), so one builder,
+:class:`_KeyRows`, makes them per such key, not per pair: a *keeps* row
+and, for PR and APR, an *accepts* row over the columns (Q, y), each
+bit-packed (``np.packbits``, little bit order), kept in a cache of at most
+``_KEY_CACHE_BYTES``.  The verdict rows are kept on the domain's context,
+or built per call past ``_KEY_CACHE_BYTES``.  Dictatorship gathers each
 voter's rank-0 set at (P, t[P]).  The pass has the checkers' pair guard
 and takes P rows in blocks of about ``_BLOCK_CELLS`` bytes.
 """
@@ -79,19 +85,29 @@ from .orders import WeakOrder, format_order
 from .domains import DEFAULT_PROFILE_GUARD, Domain
 from .scf import Profile, Scf, evaluate, profile_at, profile_strides, tabulate
 
-#: Most ordered profile pairs (P, Q) a GSP, PR, APR or ISP pair scan walks,
-#: on top of the profile guard.
+#: Most ordered profile pairs (P, Q) the GSP, PR and APR checkers and the
+#: verdict rows of ISP, GSP, PR and APR admit, on top of the profile guard.
 PAIR_GUARD = 2_000_000_000
 
-#: The largest block: packed bytes gathered per block in the pair pass and
-#: in :func:`table_verdicts`, and per call of :meth:`_KeyRows.violations`
-#: for the verdict rows.  At 2^17 a pair-pass block's arrays stay below
-#: glibc's default mmap threshold (128 KiB), so they are reused from the
-#: heap and not page-faulted in again each block.
+#: The sections of :func:`_pair_scan`'s words, one per condition of the
+#: module docstring, and the sections each pair property fails on.
+_SECTIONS = ("gsp", "acc", "pr")
+_FAILS_ON = {"gsp": ("gsp",), "pr": ("pr",), "apr": ("gsp", "acc")}
+#: As bits ``1 << s``: the sections whose condition Q_v = P_v meets, y
+#: strictly better than x under P_v meets, and x strictly better than y
+#: under Q_v meets.
+_ALL_SECTIONS, _ON_BEFORE, _ON_AFTER = (
+    sum(1 << b for b, s in enumerate(_SECTIONS) if s != skip) for skip in (None, "acc", "gsp")
+)
+
+#: The largest block: packed bytes gathered per block in
+#: :func:`table_verdicts` and per call of :meth:`_KeyRows.violations`.  At
+#: 2^17 a block's arrays stay below glibc's default mmap threshold (128
+#: KiB), so they are reused from the heap and not page-faulted in again.
 _BLOCK_CELLS = 1 << 17
 _FIRST_CELLS = 1 << 12
 _SERIAL_CELLS = 1 << 14
-#: Most bytes of packed key rows the pair pass keeps at once, and of
+#: Most bytes of packed key rows a :class:`_KeyRows` keeps at once, and of
 #: verdict rows a domain's context keeps.
 _KEY_CACHE_BYTES = 1 << 24
 
@@ -166,7 +182,8 @@ class _Ctx:
     """Per-domain scan data, kept on the domain (``Domain._scan_context``).
     Each array past the rank table is a cached property built on first use,
     so a scan builds only what it reads; ``verdict_rows`` holds the kept
-    :class:`_CellRows` of the last properties asked for, or None."""
+    :class:`_CellRows` of the last properties asked for, or None, and
+    ``eliminations`` the :meth:`elimination` words built so far."""
 
     def __init__(self, domain: Domain):
         self.n = domain.n
@@ -179,6 +196,7 @@ class _Ctx:
         self.k = self.rank_table.shape[1]
         self.order_base = np.cumsum((0,) + self.sizes[:-1])
         self.verdict_rows = None
+        self.eliminations = {}
 
     @cached_property
     def digits(self):
@@ -192,8 +210,41 @@ class _Ctx:
     @cached_property
     def le(self):
         """``le[g, a, b]``: a is weakly better than b under global order g.
-        Only pair scans read it, so the pair guard bounds its size."""
+        The pair checkers' :meth:`elimination` words and the verdict rows'
+        :class:`_KeyRows` are built from it, both behind the pair guard,
+        which bounds its size."""
         return self.rank_table[:, :, None] <= self.rank_table[:, None, :]
+
+    def elimination(self, sections):
+        """The words :func:`_pair_scan` eliminates with over ``sections``,
+        built once per domain and sections: ``(seed, before, after, own,
+        fails_on)``, rows of :func:`_pack_words` in which bit ``s * k * k +
+        x * k + y`` stands for (section s, x, y).
+
+        ``seed[y]`` sets (s, x, y) for every s and x.  ``before[g]`` sets
+        the bits where y is strictly better than x under global order g, in
+        the gsp and pr sections; ``after[g]`` those where x is strictly
+        better than y under g, in the acc and pr sections.  ``own[x]`` sets
+        (s, x, y) for every s and y != x, and ``fails_on[p]`` every bit of
+        the sections property p fails on."""
+        got = self.eliminations.get(sections)
+        if got is None:
+            k, g, shape = self.k, len(self.rank_table), (len(sections), self.k, self.k)
+            eye = np.eye(k, dtype=bool)
+            worse = ~self.le[:, None]  # worse[g, 0, x, y]: y beats x under g
+            named = np.array(sections)[:, None, None]
+            fails = [[s in on for s in sections] for on in _FAILS_ON.values()]
+            words = _pack_words(np.concatenate([
+                np.broadcast_to(eye[:, None, None], (k,) + shape),
+                worse & (named != "acc"),
+                worse.transpose(0, 1, 3, 2) & (named != "gsp"),
+                np.broadcast_to((eye[:, :, None] & ~eye)[:, None], (k,) + shape),
+                np.broadcast_to(np.array(fails)[:, :, None, None], (len(fails),) + shape),
+            ]))
+            cuts = list(itertools.accumulate((0, k, g, g, k, len(fails))))
+            *got, fails = (words[lo:hi] for lo, hi in zip(cuts, cuts[1:]))
+            got = self.eliminations[sections] = (*got, dict(zip(_FAILS_ON, fails)))
+        return got
 
     @cached_property
     def by_x(self):
@@ -283,20 +334,34 @@ class _Ctx:
         return offsets
 
 
+def _pack_words(bits):
+    """A bool array ``(rows, s, k, k)`` as rows of words over the bits of
+    each row: one word of the smallest unsigned type that holds them all,
+    or as many uint64 words as it takes; bit b is bit b % w of word b // w,
+    w bits a word."""
+    bits = bits.reshape(len(bits), -1)
+    size = bits.shape[-1]
+    dtype = next((t for t in (np.uint8, np.uint16, np.uint32) if size <= 8 * t().itemsize), np.uint64)
+    width = 8 * dtype().itemsize
+    padded = np.zeros(bits.shape[:-1] + (-(-size // width) * width,), bool)
+    padded[..., :size] = bits
+    return np.packbits(padded, axis=-1, bitorder="little").view(dtype)
+
+
 def _prepare(scf: Scf, max_profiles: int):
     return scf.domain._scan_context, tabulate(scf, max_profiles).table
 
 
-def _growing_blocks(count, per_row, most=_SERIAL_CELLS):
-    """``(lo, hi)`` ranges covering ``range(count)`` of rows (profiles, or
-    chunks of them), ``per_row`` cells a row.  The first block holds about
+def _growing_blocks(count, per_row):
+    """``(lo, hi)`` ranges covering ``range(count)`` of rows (chunks of
+    profiles), ``per_row`` cells a row.  The first block holds about
     ``_FIRST_CELLS`` cells, so an early failure stays cheap, and each next
-    one twice as many, up to ``most`` (never past ``_BLOCK_CELLS``).  At
-    the default, ISP's and dictatorship's int64 temporaries stay in cache
-    and are not page-faulted."""
+    one twice as many, up to ``_SERIAL_CELLS`` (never past
+    ``_BLOCK_CELLS``), where ISP's and dictatorship's int64 temporaries
+    stay in cache and are not page-faulted."""
     per_row = max(1, per_row)
     rows = max(1, min(_FIRST_CELLS, _BLOCK_CELLS) // per_row)
-    most = max(1, min(most, _BLOCK_CELLS) // per_row)
+    most = max(1, min(_SERIAL_CELLS, _BLOCK_CELLS) // per_row)
     lo = 0
     while lo < count:
         hi = min(lo + rows, count)
@@ -420,18 +485,18 @@ def _violations(kept, accepted, neq, props, single=None):
 
 
 class _KeyRows:
-    """The one builder of the pair masks: per key (v, d, x), packed rows
-    over a list of columns (Q, y), built the first time a call needs them.
+    """The one builder of the verdict rows' pair masks: per key (v, d, x),
+    packed rows over the columns (Q, y) that :class:`_CellRows` gives, every
+    cell or those its caller's tables can have, built the first time a call
+    needs them.
 
-    The pair pass takes the columns (Q, phi(Q)) of one table, and
-    :class:`_CellRows` every (Q, y) cell or those its caller's tables can have.
     Key (v, d, x) is voter v reporting order d at an outcome x; its global
     id is ``(order_base[v] + d) * k + x``, and ``slot[id]`` is its place in
     ``rows`` or -1.  ``rows[s, 0]`` is the key's *keeps* row and, when
     ``pairwise`` (PR or APR is asked for), ``rows[s, 1]`` its *accepts*
     row; column j is set where Q_v != d and x is weakly better than y under
     d, resp. y is weakly better than x under Q_v.  A call of
-    :meth:`violations` gathers ``cell_bytes`` per cell and takes at most
+    :meth:`violations` gathers n packed rows per cell and takes at most
     ``most`` cells, about ``_BLOCK_CELLS`` bytes.  ``rows`` has room for
     that many cells' keys, or ``_KEY_CACHE_BYTES`` of them if more, and
     never for more keys than there are; its pages become resident only as
@@ -457,8 +522,7 @@ class _KeyRows:
                 np.take(ctx.by_x, at_q, axis=1), axis=2, bitorder="little"
             )
         row_bytes = self.width * (1 + pairwise)
-        self.cell_bytes = ctx.n * row_bytes
-        self.most = max(1, _BLOCK_CELLS // self.cell_bytes)
+        self.most = max(1, _BLOCK_CELLS // (ctx.n * row_bytes))
         keys = len(ctx.rank_table) * k
         limit = min(keys, max(ctx.n * self.most, _KEY_CACHE_BYTES // row_bytes))
         self.slot = np.full(keys, -1, dtype=np.int64)
@@ -511,8 +575,8 @@ class _KeyRows:
         """The packed violation rows of the cells (P, x) over the columns,
         one ``(cells, width)`` uint8 array per property in ``props``.
 
-        ``p`` (an index array or a slice of profiles) and ``x`` give the
-        cells, at most ``most`` of them.  Each cell gathers the rows of its
+        The index arrays ``p`` (profiles) and ``x`` give the cells, at most
+        ``most`` of them.  Each cell gathers the rows of its
         n keys (v, P_v, x) and :func:`_violations` combines them.  For ISP,
         ``single`` is "some voter changed and no two did", from every
         order's :meth:`changed` row, built when ISP is first asked for.
@@ -531,40 +595,59 @@ class _KeyRows:
 
 
 def _pair_scan(scf, wanted, max_profiles):
-    """One pass over ordered profile pairs for the ``wanted`` properties.
+    """GSP, PR and APR decided by eliminating one voter axis at a time.
 
-    Row P of a block gathers, for each voter v, the packed rows of its key
-    (v, P_v, phi(P)) over the table's columns (Q, phi(Q)) from a
-    :class:`_KeyRows`, and the packed ``phi(Q) != phi(P)`` row.  Only the
-    first row with a violation is unpacked.
+    Over ``sections``, the ones the ``wanted`` properties fail on, each
+    profile holds words of :meth:`_Ctx.elimination`, seeded with the bits
+    (s, x, phi(Q)) of its own outcome.  Once voters 0..v are eliminated,
+    the words at a profile R hold (s, x, y) where some Q with phi(Q) = y
+    and Q_u = R_u for every u > v meets section s's condition against P_u =
+    R_u at every u <= v.  A voter's condition is Q_v = P_v, or ``before``
+    at P_v, or ``after`` at Q_v, so eliminating v's axis is ``T | (before[d]
+    & OR_e T[e]) | OR_e (T[e] & after[e])`` along it.  After the last
+    voter, P fails a property where its bits (phi(P), y), y != phi(P), meet
+    the property's sections.  Only the first failing P's row is computed
+    over the profiles Q, by :func:`_failing_sections`.
     """
     t0 = time.perf_counter()
     ctx, table = _prepare(scf, max_profiles)
     count = ctx.count
     total = _require_pairs(count)
-    keys = _KeyRows(ctx, slice(None), table, "pr" in wanted or "apr" in wanted)
-    live = tuple(wanted)
+    sections = tuple(s for s in _SECTIONS if any(s in _FAILS_ON[p] for p in wanted))
+    seed, before, after, own, fails_on = ctx.elimination(sections)
+    words = seed.take(table, axis=0).reshape(ctx.sizes + seed.shape[1:])
+    # Voter v's axis is in front when v is eliminated, where a reduction
+    # along it is fast, and then moves to the back: after the last voter
+    # the axes are in order again.
+    to_back, ones = (*range(1, ctx.n), 0, ctx.n), (1,) * (ctx.n - 1)
+    for v, m in enumerate(ctx.sizes):
+        at = slice(ctx.order_base[v], ctx.order_base[v] + m)
+        step = before[at].reshape(m, *ones, -1) & np.bitwise_or.reduce(words, axis=0, keepdims=True)
+        if sections != ("gsp",):
+            after_v = after[at].reshape(m, *ones, -1)
+            step |= np.bitwise_or.reduce(words & after_v, axis=0, keepdims=True)
+        words |= step
+        del step  # so that the copy below is the only other full-size array
+        words = words.transpose(to_back).copy()
+    words = words.reshape(count, -1) & own.take(table, axis=0)
     results: dict[str, tuple[int, tuple[int, int] | None]] = {}
-    for lo, hi in _growing_blocks(count, keys.cell_bytes, _BLOCK_CELLS):
-        viol = keys.violations(slice(lo, hi), table[lo:hi], live)
-        for prop, mask in viol.items():
-            if mask.any():
-                r = int(mask.any(axis=1).argmax())
-                i = lo + r
-                cols = np.flatnonzero(
-                    np.unpackbits(mask[r], count=count, bitorder="little")
-                )
-                if prop == "gsp":
-                    j, nth = _gsp_first(ctx, i, cols)
-                else:
-                    j = int(cols[0])
-                    nth = j - (j > i) + 1
-                results[prop] = (i * (count - 1) + nth, (i, j))
-        live = tuple(prop for prop in live if prop not in results)
-        if not live:
-            break
-    for prop in live:
-        results[prop] = (total, None)
+    rows = {}
+    for prop in wanted:
+        hit = (words & fails_on[prop]).any(axis=1)
+        i = int(hit.argmax())
+        if not hit[i]:
+            results[prop] = (total, None)
+            continue
+        if i not in rows:
+            rows[i] = _failing_sections(ctx, table, i)
+        mask = sum(1 << _SECTIONS.index(s) for s in _FAILS_ON[prop])
+        cols = np.flatnonzero((rows[i] & mask != 0) & (table != table[i]))
+        if prop == "gsp":
+            j, nth = _gsp_first(ctx, i, cols)
+        else:
+            j = int(cols[0])
+            nth = j - (j > i) + 1
+        results[prop] = (i * (count - 1) + nth, (i, j))
 
     elapsed = time.perf_counter() - t0
     reports = {}
@@ -580,6 +663,24 @@ def _pair_scan(scf, wanted, max_profiles):
             prop, pair is None, witness, checked, elapsed, scf
         )
     return reports
+
+
+def _failing_sections(ctx, table, i):
+    """Per profile Q, the bits ``1 << s`` of the sections s of
+    ``_SECTIONS`` whose condition every voter meets at the pair (P, Q), P
+    being profile i.  Each voter v's condition at (Q_v, phi(Q)) is an
+    ``(m_v, k)`` table of those bits, gathered at ``digits[v] * k + phi``."""
+    x, k = table[i], ctx.k
+    meets = np.uint8(_ALL_SECTIONS)
+    for v, m in enumerate(ctx.sizes):
+        d = ctx.digits[v, i]
+        ranks = ctx.rank_table[ctx.order_base[v] : ctx.order_base[v] + m]
+        before = ranks[d] < ranks[d, x]  # y strictly better than x under P_v
+        after = ranks[:, x, None] < ranks  # x strictly better than y under Q_v
+        bits = (before * _ON_BEFORE | after * _ON_AFTER).astype(np.uint8)
+        bits[d] = _ALL_SECTIONS
+        meets = meets & bits.take(ctx.digits[v].astype(np.min_scalar_type(m * k)) * k + table)
+    return meets
 
 
 def _gsp_witness(scf, digits, i, j, table) -> ManipulationWitness:

@@ -796,6 +796,22 @@ def test_flags_that_contradict_each_other_are_refused(capsys, argv, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "thm-range3", "--orders-per-voter", "2", "--target", ""),
+     "--target lists no alternative"),
+    (("verify", "isp-not-pr", "--k", "4", "--target", " "), "--target lists no alternative"),
+    (("orders", "--k", "3", "--names", ""), "--names lists no alternative"),
+    (("verify", "thm-range3", "--k", "3", "--names", ""), "--names lists no alternative"),
+    (("verify", "thm-complete", "--rule", "constant", "--names", " "),
+     "--names lists no alternative"),
+])
+def test_empty_target_and_names_are_refused(capsys, argv, message):
+    # An empty --target or --names lists nothing, as an empty --orders
+    # does; it does not stand for the default.
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("flag", [
     ("--k", "3"), ("--voters", "2"), ("--params", "{}"),
     ("--feasible", "@universal-weak"), ("--axis", "a,b,c"), ("--names", "a,b,c"),

@@ -85,6 +85,22 @@ def test_rank_vector_must_be_contiguous():
         WeakOrder(())
 
 
+def test_weak_order_hash_is_the_dataclass_hash_kept_after_the_first_lookup():
+    import copy
+    import pickle
+
+    orders = list(enumerate_weak_orders(3))
+    for order in orders:
+        assert "_hash" not in vars(order)
+        assert hash(order) == hash((order.ranks,)) == order.__dict__["_hash"]
+        for twin in (copy.deepcopy(order), pickle.loads(pickle.dumps(order)),
+                     WeakOrder(order.ranks)):
+            assert twin == order and hash(twin) == hash(order)
+    # The same values as the dataclass's hash, so sets iterate as before.
+    assert list(set(orders)) == list(set(WeakOrder(o.ranks) for o in orders))
+    assert repr(orders[0]) == "WeakOrder(ranks=(0, 0, 0))"
+
+
 def test_alternative_set_validation():
     with pytest.raises(ConstructionError):
         AlternativeSet(("a", "a"))

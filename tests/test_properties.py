@@ -409,7 +409,8 @@ def _uneven_tables(count, seed):
 
 @pytest.mark.parametrize("cells", [None, 1, 40])
 def test_pair_scan_matches_reference_on_uneven_domains(monkeypatch, cells):
-    # cells=1 makes every profile row its own block; 40 splits rows unevenly.
+    # The pair checkers take no blocks, so cells=1 and 40, which split the
+    # other scans' blocks, change nothing.
     tables = list(_uneven_tables(300, seed=2024))
     pair_docs = []
     for scf in tables:
@@ -802,7 +803,7 @@ def test_table_verdicts_apply_the_pair_guards():
 
 
 # ---------------------------------------------------------------------------
-# the serial scans, the buffered pair pass and the domain's scan context
+# the serial scans, the verdict rows' blocks and the domain's scan context
 # ---------------------------------------------------------------------------
 
 
@@ -988,11 +989,16 @@ _EDGE_TABLES = {
 
 @pytest.mark.parametrize("cells", [90, 72, 40, 32, 20, 16, 8, 1, None])
 def test_buffered_pair_pass_on_first_last_and_split_blocks(monkeypatch, cells):
-    # A profile row gathers 2 voters' packed 2-byte key rows: 4 bytes for
-    # GSP, 8 for PR and APR, which gather an accepts row too.  So 40 gives
-    # PR and APR the 5-row blocks the tables were picked for and 20 gives
-    # them to GSP; 32 and 16 give four rows and a one-row last block, 16 and
-    # 8 two rows, 1 a block per row, and 90, 72 and the default one block.
+    # The verdict rows past the cache, over a table's own 9 cells: a
+    # profile row gathers 2 voters' packed 2-byte key rows, 4 bytes for GSP
+    # and 8 for PR and APR, which gather an accepts row too.  So 40 gives PR
+    # and APR the 5-row blocks the tables were picked for and 20 gives them
+    # to GSP; 32 and 16 give four rows and a one-row last block, 16 and 8
+    # two rows, 1 a block per row, and 90, 72 and the default one block.
+    # With the cache, every cell's rows are built in calls of as many cells.
+    # The checkers, which take no blocks, give the reference scans' docs.
+    import numpy as np
+
     domain = _edge_domain()
     expected = {}
     for name, (values, blocks) in _EDGE_TABLES.items():
@@ -1002,14 +1008,20 @@ def test_buffered_pair_pass_on_first_last_and_split_blocks(monkeypatch, cells):
         assert not any(doc["holds"] for doc in docs)
         assert not (naive_gsp_holds(scf) or naive_pr_holds(scf) or naive_apr_holds(scf))
         expected[name] = (scf, docs)
+    constant = Scf.from_table(domain, [0] * 9)
+    for name, (scf, docs) in expected.items():
+        _assert_pair_pass(scf, docs)
+    tables = np.stack([constant.table] + [scf.table for scf, _ in expected.values()])
     if cells is not None:
         monkeypatch.setattr(properties, "_BLOCK_CELLS", cells)
-    for name, (scf, docs) in expected.items():
-        both = check_pr_apr(scf)
-        got = (check_gsp(scf), both["pr"], both["apr"])
-        assert tuple(map(report_to_dict, got)) == docs, name
-        assert report_to_dict(check_pr(scf)) == docs[1]
-        assert report_to_dict(check_apr(scf)) == docs[2]
+    for cache in (0, 1 << 24):
+        monkeypatch.setattr(properties, "_KEY_CACHE_BYTES", cache)
+        for props in (("gsp",), ("pr",), ("apr",), ("gsp", "pr", "apr")):
+            for table in tables:  # one table a call, and all at once
+                verdicts = properties.table_verdicts(domain, table[None], props)
+                assert [bool(verdicts[p][0]) for p in props] == [not table.any()] * len(props)
+            verdicts = properties.table_verdicts(domain, tables, props)
+            assert all(verdicts[p].tolist() == [True, False, False, False] for p in props)
 
 
 def test_a_domain_and_its_scan_context_die_together(abc):
@@ -1028,7 +1040,7 @@ def test_a_domain_and_its_scan_context_die_together(abc):
 
 
 # ---------------------------------------------------------------------------
-# the packed pair pass: key rows, bit padding, the cache
+# the pair checkers, and the verdict rows' key rows and their cache
 # ---------------------------------------------------------------------------
 
 
@@ -1043,12 +1055,13 @@ def _assert_pair_pass(scf, docs=None):
 
 
 def _key_builds(monkeypatch):
-    """Every key id the pair pass builds a row for, in build order."""
+    """Every ``(builder, key id)`` a :class:`_KeyRows` builds a row for, in
+    build order."""
     built = []
     build = properties._KeyRows.build
 
     def counting(self, ids):
-        built.extend(ids.tolist())
+        built.extend((self, key) for key in ids.tolist())
         return build(self, ids)
 
     monkeypatch.setattr(properties._KeyRows, "build", counting)
@@ -1057,16 +1070,29 @@ def _key_builds(monkeypatch):
 
 @pytest.mark.parametrize("cells", [None, 1, 40])
 def test_pair_pass_through_cache_flushes(monkeypatch, cells):
-    # A budget of 0 leaves the cache one block's keys, so it is flushed
-    # whenever a block meets a key it does not hold.
+    # The verdict rows past the cache, one table a call.  A budget of 0
+    # leaves a builder one call's keys, so with small blocks it is flushed
+    # whenever a call meets a key it does not hold.  The checkers build no
+    # key rows and give the reference scans' docs.
     tables = [(scf, _pair_docs(scf)) for scf in _uneven_tables(120, seed=77)]
     monkeypatch.setattr(properties, "_KEY_CACHE_BYTES", 0)
     if cells is not None:
         monkeypatch.setattr(properties, "_BLOCK_CELLS", cells)
     built = _key_builds(monkeypatch)
+    rebuilt = False
     for scf, docs in tables:
         _assert_pair_pass(scf, docs)
-    assert len(built) > len(set(built))  # some key was rebuilt after a flush
+        assert not built
+        verdicts = properties.table_verdicts(scf.domain, scf.table[None], ("gsp", "pr", "apr"))
+        assert [bool(verdicts[p][0]) for p in ("gsp", "pr", "apr")] == [
+            doc["holds"] for doc in docs
+        ]
+        assert scf.domain._scan_context.verdict_rows is None
+        rebuilt |= len(built) > len(set(built))
+        built.clear()
+    # With small blocks some builder rebuilt a key after a flush; with the
+    # default, each table's cells take one call and nothing is flushed.
+    assert rebuilt == (cells is not None)
 
 
 @pytest.mark.parametrize("cells", [None, 1, 7])
@@ -1101,12 +1127,14 @@ def test_pair_pass_on_one_voter_and_single_order_voters(monkeypatch, cells):
 _B_OVER_A = ["b~c>a", "b>a>c", "c>a>b", "b>c>a", "c>b>a"]
 
 
-@pytest.mark.parametrize("sizes", [(2, 4), (4, 4), (3, 3), (3, 4), (4, 5)])
+@pytest.mark.parametrize("sizes", [
+    (2, 4), (4, 4), (3, 3), (3, 4), (4, 5), (2, 3, 2), (2, 2, 2, 2), (5,),
+])
 def test_pair_pass_finds_a_violation_in_the_last_bit(sizes):
     # Every voter's first order strictly prefers b to a, and the table is a
     # everywhere but at the last profile.  Row 0 is the first with a
-    # violation and its only one is Q = count - 1: the last bit of the
-    # packed row, a padded byte when count % 8 != 0.
+    # violation and its only one is Q = count - 1, where every voter has
+    # changed: the last column of the first failing row.
     alts = AlternativeSet.letters(3)
     domain = Domain(tuple(
         FeasibleSet.explicit(alts, [parse_order(text, alts) for text in _B_OVER_A[:m]])
@@ -1120,8 +1148,96 @@ def test_pair_pass_finds_a_violation_in_the_last_bit(sizes):
         assert doc["witness"]["profile_q"] == [
             format_order(fs[len(fs) - 1], alts) for fs in domain.feasible
         ]
-    assert docs[0]["witness"]["coalition"] == [1, 2]
+    assert docs[0]["witness"]["coalition"] == list(range(1, len(sizes) + 1))
     assert not any(doc["holds"] for doc in docs)
+
+
+def _random_weak_order(rng, k):
+    levels = [rng.randrange(k) for _ in range(k)]
+    used = sorted(set(levels))
+    return WeakOrder(tuple(used.index(level) for level in levels))
+
+
+def _pair_oracle_tables(rng, k, n):
+    """A domain of n voters over k alternatives, one set shared by all or
+    one per voter, about one voter in five with a single order, and its
+    tables: a dictator and a constant, which hold every pair property; a
+    random table on all alternatives and one on two; and a table that
+    differs from a constant only at the last profile."""
+    alts = AlternativeSet.letters(k)
+    most = (12, 6, 3, 2)[n - 1]
+
+    def feasible():
+        size = 1 if rng.random() < 0.2 else rng.randint(2, most)
+        return FeasibleSet.explicit(alts, [_random_weak_order(rng, k) for _ in range(size)])
+
+    shared = rng.random() < 0.3
+    domain = Domain.shared(feasible(), n) if shared else Domain(
+        tuple(feasible() for _ in range(n))
+    )
+    count = domain.profile_count()
+    two = rng.sample(range(k), min(2, k))
+    late = [two[0]] * count
+    late[-1] = two[-1]
+    tables = [
+        tabulate(builtin("dictator-tiebreak", domain, voter=rng.randrange(n))),
+        Scf.from_table(domain, [rng.randrange(k)] * count),
+        Scf.from_table(domain, [rng.randrange(k) for _ in range(count)]),
+        Scf.from_table(domain, [rng.choice(two) for _ in range(count)]),
+        Scf.from_table(domain, late),
+    ]
+    return shared, tables
+
+
+def test_pair_checkers_match_the_reference_scans_on_seeded_tables():
+    # 1-4 voters over 1-6 alternatives: at k >= 5 the 3 k^2 bits of
+    # check_pr_apr's words span two 64-bit words, and at k = 6 APR's 2 k^2
+    # do too.  Every checker gives the reference scans' docs.
+    rng = random.Random(2027)
+    seen = set()
+    for _ in range(800):
+        k, n = rng.randint(1, 6), rng.randint(1, 4)
+        shared, tables = _pair_oracle_tables(rng, k, n)
+        domain = tables[0].domain
+        seen.update({("k", k), ("n", n), ("shared", shared)})
+        seen.add(("single", min(map(len, domain.feasible)) == 1))
+        for scf in rng.sample(tables, 2) + tables[-1:]:
+            docs = _assert_pair_pass(scf)
+            seen.update((doc["property"], doc["holds"]) for doc in docs)
+    assert seen == {("k", k) for k in range(1, 7)} | {("n", n) for n in range(1, 5)} | {
+        (key, flag) for key in ("shared", "single", "gsp", "pr", "apr") for flag in (True, False)
+    }
+
+
+def test_pair_checkers_on_words_of_many_bits():
+    # k = 10: GSP's and PR's 100 bits take two words, APR's 200 four and
+    # check_pr_apr's 300 five.
+    rng = random.Random(11)
+    alts = AlternativeSet.letters(10)
+    seen = set()
+    for _ in range(12):
+        domain = Domain(tuple(
+            FeasibleSet.explicit(alts, [_random_weak_order(rng, 10) for _ in range(rng.randint(1, 5))])
+            for _ in range(rng.randint(1, 3))
+        ))
+        count = domain.profile_count()
+        for values in (
+            [rng.randrange(10) for _ in range(count)],
+            [rng.choice((1, 8, 9)) for _ in range(count)],
+            tabulate(builtin("dictator-tiebreak", domain, voter=0)).table,
+        ):
+            docs = _assert_pair_pass(Scf.from_table(domain, values))
+            seen.update(doc["holds"] for doc in docs)
+    assert seen == {True, False}
+
+
+def test_pair_checkers_count_every_pair_on_a_holding_weak_dictator():
+    # 75 weak orders a voter: 5,625 profiles and 5,624 cases each.
+    domain = Domain.shared(FeasibleSet.universal_weak(AlternativeSet.letters(4)), 2)
+    phi = tabulate(builtin("dictator-tiebreak", domain, voter=1))
+    reports = [check_gsp(phi), check_pr(phi), check_apr(phi), *check_pr_apr(phi).values()]
+    assert [(r.holds, r.checked) for r in reports] == [(True, 5625 * 5624)] * 5
+    assert 5625 * 5624 == 31_635_000
 
 
 def test_gsp_takes_the_canonical_first_of_a_packed_row():
@@ -1140,20 +1256,28 @@ def test_gsp_takes_the_canonical_first_of_a_packed_row():
 
 
 def test_pair_pass_builds_each_key_row_once(monkeypatch):
-    # 2 voters x 13 weak orders, k = 3: 78 keys, all held by the cache.  A
-    # constant and a dictatorial table hold every property, so they are
-    # scanned to the end, here in one block per profile row.
+    # 2 voters x 13 weak orders, k = 3: 78 keys.  Past the cache, a table's
+    # verdict rows come from one builder over the cells the table uses,
+    # which holds all their keys (v, P_v, phi(P)) and builds each once.  A
+    # constant and a dictatorial table hold every property.
     domain = Domain.shared(FeasibleSet.universal_weak(AlternativeSet.letters(3)), 2)
     dictator = tabulate(builtin("dictator-tiebreak", domain, voter=1))
-    monkeypatch.setattr(properties, "_BLOCK_CELLS", 1)
+    monkeypatch.setattr(properties, "_KEY_CACHE_BYTES", 0)
     built = _key_builds(monkeypatch)
     for scf in (Scf.from_table(domain, [0] * 169), dictator):
         for check in (check_gsp, check_pr, check_pr_apr):
-            built.clear()
             report = check(scf)
             assert all(r.holds for r in (report.values() if isinstance(report, dict) else [report]))
-            assert len(built) == len(set(built)) <= 2 * 13 * 3
-    assert len(built) > 2 * 13  # the dictator's table meets many (v, d, x)
+        for props in (("gsp",), ("pr",), ("pr", "apr")):
+            built.clear()
+            verdicts = properties.table_verdicts(domain, scf.table[None], props)
+            assert all(verdicts[p][0] for p in props)
+            keys = [key for _, key in built]
+            assert len(keys) == len(set(keys)) <= 2 * 13 * 3
+            assert len({builder for builder, _ in built}) == 1
+        if scf is not dictator:
+            assert len(keys) == 2 * 13  # (v, d, 0) alone
+    assert len(keys) > 2 * 13  # the dictator's table meets many (v, d, x)
 
 
 def _naive_dictator_valid(scf, voter):
