@@ -32,9 +32,10 @@ member would add nothing), APR fails if no voter keeps x or none accepts y,
 and PR fails if no single voter does both.
 
 Each failure is a conjunction over the voters of a condition on (P_v, Q_v)
-and the two outcomes alone: for GSP, Q_v = P_v or y is strictly better
-than x under P_v; for "no voter accepts" (section "acc"), Q_v = P_v or x is
-strictly better than y under Q_v; for PR, any of the three.  So
+and the two outcomes alone, one section of ``_SECTIONS`` each: for GSP, Q_v
+= P_v or y is strictly better than x under P_v; for "no voter accepts"
+(section "acc"), Q_v = P_v or x is strictly better than y under Q_v; for
+PR, any of the three.  APR fails where the gsp or the acc section does.  So
 :func:`_pair_scan` eliminates one voter axis at a time.  Each profile holds
 one word array with a bit per (section, x, y), seeded with the bits of its
 own outcome y, and each voter's step ORs and ANDs it along that voter's
@@ -58,15 +59,18 @@ Table universes ask only for verdicts, on many small tables.
 :func:`table_verdicts` decides all five properties for a whole block of
 tables and returns one bool per table and property: no scan order, no
 ``checked`` count and no witness.  It and ``harness._search`` read their
-per-cell verdict rows from one source, :class:`_CellRows`.  Voter v's
-masks depend on P only through (v, P_v, phi(P)), so one builder,
-:class:`_KeyRows`, makes them per such key, not per pair: a *keeps* row
-and, for PR and APR, an *accepts* row over the columns (Q, y), each
-bit-packed (``np.packbits``, little bit order), kept in a cache of at most
-``_KEY_CACHE_BYTES``.  The verdict rows are kept on the domain's context,
-or built per call past ``_KEY_CACHE_BYTES``.  Dictatorship gathers each
-voter's rank-0 set at (P, t[P]).  The pass has the checkers' pair guard
-and takes P rows in blocks of about ``_BLOCK_CELLS`` bytes.
+per-cell verdict rows from one source, :class:`_CellRows`, which reads the
+checkers' sections.  Voter v's condition depends on P only through (v,
+P_v, phi(P)), so one builder, :class:`_KeyRows`, makes it per such key, not
+per pair: a row per section over the columns (Q, y), bit-packed
+(``np.packbits``, little bit order), kept in a cache of at most
+``_KEY_CACHE_BYTES``.  A cell (P, x) ANDs its n keys' rows, ORs the
+sections its property fails on and keeps the columns where y != x; ISP,
+which fails on GSP's section, keeps those where exactly one voter changed.
+The verdict rows are kept on the domain's context, or built per call past
+``_KEY_CACHE_BYTES``.  Dictatorship gathers each voter's rank-0 set at (P,
+t[P]).  The pass has the checkers' pair guard and takes P rows in blocks
+of about ``_BLOCK_CELLS`` bytes.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Any, Callable
 
 import numpy as np
@@ -89,16 +93,15 @@ from .scf import Profile, Scf, evaluate, profile_at, profile_strides, tabulate
 #: verdict rows of ISP, GSP, PR and APR admit, on top of the profile guard.
 PAIR_GUARD = 2_000_000_000
 
-#: The sections of :func:`_pair_scan`'s words, one per condition of the
-#: module docstring, and the sections each pair property fails on.
-_SECTIONS = ("gsp", "acc", "pr")
-_FAILS_ON = {"gsp": ("gsp",), "pr": ("pr",), "apr": ("gsp", "acc")}
-#: As bits ``1 << s``: the sections whose condition Q_v = P_v meets, y
-#: strictly better than x under P_v meets, and x strictly better than y
-#: under Q_v meets.
-_ALL_SECTIONS, _ON_BEFORE, _ON_AFTER = (
-    sum(1 << b for b, s in enumerate(_SECTIONS) if s != skip) for skip in (None, "acc", "gsp")
-)
+#: The sections of the pair conditions, one per condition of the module
+#: docstring, in the order of :func:`_pair_scan`'s words and of
+#: :class:`_KeyRows`' rows.  Every section is met where Q_v = P_v; its
+#: flags ``(before, after)`` say whether it is also met where y is strictly
+#: better than x under P_v, and where x is strictly better than y under Q_v.
+_SECTIONS = {"gsp": (True, False), "acc": (False, True), "pr": (True, True)}
+#: The sections each pair property fails on.  ISP fails on GSP's where
+#: exactly one voter changed.
+_FAILS_ON = {"isp": ("gsp",), "gsp": ("gsp",), "pr": ("pr",), "apr": ("gsp", "acc")}
 
 #: The largest block: packed bytes gathered per block in
 #: :func:`table_verdicts` and per call of :meth:`_KeyRows.violations`.  At
@@ -208,12 +211,12 @@ class _Ctx:
         ]).astype(np.min_scalar_type(max(self.sizes)))
 
     @cached_property
-    def le(self):
-        """``le[g, a, b]``: a is weakly better than b under global order g.
-        The pair checkers' :meth:`elimination` words and the verdict rows'
-        :class:`_KeyRows` are built from it, both behind the pair guard,
-        which bounds its size."""
-        return self.rank_table[:, :, None] <= self.rank_table[:, None, :]
+    def beats(self):
+        """``beats[g, x, y]``: y is strictly better than x under global order
+        g.  Every pair condition is read from it, by :meth:`elimination`,
+        :func:`_failing_sections` and :class:`_KeyRows`, always behind the
+        pair guard, which bounds its size."""
+        return self.rank_table[:, None, :] < self.rank_table[:, :, None]
 
     def elimination(self, sections):
         """The words :func:`_pair_scan` eliminates with over ``sections``,
@@ -231,13 +234,13 @@ class _Ctx:
         if got is None:
             k, g, shape = self.k, len(self.rank_table), (len(sections), self.k, self.k)
             eye = np.eye(k, dtype=bool)
-            worse = ~self.le[:, None]  # worse[g, 0, x, y]: y beats x under g
-            named = np.array(sections)[:, None, None]
+            beats = self.beats[:, None]
+            on_before, on_after = np.array([_SECTIONS[s] for s in sections]).T[:, :, None, None]
             fails = [[s in on for s in sections] for on in _FAILS_ON.values()]
             words = _pack_words(np.concatenate([
                 np.broadcast_to(eye[:, None, None], (k,) + shape),
-                worse & (named != "acc"),
-                worse.transpose(0, 1, 3, 2) & (named != "gsp"),
+                beats & on_before,
+                beats.transpose(0, 1, 3, 2) & on_after,
                 np.broadcast_to((eye[:, :, None] & ~eye)[:, None], (k,) + shape),
                 np.broadcast_to(np.array(fails)[:, :, None, None], (len(fails),) + shape),
             ]))
@@ -245,11 +248,6 @@ class _Ctx:
             *got, fails = (words[lo:hi] for lo, hi in zip(cuts, cuts[1:]))
             got = self.eliminations[sections] = (*got, dict(zip(_FAILS_ON, fails)))
         return got
-
-    @cached_property
-    def by_x(self):
-        """``by_x[x, g * k + y]``: y is weakly better than x under order g."""
-        return np.ascontiguousarray(self.le.transpose(2, 0, 1)).reshape(self.k, -1)
 
     @cached_property
     def voter_of(self):
@@ -429,6 +427,25 @@ def check_isp(
 # ---------------------------------------------------------------------------
 
 
+def _sections(props):
+    """The sections the properties ``props`` fail on, in ``_SECTIONS`` order."""
+    return tuple(s for s in _SECTIONS if any(s in _FAILS_ON[p] for p in props))
+
+
+def _meets(same, before, after, sections):
+    """Where a voter meets each condition of ``sections``, stacked on a new
+    second-to-last axis, from three arrays that broadcast, bool or packed
+    bits alike: where Q_v = P_v, where y is strictly better than x under
+    P_v, and where x is strictly better than y under Q_v (the last two read
+    from :attr:`_Ctx.beats`)."""
+    rows = []
+    for section in sections:
+        on_before, on_after = _SECTIONS[section]
+        met = same | before if on_before else same
+        rows.append(met | after if on_after else met)
+    return np.stack(rows, axis=-2)
+
+
 def _gsp_first(ctx, i, cols):
     """Row i's canonically first deviation among ``cols``, and its ordinal.
 
@@ -460,73 +477,42 @@ def _require_pairs(count) -> int:
     return total
 
 
-def _violations(kept, accepted, neq, props, single=None):
-    """The violation masks of the module docstring, one per property, as
-    rows of bits packed into uint8.
-
-    ``kept`` and ``accepted`` carry the voters on their first axis
-    (``accepted`` may be None when neither PR nor APR is asked for);
-    ``neq`` marks the pairs with different outcomes and ``single`` those
-    where exactly one voter changed.  ISP fails where that voter does not
-    keep.  The padding bits of ``neq`` and ``single`` are 0, so no mask sets
-    a padding bit.
-    """
-    any_kept = np.bitwise_or.reduce(kept, axis=0)
-    viol = {}
-    if "pr" in props:
-        viol["pr"] = neq & ~np.bitwise_or.reduce(kept & accepted, axis=0)
-    if "apr" in props:
-        viol["apr"] = neq & ~(any_kept & np.bitwise_or.reduce(accepted, axis=0))
-    if "isp" in props:
-        viol["isp"] = single & ~any_kept
-    if "gsp" in props:
-        viol["gsp"] = neq & ~any_kept
-    return viol
-
-
 class _KeyRows:
     """The one builder of the verdict rows' pair masks: per key (v, d, x),
-    packed rows over the columns (Q, y) that :class:`_CellRows` gives, every
-    cell or those its caller's tables can have, built the first time a call
-    needs them.
+    one packed row per section of ``sections`` over the columns (Q, y) that
+    :class:`_CellRows` gives, every cell or those its caller's tables can
+    have, built the first time a call needs them.
 
     Key (v, d, x) is voter v reporting order d at an outcome x; its global
     id is ``(order_base[v] + d) * k + x``, and ``slot[id]`` is its place in
-    ``rows`` or -1.  ``rows[s, 0]`` is the key's *keeps* row and, when
-    ``pairwise`` (PR or APR is asked for), ``rows[s, 1]`` its *accepts*
-    row; column j is set where Q_v != d and x is weakly better than y under
-    d, resp. y is weakly better than x under Q_v.  A call of
-    :meth:`violations` gathers n packed rows per cell and takes at most
-    ``most`` cells, about ``_BLOCK_CELLS`` bytes.  ``rows`` has room for
-    that many cells' keys, or ``_KEY_CACHE_BYTES`` of them if more, and
-    never for more keys than there are; its pages become resident only as
-    rows are written.  When a call needs more keys than are free, every row
-    is dropped and the call's own are built again.  What depends only on
-    the domain's orders (``le``, ``by_x``, ``voter_of``) is the context's.
+    ``rows`` or -1.  ``rows[s, i]`` is the key's row of section i: column j
+    is set where Q_v = d or v meets the section's condition (:func:`_meets`)
+    at x and y.  A call of :meth:`violations` gathers n packed rows per
+    cell and takes at most ``most`` cells, about ``_BLOCK_CELLS`` bytes.
+    ``rows`` has room for that many cells' keys, or ``_KEY_CACHE_BYTES`` of
+    them if more, and never for more keys than there are; its pages become
+    resident only as rows are written.  When a call needs more keys than
+    are free, every row is dropped and the call's own are built again.
+    What depends only on the domain's orders (``beats``, ``voter_of``) is
+    the context's.
     """
 
-    def __init__(self, ctx, q, y, pairwise):
-        self.ctx = ctx
+    def __init__(self, ctx, q, y, sections):
+        self.ctx, self.y, self.sections = ctx, y, sections
         self.on_q = ctx.digits[:, q]
-        k = ctx.k
         self.width = (len(y) + 7) // 8
-        is_out = y == np.arange(k)[:, None]
-        # Packed over the columns: y == z for each alternative z, and y != x.
-        self.outcome = np.packbits(is_out, axis=1, bitorder="little")
-        self.neq = np.packbits(~is_out, axis=1, bitorder="little")
-        self.accepts = None
-        if pairwise:
-            # accepts[x, v]: y is weakly better than x under Q_v, packed.
-            at_q = (ctx.order_base[:, None].astype(np.int32) + self.on_q) * k + y
-            self.accepts = np.packbits(
-                np.take(ctx.by_x, at_q, axis=1), axis=2, bitorder="little"
-            )
-        row_bytes = self.width * (1 + pairwise)
+        # Packed over the columns: y != x, for each alternative x, and
+        # after[x, v], x strictly better than y under Q_v.
+        self.neq = np.packbits(y != np.arange(ctx.k)[:, None], axis=1, bitorder="little")
+        x_first = ctx.beats.transpose(2, 0, 1).reshape(ctx.k, -1)  # [x, g * k + y]
+        at_q = (ctx.order_base[:, None] + self.on_q) * ctx.k + y
+        self.after = np.packbits(x_first.take(at_q, axis=1), axis=2, bitorder="little")
+        row_bytes = self.width * len(sections)
         self.most = max(1, _BLOCK_CELLS // (ctx.n * row_bytes))
-        keys = len(ctx.rank_table) * k
+        keys = len(ctx.rank_table) * ctx.k
         limit = min(keys, max(ctx.n * self.most, _KEY_CACHE_BYTES // row_bytes))
         self.slot = np.full(keys, -1, dtype=np.int64)
-        self.rows = np.empty((limit, 1 + pairwise, self.width), dtype=np.uint8)
+        self.rows = np.empty((limit, len(sections), self.width), dtype=np.uint8)
         self.used = 0
 
     def slots(self, ids):
@@ -548,50 +534,50 @@ class _KeyRows:
             slots = self.slot[ids]
         return slots
 
-    def changed(self, order):
-        """For each global order g in ``order``, the packed row of the
-        columns where g's voter reports another order."""
-        v = self.ctx.voter_of[order]
-        d = (order - self.ctx.order_base[v]).astype(self.on_q.dtype)
-        return np.packbits(self.on_q[v] != d[:, None], axis=1, bitorder="little")
-
     @cached_property
     def moved(self):
-        """Every global order's :meth:`changed` row."""
-        return self.changed(np.arange(len(self.ctx.rank_table)))
+        """For each global order g, the packed row of the columns where g's
+        voter reports another order."""
+        voter = self.ctx.voter_of
+        d = (np.arange(len(voter)) - self.ctx.order_base[voter]).astype(self.on_q.dtype)
+        return np.packbits(self.on_q[voter] != d[:, None], axis=1, bitorder="little")
 
     def build(self, ids):
-        """The packed rows of the keys ``ids``, shaped like ``rows``."""
-        order, x = np.divmod(ids, self.ctx.k)
-        v = self.ctx.voter_of[order]
-        changed = self.changed(order)
-        worse = self.outcome * self.ctx.le[order, x][:, :, None]
-        rows = [np.bitwise_or.reduce(worse, axis=1) & changed]
-        if self.accepts is not None:
-            rows.append(self.accepts[x, v] & changed)
-        return np.stack(rows, axis=1)
+        """The packed rows of the keys ``ids``, shaped like ``rows``; their
+        padding bits may be set, and :meth:`violations` clears them."""
+        ctx = self.ctx
+        order, x = np.divmod(ids, ctx.k)
+        before = np.packbits(ctx.beats[order, x].take(self.y, axis=1), axis=1, bitorder="little")
+        after = self.after[x, ctx.voter_of[order]]
+        return _meets(~self.moved[order], before, after, self.sections)
 
     def violations(self, p, x, props):
-        """The packed violation rows of the cells (P, x) over the columns,
-        one ``(cells, width)`` uint8 array per property in ``props``.
+        """The ``(cells, len(props), width)`` packed violation rows of the
+        cells (P, x) over the columns.
 
         The index arrays ``p`` (profiles) and ``x`` give the cells, at most
-        ``most`` of them.  Each cell gathers the rows of its
-        n keys (v, P_v, x) and :func:`_violations` combines them.  For ISP,
-        ``single`` is "some voter changed and no two did", from every
-        order's :meth:`changed` row, built when ISP is first asked for.
+        ``most`` of them.  Each cell ANDs the rows of its n keys (v, P_v, x)
+        per section; a property ORs its sections and keeps the columns
+        where y != x or, for ISP, where some voter changed and no two did,
+        from the :attr:`moved` rows.  The padding bits of those masks are 0,
+        so no result sets one.
         """
-        at = self.ctx.order_base[:, None] + self.ctx.digits[:, p]
-        rows = self.rows[self.slots(at * self.ctx.k + x)]
-        single = None
-        if "isp" in props:
-            one = two = 0
-            for moved in self.moved[at]:
-                two = two | one & moved
-                one = one | moved
-            single = one & ~two
-        accepted = rows[:, :, 1] if self.accepts is not None else None
-        return _violations(rows[:, :, 0], accepted, self.neq[x], props, single)
+        ctx = self.ctx
+        at = ctx.order_base[:, None] + ctx.digits[:, p]
+        met = np.bitwise_and.reduce(self.rows[self.slots(at * ctx.k + x)], axis=0)
+        met = dict(zip(self.sections, met.transpose(1, 0, 2)))
+        neq = self.neq[x]
+        out = np.empty((len(x), len(props), self.width), dtype=np.uint8)
+        for i, prop in enumerate(props):
+            mask = neq
+            if prop == "isp":
+                one = two = 0
+                for moved in self.moved[at]:
+                    two = two | one & moved
+                    one = one | moved
+                mask = one & ~two
+            out[:, i] = reduce(np.bitwise_or, map(met.get, _FAILS_ON[prop])) & mask
+        return out
 
 
 def _pair_scan(scf, wanted, max_profiles):
@@ -613,7 +599,7 @@ def _pair_scan(scf, wanted, max_profiles):
     ctx, table = _prepare(scf, max_profiles)
     count = ctx.count
     total = _require_pairs(count)
-    sections = tuple(s for s in _SECTIONS if any(s in _FAILS_ON[p] for p in wanted))
+    sections = _sections(wanted)
     seed, before, after, own, fails_on = ctx.elimination(sections)
     words = seed.take(table, axis=0).reshape(ctx.sizes + seed.shape[1:])
     # Voter v's axis is in front when v is eliminated, where a reduction
@@ -639,9 +625,9 @@ def _pair_scan(scf, wanted, max_profiles):
             results[prop] = (total, None)
             continue
         if i not in rows:
-            rows[i] = _failing_sections(ctx, table, i)
-        mask = sum(1 << _SECTIONS.index(s) for s in _FAILS_ON[prop])
-        cols = np.flatnonzero((rows[i] & mask != 0) & (table != table[i]))
+            rows[i] = _failing_sections(ctx, table, i, sections)
+        fails = [sections.index(s) for s in _FAILS_ON[prop]]
+        cols = np.flatnonzero(np.bitwise_or.reduce(rows[i][fails]) & (table != table[i]))
         if prop == "gsp":
             j, nth = _gsp_first(ctx, i, cols)
         else:
@@ -665,22 +651,22 @@ def _pair_scan(scf, wanted, max_profiles):
     return reports
 
 
-def _failing_sections(ctx, table, i):
-    """Per profile Q, the bits ``1 << s`` of the sections s of
-    ``_SECTIONS`` whose condition every voter meets at the pair (P, Q), P
-    being profile i.  Each voter v's condition at (Q_v, phi(Q)) is an
-    ``(m_v, k)`` table of those bits, gathered at ``digits[v] * k + phi``."""
-    x, k = table[i], ctx.k
-    meets = np.uint8(_ALL_SECTIONS)
+def _failing_sections(ctx, table, i, sections):
+    """``(len(sections), count)``: whether every voter meets each section's
+    condition at the pair (P, Q), per profile Q, P being profile i.  The
+    conditions at each global order as Q_v and each y = phi(Q) are one
+    ``(orders * k)`` table with a bit per section; voter v's part is
+    gathered at ``digits[v] * k + phi``."""
+    x, k, base = table[i], ctx.k, ctx.order_base
+    bit = 1 << np.arange(len(sections), dtype=np.uint8)
+    at_p = (base + ctx.digits[:, i])[ctx.voter_of]  # P_v, for each order of v
+    same = (np.arange(len(at_p)) == at_p)[:, None]
+    bits = (bit @ _meets(same, ctx.beats[at_p, x], ctx.beats[:, :, x], sections)).reshape(-1)
+    meets = bit.sum(dtype=np.uint8)
     for v, m in enumerate(ctx.sizes):
-        d = ctx.digits[v, i]
-        ranks = ctx.rank_table[ctx.order_base[v] : ctx.order_base[v] + m]
-        before = ranks[d] < ranks[d, x]  # y strictly better than x under P_v
-        after = ranks[:, x, None] < ranks  # x strictly better than y under Q_v
-        bits = (before * _ON_BEFORE | after * _ON_AFTER).astype(np.uint8)
-        bits[d] = _ALL_SECTIONS
-        meets = meets & bits.take(ctx.digits[v].astype(np.min_scalar_type(m * k)) * k + table)
-    return meets
+        at = ctx.digits[v].astype(np.min_scalar_type(m * k)) * k + table
+        meets = meets & bits[base[v] * k : (base[v] + m) * k].take(at)
+    return meets & bit[:, None] != 0
 
 
 def _gsp_witness(scf, digits, i, j, table) -> ManipulationWitness:
@@ -745,7 +731,7 @@ def check_pr_apr(
     *,
     max_profiles: int = DEFAULT_PROFILE_GUARD,
 ) -> dict[str, PropertyReport]:
-    """Both pairwise properties from a single scan."""
+    """Both PR and APR from a single scan."""
     return _pair_scan(scf, ("pr", "apr"), max_profiles)
 
 
@@ -820,7 +806,7 @@ class _CellRows:
         self.props, self.cols, self.kept = props, cols, None
         cells = np.arange(ctx.count * ctx.k) if cols is None else cols
         self.words = -(-len(cells) // 64)
-        self.keys = _KeyRows(ctx, *np.divmod(cells, ctx.k), "pr" in props or "apr" in props)
+        self.keys = _KeyRows(ctx, *np.divmod(cells, ctx.k), _sections(props))
         if cols is None:
             self.kept, self.keys = self.rows(cells), None
 
@@ -833,9 +819,8 @@ class _CellRows:
         keys = self.keys
         out = np.zeros((len(at), len(self.props), self.words * 8), dtype=np.uint8)
         for lo in range(0, len(at), keys.most):
-            viol = keys.violations(*np.divmod(at[lo : lo + keys.most], keys.ctx.k), self.props)
-            for i, prop in enumerate(self.props):
-                out[lo : lo + keys.most, i, : keys.width] = viol[prop]
+            cells = np.divmod(at[lo : lo + keys.most], keys.ctx.k)
+            out[lo : lo + keys.most, :, : keys.width] = keys.violations(*cells, self.props)
         return out.view(np.uint64)
 
     def onehot(self, at):
@@ -920,7 +905,8 @@ def table_verdicts(
 
 def revalidate_witness(scf: Scf, prop: str, witness: Any) -> bool:
     """Recompute a witness with plain :func:`evaluate` calls; a dictator
-    against the rule's table and the voter's top sets, in one pass."""
+    against the rule's table and the voter's top sets, in one pass.  A PR
+    violation re-validates only under the property of its own ``kind``."""
     if prop in ("isp", "gsp"):
         w: ManipulationWitness = witness
         if not w.coalition or len(w.coalition) != len(set(w.coalition)):
@@ -940,6 +926,8 @@ def revalidate_witness(scf: Scf, prop: str, witness: Any) -> bool:
         return True
     if prop in ("pr", "apr"):
         v: PrViolation = witness
+        if v.kind != prop:
+            return False
         a = evaluate(scf, v.profile_p)
         b = evaluate(scf, v.profile_q)
         if a != v.outcome_p or b != v.outcome_q or a == b:
@@ -951,7 +939,7 @@ def revalidate_witness(scf: Scf, prop: str, witness: Any) -> bool:
             rec = v.analysis[voter]
             if (wp, wq, ch) != (rec.weak_pref_p, rec.weak_pref_q, rec.changed):
                 return False
-        if v.kind == "pr":
+        if prop == "pr":
             return not any(
                 r.weak_pref_p and r.weak_pref_q and r.changed for r in v.analysis
             )
@@ -1060,8 +1048,9 @@ def witness_to_dict(prop: str, witness: Any, scf: Scf):
 def witness_from_dict(data: dict, scf: Scf):
     """Rebuild a witness from its serialized form (for replay/recheck).
 
-    Voter numbers are 1-based; one outside 1..n is a ParseError, and so is
-    a PR analysis whose entry i does not name voter i + 1.
+    Voter numbers are 1-based; one outside 1..n is a ParseError, and so are
+    a PR analysis whose entry i does not name voter i + 1 and a PR kind
+    other than "pr" and "apr".
     """
     from .orders import parse_order
 
@@ -1089,6 +1078,8 @@ def witness_from_dict(data: dict, scf: Scf):
             alts.index_of(data["outcome_dev"]),
         )
     if kind == "pr-violation":
+        if data["kind"] not in ("pr", "apr"):
+            raise ParseError(f"PR violation kind {data['kind']!r} is neither 'pr' nor 'apr'")
         p = _profile(data["profile_p"])
         q = _profile(data["profile_q"])
         analysis = tuple(

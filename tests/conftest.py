@@ -30,11 +30,17 @@ import pytest
 from prefrev import (
     AlternativeSet,
     Axis,
+    Domain,
+    FeasibleSet,
     ManipulationWitness,
+    Profile,
     PrViolation,
+    Scf,
     admissible_pair,
     iter_profiles,
+    parse_order,
     peak_position,
+    profile_index,
     resolves_indifference_at,
 )
 from prefrev.domains import CompletenessReport, ResolventGap
@@ -50,6 +56,19 @@ def abc():
 @pytest.fixture
 def abcd():
     return AlternativeSet.letters(4)
+
+
+@pytest.fixture
+def pr_not_apr_rule(abc):
+    """2 voters x @universal-strict over a,b,c; phi is a everywhere except
+    phi(a>c>b, b>c>a) = b.  PR fails at P = (a>b>c, b>a>c), Q = (a>c>b,
+    b>c>a): voter 1 keeps a and voter 2 accepts b, but neither does both,
+    so that pair is no APR violation."""
+    domain = Domain.shared(FeasibleSet.universal_strict(abc), 2)
+    values = [0] * domain.profile_count()
+    q = Profile(tuple(parse_order(text, abc) for text in ("a>c>b", "b>c>a")))
+    values[profile_index(domain, q)] = 1
+    return Scf.from_table(domain, values)
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,26 @@ def test_check_recheck_rejects_tampered_witness(capsys, tmp_path, paper_scf_path
     assert "INVALID" in out2
 
 
+def test_recheck_judges_a_pr_violation_by_its_own_kind(capsys, tmp_path, pr_not_apr_rule):
+    # PR's witness pair, filed under APR, is no APR violation; a kind other
+    # than pr and apr is a malformed witness.
+    scf_path = str(tmp_path / "rule.json")
+    save_scf(pr_not_apr_rule, scf_path)
+    _, out, _ = run(capsys, "check", scf_path, "--properties", "pr", "--output", "json")
+    doc = json.loads(out)
+    report_path = tmp_path / "report.json"
+    doc["reports"][0]["property"] = "apr"
+    report_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", scf_path, "--recheck-witness", str(report_path))
+    assert (code, out, err) == (2, "apr: witness INVALID\ninvalid witness\n", "")
+    doc["reports"][0]["property"] = "pr"
+    doc["reports"][0]["witness"]["kind"] = "zz"
+    report_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", scf_path, "--recheck-witness", str(report_path))
+    assert (code, out) == (1, "")
+    assert err == "error: PR violation kind 'zz' is neither 'pr' nor 'apr'\n"
+
+
 def _voter_zero_dictator(report):
     return {"reports": [{"property": "dictator", "holds": True,
                          "witness": {"type": "dictator", "voter": 0}}]}

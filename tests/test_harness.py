@@ -453,9 +453,9 @@ def _key_columns(monkeypatch):
     made = []
     init = properties._KeyRows.__init__
 
-    def spy(self, ctx, q, y, pairwise):
+    def spy(self, ctx, q, y, sections):
         made.append(list(zip(np.asarray(q).tolist(), np.asarray(y).tolist())))
-        init(self, ctx, q, y, pairwise)
+        init(self, ctx, q, y, sections)
 
     monkeypatch.setattr(properties._KeyRows, "__init__", spy)
     return made

@@ -1,5 +1,6 @@
 """Property checkers: witnesses, oracle agreement, determinism, counts."""
 
+import dataclasses
 import gc
 import itertools
 import json
@@ -15,6 +16,7 @@ from prefrev import (
     Domain,
     FeasibleSet,
     ManipulationWitness,
+    ParseError,
     Profile,
     ResourceGuardError,
     Scf,
@@ -472,6 +474,27 @@ def test_witness_serialization_round_trip(paper_rule):
         assert revalidate_witness(paper_rule, prop, again)
 
 
+def test_a_pr_violation_revalidates_only_under_its_own_kind(pr_not_apr_rule, paper_rule):
+    scf = pr_not_apr_rule
+    report = check_pr(scf)
+    data = witness_to_dict("pr", report.witness, scf)
+    assert (data["kind"], data["profile_p"], data["profile_q"]) == (
+        "pr", ["a>b>c", "b>a>c"], ["a>c>b", "b>c>a"]
+    )
+    assert revalidate_witness(scf, "pr", report.witness)
+    assert not revalidate_witness(scf, "apr", report.witness)
+    as_apr = dataclasses.replace(report.witness, kind="apr")
+    assert not revalidate_witness(scf, "apr", as_apr)
+    # An APR violation is a PR violation too, but its witness is filed as
+    # APR's.
+    apr = check_apr(paper_rule).witness
+    assert revalidate_witness(paper_rule, "apr", apr)
+    assert not revalidate_witness(paper_rule, "pr", apr)
+    for kind in ("zz", "PR", None, ["pr"]):
+        with pytest.raises(ParseError, match="is neither 'pr' nor 'apr'"):
+            witness_from_dict({**data, "kind": kind}, scf)
+
+
 def test_dictator_failure_witness_round_trip(abc):
     domain = Domain.shared(FeasibleSet.universal_strict(abc), 2)
     phi = builtin("constant", domain, alternative="c")
@@ -628,6 +651,32 @@ def test_table_verdicts_without_cached_rows_match_the_naive_oracles(monkeypatch,
     assert {p: v.tolist() for p, v in verdicts.items()} == {
         p: v.tolist() for p, v in cached.items()
     }
+
+
+@pytest.mark.parametrize("cache", [None, 0])
+def test_isp_verdict_rows_lie_inside_the_other_pair_rows(monkeypatch, cache):
+    # The search relies on it: a pair that breaks ISP breaks GSP, PR and APR
+    # too, so a table outside ISP fails all four properties and a search by
+    # ISP alone keeps every table where any of them holds.
+    import numpy as np
+
+    if cache is not None:
+        monkeypatch.setattr(properties, "_KEY_CACHE_BYTES", cache)
+    props = ("isp", "gsp", "pr", "apr")
+    rng = random.Random(20240513)
+    isp = strict = 0
+    for _ in range(60):
+        domain = _uneven_domain(rng)
+        ctx = domain._scan_context
+        cells = np.arange(ctx.count * ctx.k)
+        rows = properties._cell_source(ctx, props, lambda: cells).rows(cells)
+        assert (ctx.verdict_rows is None) == (cache == 0)
+        for i in (1, 2, 3):
+            assert not (rows[:, 0] & ~rows[:, i]).any(), props[i]
+        isp += bool(rows[:, 0].any())
+        strict += bool((rows[:, 1] & ~rows[:, 0]).any())
+    # Not vacuous: ISP breaks somewhere, and GSP where ISP does not.
+    assert isp and strict
 
 
 @pytest.mark.parametrize("orders, voters", [
@@ -987,15 +1036,20 @@ _EDGE_TABLES = {
 }
 
 
-@pytest.mark.parametrize("cells", [90, 72, 40, 32, 20, 16, 8, 1, None])
+@pytest.mark.parametrize("cells", [120, 90, 80, 72, 40, 32, 20, 16, 8, 1, None])
 def test_buffered_pair_pass_on_first_last_and_split_blocks(monkeypatch, cells):
-    # The verdict rows past the cache, over a table's own 9 cells: a
-    # profile row gathers 2 voters' packed 2-byte key rows, 4 bytes for GSP
-    # and 8 for PR and APR, which gather an accepts row too.  So 40 gives PR
-    # and APR the 5-row blocks the tables were picked for and 20 gives them
-    # to GSP; 32 and 16 give four rows and a one-row last block, 16 and 8
-    # two rows, 1 a block per row, and 90, 72 and the default one block.
-    # With the cache, every cell's rows are built in calls of as many cells.
+    # Past the cache, one table a call, the verdict rows are over the
+    # table's own 9 cells, one word a property, and the P rows are taken in
+    # blocks of _BLOCK_CELLS // (8 bytes a property).  For one property, 40
+    # gives the 5-row blocks the tables were picked for, 32 four rows and a
+    # one-row last block, 20 and 16 two rows, 8 and 1 a row, and 72, more
+    # and the default one block; for all three, 120 gives 5 rows, 90 and 72
+    # three, and 40 and less one.  The key rows there are a 2-byte row per
+    # voter and section: 4 bytes a cell for GSP and for PR, 8 for APR and 12
+    # for all three, so they never split a block further.  With the cache,
+    # every cell's rows are built in calls of _BLOCK_CELLS // (8, 8, 16 and
+    # 24 bytes a cell, over 27 columns) cells: 40 gives GSP and PR calls of
+    # 5 cells, 80 gives them to APR and 120 to all three.
     # The checkers, which take no blocks, give the reference scans' docs.
     import numpy as np
 
