@@ -229,7 +229,10 @@ def cmd_check(args) -> int:
                     continue
                 prop = rep["property"]
                 witness = witness_from_dict(rep["witness"], scf)
-                valid = revalidate_witness(scf, prop, witness)
+                try:
+                    valid = revalidate_witness(scf, prop, witness)
+                except ArgumentError as exc:
+                    raise ParseError(f"{args.recheck_witness}: {exc}") from None
                 all_valid = all_valid and valid
                 results.append({"property": prop, "valid": valid})
         doc = {"command": "recheck-witness", "seed": args.seed,

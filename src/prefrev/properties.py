@@ -87,7 +87,7 @@ import numpy as np
 from .errors import ArgumentError, ParseError, ResourceGuardError
 from .orders import WeakOrder, format_order
 from .domains import DEFAULT_PROFILE_GUARD, Domain
-from .scf import Profile, Scf, evaluate, profile_at, profile_strides, tabulate
+from .scf import Profile, Scf, chunk_digits, evaluate, profile_at, profile_strides, tabulate
 
 #: Most ordered profile pairs (P, Q) the GSP, PR and APR checkers and the
 #: verdict rows of ISP, GSP, PR and APR admit, on top of the profile guard.
@@ -204,11 +204,10 @@ class _Ctx:
     @cached_property
     def digits(self):
         """``(n, count)``: each voter's order index at every profile, in the
-        smallest unsigned dtype that holds it."""
-        idx = np.arange(self.count, dtype=np.min_scalar_type(self.count))
-        return np.stack([
-            (idx // stride) % size for stride, size in zip(self.strides, self.sizes)
-        ]).astype(np.min_scalar_type(max(self.sizes)))
+        smallest unsigned dtype that holds it; the grid of the set sizes,
+        with no profile number divided."""
+        dtype = np.min_scalar_type(max(self.sizes))
+        return np.indices(self.sizes, dtype).reshape(self.n, self.count)
 
     @cached_property
     def beats(self):
@@ -268,33 +267,31 @@ class _Ctx:
 
     @cached_property
     def chunks(self):
-        """What :meth:`key_blocks` needs of the domain: ``(span,
+        """What :meth:`key_blocks` needs of the domain: ``(span, head,
         line_strides, tail)``.
 
-        The serial scans take profiles in chunks of ``span`` consecutive
-        ones, the largest stride (or the whole space) of at most about
-        ``_FIRST_CELLS / n`` profiles.  In profile ``c * span + s`` a voter
-        whose stride is below ``span`` reads their order from s, and the
-        others from the chunk's first profile, ``c * span``.
-        ``tail`` holds the keys less phi and the line numbers of each
-        profile s of chunk 0; chunk c adds to both.  ``line_strides[v, u]``
-        is voter u's stride in the numbering of voter v's lines: C order
-        over the other voters' orders, after the lines of voters 0..v-1.
+        The serial scans take profiles in the chunks of
+        :func:`~prefrev.scf.chunk_digits` for ``_FIRST_CELLS`` cells:
+        ``span`` consecutive profiles, the largest stride (or the whole
+        space) of at most about ``_FIRST_CELLS / n``, and ``head`` gives
+        the digits of a block of chunks' first profiles.  ``tail`` holds
+        the keys less phi and the line numbers of each profile s of chunk
+        0; chunk c adds to both.  ``line_strides[v, u]`` is voter u's
+        stride in the numbering of voter v's lines: C order over the other
+        voters' orders, after the lines of voters 0..v-1.
         """
+        span, digits, head = chunk_digits(self.sizes, _FIRST_CELLS)
         strides = np.array(self.strides)[:, None]
         sizes = np.array(self.sizes)[:, None]
-        cap = max(1, _FIRST_CELLS // self.n)
-        span = next(s for s in (self.count,) + self.strides if s <= cap)
         # Voter v's lines leave out v's axis, so a voter u before v
         # strides m_v times less.
         before = np.tri(self.n, dtype=bool)
         line_strides = np.where(before, strides.T // sizes, strides.T)
         np.fill_diagonal(line_strides, 0)
-        digits = np.arange(span) // strides % sizes
         keys = (self.order_base[:, None] + digits) * self.k
         line_base = np.cumsum([0] + [self.count // m for m in self.sizes[:-1]])
         lines = line_strides @ digits + line_base[:, None]
-        return span, line_strides, (keys[:, None], lines[:, None])
+        return span, head, line_strides, (keys[:, None], lines[:, None])
 
     def key_blocks(self, table, lines=False):
         """``(lo, keys, lines)`` for blocks of consecutive profiles from lo,
@@ -304,13 +301,12 @@ class _Ctx:
         ``rank_table`` and of its row in ISP's ``better``.  ``lines[v, r]``
         numbers v's line through P (or is None unless asked for).  Nothing
         is divided per profile, and no block builds a whole-space array."""
-        span, line_strides, (tail_keys, tail_lines) = self.chunks
-        strides, sizes = np.array(self.strides)[:, None], np.array(self.sizes)[:, None]
+        span, head, line_strides, (tail_keys, tail_lines) = self.chunks
         chunks = table.reshape(-1, span)
         for lo, hi in _growing_blocks(self.count // span, self.n * span):
             keys, at = tail_keys, tail_lines
             if span < self.count:
-                digits = np.arange(lo, hi) * span // strides % sizes
+                digits = head(lo, hi)
                 keys = keys + (digits * self.k)[:, :, None]
                 if lines:
                     at = at + (line_strides @ digits)[:, :, None]
@@ -903,10 +899,37 @@ def table_verdicts(
 # ---------------------------------------------------------------------------
 
 
+#: The witness types each property reports, as files name them.
+WITNESS_TYPES = {
+    "isp": ("manipulation",),
+    "gsp": ("manipulation",),
+    "pr": ("pr-violation",),
+    "apr": ("pr-violation",),
+    "dictator": ("dictator", "dictator-failure"),
+}
+
+
+def _witness_type(witness) -> str:
+    """A witness's type, as files name it; else its class name."""
+    for name, cls in (
+        ("manipulation", ManipulationWitness), ("pr-violation", PrViolation),
+        ("dictator", int), ("dictator-failure", tuple),
+    ):
+        if isinstance(witness, cls):
+            return name
+    return type(witness).__name__
+
+
 def revalidate_witness(scf: Scf, prop: str, witness: Any) -> bool:
     """Recompute a witness with plain :func:`evaluate` calls; a dictator
     against the rule's table and the voter's top sets, in one pass.  A PR
-    violation re-validates only under the property of its own ``kind``."""
+    violation re-validates only under the property of its own ``kind``.
+    A witness of a type the property does not report is an ArgumentError."""
+    if prop not in WITNESS_TYPES:
+        raise ArgumentError(f"unknown property {prop!r}")
+    kind = _witness_type(witness)
+    if kind not in WITNESS_TYPES[prop]:
+        raise ArgumentError(f"a {kind!r} witness does not stand for property {prop!r}")
     if prop in ("isp", "gsp"):
         w: ManipulationWitness = witness
         if not w.coalition or len(w.coalition) != len(set(w.coalition)):
@@ -947,26 +970,24 @@ def revalidate_witness(scf: Scf, prop: str, witness: Any) -> bool:
             any(r.weak_pref_p and r.changed for r in v.analysis)
             and any(r.weak_pref_q and r.changed for r in v.analysis)
         )
-    if prop == "dictator":
-        if isinstance(witness, int):
-            # The voter's order at profile i is i // stride % m; phi(P) must
-            # be among that order's tops at every profile.
-            orders = scf.domain.feasible[witness]
-            tops = np.array(
-                [[z in order.top_set() for z in range(scf.domain.k)] for order in orders]
-            )
-            table = tabulate(scf).table
-            at = np.arange(len(table)) // profile_strides(scf.domain)[witness] % len(orders)
-            return bool(tops[at, table].all())
-        counters: tuple[DictatorCounter, ...] = witness
-        if sorted(c.voter for c in counters) != list(range(scf.domain.n)):
-            return False
-        return all(
-            evaluate(scf, c.profile) == c.outcome
-            and c.outcome not in c.profile[c.voter].top_set()
-            for c in counters
+    if kind == "dictator":
+        # The voter's order at profile i is i // stride % m; phi(P) must
+        # be among that order's tops at every profile.
+        orders = scf.domain.feasible[witness]
+        tops = np.array(
+            [[z in order.top_set() for z in range(scf.domain.k)] for order in orders]
         )
-    raise ArgumentError(f"unknown property {prop!r}")
+        table = tabulate(scf).table
+        at = np.arange(len(table)) // profile_strides(scf.domain)[witness] % len(orders)
+        return bool(tops[at, table].all())
+    counters: tuple[DictatorCounter, ...] = witness
+    if sorted(c.voter for c in counters) != list(range(scf.domain.n)):
+        return False
+    return all(
+        evaluate(scf, c.profile) == c.outcome
+        and c.outcome not in c.profile[c.voter].top_set()
+        for c in counters
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1000,9 +1021,10 @@ def witness_to_dict(prop: str, witness: Any, scf: Scf):
     alts = scf.domain.alts
     if witness is None:
         return None
-    if isinstance(witness, ManipulationWitness):
+    kind = _witness_type(witness)
+    if kind == "manipulation":
         return {
-            "type": "manipulation",
+            "type": kind,
             "coalition": [v + 1 for v in witness.coalition],
             "truthful": _profile_strs(witness.truthful, alts),
             "deviation": {
@@ -1012,9 +1034,9 @@ def witness_to_dict(prop: str, witness: Any, scf: Scf):
             "outcome_true": alts.names[witness.outcome_true],
             "outcome_dev": alts.names[witness.outcome_dev],
         }
-    if isinstance(witness, PrViolation):
+    if kind == "pr-violation":
         return {
-            "type": "pr-violation",
+            "type": kind,
             "kind": witness.kind,
             "profile_p": _profile_strs(witness.profile_p, alts),
             "profile_q": _profile_strs(witness.profile_q, alts),
@@ -1030,8 +1052,8 @@ def witness_to_dict(prop: str, witness: Any, scf: Scf):
                 for rec in witness.analysis
             ],
         }
-    if isinstance(witness, int):
-        return {"type": "dictator", "voter": witness + 1}
+    if kind == "dictator":
+        return {"type": kind, "voter": witness + 1}
     return {
         "type": "dictator-failure",
         "candidates": [
@@ -1049,8 +1071,8 @@ def witness_from_dict(data: dict, scf: Scf):
     """Rebuild a witness from its serialized form (for replay/recheck).
 
     Voter numbers are 1-based; one outside 1..n is a ParseError, and so are
-    a PR analysis whose entry i does not name voter i + 1 and a PR kind
-    other than "pr" and "apr".
+    a PR analysis without n entries or whose entry i does not name voter
+    i + 1, and a PR kind other than "pr" and "apr".
     """
     from .orders import parse_order
 
@@ -1089,6 +1111,8 @@ def witness_from_dict(data: dict, scf: Scf):
             )
             for rec in data["analysis"]
         )
+        if len(analysis) != n:
+            raise ParseError(f"PR analysis needs {n} entries, one per voter; it has {len(analysis)}")
         if any(rec.voter != i for i, rec in enumerate(analysis)):
             raise ParseError("PR analysis entries must name voters 1..n in order")
         return PrViolation(

@@ -19,9 +19,10 @@ society: the base rule's voter v reads column ``assignment[v]``, and the
 anonymous rules (median-peaks, plurality-tiebreak) count each class once
 per voter assigned to it, so a clone costs its class count, not its
 voters.  :func:`evaluate` makes a one-row call, :func:`tabulate` feeds
-blocks of profile indices split into digits, and the quotient reduction
-feeds its sampled profiles.  Blocks hold about ``_EVAL_CELLS``
-(row, voter) cells.
+blocks of whole chunks of :func:`chunk_digits` (each block's chunk heads
+added to the one chunk's digits, no profile number divided), and the
+quotient reduction feeds its sampled profiles.  Blocks hold about
+``_EVAL_CELLS`` (row, voter) cells.
 """
 
 from __future__ import annotations
@@ -112,6 +113,28 @@ def profile_index(domain: Domain, profile: Profile) -> int:
     digits = profile_digits(domain, profile)
     strides = profile_strides(domain)
     return sum(d * s for d, s in zip(digits, strides))
+
+
+def chunk_digits(sizes: Sequence[int], cells: int):
+    """``(span, tail, head)``: the profile space of voters with ``sizes``
+    orders, in chunks of ``span`` consecutive profiles, the largest stride
+    (or the whole space) of at most ``cells / n``.  ``tail`` ``(n, span)``
+    holds the digits of chunk 0, built once from the sizes of the voters
+    whose stride is below ``span``.  ``head(lo, hi)`` ``(n, hi - lo)``
+    holds those of the first profiles of chunks lo..hi-1, from the chunk
+    numbers alone.  Profile ``c * span + s`` has the digits ``head[c] +
+    tail[s]``: no profile number is divided.
+    """
+    strides = np.cumprod((1,) + tuple(sizes[:0:-1]))[::-1]
+    cap = max(1, cells // len(sizes))
+    span = next(int(s) for s in (strides[0] * sizes[0], *strides) if s <= cap)
+    tail = np.indices([m if s < span else 1 for m, s in zip(sizes, strides)])
+    radix = np.array([strides, sizes])[:, :, None]
+
+    def head(lo, hi):
+        return np.arange(lo, hi) * span // radix[0] % radix[1]
+
+    return span, tail.reshape(len(sizes), span), head
 
 
 def profile_at(domain: Domain, index: int) -> Profile:
@@ -368,14 +391,14 @@ def tabulate(scf: Scf, guard: int = DEFAULT_PROFILE_GUARD) -> Scf:
     domain = scf.domain
     count = domain.require_enumerable(guard)
     kernel = rule_kernel(scf)
-    strides = np.array(profile_strides(domain))
-    sizes = np.array([len(fs) for fs in domain.feasible])
-    step = max(1, _EVAL_CELLS // domain.n)
-    values = np.empty(count, dtype=np.uint8)
-    for lo in range(0, count, step):
-        hi = min(lo + step, count)
-        values[lo:hi] = kernel(np.arange(lo, hi)[:, None] // strides % sizes)
-    return Scf(domain, table=values)
+    span, tail, head = chunk_digits([len(fs) for fs in domain.feasible], _EVAL_CELLS)
+    step = max(1, _EVAL_CELLS // (domain.n * span))
+    values = np.empty((count // span, span), dtype=np.uint8)
+    for lo in range(0, len(values), step):
+        hi = min(lo + step, len(values))
+        digits = head(lo, hi).T[:, None] + tail.T
+        values[lo:hi] = kernel(digits.reshape(-1, domain.n)).reshape(-1, span)
+    return Scf(domain, table=values.ravel())
 
 
 def range_of(scf: Scf, guard: int = DEFAULT_PROFILE_GUARD) -> frozenset[int]:

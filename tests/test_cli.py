@@ -282,6 +282,24 @@ def test_recheck_judges_a_pr_violation_by_its_own_kind(capsys, tmp_path, pr_not_
     assert err == "error: PR violation kind 'zz' is neither 'pr' nor 'apr'\n"
 
 
+@pytest.mark.parametrize("prop", ["pr", "dictator"])
+def test_recheck_refuses_a_witness_filed_under_another_property(
+    capsys, tmp_path, paper_scf_path, prop
+):
+    # An ISP manipulation filed under PR or dictatorship is one error line
+    # naming the file, the witness type and the property.
+    _, out, _ = run(capsys, "check", paper_scf_path, "--properties", "isp", "--output", "json")
+    doc = json.loads(out)
+    doc["reports"][0]["property"] = prop
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", paper_scf_path, "--recheck-witness", str(report_path))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: {report_path}: a 'manipulation' witness does not stand for property {prop!r}\n"
+    )
+
+
 def _voter_zero_dictator(report):
     return {"reports": [{"property": "dictator", "holds": True,
                          "witness": {"type": "dictator", "voter": 0}}]}
@@ -299,6 +317,11 @@ def _voter_zero_coalition(report):
     return report
 
 
+def _truncated_analysis(report):
+    del report["reports"][0]["witness"]["analysis"][1:]
+    return report
+
+
 def _analysis_voters(*voters):
     def edit(report):
         for rec, voter in zip(report["reports"][0]["witness"]["analysis"], voters):
@@ -313,13 +336,15 @@ def _analysis_voters(*voters):
     ("paper", "isp", _voter_zero_coalition),
     ("paper", "pr", _analysis_voters(11, 12)),
     ("paper", "pr", _analysis_voters(2, 1)),
+    ("paper", "pr", _truncated_analysis),
 ], ids=["dictator", "dictator-failure", "manipulation", "pr-violation",
-        "analysis-order"])
+        "analysis-order", "analysis-length"])
 def test_recheck_rejects_voters_outside_the_society(
     capsys, request, tmp_path, abc, scf, prop, edit
 ):
     # Voter numbers are 1-based: 0 would index the last voter, and 11 or 12
-    # name voters a 2-voter society does not have.
+    # name voters a 2-voter society does not have.  An analysis needs one
+    # entry per voter.
     if scf == "dictator":
         domain = Domain.shared(FeasibleSet.universal_weak(abc), 2)
         scf_path = str(tmp_path / "dictator.json")

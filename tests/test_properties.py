@@ -17,6 +17,7 @@ from prefrev import (
     FeasibleSet,
     ManipulationWitness,
     ParseError,
+    PrefrevError,
     Profile,
     ResourceGuardError,
     Scf,
@@ -495,6 +496,29 @@ def test_a_pr_violation_revalidates_only_under_its_own_kind(pr_not_apr_rule, pap
             witness_from_dict({**data, "kind": kind}, scf)
 
 
+@pytest.mark.parametrize("prop", ["pr", "apr", "dictator"])
+def test_a_witness_of_another_propertys_type_is_an_argument_error(paper_rule, prop):
+    # A manipulation stands only for ISP and GSP: filed under a property
+    # that reports another type, it is refused, not read as that type.
+    witness = check_isp(paper_rule).witness
+    with pytest.raises(PrefrevError) as info:
+        revalidate_witness(paper_rule, prop, witness)
+    assert str(info.value) == f"a 'manipulation' witness does not stand for property {prop!r}"
+    for fits, types in properties.WITNESS_TYPES.items():
+        assert ("manipulation" in types) == (fits in ("isp", "gsp"))
+    with pytest.raises(PrefrevError, match="unknown property 'zz'"):
+        revalidate_witness(paper_rule, "zz", witness)
+
+
+def test_a_pr_analysis_needs_one_entry_per_voter(paper_rule):
+    # A truncated analysis names voters 1..m in order, m < n: it is refused
+    # when read, not when re-validation indexes past it.
+    data = witness_to_dict("pr", check_pr(paper_rule).witness, paper_rule)
+    with pytest.raises(ParseError) as info:
+        witness_from_dict({**data, "analysis": data["analysis"][:1]}, paper_rule)
+    assert str(info.value) == "PR analysis needs 2 entries, one per voter; it has 1"
+
+
 def test_dictator_failure_witness_round_trip(abc):
     domain = Domain.shared(FeasibleSet.universal_strict(abc), 2)
     phi = builtin("constant", domain, alternative="c")
@@ -954,6 +978,38 @@ def test_key_blocks_give_every_profiles_orders_and_lines(monkeypatch, cells):
             line = np.ravel_multi_index(ctx.digits[others], [sizes[u] for u in others])
             assert (lines[v] == base + line).all(), (sizes, v)
             base += ctx.count // sizes[v]
+
+
+@pytest.mark.parametrize("cells", [1, 7, 60, 1 << 12])
+def test_context_digits_and_chunks_match_the_division_formulas(monkeypatch, cells):
+    # The grid-built digits and chunks are what dividing each profile
+    # number by the strides gave, dtype included.
+    import numpy as np
+
+    monkeypatch.setattr(properties, "_FIRST_CELLS", cells)
+    alts = AlternativeSet.letters(3)
+    weak = list(FeasibleSet.universal_weak(alts))
+    for sizes in ((3, 1, 2, 3), (1, 5), (2, 2, 2), (13, 1, 1), (7,), (1, 1, 7, 2), (13, 13, 13, 13)):
+        domain = Domain(tuple(FeasibleSet.explicit(alts, weak[:m]) for m in sizes))
+        ctx = domain._scan_context
+        n, count, k = ctx.n, ctx.count, ctx.k
+        strides, radix = np.array(ctx.strides)[:, None], np.array(sizes)[:, None]
+        idx = np.arange(count, dtype=np.min_scalar_type(count))
+        digits = np.stack([
+            (idx // stride) % size for stride, size in zip(ctx.strides, sizes)
+        ]).astype(np.min_scalar_type(max(sizes)))
+        assert ctx.digits.dtype == digits.dtype
+        assert (ctx.digits == digits).all()
+        span, head, line_strides, (keys, lines) = ctx.chunks
+        assert span == next(s for s in (count,) + ctx.strides if s <= max(1, cells // n))
+        assert (line_strides == np.where(
+            np.tri(n, dtype=bool), strides.T // radix, strides.T
+        ) * (1 - np.eye(n, dtype=int))).all()
+        first = np.arange(span) // strides % radix
+        line_base = np.cumsum([0] + [count // m for m in sizes[:-1]])
+        assert (keys[:, 0] == (ctx.order_base[:, None] + first) * k).all()
+        assert (lines[:, 0] == line_strides @ first + line_base[:, None]).all()
+        assert (head(0, count // span) == np.arange(0, count, span) // strides % radix).all()
 
 
 @pytest.mark.parametrize("cells", [1, 6, 20])

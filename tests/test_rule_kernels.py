@@ -172,6 +172,68 @@ def test_tabulate_blocks_of_a_clone_count_its_class_columns(monkeypatch):
     assert table.tobytes() == reference_table(clone).tobytes()
 
 
+#: Set sizes with one voter, a one-order voter first, in the middle and
+#: last, and unequal sets.
+_GRIDS = [(5,), (2, 6), (1, 4, 3), (4, 1, 3), (3, 4, 1), (2, 5, 3, 4)]
+
+
+def _grid_rules(sizes):
+    """Every built-in rule and two clones on voters with ``sizes`` orders:
+    weak orders at k=4, and strict single-peaked ones for the median."""
+    alts = AlternativeSet.letters(4)
+    weak = list(enumerate_weak_orders(4))
+    strict = list(enumerate_single_peaked(4, Axis.identity(4), strict=True))
+    domain = Domain(tuple(FeasibleSet.explicit(alts, weak[5 * v:5 * v + m]) for v, m in enumerate(sizes)))
+    peaked = Domain(tuple(FeasibleSet.explicit(alts, strict[v:v + m]) for v, m in enumerate(sizes)))
+    n, reverse = len(sizes), (3, 1, 2, 0)
+    yield builtin("constant", domain, alternative=2)
+    for voter in (0, n - 1):
+        yield builtin("dictator-tiebreak", domain, voter=voter, tiebreak=reverse)
+    yield builtin("plurality-tiebreak", domain, tiebreak=reverse)
+    if n == 2:
+        yield builtin("paper-example", domain)
+    yield builtin("median-peaks", peaked)
+    assignment = [n - 1, 0, 0] + list(range(n))
+    for rule, on in (("plurality-tiebreak", domain), ("median-peaks", peaked)):
+        blown = Domain(tuple(on.feasible[c] for c in assignment))
+        base = builtin(rule, blown).rule
+        yield builtin("cloned", on, base=base, assignment=assignment)
+
+
+@pytest.mark.parametrize("sizes", _GRIDS, ids=lambda sizes: "x".join(map(str, sizes)))
+def test_tabulate_builds_digits_from_the_grid(monkeypatch, sizes):
+    # Blocks of whole chunks, each chunk's digits its head plus the first
+    # chunk's, at every block size from one cell to one block past the
+    # profile space: one block below and at the profile count, and many
+    # blocks past it, some with a short last one.
+    n, count = len(sizes), int(np.prod(sizes))
+    rows = []
+    factory = scf_module.rule_kernel
+
+    def recording(scf):
+        kernel = factory(scf)
+
+        def run(digits):
+            rows.append(len(digits))
+            return kernel(digits)
+
+        return run
+
+    monkeypatch.setattr(scf_module, "rule_kernel", recording)
+    seen = set()
+    for phi in _grid_rules(sizes):
+        expected = reference_table(phi).tobytes()
+        for cells in [1] + [n * cap for cap in range(1, count + 2)]:
+            monkeypatch.setattr(scf_module, "_EVAL_CELLS", cells)
+            rows.clear()
+            assert tabulate(phi).table.tobytes() == expected, (cells, phi.rule)
+            assert sum(rows) == count and max(rows) * n <= max(cells, n)
+            regime = (cells // n > count) - (cells // n < count)
+            assert (len(rows) == 1) == (regime >= 0)
+            seen |= {regime, "short last" if rows[-1] < rows[0] else "whole last"}
+    assert seen == {-1, 0, 1, "short last", "whole last"}
+
+
 @st.composite
 def clone_cases(draw):
     """``(clone, blown rule scf, class digit rows)``: a built-in rule on a
