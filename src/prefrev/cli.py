@@ -228,10 +228,10 @@ def cmd_check(args) -> int:
                 if rep.get("holds", False) and "witness" not in rep:
                     continue
                 prop = rep["property"]
-                witness = witness_from_dict(rep["witness"], scf)
                 try:
+                    witness = witness_from_dict(rep["witness"], scf)
                     valid = revalidate_witness(scf, prop, witness)
-                except ArgumentError as exc:
+                except (ArgumentError, ParseError) as exc:
                     raise ParseError(f"{args.recheck_witness}: {exc}") from None
                 all_valid = all_valid and valid
                 results.append({"property": prop, "valid": valid})

@@ -18,16 +18,28 @@ base rule's kernel on its own class columns, never on the blown-up
 society: the base rule's voter v reads column ``assignment[v]``, and the
 anonymous rules (median-peaks, plurality-tiebreak) count each class once
 per voter assigned to it, so a clone costs its class count, not its
-voters.  :func:`evaluate` makes a one-row call, :func:`tabulate` feeds
-blocks of whole chunks of :func:`chunk_digits` (each block's chunk heads
-added to the one chunk's digits, no profile number divided), and the
-quotient reduction feeds its sampled profiles.  Blocks hold about
-``_EVAL_CELLS`` (row, voter) cells.
+voters.  :func:`evaluate` makes a one-row call, and the quotient reduction
+feeds its sampled profiles.
+
+Beside its kernel, each rule declares what the kernel reads of each
+voter's order (:func:`rule_reads`), from the same arrays: nothing (every
+voter of a constant, every voter but a dictator), a key (plurality's and
+the median's unique top, or a spare class for a tied top; the paper
+example's first voter's set of tops), or the whole order (the dictator's,
+the paper example's second voter's, each class's of a clone).
+:func:`tabulate` runs the kernel on the grid of one order per class of
+equal key, in blocks of whole chunks of :func:`chunk_digits` (each block's
+chunk heads added to the one chunk's digits, no profile number divided),
+and spreads the grid over the profile space with one ``take`` per keyed
+voter.  A voter whose whole order is read keeps all their orders in the
+grid, so a rule that reads every voter whole runs on every profile.
+Blocks hold about ``_EVAL_CELLS`` (row, voter) cells.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -198,7 +210,7 @@ _EVAL_CELLS = 1 << 16
 
 
 def _order_arrays(domain: Domain):
-    """``(base, ranks, top)`` for the rule kernels.
+    """``(base, ranks, top)`` for the rule kernels and their reads.
 
     Voter v's order d has rank vector ``ranks[base[v] + d]`` and unique top
     alternative ``top[base[v] + d]``, or k when the top is tied.  Voters
@@ -234,13 +246,23 @@ def _tally(bins, width, weights):
     return np.bincount(flat.ravel(), weights, minlength=width * rows).reshape(width, rows)
 
 
-def _kernel_constant(params, domain, assignment=None):
+def _nothing(arrays):
+    """A key that puts every order row in one class: a voter the kernel
+    does not read."""
+    return np.zeros(len(arrays[2]), dtype=np.uint8)
+
+
+def _kernel_constant(params, domain, arrays, assignment=None):
     alternative = params["alternative"]
     return lambda digits: np.full(len(digits), alternative, dtype=np.intp)
 
 
-def _kernel_dictator(params, domain, assignment=None):
-    base, ranks, _ = _order_arrays(domain)
+def _reads_constant(params, domain, arrays):
+    return (_nothing(arrays),) * domain.n
+
+
+def _kernel_dictator(params, domain, arrays, assignment=None):
+    base, ranks, _ = arrays
     v = (assignment or range(domain.n))[params["voter"]]
     tiebreak = np.array(params["tiebreak"])
     # The first alternative of the tie-break among each order's tops.
@@ -248,12 +270,19 @@ def _kernel_dictator(params, domain, assignment=None):
     return lambda digits: choice[base[v] + digits[:, v]]
 
 
-def _kernel_paper_example(params, domain, assignment=None):
+def _reads_dictator(params, domain, arrays):
+    # The dictator's whole order; nothing of anyone else's.
+    reads = [_nothing(arrays)] * domain.n
+    reads[params["voter"]] = None
+    return tuple(reads)
+
+
+def _kernel_paper_example(params, domain, arrays, assignment=None):
     # Voter 1 picks; a tie among their tops is settled by the best of those
     # tops under voter 2's inverted report, alphabetically first if several.
     # Alternative x scores (level of x in voter 2's inverted report, x's
     # alphabetical place), and the least score among voter 1's tops wins.
-    base, ranks, _ = _order_arrays(domain)
+    base, ranks, _ = arrays
     first, second = assignment or (0, 1)
     k = domain.k
     names = domain.alts.names
@@ -270,8 +299,14 @@ def _kernel_paper_example(params, domain, assignment=None):
     return kernel
 
 
-def _kernel_median_peaks(params, domain, assignment=None):
-    base, _, top = _order_arrays(domain)
+def _reads_paper_example(params, domain, arrays):
+    # Voter 1's set of tops, and voter 2's whole order.
+    tops = np.unique(arrays[1] == 0, axis=0, return_inverse=True)[1]
+    return tops.reshape(-1), None
+
+
+def _kernel_median_peaks(params, domain, arrays, assignment=None):
+    base, _, top = arrays
     axis = Axis(params["axis"])
     # Feasible sets are strict, so every top is unique.
     peak = np.array(axis.positions, dtype=np.uint8)[top]
@@ -289,8 +324,8 @@ def _kernel_median_peaks(params, domain, assignment=None):
     return kernel
 
 
-def _kernel_plurality(params, domain, assignment=None):
-    base, _, top = _order_arrays(domain)
+def _kernel_plurality(params, domain, arrays, assignment=None):
+    base, _, top = arrays
     tiebreak = np.array(params["tiebreak"])
     weights = _weights(domain, assignment)
 
@@ -302,16 +337,28 @@ def _kernel_plurality(params, domain, assignment=None):
     return kernel
 
 
-def _kernel_cloned(params, domain):
+def _reads_top(params, domain, arrays):
+    # Each voter's unique top, or the spare bin k when it is tied (the
+    # median's peak is its top).
+    return (arrays[2],) * domain.n
+
+
+def _kernel_cloned(params, domain, arrays):
     base = params["base"]
-    return _RULE_KERNELS[base.name](base.params, domain, params["assignment"])
+    return _RULE_KERNELS[base.name](base.params, domain, arrays, params["assignment"])
 
 
-#: Rule name -> kernel factory ``(params, domain) -> kernel``.  A kernel maps
-#: a ``(rows, n)`` block of feasible-set digits to the rows' outcomes.  A
-#: built-in rule's factory also takes a clone's ``assignment``: the rule's
-#: voter v then reads column ``assignment[v]``, and an anonymous rule counts
-#: column c once per voter assigned to it.
+def _reads_cloned(params, domain, arrays):
+    # Every class's whole order.
+    return (None,) * domain.n
+
+
+#: Rule name -> kernel factory ``(params, domain, arrays) -> kernel``, with
+#: the domain's :func:`_order_arrays`.  A kernel maps a ``(rows, n)`` block
+#: of feasible-set digits to the rows' outcomes.  A built-in rule's factory
+#: also takes a clone's ``assignment``: the rule's voter v then reads column
+#: ``assignment[v]``, and an anonymous rule counts column c once per voter
+#: assigned to it.
 _RULE_KERNELS: dict[str, Callable] = {
     "constant": _kernel_constant,
     "dictator-tiebreak": _kernel_dictator,
@@ -319,6 +366,17 @@ _RULE_KERNELS: dict[str, Callable] = {
     "median-peaks": _kernel_median_peaks,
     "plurality-tiebreak": _kernel_plurality,
     "cloned": _kernel_cloned,
+}
+
+#: Rule name -> ``(params, domain, arrays) -> reads``: what the rule's
+#: kernel reads of each voter's order (see :func:`rule_reads`).
+_RULE_READS: dict[str, Callable] = {
+    "constant": _reads_constant,
+    "dictator-tiebreak": _reads_dictator,
+    "paper-example": _reads_paper_example,
+    "median-peaks": _reads_top,
+    "plurality-tiebreak": _reads_top,
+    "cloned": _reads_cloned,
 }
 
 
@@ -364,16 +422,30 @@ class Scf:
         return cls(domain, rule=rule)
 
     @cached_property
+    def _arrays(self):
+        # Built once for both the rule's kernel and its reads.
+        return _order_arrays(self.domain)
+
+    @cached_property
     def _kernel(self) -> Callable[[np.ndarray], np.ndarray]:
         # Kept with the scf: witness re-validation evaluates one profile at
         # a time, and building a kernel costs up to eight one-row calls.
-        return _RULE_KERNELS[self.rule.name](self.rule.params, self.domain)
+        return _RULE_KERNELS[self.rule.name](self.rule.params, self.domain, self._arrays)
 
 
 def rule_kernel(scf: Scf) -> Callable[[np.ndarray], np.ndarray]:
     """The rule's kernel: maps a ``(rows, n)`` block of feasible-set digits
     (voter v's order index in their feasible set) to the rows' outcomes."""
     return scf._kernel
+
+
+def rule_reads(scf: Scf) -> tuple:
+    """What the rule's kernel reads of each voter's order, one entry per
+    voter: None for the whole order, or a key over the rows of
+    :func:`_order_arrays` (voter v's order d is row ``base[v] + d``).  The
+    kernel gives the same outcome whichever orders of equal key the voters
+    report; a key equal on every row means the voter is not read."""
+    return _RULE_READS[scf.rule.name](scf.rule.params, scf.domain, scf._arrays)
 
 
 def evaluate(scf: Scf, profile: Profile) -> int:
@@ -385,19 +457,40 @@ def evaluate(scf: Scf, profile: Profile) -> int:
 
 
 def tabulate(scf: Scf, guard: int = DEFAULT_PROFILE_GUARD) -> Scf:
-    """Materialize a rule into a table; idempotent on tables."""
+    """Materialize a rule into a table; idempotent on tables.
+
+    The kernel runs on the first order of each class of :func:`rule_reads`,
+    and one ``take`` per keyed voter spreads its outcomes over the profiles.
+    """
     if scf.table is not None:
         return scf
     domain = scf.domain
-    count = domain.require_enumerable(guard)
-    kernel = rule_kernel(scf)
-    span, tail, head = chunk_digits([len(fs) for fs in domain.feasible], _EVAL_CELLS)
+    domain.require_enumerable(guard)
+    kernel, base = rule_kernel(scf), scf._arrays[0]
+    classes = []  # (voter, first order of each class, each order's class)
+    grid = [len(fs) for fs in domain.feasible]
+    for v, key in enumerate(rule_reads(scf)):
+        if key is not None:
+            row = int(base[v])  # the set's end row may not fit base's type
+            _, first, codes = np.unique(
+                key[row:row + grid[v]], return_index=True, return_inverse=True
+            )
+            classes.append((v, first, codes))
+            grid[v] = len(first)
+    span, tail, head = chunk_digits(grid, _EVAL_CELLS)
     step = max(1, _EVAL_CELLS // (domain.n * span))
-    values = np.empty((count // span, span), dtype=np.uint8)
+    values = np.empty((math.prod(grid) // span, span), dtype=np.uint8)
     for lo in range(0, len(values), step):
         hi = min(lo + step, len(values))
-        digits = head(lo, hi).T[:, None] + tail.T
-        values[lo:hi] = kernel(digits.reshape(-1, domain.n)).reshape(-1, span)
+        digits = (head(lo, hi).T[:, None] + tail.T).reshape(-1, domain.n)
+        for v, first, _ in classes:
+            digits[:, v] = first[digits[:, v]]
+        values[lo:hi] = kernel(digits).reshape(-1, span)
+    # Spread from the last voter to the first, so the largest take, along
+    # the first axis, copies whole rows.
+    values = values.reshape(grid)
+    for v, _, codes in reversed(classes):
+        values = values.take(codes, axis=v)
     return Scf(domain, table=values.ravel())
 
 

@@ -279,7 +279,7 @@ def test_recheck_judges_a_pr_violation_by_its_own_kind(capsys, tmp_path, pr_not_
     report_path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "check", scf_path, "--recheck-witness", str(report_path))
     assert (code, out) == (1, "")
-    assert err == "error: PR violation kind 'zz' is neither 'pr' nor 'apr'\n"
+    assert err == f"error: {report_path}: PR violation kind 'zz' is neither 'pr' nor 'apr'\n"
 
 
 @pytest.mark.parametrize("prop", ["pr", "dictator"])
@@ -356,7 +356,31 @@ def test_recheck_rejects_voters_outside_the_society(
     report_path.write_text(json.dumps(edit(json.loads(out))))
     code, out, err = run(capsys, "check", scf_path, "--recheck-witness", str(report_path))
     assert (code, out) == (1, "")
-    assert err.startswith("error:") and "voter" in err
+    assert err.startswith(f"error: {report_path}: ") and "voter" in err
+
+
+def _pr_kind(kind):
+    def edit(report):
+        report["reports"][0]["witness"]["kind"] = kind
+        return report
+    return edit
+
+
+@pytest.mark.parametrize("prop, edit, message", [
+    ("pr", _truncated_analysis, "PR analysis needs 2 entries, one per voter; it has 1"),
+    ("pr", _pr_kind("zz"), "PR violation kind 'zz' is neither 'pr' nor 'apr'"),
+    ("isp", _voter_zero_coalition, "witness names voter 0; voters are 1..2"),
+], ids=["analysis-length", "pr-kind", "voter"])
+def test_recheck_names_the_report_in_witness_errors(
+    capsys, tmp_path, paper_scf_path, prop, edit, message
+):
+    # A malformed witness is an error in the report file, named like the
+    # report's other errors.
+    _, out, _ = run(capsys, "check", paper_scf_path, "--properties", prop, "--output", "json")
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(edit(json.loads(out))))
+    code, out, err = run(capsys, "check", paper_scf_path, "--recheck-witness", str(report_path))
+    assert (code, out, err) == (1, "", f"error: {report_path}: {message}\n")
 
 
 def test_check_json_determinism_across_parallelism(capsys, paper_scf_path):

@@ -28,8 +28,8 @@ _NAMES = ("x", "b", "ab", "a")
 
 
 @st.composite
-def rule_cases(draw):
-    """``(scf, digit rows)``: a rule on a drawn domain, and rows to evaluate.
+def rule_scfs(draw, voters=6):
+    """A rule on a drawn domain of 1 to ``voters`` voters.
 
     Voters draw their feasible sets from a small pool, so some share one
     set; sets are arbitrary subsets of the weak orders (strict single-peaked
@@ -52,7 +52,7 @@ def rule_cases(draw):
         FeasibleSet.explicit(alts, draw(subsets))
         for _ in range(draw(st.integers(1, 3)))
     ]
-    n = 2 if base_name == "paper-example" else draw(st.integers(1, 6))
+    n = 2 if base_name == "paper-example" else draw(st.integers(1, voters))
     if name == "cloned":
         classes = draw(st.integers(1, 3))
         assignment = draw(st.lists(st.integers(0, classes - 1), min_size=n, max_size=n))
@@ -70,10 +70,15 @@ def rule_cases(draw):
     }[base_name]
     rule = builtin(base_name, blown, **params).rule
     if name == "cloned":
-        scf = builtin("cloned", domain, base=rule, assignment=assignment)
-    else:
-        scf = Scf.from_rule(domain, rule)
-    row = st.tuples(*(st.integers(0, len(fs) - 1) for fs in domain.feasible))
+        return builtin("cloned", domain, base=rule, assignment=assignment)
+    return Scf.from_rule(domain, rule)
+
+
+@st.composite
+def rule_cases(draw):
+    """``(scf, digit rows)``: a drawn rule, and rows to evaluate."""
+    scf = draw(rule_scfs())
+    row = st.tuples(*(st.integers(0, len(fs) - 1) for fs in scf.domain.feasible))
     rows = draw(st.lists(row, min_size=1, max_size=12))
     return scf, rows
 
@@ -90,6 +95,19 @@ def test_kernels_match_the_rule_oracle(case):
         for row in rows
     ]
     assert outcomes.tolist() == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule_scfs(voters=4))
+def test_tabulate_over_the_classes_matches_the_oracle(scf):
+    # Tabulating over the grid of classes gives the table of the
+    # per-profile oracle, and of the kernel run on every profile: the
+    # tabulation with every voter's whole order read.
+    table = tabulate(scf).table.tobytes()
+    assert table == reference_table(scf).tobytes()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scf_module, "rule_reads", lambda scf: (None,) * scf.domain.n)
+        assert tabulate(scf).table.tobytes() == table
 
 
 def _preset_rules(domain, preset):
@@ -140,6 +158,18 @@ def test_tabulate_matches_the_reference_table_across_blocks():
     assert count > scf_module._EVAL_CELLS // domain.n
     for phi in _preset_rules(domain, "@universal-weak"):
         assert tabulate(phi).table.tobytes() == reference_table(phi).tobytes(), phi.rule
+
+
+def test_tabulate_reads_the_last_row_of_an_int8_row_numbering():
+    # Sets of 75 and 53 orders: 128 rows, numbered in int8, whose last row
+    # ends past int8.
+    alts = AlternativeSet.letters(4)
+    weak = list(enumerate_weak_orders(4))
+    domain = Domain((FeasibleSet.explicit(alts, weak), FeasibleSet.explicit(alts, weak[:53])))
+    assert scf_module._order_arrays(domain)[0].dtype == np.int8
+    for name in ("plurality-tiebreak", "paper-example"):
+        phi = builtin(name, domain)
+        assert tabulate(phi).table.tobytes() == reference_table(phi).tobytes(), name
 
 
 def test_tabulate_blocks_of_a_clone_count_its_class_columns(monkeypatch):
@@ -200,12 +230,35 @@ def _grid_rules(sizes):
         yield builtin("cloned", on, base=base, assignment=assignment)
 
 
+def _grid_size(phi):
+    """The profiles tabulate runs the kernel on: per voter, one order of
+    each class the rule cannot tell apart, counted from the orders."""
+    feasible, params = phi.domain.feasible, phi.rule.params
+    if phi.rule.name == "constant":
+        per_voter = [1] * len(feasible)
+    elif phi.rule.name == "dictator-tiebreak":
+        per_voter = [len(fs) if v == params["voter"] else 1 for v, fs in enumerate(feasible)]
+    elif phi.rule.name == "paper-example":
+        per_voter = [len({order.top_set() for order in feasible[0]}), len(feasible[1])]
+    elif phi.rule.name in ("plurality-tiebreak", "median-peaks"):
+        # A tied top counts in one spare class.
+        per_voter = [
+            len({top if len(top) == 1 else None for top in (o.top_set() for o in fs)})
+            for fs in feasible
+        ]
+    else:  # a clone reads every class's whole order
+        per_voter = [len(fs) for fs in feasible]
+    return int(np.prod(per_voter))
+
+
 @pytest.mark.parametrize("sizes", _GRIDS, ids=lambda sizes: "x".join(map(str, sizes)))
 def test_tabulate_builds_digits_from_the_grid(monkeypatch, sizes):
-    # Blocks of whole chunks, each chunk's digits its head plus the first
-    # chunk's, at every block size from one cell to one block past the
-    # profile space: one block below and at the profile count, and many
-    # blocks past it, some with a short last one.
+    # The kernel sees one row per point of the grid of classes, in blocks
+    # of whole chunks, each chunk's digits its head plus the first chunk's,
+    # at every block size from one cell to one block past the profile
+    # space.  The clones read whole orders, so their grid is the profile
+    # space: one block below and at its count, and many blocks past it,
+    # some with a short last one.
     n, count = len(sizes), int(np.prod(sizes))
     rows = []
     factory = scf_module.rule_kernel
@@ -222,15 +275,17 @@ def test_tabulate_builds_digits_from_the_grid(monkeypatch, sizes):
     monkeypatch.setattr(scf_module, "rule_kernel", recording)
     seen = set()
     for phi in _grid_rules(sizes):
-        expected = reference_table(phi).tobytes()
+        expected, grid = reference_table(phi).tobytes(), _grid_size(phi)
         for cells in [1] + [n * cap for cap in range(1, count + 2)]:
             monkeypatch.setattr(scf_module, "_EVAL_CELLS", cells)
             rows.clear()
             assert tabulate(phi).table.tobytes() == expected, (cells, phi.rule)
-            assert sum(rows) == count and max(rows) * n <= max(cells, n)
-            regime = (cells // n > count) - (cells // n < count)
+            assert sum(rows) == grid and max(rows) * n <= max(cells, n)
+            cap = max(1, cells // n)
+            regime = (cap > grid) - (cap < grid)
             assert (len(rows) == 1) == (regime >= 0)
-            seen |= {regime, "short last" if rows[-1] < rows[0] else "whole last"}
+            if phi.rule.name == "cloned":
+                seen |= {regime, "short last" if rows[-1] < rows[0] else "whole last"}
     assert seen == {-1, 0, 1, "short last", "whole last"}
 
 
