@@ -321,7 +321,11 @@ def _specimen_scf(args) -> Scf:
     preset = args.feasible
     if preset is None:
         preset = "@single-peaked-strict" if args.rule == "median-peaks" else "@universal-weak"
-    if args.axis and "(" not in preset:
+    if args.axis is not None:
+        if preset not in ("@single-peaked", "@single-peaked-strict"):
+            raise ArgumentError(
+                f"--axis applies only to a bare single-peaked preset, not to {preset!r}"
+            )
         preset += f"(axis={args.axis})"
     voters = 2 if args.voters is None else args.voters
     domain = Domain.shared(_parse_preset(preset, alts, line=None), voters)
@@ -333,8 +337,7 @@ def _specimen_scf(args) -> Scf:
     if not isinstance(raw, dict):
         raise ParseError("--params must be a JSON object")
     with decoding("--params"):
-        params = rule_params_from_dict(raw)
-    return builtin(args.rule, domain, **params)
+        return builtin(args.rule, domain, **rule_params_from_dict(raw))
 
 
 def cmd_verify(args) -> int:

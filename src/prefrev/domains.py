@@ -476,6 +476,8 @@ def _parse_preset(token: str, alts: AlternativeSet, line: int) -> FeasibleSet:
             key, _, value = body.partition("=")
             if key.strip() != "axis":
                 raise ParseError(f"unknown preset argument {body!r}", line=line)
+            if name in ("@universal-weak", "@universal-strict"):
+                raise ParseError(f"preset {name} takes no axis", line=line)
             axis = _parse_axis_arg(value, alts, line)
     if name == "@universal-weak":
         return FeasibleSet.universal_weak(alts)

@@ -95,7 +95,7 @@ from .scf import (
 from .properties import (
     CHECKERS,
     PropertyReport,
-    _cell_source,
+    _CellRows,
     _require_pairs,
     check_isp,
     check_pr,
@@ -262,7 +262,7 @@ def _search(
     # other cell at the first ``depth`` profiles.
     cells = np.arange(count)[:, None] * k + target
     lead = cells[:depth, 0]
-    source = _cell_source(ctx, props, lambda: np.concatenate([lead, cells[depth:].ravel()]))
+    source = _CellRows.of(ctx, props, lambda: np.concatenate([lead, cells[depth:].ravel()]))
     node = (
         np.bitwise_or.reduce(source.rows(lead), axis=0)[None],
         source.onehot(lead[None]),

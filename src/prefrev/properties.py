@@ -61,16 +61,16 @@ tables and returns one bool per table and property: no scan order, no
 ``checked`` count and no witness.  It and ``harness._search`` read their
 per-cell verdict rows from one source, :class:`_CellRows`, which reads the
 checkers' sections.  Voter v's condition depends on P only through (v,
-P_v, phi(P)), so one builder, :class:`_KeyRows`, makes it per such key, not
-per pair: a row per section over the columns (Q, y), bit-packed
-(``np.packbits``, little bit order), kept in a cache of at most
-``_KEY_CACHE_BYTES``.  A cell (P, x) ANDs its n keys' rows, ORs the
-sections its property fails on and keeps the columns where y != x; ISP,
-which fails on GSP's section, keeps those where exactly one voter changed.
-The verdict rows are kept on the domain's context, or built per call past
-``_KEY_CACHE_BYTES``.  Dictatorship gathers each voter's rank-0 set at (P,
-t[P]).  The pass has the checkers' pair guard and takes P rows in blocks
-of about ``_BLOCK_CELLS`` bytes.
+P_v, phi(P)), so the source builds it per such key, not per pair: a key
+row per section over the columns (Q, y), bit-packed (``np.packbits``,
+little bit order), kept in a cache of at most ``_KEY_CACHE_BYTES``.  A
+cell (P, x) ANDs its n keys' rows, ORs the sections its property fails on
+and keeps the columns where y != x; ISP, which fails on GSP's section,
+keeps those where exactly one voter changed.  The verdict rows of every
+cell are kept on the domain's context, or built per call over the cells
+the call's tables can have past ``_KEY_CACHE_BYTES``.  Dictatorship
+gathers each voter's rank-0 set at (P, t[P]).  The pass has the checkers'
+pair guard and takes P rows in blocks of about ``_BLOCK_CELLS`` bytes.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ import numpy as np
 from .errors import ArgumentError, ParseError, ResourceGuardError
 from .orders import WeakOrder, format_order
 from .domains import DEFAULT_PROFILE_GUARD, Domain
-from .scf import Profile, Scf, chunk_digits, evaluate, profile_at, profile_strides, tabulate
+from .scf import Profile, Scf, _as_int, chunk_digits, evaluate, profile_at, profile_strides, tabulate
 
 #: Most ordered profile pairs (P, Q) the GSP, PR and APR checkers and the
 #: verdict rows of ISP, GSP, PR and APR admit, on top of the profile guard.
@@ -95,7 +95,7 @@ PAIR_GUARD = 2_000_000_000
 
 #: The sections of the pair conditions, one per condition of the module
 #: docstring, in the order of :func:`_pair_scan`'s words and of
-#: :class:`_KeyRows`' rows.  Every section is met where Q_v = P_v; its
+#: :class:`_CellRows`' key rows.  Every section is met where Q_v = P_v; its
 #: flags ``(before, after)`` say whether it is also met where y is strictly
 #: better than x under P_v, and where x is strictly better than y under Q_v.
 _SECTIONS = {"gsp": (True, False), "acc": (False, True), "pr": (True, True)}
@@ -104,13 +104,13 @@ _SECTIONS = {"gsp": (True, False), "acc": (False, True), "pr": (True, True)}
 _FAILS_ON = {"isp": ("gsp",), "gsp": ("gsp",), "pr": ("pr",), "apr": ("gsp", "acc")}
 
 #: The largest block: packed bytes gathered per block in
-#: :func:`table_verdicts` and per call of :meth:`_KeyRows.violations`.  At
+#: :func:`table_verdicts` and per block of :meth:`_CellRows.build`.  At
 #: 2^17 a block's arrays stay below glibc's default mmap threshold (128
 #: KiB), so they are reused from the heap and not page-faulted in again.
 _BLOCK_CELLS = 1 << 17
 _FIRST_CELLS = 1 << 12
 _SERIAL_CELLS = 1 << 14
-#: Most bytes of packed key rows a :class:`_KeyRows` keeps at once, and of
+#: Most bytes of packed key rows a :class:`_CellRows` keeps at once, and of
 #: verdict rows a domain's context keeps.
 _KEY_CACHE_BYTES = 1 << 24
 
@@ -213,7 +213,7 @@ class _Ctx:
     def beats(self):
         """``beats[g, x, y]``: y is strictly better than x under global order
         g.  Every pair condition is read from it, by :meth:`elimination`,
-        :func:`_failing_sections` and :class:`_KeyRows`, always behind the
+        :func:`_failing_sections` and :class:`_CellRows`, always behind the
         pair guard, which bounds its size."""
         return self.rank_table[:, None, :] < self.rank_table[:, :, None]
 
@@ -473,109 +473,6 @@ def _require_pairs(count) -> int:
     return total
 
 
-class _KeyRows:
-    """The one builder of the verdict rows' pair masks: per key (v, d, x),
-    one packed row per section of ``sections`` over the columns (Q, y) that
-    :class:`_CellRows` gives, every cell or those its caller's tables can
-    have, built the first time a call needs them.
-
-    Key (v, d, x) is voter v reporting order d at an outcome x; its global
-    id is ``(order_base[v] + d) * k + x``, and ``slot[id]`` is its place in
-    ``rows`` or -1.  ``rows[s, i]`` is the key's row of section i: column j
-    is set where Q_v = d or v meets the section's condition (:func:`_meets`)
-    at x and y.  A call of :meth:`violations` gathers n packed rows per
-    cell and takes at most ``most`` cells, about ``_BLOCK_CELLS`` bytes.
-    ``rows`` has room for that many cells' keys, or ``_KEY_CACHE_BYTES`` of
-    them if more, and never for more keys than there are; its pages become
-    resident only as rows are written.  When a call needs more keys than
-    are free, every row is dropped and the call's own are built again.
-    What depends only on the domain's orders (``beats``, ``voter_of``) is
-    the context's.
-    """
-
-    def __init__(self, ctx, q, y, sections):
-        self.ctx, self.y, self.sections = ctx, y, sections
-        self.on_q = ctx.digits[:, q]
-        self.width = (len(y) + 7) // 8
-        # Packed over the columns: y != x, for each alternative x, and
-        # after[x, v], x strictly better than y under Q_v.
-        self.neq = np.packbits(y != np.arange(ctx.k)[:, None], axis=1, bitorder="little")
-        x_first = ctx.beats.transpose(2, 0, 1).reshape(ctx.k, -1)  # [x, g * k + y]
-        at_q = (ctx.order_base[:, None] + self.on_q) * ctx.k + y
-        self.after = np.packbits(x_first.take(at_q, axis=1), axis=2, bitorder="little")
-        row_bytes = self.width * len(sections)
-        self.most = max(1, _BLOCK_CELLS // (ctx.n * row_bytes))
-        keys = len(ctx.rank_table) * ctx.k
-        limit = min(keys, max(ctx.n * self.most, _KEY_CACHE_BYTES // row_bytes))
-        self.slot = np.full(keys, -1, dtype=np.int64)
-        self.rows = np.empty((limit, len(sections), self.width), dtype=np.uint8)
-        self.used = 0
-
-    def slots(self, ids):
-        """The slots of ``ids`` (any shape), once every one is built."""
-        slots = self.slot[ids]
-        if slots.min() < 0:
-            missing = np.unique(ids[slots < 0])
-            if self.used + len(missing) > len(self.rows):
-                self.slot[:] = -1
-                self.used, missing = 0, np.unique(ids)
-            # Build a few keys at a time, so the unpacked temporaries stay
-            # within a block's size.
-            step = max(1, _BLOCK_CELLS // self.on_q.shape[1])
-            for at in range(0, len(missing), step):
-                part = missing[at : at + step]
-                self.rows[self.used : self.used + len(part)] = self.build(part)
-                self.slot[part] = np.arange(self.used, self.used + len(part))
-                self.used += len(part)
-            slots = self.slot[ids]
-        return slots
-
-    @cached_property
-    def moved(self):
-        """For each global order g, the packed row of the columns where g's
-        voter reports another order."""
-        voter = self.ctx.voter_of
-        d = (np.arange(len(voter)) - self.ctx.order_base[voter]).astype(self.on_q.dtype)
-        return np.packbits(self.on_q[voter] != d[:, None], axis=1, bitorder="little")
-
-    def build(self, ids):
-        """The packed rows of the keys ``ids``, shaped like ``rows``; their
-        padding bits may be set, and :meth:`violations` clears them."""
-        ctx = self.ctx
-        order, x = np.divmod(ids, ctx.k)
-        before = np.packbits(ctx.beats[order, x].take(self.y, axis=1), axis=1, bitorder="little")
-        after = self.after[x, ctx.voter_of[order]]
-        return _meets(~self.moved[order], before, after, self.sections)
-
-    def violations(self, p, x, props):
-        """The ``(cells, len(props), width)`` packed violation rows of the
-        cells (P, x) over the columns.
-
-        The index arrays ``p`` (profiles) and ``x`` give the cells, at most
-        ``most`` of them.  Each cell ANDs the rows of its n keys (v, P_v, x)
-        per section; a property ORs its sections and keeps the columns
-        where y != x or, for ISP, where some voter changed and no two did,
-        from the :attr:`moved` rows.  The padding bits of those masks are 0,
-        so no result sets one.
-        """
-        ctx = self.ctx
-        at = ctx.order_base[:, None] + ctx.digits[:, p]
-        met = np.bitwise_and.reduce(self.rows[self.slots(at * ctx.k + x)], axis=0)
-        met = dict(zip(self.sections, met.transpose(1, 0, 2)))
-        neq = self.neq[x]
-        out = np.empty((len(x), len(props), self.width), dtype=np.uint8)
-        for i, prop in enumerate(props):
-            mask = neq
-            if prop == "isp":
-                one = two = 0
-                for moved in self.moved[at]:
-                    two = two | one & moved
-                    one = one | moved
-                mask = one & ~two
-            out[:, i] = reduce(np.bitwise_or, map(met.get, _FAILS_ON[prop])) & mask
-        return out
-
-
 def _pair_scan(scf, wanted, max_profiles):
     """GSP, PR and APR decided by eliminating one voter axis at a time.
 
@@ -780,44 +677,85 @@ def check_dictator(
 
 
 class _CellRows:
-    """The one source of verdict rows, made by :func:`_cell_source`.
+    """The one source of verdict rows, made by :meth:`of`.
 
     A pair's violation depends on the table only through x = phi(P) and
-    y = phi(Q), so a :class:`_KeyRows` given cells (Q, y) as its columns
-    gives, per cell (P, x), the packed row of the cells that break a
-    property against it: bit j is set where the pair (P, Q) breaks it if
-    phi(P) = x and phi(Q) = y, (Q, y) being column j; the padding bits are
-    0.  A table t breaks the property exactly when its rows at the cells
-    (P, t[P]), ORed over P, meet t's own one-hot row {(Q, t[Q])} over the
-    same columns: count * ``words`` words gathered per table.
+    y = phi(Q), so with cells (Q, y) as its columns a source gives, per
+    cell (P, x), the packed row of the cells that break a property against
+    it: bit j is set where the pair (P, Q) breaks it if phi(P) = x and
+    phi(Q) = y, (Q, y) being column j; the padding bits are 0.  A table t
+    breaks the property exactly when its rows at the cells (P, t[P]), ORed
+    over P, meet t's own one-hot row {(Q, t[Q])} over the same columns:
+    count * ``words`` words gathered per table.
 
-    With ``cols`` None the columns are every cell, and the rows of every
-    cell are built at once and kept; the key rows are then dropped.
-    Otherwise the columns are ``cols``, the sorted cells a caller's tables
-    can have, and :meth:`rows` builds the rows asked for at each call,
-    ``keys.most`` cells at a time.
+    With ``cols`` None the columns are every cell, and a throwaway source
+    over them builds the rows of every cell at once; this one keeps those
+    rows alone (``kept``).  Otherwise the columns are ``cols``, the sorted
+    cells a caller's tables can have, and :meth:`rows` builds the rows
+    asked for at each call from key rows.  Voter v's condition depends on P
+    only through the key (v, P_v, x): key (v, d, x), global id
+    ``(order_base[v] + d) * k + x``, has one packed row per section of
+    ``sections`` over the columns, set where Q_v = d or v meets the
+    section's condition (:func:`_meets`) at x and y, built the first time a
+    call needs it.  ``slot[id]`` is its place in ``key_rows`` or -1.
+    :meth:`build` takes at most ``most`` cells at a time, about
+    ``_BLOCK_CELLS`` bytes of n key rows each; ``key_rows`` has room for
+    that many cells' keys, or ``_KEY_CACHE_BYTES`` of them if more, and
+    never for more keys than there are, and its pages become resident only
+    as rows are written.  When a call needs more keys than are free, every
+    key row is dropped and the call's own are built again.  What depends
+    only on the domain's orders (``beats``, ``voter_of``) is the context's.
     """
 
     def __init__(self, ctx, props, cols):
-        self.props, self.cols, self.kept = props, cols, None
+        self.props, self.cols = props, cols
         cells = np.arange(ctx.count * ctx.k) if cols is None else cols
         self.words = -(-len(cells) // 64)
-        self.keys = _KeyRows(ctx, *np.divmod(cells, ctx.k), _sections(props))
         if cols is None:
-            self.kept, self.keys = self.rows(cells), None
+            self.kept = _CellRows(ctx, props, cells).build(cells)
+            return
+        self.ctx, self.sections = ctx, _sections(props)
+        q, self.y = np.divmod(cols, ctx.k)
+        self.on_q = ctx.digits[:, q]
+        self.width = (len(cols) + 7) // 8
+        # Packed over the columns: y != x, for each alternative x, and
+        # after[x, v], x strictly better than y under Q_v.
+        self.neq = np.packbits(self.y != np.arange(ctx.k)[:, None], axis=1, bitorder="little")
+        x_first = ctx.beats.transpose(2, 0, 1).reshape(ctx.k, -1)  # [x, g * k + y]
+        at_q = (ctx.order_base[:, None] + self.on_q) * ctx.k + self.y
+        self.after = np.packbits(x_first.take(at_q, axis=1), axis=2, bitorder="little")
+        row_bytes = self.width * len(self.sections)
+        self.most = max(1, _BLOCK_CELLS // (ctx.n * row_bytes))
+        keys = len(ctx.rank_table) * ctx.k
+        limit = min(keys, max(ctx.n * self.most, _KEY_CACHE_BYTES // row_bytes))
+        self.slot = np.full(keys, -1, dtype=np.int64)
+        self.key_rows = np.empty((limit, len(self.sections), self.width), dtype=np.uint8)
+        self.used = 0
+
+    @classmethod
+    def of(cls, ctx, props, cols) -> _CellRows:
+        """The verdict-row source of the pair properties ``props`` on
+        ``ctx``'s domain.  Rows of every cell that fit in
+        ``_KEY_CACHE_BYTES`` are kept on the context (``verdict_rows``) for
+        the last ``props`` asked for; past that, a source over ``cols()``,
+        the sorted cells the caller's tables can have, serves the one
+        call."""
+        kept = ctx.verdict_rows
+        if kept is None or kept.props != props:
+            size = ctx.count * ctx.k
+            fits = size * len(props) * -(-size // 64) * 8 <= _KEY_CACHE_BYTES
+            ctx.verdict_rows = None  # the old rows go before new ones are built
+            ctx.verdict_rows = kept = cls(ctx, props, None) if fits else None
+        return kept if kept is not None else cls(ctx, props, cols())
 
     def rows(self, at):
         """The ``(*at.shape, len(props), words)`` uint64 verdict rows of the
-        flat (P, x) cells ``at`` (``P * k + x``).  Unless they are kept,
-        ``at`` is one-dimensional and its cells are distinct."""
-        if self.kept is not None:
+        flat (P, x) cells ``at`` (``P * k + x``), of any shape.  Unless they
+        are kept, each distinct cell's rows are built once a call."""
+        if self.cols is None:
             return self.kept[at]
-        keys = self.keys
-        out = np.zeros((len(at), len(self.props), self.words * 8), dtype=np.uint8)
-        for lo in range(0, len(at), keys.most):
-            cells = np.divmod(at[lo : lo + keys.most], keys.ctx.k)
-            out[lo : lo + keys.most, :, : keys.width] = keys.violations(*cells, self.props)
-        return out.view(np.uint64)
+        used, inverse = np.unique(at, return_inverse=True)
+        return self.build(used)[inverse.reshape(at.shape)]
 
     def onehot(self, at):
         """Packed uint64 rows over the columns, row i with the cells ``at[i]``."""
@@ -826,20 +764,73 @@ class _CellRows:
         bits[np.arange(len(at))[:, None], place] = True
         return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
 
+    def build(self, cells):
+        """The uint64 rows of the distinct flat cells ``cells``, as
+        :meth:`rows` gives them, ``most`` cells at a time.
 
-def _cell_source(ctx, props, cols) -> _CellRows:
-    """The verdict-row source of the pair properties ``props`` on ``ctx``'s
-    domain.  Rows of every cell that fit in ``_KEY_CACHE_BYTES`` are kept
-    on the context (``verdict_rows``) for the last ``props`` asked for;
-    past that, a source over ``cols()``, the sorted cells the caller's
-    tables can have, serves the one call."""
-    kept = ctx.verdict_rows
-    if kept is None or kept.props != props:
-        size = ctx.count * ctx.k
-        fits = size * len(props) * -(-size // 64) * 8 <= _KEY_CACHE_BYTES
-        ctx.verdict_rows = None  # the old rows go before new ones are built
-        ctx.verdict_rows = kept = _CellRows(ctx, props, None) if fits else None
-    return kept if kept is not None else _CellRows(ctx, props, cols())
+        Each cell (P, x) ANDs the rows of its n keys (v, P_v, x) per
+        section; a property ORs its sections and keeps the columns where y
+        != x or, for ISP, where some voter changed and no two did, from the
+        :attr:`moved` rows.  The padding bits of those masks are 0, so no
+        row sets one.
+        """
+        ctx, k = self.ctx, self.ctx.k
+        out = np.zeros((len(cells), len(self.props), self.words * 8), dtype=np.uint8)
+        for lo in range(0, len(cells), self.most):
+            p, x = np.divmod(cells[lo : lo + self.most], k)
+            at = ctx.order_base[:, None] + ctx.digits[:, p]
+            met = np.bitwise_and.reduce(self.key_rows[self.slots(at * k + x)], axis=0)
+            met = dict(zip(self.sections, met.transpose(1, 0, 2)))
+            neq = self.neq[x]
+            for i, prop in enumerate(self.props):
+                mask = neq
+                if prop == "isp":
+                    one = two = 0
+                    for moved in self.moved[at]:
+                        two = two | one & moved
+                        one = one | moved
+                    mask = one & ~two
+                fails = reduce(np.bitwise_or, map(met.get, _FAILS_ON[prop]))
+                out[lo : lo + self.most, i, : self.width] = fails & mask
+        return out.view(np.uint64)
+
+    def slots(self, ids):
+        """The slots of the key ids ``ids`` (any shape), once every one is
+        built."""
+        slots = self.slot[ids]
+        if slots.min() < 0:
+            missing = np.unique(ids[slots < 0])
+            if self.used + len(missing) > len(self.key_rows):
+                self.slot[:] = -1
+                self.used, missing = 0, np.unique(ids)
+            # Build a few keys at a time, so the unpacked temporaries stay
+            # within a block's size.
+            step = max(1, _BLOCK_CELLS // self.on_q.shape[1])
+            for at in range(0, len(missing), step):
+                part = missing[at : at + step]
+                self.key_rows[self.used : self.used + len(part)] = self.build_keys(part)
+                self.slot[part] = np.arange(self.used, self.used + len(part))
+                self.used += len(part)
+            slots = self.slot[ids]
+        return slots
+
+    @cached_property
+    def moved(self):
+        """For each global order g, the packed row of the columns where g's
+        voter reports another order."""
+        voter = self.ctx.voter_of
+        d = (np.arange(len(voter)) - self.ctx.order_base[voter]).astype(self.on_q.dtype)
+        return np.packbits(self.on_q[voter] != d[:, None], axis=1, bitorder="little")
+
+    def build_keys(self, ids):
+        """The packed rows of the key ids ``ids``, shaped like
+        ``key_rows``; their padding bits may be set, and :meth:`build`
+        clears them."""
+        ctx = self.ctx
+        order, x = np.divmod(ids, ctx.k)
+        before = np.packbits(ctx.beats[order, x].take(self.y, axis=1), axis=1, bitorder="little")
+        after = self.after[x, ctx.voter_of[order]]
+        return _meets(~self.moved[order], before, after, self.sections)
 
 
 def table_verdicts(
@@ -871,7 +862,7 @@ def table_verdicts(
         out["dictator"] = tops.reshape(ctx.n, -1)[:, at].all(axis=2).any(axis=0)
     if not pair_props:
         return out
-    source = _cell_source(ctx, pair_props, lambda: np.unique(at))
+    source = _CellRows.of(ctx, pair_props, lambda: np.unique(at))
     blocks, words = len(tables), source.words
     onehot = source.onehot(at)
     step = max(1, _BLOCK_CELLS // (blocks * len(pair_props) * words * 8))
@@ -879,14 +870,7 @@ def table_verdicts(
     # row distributes over it.
     met = np.zeros((blocks, len(pair_props), words), dtype=np.uint64)
     for lo in range(0, count, step):
-        cells = at[:, lo : lo + step].T
-        if source.cols is None:
-            hits = source.rows(cells)
-        else:
-            # Each distinct cell of the block is built once.
-            used = np.unique(cells)
-            hits = source.rows(used)[np.searchsorted(used, cells)]
-        met |= np.bitwise_or.reduce(hits, axis=0)
+        met |= np.bitwise_or.reduce(source.rows(at[:, lo : lo + step].T), axis=0)
         holds = ~(met & onehot[:, None]).any(axis=2)
         if not holds.any():
             break
@@ -1070,9 +1054,10 @@ def witness_to_dict(prop: str, witness: Any, scf: Scf):
 def witness_from_dict(data: dict, scf: Scf):
     """Rebuild a witness from its serialized form (for replay/recheck).
 
-    Voter numbers are 1-based; one outside 1..n is a ParseError, and so are
-    a PR analysis without n entries or whose entry i does not name voter
-    i + 1, and a PR kind other than "pr" and "apr".
+    Voter numbers are 1-based integers: one of another type is a TypeError
+    (:func:`~prefrev.scf._as_int`), and one outside 1..n is a ParseError, as
+    are a PR analysis without n entries or whose entry i does not name
+    voter i + 1, and a PR kind other than "pr" and "apr".
     """
     from .orders import parse_order
 
@@ -1083,9 +1068,10 @@ def witness_from_dict(data: dict, scf: Scf):
         return Profile(tuple(parse_order(text, alts) for text in items))
 
     def _voter(number):
-        if not isinstance(number, int) or not 1 <= number <= n:
+        voter = _as_int(number, "a witness voter")
+        if not 1 <= voter <= n:
             raise ParseError(f"witness names voter {number!r}; voters are 1..{n}")
-        return number - 1
+        return voter - 1
 
     kind = data["type"]
     if kind == "manipulation":

@@ -505,10 +505,19 @@ def range_of(scf: Scf, guard: int = DEFAULT_PROFILE_GUARD) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 
 
+def _as_int(value, what: str) -> int:
+    """``value`` as an int: a Python or numpy integer, never a bool.  Any
+    other value is a TypeError naming ``what``, which :func:`decoding`
+    reports as a malformed document."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise TypeError(f"{what} must be an integer, not {value!r}")
+
+
 def _as_alt(value, alts: AlternativeSet) -> int:
     if isinstance(value, str):
         return alts.index_of(value)
-    x = int(value)
+    x = _as_int(value, "an alternative")
     if not 0 <= x < alts.k:
         raise ArgumentError(f"alternative index {x} outside range(0, {alts.k})")
     return x
@@ -550,7 +559,8 @@ def builtin(name: str, domain: Domain, /, **params) -> Scf:
     rule is validated on the blown-up society, but evaluated on this one's
     columns, with each column counted once per voter assigned to it.  Voters are
     0-based; alternatives are indices or names.  This is the only place that
-    knows a rule's parameters: an unknown or missing one is an ArgumentError.
+    knows a rule's parameters: an unknown or missing one is an ArgumentError,
+    and a voter or index that is not an integer a TypeError.
     """
     alts = domain.alts
     if name == "constant":
@@ -560,7 +570,7 @@ def builtin(name: str, domain: Domain, /, **params) -> Scf:
     elif name == "dictator-tiebreak":
         if "voter" not in params:
             raise ArgumentError("dictator-tiebreak needs a 'voter' parameter")
-        voter = int(params.pop("voter"))
+        voter = _as_int(params.pop("voter"), "voter")
         if not 0 <= voter < domain.n:
             raise ArgumentError(f"dictator voter {voter + 1} outside 1..{domain.n}")
         norm = {
@@ -589,7 +599,7 @@ def builtin(name: str, domain: Domain, /, **params) -> Scf:
             if key not in params:
                 raise ArgumentError(f"cloned needs a {key!r} parameter")
         base = params.pop("base")
-        assignment = tuple(int(c) for c in params.pop("assignment"))
+        assignment = tuple(_as_int(c, "an assigned voter") for c in params.pop("assignment"))
         if base.name == "cloned":
             raise ArgumentError("cannot clone rule 'cloned'")
         for c in assignment:
@@ -673,9 +683,9 @@ def rule_params_from_dict(data: dict) -> dict:
     refuse."""
     params = {**data}
     if "voter" in params:
-        params["voter"] = int(params["voter"]) - 1
+        params["voter"] = _as_int(params["voter"], "voter") - 1
     if "assignment" in params:
-        params["assignment"] = [int(c) - 1 for c in params["assignment"]]
+        params["assignment"] = [_as_int(c, "an assigned voter") - 1 for c in params["assignment"]]
     if "base" in params:
         base = params["base"]
         params["base"] = Rule(base["name"], rule_params_from_dict(base.get("params", {})))
@@ -724,7 +734,7 @@ def scf_from_dict(
         raise ParseError(f"{source} must be a JSON object")
     with decoding(source):
         alts = AlternativeSet(tuple(data["alternatives"]))
-        voters = int(data["voters"])
+        voters = _as_int(data["voters"], "'voters'")
         dom_field = data["domain"]
         if isinstance(dom_field, str):
             domain = parse_domain_file(os.path.join(base_dir, dom_field))

@@ -523,6 +523,99 @@ def test_dictator_voter_out_of_range_is_named_1_based(capsys, tmp_path, argv, te
     assert (code, out, err) == (1, "", f"error: dictator voter {voter} outside 1..2\n")
 
 
+def _dictator_rule(voter):
+    return {"name": "dictator-tiebreak", "params": {"voter": voter}}
+
+
+@pytest.mark.parametrize("text, message", [
+    (_scf_with(rule=_dictator_rule(True)), "voter must be an integer, not True"),
+    (_scf_with(rule=_dictator_rule(1.7)), "voter must be an integer, not 1.7"),
+    (_scf_with(rule={"name": "constant", "params": {"alternative": 1.5}}),
+     "an alternative must be an integer, not 1.5"),
+    (_scf_with(rule={"name": "plurality-tiebreak", "params": {"tiebreak": [0, 1.9]}}),
+     "an alternative must be an integer, not 1.9"),
+    (_scf_with(voters="2"), "'voters' must be an integer, not '2'"),
+    (_scf_with(voters=2.0), "'voters' must be an integer, not 2.0"),
+    (_cloned_scf([1, True], voter=1), "an assigned voter must be an integer, not True"),
+], ids=["voter-true", "voter-float", "alternative-float", "tiebreak-float",
+        "voters-text", "voters-float", "assignment-true"])
+def test_integers_in_scf_files_are_checked_not_coerced(capsys, tmp_path, text, message):
+    # true and 1.7 once read as voter 1, and 1.5 and 1.9 as alternative b.
+    path = tmp_path / "scf.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out, err) == (1, "", f"error: {path}: malformed document: {message}\n")
+
+
+@pytest.mark.parametrize("params, message", [
+    ('{"voter": true}', "voter must be an integer, not True"),
+    ('{"voter": 2.0}', "voter must be an integer, not 2.0"),
+])
+def test_integers_in_params_are_checked_not_coerced(capsys, params, message):
+    code, out, err = run(capsys, "verify", "thm-complete", "--rule", "dictator-tiebreak",
+                         "--params", params)
+    assert (code, out, err) == (1, "", f"error: --params: malformed document: {message}\n")
+
+
+@pytest.mark.parametrize("voter", [True, 1.0])
+def test_a_witness_voter_must_be_an_integer(capsys, tmp_path, voter):
+    # A dictator witness naming voter true once re-validated as voter 1.
+    domain = Domain.shared(FeasibleSet.universal_weak(AlternativeSet.letters(3)), 2)
+    scf_path = str(tmp_path / "dictator.json")
+    save_scf(builtin("dictator-tiebreak", domain, voter=0), scf_path)
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps({"reports": [{
+        "property": "dictator", "holds": True,
+        "witness": {"type": "dictator", "voter": voter},
+    }]}))
+    code, out, err = run(capsys, "check", scf_path, "--recheck-witness", str(report_path))
+    assert (code, out, err) == (1, "", (
+        f"error: {report_path}: malformed document: "
+        f"a witness voter must be an integer, not {voter!r}\n"
+    ))
+
+
+def test_integers_may_be_numpy_integers(abc):
+    import numpy as np
+
+    domain = Domain.shared(FeasibleSet.universal_weak(abc), 2)
+    rule = builtin("dictator-tiebreak", domain, voter=np.int64(1), tiebreak=[np.uint8(2), 0, 1])
+    assert rule.rule.params == {"voter": 1, "tiebreak": (2, 0, 1)}
+    with pytest.raises(TypeError, match="voter must be an integer, not True"):
+        builtin("dictator-tiebreak", domain, voter=True)
+
+
+_THM_COMPLETE = ("verify", "thm-complete", "--k", "3")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--rule", "dictator-tiebreak", "--params", '{"voter": 1}', "--axis", "b,a,c"),
+     "--axis applies only to a bare single-peaked preset, not to '@universal-weak'"),
+    (("--rule", "median-peaks", "--feasible", "@single-peaked(axis=c,a,b)",
+      "--axis", "b,a,c"),
+     "--axis applies only to a bare single-peaked preset, "
+     "not to '@single-peaked(axis=c,a,b)'"),
+    (("--rule", "constant", "--params", '{"alternative": "a"}',
+      "--feasible", "@universal-strict", "--axis", "b,a,c"),
+     "--axis applies only to a bare single-peaked preset, not to '@universal-strict'"),
+    (("--rule", "constant", "--params", '{"alternative": "a"}',
+      "--feasible", "@universal-weak(axis=c,b,a)"),
+     "preset @universal-weak takes no axis"),
+], ids=["default-preset", "preset-with-axis", "universal-preset", "universal-axis"])
+def test_an_axis_is_never_dropped(capsys, argv, message):
+    code, out, err = run(capsys, *_THM_COMPLETE, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_a_universal_preset_with_an_axis_names_its_line(capsys, tmp_path):
+    path = tmp_path / "axis.domain"
+    path.write_text("alternatives: a,b,c\nvoter 1: @universal-weak\n"
+                    "voter 2: @universal-strict(axis=c,b,a)\n")
+    code, out, err = run(capsys, "domain-complete", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: line 3: preset @universal-strict takes no axis\n"
+
+
 def _node_paths(doc, path=()):
     """The path to every node of a JSON document, the root included."""
     yield path

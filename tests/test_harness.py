@@ -21,6 +21,7 @@ from prefrev import (
     WeakOrder,
     builtin,
     enumerate_scfs,
+    enumerate_weak_orders,
     evaluate,
     parse_order,
     quotient_reduce,
@@ -448,16 +449,67 @@ def test_search_counts_on_the_benchmark_universes():
     assert [sum(v[p] for _, v in leaves) for p in ("isp", "pr")] == [778, 738]
 
 
+def _leaf_specs():
+    """The benchmark's 3^9 tables, the 4^9-table isp-not-pr universe and
+    seeded small specs, some of them bounded by a limit."""
+    alts = AlternativeSet.letters(4)
+    orders = [parse_order(text, alts) for text in ("a~b>c~d", "d>c>a~b", "b~c>a~d")]
+    specs = [
+        EnumerationSpec(strict_prefix_domain(3, 2, 3), (0, 1, 2)),
+        EnumerationSpec(Domain.shared(FeasibleSet.explicit(alts, orders), 2), (0, 1, 2, 3)),
+    ]
+    rng = random.Random(20261021)
+    abc = AlternativeSet.letters(3)
+    weak = list(enumerate_weak_orders(3))
+    for _ in range(24):
+        sizes = rng.choice(((2, 3), (3, 3), (4, 2), (1, 7), (5,), (2, 2, 2)))
+        domain = Domain(tuple(FeasibleSet.explicit(abc, rng.sample(weak, m)) for m in sizes))
+        target = tuple(rng.sample(range(3), rng.randint(2, 3)))
+        specs.append(EnumerationSpec(domain, target, limit=rng.choice((None, rng.randrange(1, 4000)))))
+    return specs
+
+
+def test_no_table_holds_gsp_pr_or_apr_without_isp():
+    # A pair that breaks ISP breaks GSP, PR and APR too, so the search's
+    # leaves by ISP alone are exact.  Tested over whole universes, not
+    # assumed.
+    props = ("isp", "gsp", "pr", "apr")
+    seen = set()
+    for spec in _leaf_specs():
+        total = harness._require_universe(spec, harness.DEFAULT_TABLE_GUARD)
+        for _, rows in harness._table_blocks(spec, total):
+            verdicts = properties.table_verdicts(spec.domain, rows, props)
+            other = verdicts["gsp"] | verdicts["pr"] | verdicts["apr"]
+            assert not (other & ~verdicts["isp"]).any()
+            seen.update(zip(verdicts["isp"].tolist(), other.tolist()))
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_a_search_by_isp_alone_leaves_the_tables_of_every_suite():
+    # Each suite's search gives exactly the ISP search's tables where one
+    # of its properties holds, with the kernel's verdicts.
+    for spec in _leaf_specs():
+        isp = np.array([table for table, _ in _searched(spec, ("isp",))], dtype=np.uint8)
+        for props in _SUITE_PROPS:
+            verdicts = properties.table_verdicts(spec.domain, isp, props)
+            some = np.logical_or.reduce([verdicts[p] for p in props])
+            assert _searched(spec, props) == _leaves(
+                [(isp[some], {p: v[some] for p, v in verdicts.items()})]
+            )
+
+
 def _key_columns(monkeypatch):
-    """The (Q, y) columns of every key-row builder made, in build order."""
+    """The (Q, y) columns of every key-row builder made, in build order: a
+    :class:`_CellRows` with columns, not a kept one."""
     made = []
-    init = properties._KeyRows.__init__
+    init = properties._CellRows.__init__
 
-    def spy(self, ctx, q, y, sections):
-        made.append(list(zip(np.asarray(q).tolist(), np.asarray(y).tolist())))
-        init(self, ctx, q, y, sections)
+    def spy(self, ctx, props, cols):
+        if cols is not None:
+            made.append([divmod(int(cell), ctx.k) for cell in cols])
+        init(self, ctx, props, cols)
 
-    monkeypatch.setattr(properties._KeyRows, "__init__", spy)
+    monkeypatch.setattr(properties._CellRows, "__init__", spy)
     return made
 
 
@@ -485,7 +537,9 @@ def test_search_and_sampled_verdicts_share_one_kept_source(monkeypatch):
     ctx = spec.domain._scan_context
     list(harness._search(spec, 3 ** 9, ("isp", "pr")))
     kept = ctx.verdict_rows
-    assert kept is not None and kept.keys is None and kept.cols is None
+    # The kept source holds its rows alone: no key rows, no columns.
+    assert kept is not None and kept.cols is None
+    assert set(vars(kept)) == {"props", "cols", "words", "kept"}
     _, tables = next(harness._table_blocks(spec, 50, random.Random(3)))
     properties.table_verdicts(spec.domain, tables, ("isp", "pr", "dictator"))
     assert ctx.verdict_rows is kept and len(made) == 1

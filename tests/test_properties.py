@@ -693,7 +693,7 @@ def test_isp_verdict_rows_lie_inside_the_other_pair_rows(monkeypatch, cache):
         domain = _uneven_domain(rng)
         ctx = domain._scan_context
         cells = np.arange(ctx.count * ctx.k)
-        rows = properties._cell_source(ctx, props, lambda: cells).rows(cells)
+        rows = properties._CellRows.of(ctx, props, lambda: cells).rows(cells)
         assert (ctx.verdict_rows is None) == (cache == 0)
         for i in (1, 2, 3):
             assert not (rows[:, 0] & ~rows[:, i]).any(), props[i]
@@ -1165,16 +1165,16 @@ def _assert_pair_pass(scf, docs=None):
 
 
 def _key_builds(monkeypatch):
-    """Every ``(builder, key id)`` a :class:`_KeyRows` builds a row for, in
-    build order."""
+    """Every ``(builder, key id)`` a :class:`_CellRows` builds a key row
+    for, in build order."""
     built = []
-    build = properties._KeyRows.build
+    build = properties._CellRows.build_keys
 
     def counting(self, ids):
         built.extend((self, key) for key in ids.tolist())
         return build(self, ids)
 
-    monkeypatch.setattr(properties._KeyRows, "build", counting)
+    monkeypatch.setattr(properties._CellRows, "build_keys", counting)
     return built
 
 
