@@ -2,26 +2,38 @@
 
 Every checker scans a fixed canonical order and reports the first failure
 it meets; ``checked`` counts the cases up to and including the witness (or
-all of them when the property holds).  ISP and dictatorship are numpy
-passes over blocks of profile rows, so the answer never depends on the
-block size.
+all of them when the property holds).  The checkers read a table through
+the grid it was tabulated over (:class:`~prefrev.scf.Grid`): one cell per
+combination of the voters' classes, a class being the orders whose
+difference the rule does not read.  Classes are numbered by their least
+order, so C order over any grid is profile order over the cells' least
+profiles, and a table given whole is its own grid with every voter read
+whole.  A check therefore costs what the rule reads, not the profile
+count, and its answer never depends on the grid or the block size.
 
 ISP takes profiles, then voters, then each voter's other orders: a row of
 sum(m_v - 1) single-voter deviations.  It is decided by lines.  Voter v's
 line through P is the m_v profiles that differ from P at most in v's
 order, and P has a failing deviation of v exactly when some outcome on
-that line is ranked above phi(P) by v's order at P.  One pass ORs the
-table's one-hot outcome rows along each voter's axis into the outcome set
-of every line; then each (P, v) is one AND of that set with the packed row
-of what v's order ranks above phi(P): n * count tests of ceil(k / 8) bytes
-instead of count * sum(m_v - 1) deviations.  Only the first failing line
-is walked, to find its slot.  Dictatorship takes voters, then profiles: a
-voter is served where phi(P) has rank 0 under their order.  Both run
-serially, over blocks of whole chunks of profiles (:meth:`_Ctx.key_blocks`)
-that start at about ``_FIRST_CELLS`` cells and double, so an early failure
-stays cheap.  No block divides per profile or builds an array over the
-whole profile space; ISP's line pass alone builds a one-hot copy of the
-table and count / m_v outcome sets for each voter v.
+that line is ranked above phi(P) by v's order at P.  Both depend on the
+other voters only through their classes, so voter v is decided on m_v *
+prod(c_u, u != v) cells: v's whole order, the others' classes.  One pass
+ORs the grid's one-hot outcome rows along v's axis into the outcome set of
+every line; then each cell is one AND of that set with the packed row of
+what v's order ranks above phi: tests of ceil(k / 8) bytes instead of
+count * sum(m_v - 1) deviations.  The voters' cells are walked in blocks
+(:meth:`_Ctx.key_blocks`), one block of each voter in turn; a voter stops
+at its first failing cell, or once its next block starts past the least
+failing (profile, voter) found.  The witness and ``checked`` come from
+the least profile of the first failing cell, whose line alone is walked,
+to find its slot.  Dictatorship takes voters, then profiles: a voter
+is served where phi(P) has rank 0 under their order.  Each voter's cells
+are walked in turn until their first unserved cell, and the first voter
+with none is the dictator; no later voter is walked.  Blocks start at
+about ``_FIRST_CELLS / n`` cells and double, so an early failure stays
+cheap.  No block divides per cell or builds an array over the whole grid;
+ISP's line pass alone builds a one-hot copy of the grid and its outcome
+sets per voter.
 
 GSP, PR and APR are constraints on ordered profile pairs (P, Q).  With x =
 phi(P) and y = phi(Q), voter v *keeps* x if P_v != Q_v and x is weakly best
@@ -40,11 +52,17 @@ PR, any of the three.  APR fails where the gsp or the acc section does.  So
 one word array with a bit per (section, x, y), seeded with the bits of its
 own outcome y, and each voter's step ORs and ANDs it along that voter's
 axis with masks of the voter's orders, built once per domain
-(:meth:`_Ctx.elimination`).  After the last voter, P fails a property
-where its bits (phi(P), y != phi(P)) meet the property's sections: about
-7 * n numpy operations over count rows of ceil(sections * k**2 / 64)
-words, however many pairs there are.  Only the first failing P's row is
-then computed over the profiles Q, for its witness.
+(:meth:`_Ctx.elimination`, reused by a scan over fewer sections).  The
+words are seeded from the grid; at voter v, whose axis holds c_v classes,
+the ORs run over the classes (the ``after`` rows ORed per class) before
+one ``take`` spreads them to v's m_v orders.  A voter of one class, read
+for nothing, is skipped: their step is the identity (T | before & T | T &
+after = T), and their digit in the first failing P is 0.  After the last
+voter, P fails a property where its bits (phi(P), y != phi(P)) meet the
+property's sections: about 7 * n numpy operations over at most count rows
+of ceil(sections * k**2 / 64) words, however many pairs there are.  Only
+the first failing P's row is then computed over the profiles Q, for its
+witness.
 
 Row P has count - 1 cases, one per Q != P.  PR and APR take them left to
 right.  GSP takes them by coalition size, then coalition, then the members'
@@ -87,7 +105,7 @@ import numpy as np
 from .errors import ArgumentError, ParseError, ResourceGuardError
 from .orders import WeakOrder, format_order
 from .domains import DEFAULT_PROFILE_GUARD, Domain
-from .scf import Profile, Scf, _as_int, chunk_digits, evaluate, profile_at, profile_strides, tabulate
+from .scf import Profile, Scf, _as_int, class_grid, evaluate, profile_at, profile_strides, tabulate
 
 #: Most ordered profile pairs (P, Q) the GSP, PR and APR checkers and the
 #: verdict rows of ISP, GSP, PR and APR admit, on top of the profile guard.
@@ -219,9 +237,10 @@ class _Ctx:
 
     def elimination(self, sections):
         """The words :func:`_pair_scan` eliminates with over ``sections``,
-        built once per domain and sections: ``(seed, before, after, own,
-        fails_on)``, rows of :func:`_pack_words` in which bit ``s * k * k +
-        x * k + y`` stands for (section s, x, y).
+        built once per domain: ``(seed, before, after, own, fails_on)``,
+        rows of :func:`_pack_words` in which bit ``s * k * k + x * k + y``
+        stands for (section s, x, y) over the sections the words hold.
+        Words already built for a superset of ``sections`` are reused.
 
         ``seed[y]`` sets (s, x, y) for every s and x.  ``before[g]`` sets
         the bits where y is strictly better than x under global order g, in
@@ -229,7 +248,7 @@ class _Ctx:
         better than y under g, in the acc and pr sections.  ``own[x]`` sets
         (s, x, y) for every s and y != x, and ``fails_on[p]`` every bit of
         the sections property p fails on."""
-        got = self.eliminations.get(sections)
+        got = next((e for held, e in self.eliminations.items() if set(sections) <= set(held)), None)
         if got is None:
             k, g, shape = self.k, len(self.rank_table), (len(sections), self.k, self.k)
             eye = np.eye(k, dtype=bool)
@@ -265,53 +284,45 @@ class _Ctx:
             np.packbits(np.eye(k, dtype=bool), axis=1, bitorder="little"),
         )
 
-    @cached_property
-    def chunks(self):
-        """What :meth:`key_blocks` needs of the domain: ``(span, head,
-        line_strides, tail)``.
+    def key_blocks(self, grid, v, present=None, past=None):
+        """``(lo, keys, sets)`` for blocks of voter v's cells of ``grid``
+        (:class:`~prefrev.scf.Grid`), in C order from cell lo: v's orders
+        on axis v, and each other voter's classes, or orders where they are
+        read whole.  Viewed as ``(A, m_v, B)``, the cells before and after
+        v's axis, each block is a box of :func:`_boxes` and ``keys`` has
+        its shape: ``g * k + phi`` at each cell, g being v's global order
+        there, the flat place of phi's rank under g in ``rank_table`` and
+        of its row in ISP's ``better``.  ``sets`` is ``present[a, b]`` at
+        each cell's line, shaped to broadcast against ``keys``, or None
+        without ``present``.  The walk ends before a block whose first cell
+        ``past`` accepts.  Nothing is divided per cell, and no block builds
+        an array over the whole grid."""
+        values, codes, m = grid.values, grid.codes[v], self.sizes[v]
+        outcomes = values.reshape(math.prod(values.shape[:v]), values.shape[v], -1)
+        a_size, _, b_size = outcomes.shape
+        # Keys less phi, int32 unless they need more.
+        index = np.promote_types(np.int32, np.min_scalar_type(self.rank_table.size))
+        offsets = ((self.order_base[v] + np.arange(m)) * self.k).astype(index)
+        for a0, a1, d0, d1, b0, b1 in _boxes(a_size, m, b_size, self.n):
+            lo = (a0 * m + d0) * b_size + b0
+            if past is not None and past(lo):
+                return
+            rows = outcomes[a0:a1, :, b0:b1]
+            rows = rows[:, d0:d1] if codes is None else rows.take(codes[d0:d1], axis=1)
+            sets = None if present is None else present[a0:a1, None, b0:b1]
+            yield lo, offsets[d0:d1, None] + rows, sets
 
-        The serial scans take profiles in the chunks of
-        :func:`~prefrev.scf.chunk_digits` for ``_FIRST_CELLS`` cells:
-        ``span`` consecutive profiles, the largest stride (or the whole
-        space) of at most about ``_FIRST_CELLS / n``, and ``head`` gives
-        the digits of a block of chunks' first profiles.  ``tail`` holds
-        the keys less phi and the line numbers of each profile s of chunk
-        0; chunk c adds to both.  ``line_strides[v, u]`` is voter u's
-        stride in the numbering of voter v's lines: C order over the other
-        voters' orders, after the lines of voters 0..v-1.
-        """
-        span, digits, head = chunk_digits(self.sizes, _FIRST_CELLS)
-        strides = np.array(self.strides)[:, None]
-        sizes = np.array(self.sizes)[:, None]
-        # Voter v's lines leave out v's axis, so a voter u before v
-        # strides m_v times less.
-        before = np.tri(self.n, dtype=bool)
-        line_strides = np.where(before, strides.T // sizes, strides.T)
-        np.fill_diagonal(line_strides, 0)
-        keys = (self.order_base[:, None] + digits) * self.k
-        line_base = np.cumsum([0] + [self.count // m for m in self.sizes[:-1]])
-        lines = line_strides @ digits + line_base[:, None]
-        return span, head, line_strides, (keys[:, None], lines[:, None])
-
-    def key_blocks(self, table, lines=False):
-        """``(lo, keys, lines)`` for blocks of consecutive profiles from lo,
-        whole chunks sized by :func:`_growing_blocks`; both ``(n, rows)``.
-        ``keys[v, r]`` is ``g * k + phi(P)``, g being voter v's global order
-        at P = lo + r: the flat place of phi(P)'s rank under g in
-        ``rank_table`` and of its row in ISP's ``better``.  ``lines[v, r]``
-        numbers v's line through P (or is None unless asked for).  Nothing
-        is divided per profile, and no block builds a whole-space array."""
-        span, head, line_strides, (tail_keys, tail_lines) = self.chunks
-        chunks = table.reshape(-1, span)
-        for lo, hi in _growing_blocks(self.count // span, self.n * span):
-            keys, at = tail_keys, tail_lines
-            if span < self.count:
-                digits = head(lo, hi)
-                keys = keys + (digits * self.k)[:, :, None]
-                if lines:
-                    at = at + (line_strides @ digits)[:, :, None]
-            keys = (keys + chunks[lo:hi]).reshape(self.n, -1)
-            yield lo * span, keys, at.reshape(self.n, -1) if lines else None
+    def least_profile(self, grid, v, cell):
+        """The least profile of voter v's cell ``cell`` of ``grid`` (as
+        :meth:`key_blocks` numbers them): each other voter's least order of
+        their class, where they are keyed."""
+        profile = 0
+        for u in range(self.n - 1, -1, -1):
+            m = self.sizes[u] if u == v else grid.values.shape[u]
+            cell, d = divmod(cell, m)
+            least = grid.least[u]
+            profile += self.strides[u] * (d if least is None or u == v else int(least[d]))
+        return profile
 
     @cached_property
     def coalitions(self) -> dict[tuple[int, ...], int]:
@@ -343,24 +354,37 @@ def _pack_words(bits):
 
 
 def _prepare(scf: Scf, max_profiles: int):
-    return scf.domain._scan_context, tabulate(scf, max_profiles).table
+    """The domain's scan context, and the table and grid of ``scf``."""
+    scf = tabulate(scf, max_profiles)
+    return scf.domain._scan_context, scf.table, class_grid(scf)
 
 
-def _growing_blocks(count, per_row):
-    """``(lo, hi)`` ranges covering ``range(count)`` of rows (chunks of
-    profiles), ``per_row`` cells a row.  The first block holds about
-    ``_FIRST_CELLS`` cells, so an early failure stays cheap, and each next
-    one twice as many, up to ``_SERIAL_CELLS`` (never past
-    ``_BLOCK_CELLS``), where ISP's and dictatorship's int64 temporaries
-    stay in cache and are not page-faulted."""
-    per_row = max(1, per_row)
-    rows = max(1, min(_FIRST_CELLS, _BLOCK_CELLS) // per_row)
-    most = max(1, min(_SERIAL_CELLS, _BLOCK_CELLS) // per_row)
-    lo = 0
-    while lo < count:
-        hi = min(lo + rows, count)
-        yield lo, hi
-        lo, rows = hi, min(2 * rows, most)
+def _boxes(a_size, m, b_size, voters):
+    """``(a0, a1, d0, d1, b0, b1)``: the blocks of consecutive cells of an
+    ``(a_size, m, b_size)`` array in C order, each a box: whole rows of a,
+    part of one a's rows of d, or part of one (a, d)'s row of b.  The first
+    block holds about ``_FIRST_CELLS / voters`` cells, so an early failure
+    stays cheap when ``voters`` walks take turns, and each next one twice as
+    many, up to ``_SERIAL_CELLS`` (never past ``_BLOCK_CELLS``), where
+    ISP's and dictatorship's temporaries stay in cache and are not
+    page-faulted."""
+    cells = max(1, min(_FIRST_CELLS, _BLOCK_CELLS) // voters)
+    most = max(1, min(_SERIAL_CELLS, _BLOCK_CELLS))
+    a = d = b = 0
+    while a < a_size:
+        if d == b == 0 and cells >= m * b_size:
+            box = (a, min(a_size, a + cells // (m * b_size)), 0, m, 0, b_size)
+        elif b == 0 and cells >= b_size:
+            box = (a, a + 1, d, min(m, d + cells // b_size), 0, b_size)
+        else:
+            box = (a, a + 1, d, d + 1, b, min(b_size, b + cells))
+        yield box
+        a, d, b = box[1] - 1, box[3] - 1, box[5]
+        if b == b_size:
+            b, d = 0, d + 1
+        if d == m:
+            d, a = 0, a + 1
+        cells = min(2 * cells, most)
 
 
 # ---------------------------------------------------------------------------
@@ -380,39 +404,52 @@ def check_isp(
     truthful order, and fails where v ranks phi at ``P + (e - d) *
     stride_v`` above phi(P).  Those targets are v's line through P, so
     (P, v) has a failing slot exactly when the line's outcome set meets
-    the alternatives d ranks above phi(P): one AND of packed rows per
-    (P, v).  Only the first failing line is walked for its slot.
+    the alternatives d ranks above phi(P): one AND of packed rows per cell
+    of v's grid, v's order against the others' classes.  Only the first
+    failing line is walked for its slot.
     """
     t0 = time.perf_counter()
-    ctx, table = _prepare(scf, max_profiles)
+    ctx, table, grid = _prepare(scf, max_profiles)
     better, onehot = ctx.isp_rows
-    # present[lines[v, r]]: the outcomes on voter v's line through P.
-    cube = onehot.take(table, axis=0).reshape(ctx.sizes + (-1,))
-    present = np.concatenate([
-        np.bitwise_or.reduce(cube, axis=v).reshape(-1, onehot.shape[1])
-        for v in range(ctx.n)
-    ])
+    # present[a, b]: the outcomes on voter v's line through the cells
+    # (a, ., b), those before and after v's axis: an OR along it.
+    cube = onehot.take(grid.values, axis=0)
+    shape = grid.values.shape
+    best = (ctx.count, ctx.n)  # the least failing (profile, voter) found
+    walks = {}
+    for v in range(ctx.n):
+        present = np.bitwise_or.reduce(
+            cube.reshape(math.prod(shape[:v]), shape[v], -1, cube.shape[-1]), axis=1
+        )
+        walks[v] = ctx.key_blocks(grid, v, present, past=lambda cell, v=v: (
+            best[0] < ctx.count and (ctx.least_profile(grid, v, cell), v) > best
+        ))
+    del cube
+    while walks:
+        for v, blocks in list(walks.items()):
+            block = next(blocks, None)
+            if block is not None:
+                lo, keys, sets = block
+                fails = (sets & better.take(keys, axis=0)).any(axis=-1)
+                r = int(fails.argmax())
+                if not fails.flat[r]:
+                    continue
+                best = min(best, (ctx.least_profile(grid, v, lo + r), v))
+            del walks[v]
     per_row = sum(ctx.sizes) - ctx.n
     checked = ctx.count * per_row
     witness = None
-    for lo, keys, lines in ctx.key_blocks(table, lines=True):
-        fails = (
-            present.take(lines, axis=0) & better.take(keys, axis=0)
-        ).any(axis=2)
-        hit = fails.any(axis=0)
-        r = int(hit.argmax())
-        if hit[r]:
-            i, v = lo + r, int(fails[:, r].argmax())
-            d = i // ctx.strides[v] % ctx.sizes[v]
-            ranks = ctx.rank_table[ctx.order_base[v] + d]
-            line = table[i + (np.arange(ctx.sizes[v]) - d) * ctx.strides[v]]
-            e = int((ranks[line] < ranks[table[i]]).argmax())
-            witness = ManipulationWitness(
-                (v,), profile_at(scf.domain, i), (scf.domain.feasible[v][e],),
-                int(table[i]), int(line[e]),
-            )
-            checked = i * per_row + sum(ctx.sizes[:v]) - v + e - (e > d) + 1
-            break
+    i, v = best
+    if i < ctx.count:
+        d = i // ctx.strides[v] % ctx.sizes[v]
+        ranks = ctx.rank_table[ctx.order_base[v] + d]
+        line = table[i + (np.arange(ctx.sizes[v]) - d) * ctx.strides[v]]
+        e = int((ranks[line] < ranks[table[i]]).argmax())
+        witness = ManipulationWitness(
+            (v,), profile_at(scf.domain, i), (scf.domain.feasible[v][e],),
+            int(table[i]), int(line[e]),
+        )
+        checked = i * per_row + sum(ctx.sizes[:v]) - v + e - (e > d) + 1
     return PropertyReport(
         "isp", witness is None, witness, checked, time.perf_counter() - t0, scf
     )
@@ -477,38 +514,57 @@ def _pair_scan(scf, wanted, max_profiles):
     """GSP, PR and APR decided by eliminating one voter axis at a time.
 
     Over ``sections``, the ones the ``wanted`` properties fail on, each
-    profile holds words of :meth:`_Ctx.elimination`, seeded with the bits
-    (s, x, phi(Q)) of its own outcome.  Once voters 0..v are eliminated,
-    the words at a profile R hold (s, x, y) where some Q with phi(Q) = y
-    and Q_u = R_u for every u > v meets section s's condition against P_u =
-    R_u at every u <= v.  A voter's condition is Q_v = P_v, or ``before``
-    at P_v, or ``after`` at Q_v, so eliminating v's axis is ``T | (before[d]
-    & OR_e T[e]) | OR_e (T[e] & after[e])`` along it.  After the last
-    voter, P fails a property where its bits (phi(P), y), y != phi(P), meet
-    the property's sections.  Only the first failing P's row is computed
-    over the profiles Q, by :func:`_failing_sections`.
+    cell of the grid holds words of :meth:`_Ctx.elimination`, seeded with
+    the bits (s, x, phi(Q)) of its own outcome.  Once voters 0..v are
+    eliminated, the words at R hold (s, x, y) where some Q with phi(Q) = y,
+    Q_u = R_u or in R_u's class for every u > v, meets section s's
+    condition against P_u = R_u at every u <= v.  A voter's condition is
+    Q_v = P_v, or ``before`` at P_v, or ``after`` at Q_v, so eliminating
+    v's axis is ``T | (before[d] & OR_e T[e]) | OR_e (T[e] & after[e])``
+    along it, e over v's orders, where T[e] is the words at e's class: the
+    ORs run over the classes, with the ``after`` rows of each class ORed,
+    and one ``take`` spreads T to v's orders.  A voter of one class is
+    skipped, as the step is then the identity.  After the last voter, P
+    fails a property where its bits (phi(P), y), y != phi(P), meet the
+    property's sections.  Only the first failing P's row is computed over
+    the profiles Q, by :func:`_failing_sections`.
     """
     t0 = time.perf_counter()
-    ctx, table = _prepare(scf, max_profiles)
+    ctx, table, grid = _prepare(scf, max_profiles)
     count = ctx.count
     total = _require_pairs(count)
     sections = _sections(wanted)
     seed, before, after, own, fails_on = ctx.elimination(sections)
-    words = seed.take(table, axis=0).reshape(ctx.sizes + seed.shape[1:])
+    with_after = any(_SECTIONS[s][1] for s in sections)
+    words = seed.take(grid.values, axis=0)
     # Voter v's axis is in front when v is eliminated, where a reduction
     # along it is fast, and then moves to the back: after the last voter
     # the axes are in order again.
     to_back, ones = (*range(1, ctx.n), 0, ctx.n), (1,) * (ctx.n - 1)
     for v, m in enumerate(ctx.sizes):
-        at = slice(ctx.order_base[v], ctx.order_base[v] + m)
+        c, codes = len(words), grid.codes[v]
+        if c == 1:
+            # One class: the step is the identity, T | before & T | T &
+            # after = T, and P's digit here is 0.
+            words = words.reshape(words.shape[1:-1] + words.shape[:1] + words.shape[-1:])
+            continue
+        at = slice(int(ctx.order_base[v]), int(ctx.order_base[v]) + m)
         step = before[at].reshape(m, *ones, -1) & np.bitwise_or.reduce(words, axis=0, keepdims=True)
-        if sections != ("gsp",):
-            after_v = after[at].reshape(m, *ones, -1)
-            step |= np.bitwise_or.reduce(words & after_v, axis=0, keepdims=True)
+        if with_after:
+            after_v = after[at]
+            if codes is not None:  # OR the after rows of each class
+                after_v = np.zeros((c,) + after_v.shape[1:], after_v.dtype)
+                np.bitwise_or.at(after_v, codes, after[at])
+            step |= np.bitwise_or.reduce(words & after_v.reshape(c, *ones, -1), axis=0, keepdims=True)
+        if codes is not None:  # spread the classes to v's orders
+            words = words.take(codes, axis=0)
         words |= step
         del step  # so that the copy below is the only other full-size array
         words = words.transpose(to_back).copy()
-    words = words.reshape(count, -1) & own.take(table, axis=0)
+    # Voters of one class keep their axis of 1: P's digit there is 0.
+    read = words.shape[:-1]
+    outcomes = table.reshape(ctx.sizes)[tuple(slice(m) for m in read)].reshape(-1)
+    words = words.reshape(len(outcomes), -1) & own.take(outcomes, axis=0)
     results: dict[str, tuple[int, tuple[int, int] | None]] = {}
     rows = {}
     for prop in wanted:
@@ -517,6 +573,7 @@ def _pair_scan(scf, wanted, max_profiles):
         if not hit[i]:
             results[prop] = (total, None)
             continue
+        i = sum(s * int(d) for s, d in zip(ctx.strides, np.unravel_index(i, read)))
         if i not in rows:
             rows[i] = _failing_sections(ctx, table, i, sections)
         fails = [sections.index(s) for s in _FAILS_ON[prop]]
@@ -642,28 +699,30 @@ def check_dictator(
 
     Voter v is served at P when phi(P) has rank 0 under v's order at P.  The
     canonical scan takes voters in order, each over every profile until the
-    first one where they are not served; the profile blocks find each
-    voter's first such profile at once.
+    first one where they are not served.  That depends on the others only
+    through their classes, so each voter's cells of the grid are walked in
+    turn, until the first unserved one, whose least profile is the
+    voter's; the first voter with none is the dictator.
     """
     t0 = time.perf_counter()
-    ctx, table = _prepare(scf, max_profiles)
-    first = np.full(ctx.n, -1)
-    for lo, keys, _ in ctx.key_blocks(table):
-        unserved = ctx.rank_table.reshape(-1)[keys] != 0
-        found = (first < 0) & unserved.any(axis=1)
-        first[found] = lo + unserved.argmax(axis=1)[found]
-        if (first >= 0).all():
-            break
+    ctx, table, grid = _prepare(scf, max_profiles)
+    ranks = ctx.rank_table.reshape(-1)
     checked = 0
     counters: list[DictatorCounter] = []
     dictator = None
-    for v, pidx in enumerate(first.tolist()):
-        if pidx < 0:
+    for v in range(ctx.n):
+        for lo, keys, _ in ctx.key_blocks(grid, v):
+            unserved = ranks[keys] != 0
+            r = int(unserved.argmax())
+            if unserved.flat[r]:
+                i = ctx.least_profile(grid, v, lo + r)
+                checked += i + 1
+                counters.append(DictatorCounter(v, profile_at(scf.domain, i), int(table[i])))
+                break
+        else:
             checked += ctx.count
             dictator = v
             break
-        checked += pidx + 1
-        counters.append(DictatorCounter(v, profile_at(scf.domain, pidx), int(table[pidx])))
     holds = dictator is not None
     witness = dictator if holds else tuple(counters)
     return PropertyReport(

@@ -31,9 +31,16 @@ the paper example's second voter's, each class's of a clone).
 equal key, in blocks of whole chunks of :func:`chunk_digits` (each block's
 chunk heads added to the one chunk's digits, no profile number divided),
 and spreads the grid over the profile space with one ``take`` per keyed
-voter.  A voter whose whole order is read keeps all their orders in the
-grid, so a rule that reads every voter whole runs on every profile.
-Blocks hold about ``_EVAL_CELLS`` (row, voter) cells.
+voter.  Blocks hold about ``_EVAL_CELLS`` (row, voter) cells.  Voters of
+one feasible set and one key share their classes, found by one
+``np.unique``.  Classes are numbered by their least order, so C order over
+the grid is profile order over the cells' least profiles.  A voter whose
+whole order is read keeps all their orders in the grid, so a rule that
+reads every voter whole runs on every profile.
+
+The table keeps its grid (:class:`Grid`, :func:`class_grid`), and the
+property checkers walk it in place of the profile space; a table given
+whole is its own grid, every voter read whole.
 """
 
 from __future__ import annotations
@@ -386,12 +393,32 @@ _RULE_READS: dict[str, Callable] = {
 
 
 @dataclass(frozen=True, eq=False)
+class Grid:
+    """A rule's outcomes over the classes of orders its kernel tells apart.
+
+    ``values`` has one axis per voter.  Where ``codes[v]`` is None, axis v
+    holds voter v's orders: v is read whole.  Otherwise it holds v's
+    classes: ``codes[v][d]`` is the class of v's order d, and
+    ``least[v][c]`` the least order of class c.  Classes are numbered by
+    their least order, so C order over any grid is profile order over the
+    cells' least profiles.  Every profile's outcome is the value at the
+    cell of its orders' classes.
+    """
+
+    values: np.ndarray
+    codes: tuple
+    least: tuple
+
+
+@dataclass(frozen=True, eq=False)
 class Scf:
-    """A total map from the profile space to alternatives."""
+    """A total map from the profile space to alternatives.  A table made
+    by :func:`tabulate` keeps the ``grid`` it was evaluated on."""
 
     domain: Domain
     rule: Rule | None = None
     table: np.ndarray | None = None
+    grid: Grid | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if (self.rule is None) == (self.table is None):
@@ -459,39 +486,62 @@ def evaluate(scf: Scf, profile: Profile) -> int:
 def tabulate(scf: Scf, guard: int = DEFAULT_PROFILE_GUARD) -> Scf:
     """Materialize a rule into a table; idempotent on tables.
 
-    The kernel runs on the first order of each class of :func:`rule_reads`,
+    The kernel runs on the least order of each class of :func:`rule_reads`,
     and one ``take`` per keyed voter spreads its outcomes over the profiles.
+    Voters of one feasible set (``Domain.distinct``) and one key share one
+    ``np.unique``; its classes are renumbered by their least order.  The
+    table keeps the grid of classes as its :class:`Grid`.
     """
     if scf.table is not None:
         return scf
     domain = scf.domain
     domain.require_enumerable(guard)
     kernel, base = rule_kernel(scf), scf._arrays[0]
-    classes = []  # (voter, first order of each class, each order's class)
+    number = domain.distinct[1]
     grid = [len(fs) for fs in domain.feasible]
-    for v, key in enumerate(rule_reads(scf)):
-        if key is not None:
+    codes, least, shared = [None] * domain.n, [None] * domain.n, {}
+    reads = rule_reads(scf)  # held for the loop, so no key's id is reused
+    for v, key in enumerate(reads):
+        if key is None:
+            continue
+        classes = shared.get((number[v], id(key)))
+        if classes is None:
             row = int(base[v])  # the set's end row may not fit base's type
-            _, first, codes = np.unique(
+            _, first, inverse = np.unique(
                 key[row:row + grid[v]], return_index=True, return_inverse=True
             )
-            classes.append((v, first, codes))
-            grid[v] = len(first)
+            by_least = np.argsort(first)  # renumber the classes by least order
+            classes = shared[number[v], id(key)] = (first[by_least], np.argsort(by_least)[inverse])
+        least[v], codes[v] = classes
+        grid[v] = len(least[v])
     span, tail, head = chunk_digits(grid, _EVAL_CELLS)
     step = max(1, _EVAL_CELLS // (domain.n * span))
     values = np.empty((math.prod(grid) // span, span), dtype=np.uint8)
     for lo in range(0, len(values), step):
         hi = min(lo + step, len(values))
         digits = (head(lo, hi).T[:, None] + tail.T).reshape(-1, domain.n)
-        for v, first, _ in classes:
-            digits[:, v] = first[digits[:, v]]
+        for v, first in enumerate(least):
+            if first is not None:
+                digits[:, v] = first[digits[:, v]]
         values[lo:hi] = kernel(digits).reshape(-1, span)
+    kept = values = values.reshape(grid)
+    kept.setflags(write=False)
     # Spread from the last voter to the first, so the largest take, along
     # the first axis, copies whole rows.
-    values = values.reshape(grid)
-    for v, _, codes in reversed(classes):
-        values = values.take(codes, axis=v)
-    return Scf(domain, table=values.ravel())
+    for v in reversed(range(domain.n)):
+        if codes[v] is not None:
+            values = values.take(codes[v], axis=v)
+    return Scf(domain, table=values.ravel(), grid=Grid(kept, tuple(codes), tuple(least)))
+
+
+def class_grid(scf: Scf) -> Grid:
+    """The grid of a table: the one :func:`tabulate` kept, or, for a table
+    given whole, the table itself with every voter read whole."""
+    if scf.grid is not None:
+        return scf.grid
+    n = scf.domain.n
+    sizes = tuple(len(fs) for fs in scf.domain.feasible)
+    return Grid(scf.table.reshape(sizes), (None,) * n, (None,) * n)
 
 
 def range_of(scf: Scf, guard: int = DEFAULT_PROFILE_GUARD) -> frozenset[int]:

@@ -743,6 +743,33 @@ def test_check_gsp_within_the_pair_guard(capsys, tmp_path):
     assert (report["holds"], report["checked"]) == (False, 171_403)
 
 
+@pytest.mark.parametrize("name, rule, params, expected_code, checked, digest", [
+    ("dict6.json", "dictator-tiebreak", {"voter": 3, "tiebreak": ["a", "b", "c"]}, 0,
+     (347_530_248, 5_266_211), "ec463bca7f4ed0e8449ed0b254aae835088a95af49ca52e8e60b7e7e1a399499"),
+    ("plur6.json", "plurality-tiebreak", {"tiebreak": ["c", "a", "b"]}, 2,
+     (135, 402_240), "526211e5de4b657b51eec08949ecbd9abd4959bdd3725752793ee56d82c8137d"),
+])
+def test_six_voter_checks_walk_the_classes_the_rule_reads(
+    capsys, tmp_path, monkeypatch, name, rule, params, expected_code, checked, digest
+):
+    # 6 voters x @universal-weak k=3, 4,826,809 profiles.  ISP and
+    # dictatorship walk each voter's orders against the other voters'
+    # classes; stdout is the bytes (sha256) that scanning every profile
+    # printed, witnesses and checked counts included.
+    import hashlib
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(json.dumps({
+        "alternatives": ["a", "b", "c"], "voters": 6,
+        "domain": {"voters": [{"preset": "@universal-weak"}] * 6},
+        "rule": {"name": rule, "params": params},
+    }))
+    code, out, _ = run(capsys, "check", name, "--properties", "isp,dictator", "--output", "json")
+    assert code == expected_code
+    assert tuple(r["checked"] for r in json.loads(out)["reports"]) == checked
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_thm_range3_with_explicit_weak_orders(capsys):
     code, out, _ = run(
         capsys, "verify", "thm-range3",

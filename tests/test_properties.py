@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import itertools
 import json
+import math
 import random
 import sys
 import weakref
@@ -955,36 +956,51 @@ def test_isp_matches_the_reference_scan_on_seeded_tables(monkeypatch, cells):
 
 @pytest.mark.parametrize("cells", [None, 1, 7, 60])
 def test_key_blocks_give_every_profiles_orders_and_lines(monkeypatch, cells):
-    # The chunks take each chunk's digits from its first profile, on uneven
-    # domains: voters with one, two or more orders, in every place.
+    # Each voter's blocks are boxes of consecutive cells of a table given
+    # whole, whose cells are its profiles, on uneven domains: voters with
+    # one, two or more orders, in every place.  Each cell's key reads the
+    # voter's order and phi, and its set is the voter's line through it.
     import numpy as np
+
+    from prefrev.scf import class_grid
 
     if cells is not None:
         monkeypatch.setattr(properties, "_FIRST_CELLS", cells)
         monkeypatch.setattr(properties, "_BLOCK_CELLS", cells)
+    rng = random.Random(cells)
     alts = AlternativeSet.letters(3)
     weak = list(FeasibleSet.universal_weak(alts))
     for sizes in ((3, 1, 2, 3), (1, 5), (2, 2, 2), (13, 1, 1), (4, 3, 2, 1), (1, 1, 7, 2)):
         domain = Domain(tuple(FeasibleSet.explicit(alts, weak[:m]) for m in sizes))
         ctx = domain._scan_context
-        blocks = list(ctx.key_blocks(np.zeros(ctx.count, np.uint8), lines=True))
-        assert [lo for lo, _, _ in blocks][0] == 0
-        keys = np.concatenate([keys for _, keys, _ in blocks], axis=1)
-        lines = np.concatenate([at for _, _, at in blocks], axis=1)
-        assert (keys // ctx.k - ctx.order_base[:, None] == ctx.digits).all()
-        base = 0
+        table = np.array([rng.randrange(3) for _ in range(ctx.count)], np.uint8)
+        grid = class_grid(Scf.from_table(domain, table))
         for v in range(ctx.n):
             others = [u for u in range(ctx.n) if u != v]
             line = np.ravel_multi_index(ctx.digits[others], [sizes[u] for u in others])
-            assert (lines[v] == base + line).all(), (sizes, v)
-            base += ctx.count // sizes[v]
+            present = np.arange(ctx.count // sizes[v]).reshape(
+                math.prod(sizes[:v]), math.prod(sizes[v + 1:]), 1
+            )
+            blocks = list(ctx.key_blocks(grid, v, present))
+            ends = np.cumsum([keys.size for _, keys, _ in blocks])
+            assert [lo for lo, _, _ in blocks] == [0, *ends[:-1]] and ends[-1] == ctx.count
+            keys = np.concatenate([keys.reshape(-1) for _, keys, _ in blocks])
+            sets = np.concatenate([
+                np.broadcast_to(at, keys.shape + (1,)).reshape(-1) for _, keys, at in blocks
+            ])
+            assert (keys == (ctx.order_base[v] + ctx.digits[v]) * ctx.k + table).all()
+            assert (sets == line).all(), (sizes, v)
 
 
 @pytest.mark.parametrize("cells", [1, 7, 60, 1 << 12])
 def test_context_digits_and_chunks_match_the_division_formulas(monkeypatch, cells):
-    # The grid-built digits and chunks are what dividing each profile
-    # number by the strides gave, dtype included.
+    # The grid-built digits are what dividing each profile number by the
+    # strides gave, dtype included.  Block i of each voter's key_blocks
+    # holds at most cells / n * 2**i cells, never more than the serial
+    # block, and its keys read the voter's digit as the division gives it.
     import numpy as np
+
+    from prefrev.scf import class_grid
 
     monkeypatch.setattr(properties, "_FIRST_CELLS", cells)
     alts = AlternativeSet.letters(3)
@@ -993,23 +1009,19 @@ def test_context_digits_and_chunks_match_the_division_formulas(monkeypatch, cell
         domain = Domain(tuple(FeasibleSet.explicit(alts, weak[:m]) for m in sizes))
         ctx = domain._scan_context
         n, count, k = ctx.n, ctx.count, ctx.k
-        strides, radix = np.array(ctx.strides)[:, None], np.array(sizes)[:, None]
         idx = np.arange(count, dtype=np.min_scalar_type(count))
         digits = np.stack([
             (idx // stride) % size for stride, size in zip(ctx.strides, sizes)
         ]).astype(np.min_scalar_type(max(sizes)))
         assert ctx.digits.dtype == digits.dtype
         assert (ctx.digits == digits).all()
-        span, head, line_strides, (keys, lines) = ctx.chunks
-        assert span == next(s for s in (count,) + ctx.strides if s <= max(1, cells // n))
-        assert (line_strides == np.where(
-            np.tri(n, dtype=bool), strides.T // radix, strides.T
-        ) * (1 - np.eye(n, dtype=int))).all()
-        first = np.arange(span) // strides % radix
-        line_base = np.cumsum([0] + [count // m for m in sizes[:-1]])
-        assert (keys[:, 0] == (ctx.order_base[:, None] + first) * k).all()
-        assert (lines[:, 0] == line_strides @ first + line_base[:, None]).all()
-        assert (head(0, count // span) == np.arange(0, count, span) // strides % radix).all()
+        grid = class_grid(Scf.from_table(domain, np.zeros(count, np.uint8)))
+        for v in range(n):
+            blocks = [keys for _, keys, _ in ctx.key_blocks(grid, v)]
+            first, most = max(1, cells // n), min(properties._SERIAL_CELLS, properties._BLOCK_CELLS)
+            assert all(b.size <= min(first << i, most) for i, b in enumerate(blocks))
+            keys = np.concatenate([keys.reshape(-1) for keys in blocks])
+            assert (keys == (ctx.order_base[v] + digits[v]) * k).all()
 
 
 @pytest.mark.parametrize("cells", [1, 6, 20])
@@ -1017,7 +1029,7 @@ def test_isp_failure_in_the_first_middle_and_last_block(monkeypatch, cells):
     # Every order ranks c last, so in a constant-a table with c at one
     # profile the first ISP failure is there: the voters at that profile
     # gain a by leaving it, and no one else gains c by moving to it.
-    import numpy as np
+    from prefrev.scf import class_grid
 
     monkeypatch.setattr(properties, "_FIRST_CELLS", cells)
     monkeypatch.setattr(properties, "_BLOCK_CELLS", cells)
@@ -1027,7 +1039,8 @@ def test_isp_failure_in_the_first_middle_and_last_block(monkeypatch, cells):
         FeasibleSet.explicit(alts, orders[:m]) for m in (3, 1, 2, 3)
     ))
     count = domain.profile_count()
-    starts = [lo for lo, _, _ in domain._scan_context.key_blocks(np.zeros(count, np.uint8))]
+    zeros = class_grid(Scf.from_table(domain, [0] * count))
+    starts = [lo for lo, _, _ in domain._scan_context.key_blocks(zeros, 0)]
     assert len(starts) >= 3
     for profile in (0, starts[len(starts) // 2], count - 1):
         values = [0] * count

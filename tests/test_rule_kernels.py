@@ -1,5 +1,7 @@
 """The numpy rule kernels against the per-profile rule oracle."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,10 +16,12 @@ from prefrev import (
     builtin,
     enumerate_single_peaked,
     enumerate_weak_orders,
+    parse_order,
     tabulate,
 )
 from prefrev import scf as scf_module
 from prefrev.domains import _parse_preset
+from prefrev.properties import CHECKERS, check_pr_apr, report_to_dict
 from prefrev.scf import rule_kernel
 
 from conftest import reference_evaluate, reference_table
@@ -108,6 +112,95 @@ def test_tabulate_over_the_classes_matches_the_oracle(scf):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scf_module, "rule_reads", lambda scf: (None,) * scf.domain.n)
         assert tabulate(scf).table.tobytes() == table
+
+
+def _reports(scf):
+    """Every checker's report on ``scf``, PR and APR also from one pass."""
+    docs = [report_to_dict(check(scf)) for check in CHECKERS.values()]
+    return docs + [report_to_dict(r) for r in check_pr_apr(scf).values()]
+
+
+def _assert_grid_scans_match_the_whole_table(scf):
+    """The checkers give the same reports on the rule's tabulated grid, on
+    its table given whole (every voter read whole), and on the grid of
+    every voter read whole."""
+    table = tabulate(scf)
+    expected = _reports(Scf.from_table(scf.domain, table.table))
+    assert _reports(table) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scf_module, "rule_reads", lambda scf: (None,) * scf.domain.n)
+        assert _reports(tabulate(scf)) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(rule_scfs(voters=4))
+def test_checkers_on_the_grid_match_the_whole_table(scf):
+    _assert_grid_scans_match_the_whole_table(scf)
+
+
+@pytest.mark.parametrize("cells", [None, 1])
+def test_grid_scans_match_on_seeded_keyed_domains(monkeypatch, cells):
+    # Plurality and the paper example on 2 or 3 voters with larger sets
+    # than the drawn rules: a class holds orders with different after rows,
+    # and with one-cell blocks a voter's walk starts a block at the least
+    # failing profile another voter has found.
+    from prefrev import properties
+
+    if cells is not None:
+        monkeypatch.setattr(properties, "_FIRST_CELLS", cells)
+        monkeypatch.setattr(properties, "_BLOCK_CELLS", cells)
+    rng = random.Random(3)
+    for k in (3, 4):
+        alts = AlternativeSet.letters(k)
+        weak = list(enumerate_weak_orders(k))
+        for _ in range(20):
+            n = rng.randint(2, 3)
+            domain = Domain(tuple(
+                FeasibleSet.explicit(alts, rng.sample(weak, rng.randint(2, 6))) for _ in range(n)
+            ))
+            _assert_grid_scans_match_the_whole_table(
+                builtin("plurality-tiebreak", domain, tiebreak=tuple(rng.sample(range(k), k)))
+            )
+            if n == 2:
+                _assert_grid_scans_match_the_whole_table(builtin("paper-example", domain))
+
+
+def test_a_keyed_voter_with_a_class_per_order_holds_classes():
+    # Three strict orders with three tops: plurality reads a key with as
+    # many classes as orders, and the grid says so itself; the other voter
+    # has two classes of three orders.
+    alts = AlternativeSet.letters(3)
+    tops = FeasibleSet.explicit(alts, [parse_order(t, alts) for t in ("a>b>c", "b>a>c", "c>a>b")])
+    shared = FeasibleSet.explicit(alts, [parse_order(t, alts) for t in ("a>b>c", "a>c>b", "b>a>c")])
+    for feasible in ((tops, shared), (shared, tops), (tops, tops, shared)):
+        phi = builtin("plurality-tiebreak", Domain(feasible), tiebreak=(2, 1, 0))
+        grid = tabulate(phi).grid
+        for v, fs in enumerate(feasible):
+            assert grid.codes[v] is not None
+            assert grid.values.shape[v] == (3 if fs is tops else 2)
+        _assert_grid_scans_match_the_whole_table(phi)
+
+
+def test_a_constant_rule_reads_no_voter():
+    alts = AlternativeSet.letters(3)
+    domain = Domain.shared(FeasibleSet.universal_weak(alts), 3)
+    phi = builtin("constant", domain, alternative=1)
+    assert tabulate(phi).grid.values.shape == (1, 1, 1)
+    _assert_grid_scans_match_the_whole_table(phi)
+
+
+def test_grid_scans_on_an_int8_row_numbering():
+    # Sets of 75 and 53 orders: 128 rows, numbered in int8; slice bounds
+    # must not wrap.
+    alts = AlternativeSet.letters(4)
+    weak = list(enumerate_weak_orders(4))
+    domain = Domain((FeasibleSet.explicit(alts, weak), FeasibleSet.explicit(alts, weak[:53])))
+    assert scf_module._order_arrays(domain)[0].dtype == np.int8
+    for phi in (
+        builtin("plurality-tiebreak", domain), builtin("paper-example", domain),
+        builtin("dictator-tiebreak", domain, voter=1),
+    ):
+        _assert_grid_scans_match_the_whole_table(phi)
 
 
 def _preset_rules(domain, preset):
