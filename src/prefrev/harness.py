@@ -14,9 +14,9 @@ property checkers against each other:
 * ``thm-complete``: specimen verification (complete feasible sets + ISP
   imply PR) of one named rule.  The table universes of complete domains
   are far past ``--max-tables``, which bounds every universe suite, though
-  the search below lists their ISP tables where few prefixes stay live
-  (80 of the 4^64 tables on 2 voters with single-peaked strict orders over
-  4 alternatives).
+  the search below lists their ISP tables through ``--limit`` (80 of the
+  4^64 tables on 2 voters with single-peaked strict orders over 4
+  alternatives, 127 of the 4^13824 on 3 voters with every strict order).
 * ``isp-not-pr``: bounded search for an ISP table violating PR on domains
   where neither theorem forbids one; it never claims non-existence beyond
   the searched space.
@@ -28,15 +28,18 @@ One driver, ``_suite``, checks them by one walk (``_walk``) and builds the
 verdict.  A table where every property the relations name fails breaks no
 relation and adds to no count, so the walk decides only the others, which
 ``_search`` lists in canonical order (base-|target| numerals, profile 0
-most significant) up to the universe size or the spec's limit.  The search
-builds tables profile by profile; each prefix carries the OR of its cells'
-packed verdict rows and its one-hot row of cells, both from
-``properties._CellRows``, the one source ``table_verdicts`` reads too, and a
-prefix that already breaks every named property is dropped with all of its
-tables.  No witness is built.  ``prop-apr-gsp`` and
+most significant) up to the universe size or the spec's limit.  A table
+that breaks ISP breaks every pair property, so the search builds tables
+profile by profile and drops a prefix, with all of its tables, once it
+breaks ISP: each new cell is tested against the outcomes of its earlier
+line neighbours (the profiles that differ from it in one voter), in a
+conflict table per (voter, order pair) built for that profile's lines.  A
+prefix carries only its digits.
+The leaves are exactly the ISP tables, and ``table_verdicts`` decides
+their other properties.  No witness is built.  ``prop-apr-gsp`` and
 ``isp-not-pr`` stop at the first table that breaks a relation, and
-``checked`` is its 1-based table number.  ``thm-range3`` and
-``summary-equivalence`` visit every table the search leaves, sum the
+``checked`` is its 1-based table number.  ``thm-range3``
+and ``summary-equivalence`` visit every table the search leaves, sum the
 counted verdicts and keep the first such table.  Only that one table
 becomes an :class:`Scf`: the full checker of every property the relations
 name runs on it, a verdict that differs from the kernel's is a
@@ -85,6 +88,7 @@ from .scf import (
     _EVAL_CELLS,
     Profile,
     Scf,
+    _as_int,
     builtin,
     evaluate,
     range_of,
@@ -95,7 +99,6 @@ from .scf import (
 from .properties import (
     CHECKERS,
     PropertyReport,
-    _CellRows,
     _require_pairs,
     check_isp,
     check_pr,
@@ -108,14 +111,19 @@ from .properties import (
 #: Ceiling on full table-universe enumerations (|target| ** |profiles|).
 DEFAULT_TABLE_GUARD = 100_000_000
 
-#: Verdict blocks gather about this many bytes of packed rows per property
-#: (count * ceil(count * k / 64) uint64 words a table).
+#: Blocks of tables hold about this many bytes at 8 a profile, and a chunk
+#: of the search's prefixes looks up about this many conflict rows.
 _TABLE_BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
 class EnumerationSpec:
-    """A table universe: domain, target range, optional filters and cap."""
+    """A table universe: domain, target range, optional filters and cap.
+
+    The target's entries and the limit are integers, checked and not
+    coerced (:func:`~prefrev.scf._as_int`): a float or a bool is a
+    TypeError.
+    """
 
     domain: Domain
     target: tuple[int, ...]
@@ -123,8 +131,10 @@ class EnumerationSpec:
     limit: int | None = None
 
     def __post_init__(self):
-        target = tuple(sorted(set(int(x) for x in self.target)))
+        target = tuple(sorted(set(_as_int(x, "a target alternative") for x in self.target)))
         object.__setattr__(self, "target", target)
+        if self.limit is not None:
+            object.__setattr__(self, "limit", _as_int(self.limit, "a table limit"))
         if not target:
             raise ArgumentError("target range must be non-empty")
         if target[0] < 0 or target[-1] >= self.domain.k:
@@ -154,20 +164,10 @@ def _universe_size(spec: EnumerationSpec, cap: int) -> int | None:
 
 
 def _block_size(domain: Domain) -> int:
-    """Tables per verdict block: about ``_TABLE_BLOCK_BYTES`` gathered bytes.
-
-    A table larger than that is a block of its own, and ``table_verdicts``
-    splits it into blocks of profile rows as the checkers do.
-    """
-    count = domain.profile_count()
-    return max(1, _TABLE_BLOCK_BYTES // (count * -(-count * domain.k // 64) * 8))
-
-
-def _chunk_size(props, words: int) -> int:
-    """Prefixes per chunk of :func:`_search`: about ``_TABLE_BLOCK_BYTES``
-    of their packed rows, one of ``words`` words per property in ``props``
-    and one of cells."""
-    return max(1, _TABLE_BLOCK_BYTES // (8 * words * (len(props) + 1)))
+    """Tables per block: about ``_TABLE_BLOCK_BYTES`` at 8 bytes a profile,
+    one word of ``table_verdicts``' elimination.  A table larger than that
+    is a block of its own."""
+    return max(1, _TABLE_BLOCK_BYTES // (8 * domain.profile_count()))
 
 
 def _table_blocks(
@@ -229,63 +229,95 @@ def _search(
 ) -> Iterator[tuple[np.ndarray, dict]]:
     """The tables among the first ``total`` where some property in ``props``
     holds, as ``(uint8 rows, verdicts)`` blocks in table order; ``verdicts``
-    maps each property to a bool per row, as :func:`table_verdicts` would.
+    maps each property to a bool per row, as :func:`table_verdicts` gives.
 
-    A pair's violation depends on the table only through its cells
-    (P, phi(P)) and (Q, phi(Q)), so the tables are built profile by profile
-    in table order, and each live prefix keeps the OR of its cells' verdict
-    rows and its one-hot row of cells: where they meet, two decided profiles
-    break the property in every table the prefix leads to.  A prefix that
-    breaks every property in ``props`` is dropped with all of its tables.
-    The rows and one-hot rows come from ``properties._CellRows``, past the
-    cache over the (Q, y) cells the tables can have.
+    A table that breaks ISP breaks every pair property: an ISP violation
+    at (P, Q) has one changed voter, who does not keep phi(P), so no voter
+    does, and the pair breaks GSP, APR and PR too.  So the tables are built
+    profile by profile in table order, and a prefix that breaks ISP is
+    dropped with all of its tables.  ISP is a property of lines: a new cell
+    (p, x) can conflict only with the outcomes of p's earlier line
+    neighbours, the profiles q < p that differ from p in one voter v.  x at
+    p and y at q conflict where y is strictly better than x under v's order
+    at p, or x than y under v's order at q.  Each expansion of profile p
+    reads a conflict table of those (voter, order pair)s alone, ORed from
+    rows per order, built from ``_Ctx.beats``, of the x below and above
+    each y: a table of every pair of a voter's orders would take m_v^2
+    rows.  A prefix carries only its digits.  The leaves are exactly the ISP
+    tables; :func:`table_verdicts` decides their other properties, and
+    those where no property in ``props`` holds are left out.
 
     ``total`` bounds the digits: the one prefix equal to the leading digits
     of ``total - 1`` takes no larger next digit, and its leading 0s are the
-    first node.  Prefixes are expanded depth first in chunks of
-    ``_chunk_size`` nodes, so at most count * |target| chunks are live at
+    first node.  Prefixes are expanded depth first in even chunks of at most
+    ``_TABLE_BLOCK_BYTES / sum(m_v - 1)`` prefixes, about that many conflict
+    rows looked up a chunk, so at most count * |target| chunks are live at
     once.  ``total`` is at most the universe size.
     """
     if not total:
         return
     ctx = spec.domain._scan_context
-    count, k, radix = ctx.count, ctx.k, len(spec.target)
+    count, radix = ctx.count, len(spec.target)
     target = np.array(spec.target, dtype=np.uint8)
     # high[p]: digit p of the last table number.
-    high, last = [0] * count, total - 1
+    high, last = np.zeros(count, dtype=np.intp), total - 1
     for p in range(count - 1, -1, -1):
         if not last:
             break
         last, high[p] = divmod(last, radix)
     depth = next((p for p in range(count - 1) if high[p]), count - 1)
-    # cells[p, j]: the flat cell (p, target[j]).  The leading 0s allow no
-    # other cell at the first ``depth`` profiles.
-    cells = np.arange(count)[:, None] * k + target
-    lead = cells[:depth, 0]
-    source = _CellRows.of(ctx, props, lambda: np.concatenate([lead, cells[depth:].ravel()]))
-    node = (
-        np.bitwise_or.reduce(source.rows(lead), axis=0)[None],
-        source.onehot(lead[None]),
-        np.ones(1, dtype=bool),
-        np.full((1, depth), target[0], dtype=np.uint8),
-    )
+    # below[g, y] and above[g, y]: the digits x, packed, that y is strictly
+    # better than under order g, and that are strictly better than y.
+    beats = ctx.beats[:, target][:, :, target]  # [g, x, y]: y over x under g
+    below = np.packbits(beats.transpose(0, 2, 1), axis=-1, bitorder="little")
+    above = np.packbits(beats, axis=-1, bitorder="little")
+    voter = ctx.voter_of
+    digit_of = np.arange(len(voter)) - ctx.order_base[voter]
+    strides = np.array(ctx.strides)
+
+    def line(p):
+        """p's earlier line neighbours q_j, their conflict table, whose row
+        j * radix + y holds the x at p that conflict with y at q_j, and the
+        row offsets j * radix.  p and q_j differ in one voter, at orders h
+        and g: x and y conflict where y is strictly better than x under h,
+        or x than y under g."""
+        d = ctx.digits[:, p][voter]  # p's digit of each order's voter
+        g = np.flatnonzero(digit_of < d)  # the neighbours' orders
+        q = p + (digit_of[g] - d[g]) * strides[voter[g]]
+        table = below[g - digit_of[g] + d[g]] | above[g]
+        return q, table.reshape(-1, table.shape[-1]), np.arange(len(g)) * radix
+
+    verdict_props = tuple(prop for prop in props if prop != "isp")
+    step = max(1, _TABLE_BLOCK_BYTES // max(1, sum(ctx.sizes) - ctx.n))
     digit = np.arange(radix)
-    step = _chunk_size(props, source.words)
-    stack = [(depth, node)]
+    stack = [(depth, np.zeros((1, count), dtype=np.uint8))]
     while stack:
-        p, (met, seen, tight, tables) = stack.pop()
-        met = met[:, None] | source.rows(cells[p])
-        seen = seen[:, None] | source.onehot(cells[p, :, None])
-        holds = ~(met & seen[:, :, None]).any(axis=3)
-        live = holds.any(axis=2) & (~tight[:, None] | (digit <= high[p]))
+        p, prefixes = stack.pop()
+        neighbours, table, rows = line(p)
+        seen = table.take(rows + prefixes[:, neighbours], axis=0)
+        seen = np.bitwise_or.reduce(seen, axis=1)
+        live = np.unpackbits(seen, axis=1, count=radix, bitorder="little") == 0
+        if (prefixes[-1, :p] == high[:p]).all():  # the one bounded prefix is the last
+            live[-1] &= digit <= high[p]
         i, j = np.nonzero(live)
-        tables = np.column_stack([tables[i], target[j]])
-        if p + 1 == count:
-            yield tables, {prop: holds[i, j, n] for n, prop in enumerate(props)}
+        if not len(i):
             continue
-        child = (met[i, j], seen[i, j], tight[i] & (j == high[p]), tables)
-        for lo in reversed(range(0, len(i), step)):
-            stack.append((p + 1, tuple(a[lo : lo + step] for a in child)))
+        # A prefix's row has room for every digit; where each prefix has one
+        # child, the digit is written in place.
+        if len(i) != len(prefixes) or (i != np.arange(len(i))).any():
+            prefixes = prefixes[i]
+        prefixes[:, p] = j
+        if p + 1 < count:
+            size = -(-len(i) // -(-len(i) // step))  # even chunks of at most step
+            for lo in reversed(range(0, len(i), size)):
+                stack.append((p + 1, prefixes[lo : lo + size]))
+            continue
+        tables = target[prefixes]
+        verdicts = table_verdicts(spec.domain, tables, verdict_props) if verdict_props else {}
+        if "isp" in props:
+            verdicts["isp"] = np.ones(len(tables), dtype=bool)
+        some = np.logical_or.reduce([verdicts[prop] for prop in props])
+        yield tables[some], {prop: verdicts[prop][some] for prop in props}
 
 
 def _table_number(spec: EnumerationSpec, row) -> int:
@@ -580,6 +612,7 @@ def search_isp_not_pr(
     or a seeded random sample of ``budget`` tables; a spec with a ``limit``
     is refused, since the budget alone bounds the search.
     """
+    budget = _as_int(budget, "a table budget")
     if budget < 0:
         raise ArgumentError(f"table budget {budget} is negative")
     if spec.limit is not None:

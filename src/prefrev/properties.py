@@ -71,24 +71,18 @@ key: the coalition's offset plus the mixed-radix index of the new orders,
 each member's truthful order skipped.  The key is computed only over the
 violations of the first row that has any.  Every scan is serial.  One
 guard on the number of ordered pairs, ``PAIR_GUARD``, bounds all three
-properties and the verdict rows below.
+properties and the table verdicts below.
 
 Table universes ask only for verdicts, on many small tables.
 :func:`table_verdicts` decides all five properties for a whole block of
 tables and returns one bool per table and property: no scan order, no
-``checked`` count and no witness.  It and ``harness._search`` read their
-per-cell verdict rows from one source, :class:`_CellRows`, which reads the
-checkers' sections.  Voter v's condition depends on P only through (v,
-P_v, phi(P)), so the source builds it per such key, not per pair: a key
-row per section over the columns (Q, y), bit-packed (``np.packbits``,
-little bit order), kept in a cache of at most ``_KEY_CACHE_BYTES``.  A
-cell (P, x) ANDs its n keys' rows, ORs the sections its property fails on
-and keeps the columns where y != x; ISP, which fails on GSP's section,
-keeps those where exactly one voter changed.  The verdict rows of every
-cell are kept on the domain's context, or built per call over the cells
-the call's tables can have past ``_KEY_CACHE_BYTES``.  Dictatorship
-gathers each voter's rank-0 set at (P, t[P]).  The pass has the checkers'
-pair guard and takes P rows in blocks of about ``_BLOCK_CELLS`` bytes.
+``checked`` count and no witness.  It uses the checkers' own encodings,
+with the block's tables as one more axis behind the voter axes: ISP by
+lines, from the one-hot outcome rows and packed better-than rows of
+:attr:`_Ctx.isp_rows`, and GSP, PR and APR by the voter elimination of
+:func:`_eliminate` over :meth:`_Ctx.elimination` words, the step
+:func:`_pair_scan` takes.  Dictatorship gathers each voter's rank-0 set at
+(P, t[P]).  The pass has the checkers' pair guard.
 """
 
 from __future__ import annotations
@@ -97,7 +91,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -108,29 +102,26 @@ from .domains import DEFAULT_PROFILE_GUARD, Domain
 from .scf import Profile, Scf, _as_int, class_grid, evaluate, profile_at, profile_strides, tabulate
 
 #: Most ordered profile pairs (P, Q) the GSP, PR and APR checkers and the
-#: verdict rows of ISP, GSP, PR and APR admit, on top of the profile guard.
+#: table verdicts of ISP, GSP, PR and APR admit, on top of the profile guard.
 PAIR_GUARD = 2_000_000_000
 
 #: The sections of the pair conditions, one per condition of the module
-#: docstring, in the order of :func:`_pair_scan`'s words and of
-#: :class:`_CellRows`' key rows.  Every section is met where Q_v = P_v; its
-#: flags ``(before, after)`` say whether it is also met where y is strictly
-#: better than x under P_v, and where x is strictly better than y under Q_v.
+#: docstring, in the order of :func:`_pair_scan`'s words.  Every section
+#: is met where Q_v = P_v; its flags ``(before, after)`` say whether it is
+#: also met where y is strictly better than x under P_v, and where x is
+#: strictly better than y under Q_v.
 _SECTIONS = {"gsp": (True, False), "acc": (False, True), "pr": (True, True)}
 #: The sections each pair property fails on.  ISP fails on GSP's where
 #: exactly one voter changed.
 _FAILS_ON = {"isp": ("gsp",), "gsp": ("gsp",), "pr": ("pr",), "apr": ("gsp", "acc")}
 
-#: The largest block: packed bytes gathered per block in
-#: :func:`table_verdicts` and per block of :meth:`_CellRows.build`.  At
-#: 2^17 a block's arrays stay below glibc's default mmap threshold (128
-#: KiB), so they are reused from the heap and not page-faulted in again.
+#: The largest block: cells per block of :func:`_boxes`, and bytes of
+#: words per pass of :func:`table_verdicts`.  At 2^17 a block's arrays stay
+#: below glibc's default mmap threshold (128 KiB), so they are reused from
+#: the heap and not page-faulted in again.
 _BLOCK_CELLS = 1 << 17
 _FIRST_CELLS = 1 << 12
 _SERIAL_CELLS = 1 << 14
-#: Most bytes of packed key rows a :class:`_CellRows` keeps at once, and of
-#: verdict rows a domain's context keeps.
-_KEY_CACHE_BYTES = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +193,8 @@ class PropertyReport:
 class _Ctx:
     """Per-domain scan data, kept on the domain (``Domain._scan_context``).
     Each array past the rank table is a cached property built on first use,
-    so a scan builds only what it reads; ``verdict_rows`` holds the kept
-    :class:`_CellRows` of the last properties asked for, or None, and
-    ``eliminations`` the :meth:`elimination` words built so far."""
+    so a scan builds only what it reads; ``eliminations`` holds the
+    :meth:`elimination` words built so far."""
 
     def __init__(self, domain: Domain):
         self.n = domain.n
@@ -216,7 +206,6 @@ class _Ctx:
         self.rank_table = np.concatenate([fs.rank_rows for fs in domain.feasible])
         self.k = self.rank_table.shape[1]
         self.order_base = np.cumsum((0,) + self.sizes[:-1])
-        self.verdict_rows = None
         self.eliminations = {}
 
     @cached_property
@@ -231,8 +220,9 @@ class _Ctx:
     def beats(self):
         """``beats[g, x, y]``: y is strictly better than x under global order
         g.  Every pair condition is read from it, by :meth:`elimination`,
-        :func:`_failing_sections` and :class:`_CellRows`, always behind the
-        pair guard, which bounds its size."""
+        :func:`_failing_sections` and the ISP conflicts of
+        ``harness._search``, always behind the pair guard, which bounds its
+        size."""
         return self.rank_table[:, None, :] < self.rank_table[:, :, None]
 
     def elimination(self, sections):
@@ -467,10 +457,10 @@ def _sections(props):
 
 def _meets(same, before, after, sections):
     """Where a voter meets each condition of ``sections``, stacked on a new
-    second-to-last axis, from three arrays that broadcast, bool or packed
-    bits alike: where Q_v = P_v, where y is strictly better than x under
-    P_v, and where x is strictly better than y under Q_v (the last two read
-    from :attr:`_Ctx.beats`)."""
+    second-to-last axis, from three bool arrays that broadcast: where Q_v
+    = P_v, where y is strictly better than x under P_v, and where x is
+    strictly better than y under Q_v (the last two read from
+    :attr:`_Ctx.beats`)."""
     rows = []
     for section in sections:
         on_before, on_after = _SECTIONS[section]
@@ -510,6 +500,47 @@ def _require_pairs(count) -> int:
     return total
 
 
+def _eliminate(ctx, sections, values, codes):
+    """The words of :meth:`_Ctx.elimination` over ``sections``, seeded from
+    the outcomes ``values``, with every voter's axis eliminated; and the
+    ``own`` and ``fails_on`` words to read them with.
+
+    ``values`` holds the voters' axes, then any axes of the caller's own
+    (the tables of :func:`table_verdicts`).  ``codes[v]`` maps voter v's
+    orders to the classes on v's axis, or is None where the axis holds the
+    orders.  Voter v's axis is in front when v is eliminated, where a
+    reduction along it is fast, and then moves behind the other voters':
+    after the last voter the axes are in order again, and the axis of a
+    voter of one class is 1 long.
+    """
+    seed, before, after, own, fails_on = ctx.elimination(sections)
+    with_after = any(_SECTIONS[s][1] for s in sections)
+    n, words = ctx.n, seed.take(values, axis=0)
+    ones = (1,) * (words.ndim - 2)
+    for v, m in enumerate(ctx.sizes):
+        c, at = len(words), slice(int(ctx.order_base[v]), int(ctx.order_base[v]) + m)
+        if c == 1:
+            # One class: the step is the identity, T | before & T | T &
+            # after = T, and P's digit here is 0.
+            words = words.reshape(words.shape[1:n] + (1,) + words.shape[n:])
+            continue
+        step = before[at].reshape(m, *ones, -1) & np.bitwise_or.reduce(words, axis=0, keepdims=True)
+        if with_after:
+            after_v = after[at]
+            if codes[v] is not None:  # OR the after rows of each class
+                after_v = np.zeros((c,) + after_v.shape[1:], after_v.dtype)
+                np.bitwise_or.at(after_v, codes[v], after[at])
+            step |= np.bitwise_or.reduce(
+                words & after_v.reshape(c, *ones, -1), axis=0, keepdims=True
+            )
+        if codes[v] is not None:  # spread the classes to v's orders
+            words = words.take(codes[v], axis=0)
+        words |= step
+        del step  # so that the copy below is the only other full-size array
+        words = words.transpose(*range(1, n), 0, *range(n, words.ndim)).copy()
+    return words, own, fails_on
+
+
 def _pair_scan(scf, wanted, max_profiles):
     """GSP, PR and APR decided by eliminating one voter axis at a time.
 
@@ -523,44 +554,19 @@ def _pair_scan(scf, wanted, max_profiles):
     v's axis is ``T | (before[d] & OR_e T[e]) | OR_e (T[e] & after[e])``
     along it, e over v's orders, where T[e] is the words at e's class: the
     ORs run over the classes, with the ``after`` rows of each class ORed,
-    and one ``take`` spreads T to v's orders.  A voter of one class is
-    skipped, as the step is then the identity.  After the last voter, P
-    fails a property where its bits (phi(P), y), y != phi(P), meet the
-    property's sections.  Only the first failing P's row is computed over
-    the profiles Q, by :func:`_failing_sections`.
+    and one ``take`` spreads T to v's orders (:func:`_eliminate`, which
+    :func:`table_verdicts` takes too).  A voter of one class is skipped, as
+    the step is then the identity.  After the last voter, P fails a
+    property where its bits (phi(P), y), y != phi(P), meet the property's
+    sections.  Only the first failing P's row is computed over the profiles
+    Q, by :func:`_failing_sections`.
     """
     t0 = time.perf_counter()
     ctx, table, grid = _prepare(scf, max_profiles)
     count = ctx.count
     total = _require_pairs(count)
     sections = _sections(wanted)
-    seed, before, after, own, fails_on = ctx.elimination(sections)
-    with_after = any(_SECTIONS[s][1] for s in sections)
-    words = seed.take(grid.values, axis=0)
-    # Voter v's axis is in front when v is eliminated, where a reduction
-    # along it is fast, and then moves to the back: after the last voter
-    # the axes are in order again.
-    to_back, ones = (*range(1, ctx.n), 0, ctx.n), (1,) * (ctx.n - 1)
-    for v, m in enumerate(ctx.sizes):
-        c, codes = len(words), grid.codes[v]
-        if c == 1:
-            # One class: the step is the identity, T | before & T | T &
-            # after = T, and P's digit here is 0.
-            words = words.reshape(words.shape[1:-1] + words.shape[:1] + words.shape[-1:])
-            continue
-        at = slice(int(ctx.order_base[v]), int(ctx.order_base[v]) + m)
-        step = before[at].reshape(m, *ones, -1) & np.bitwise_or.reduce(words, axis=0, keepdims=True)
-        if with_after:
-            after_v = after[at]
-            if codes is not None:  # OR the after rows of each class
-                after_v = np.zeros((c,) + after_v.shape[1:], after_v.dtype)
-                np.bitwise_or.at(after_v, codes, after[at])
-            step |= np.bitwise_or.reduce(words & after_v.reshape(c, *ones, -1), axis=0, keepdims=True)
-        if codes is not None:  # spread the classes to v's orders
-            words = words.take(codes, axis=0)
-        words |= step
-        del step  # so that the copy below is the only other full-size array
-        words = words.transpose(to_back).copy()
+    words, own, fails_on = _eliminate(ctx, sections, grid.values, grid.codes)
     # Voters of one class keep their axis of 1: P's digit there is 0.
     read = words.shape[:-1]
     outcomes = table.reshape(ctx.sizes)[tuple(slice(m) for m in read)].reshape(-1)
@@ -735,206 +741,72 @@ def check_dictator(
 # ---------------------------------------------------------------------------
 
 
-class _CellRows:
-    """The one source of verdict rows, made by :meth:`of`.
-
-    A pair's violation depends on the table only through x = phi(P) and
-    y = phi(Q), so with cells (Q, y) as its columns a source gives, per
-    cell (P, x), the packed row of the cells that break a property against
-    it: bit j is set where the pair (P, Q) breaks it if phi(P) = x and
-    phi(Q) = y, (Q, y) being column j; the padding bits are 0.  A table t
-    breaks the property exactly when its rows at the cells (P, t[P]), ORed
-    over P, meet t's own one-hot row {(Q, t[Q])} over the same columns:
-    count * ``words`` words gathered per table.
-
-    With ``cols`` None the columns are every cell, and a throwaway source
-    over them builds the rows of every cell at once; this one keeps those
-    rows alone (``kept``).  Otherwise the columns are ``cols``, the sorted
-    cells a caller's tables can have, and :meth:`rows` builds the rows
-    asked for at each call from key rows.  Voter v's condition depends on P
-    only through the key (v, P_v, x): key (v, d, x), global id
-    ``(order_base[v] + d) * k + x``, has one packed row per section of
-    ``sections`` over the columns, set where Q_v = d or v meets the
-    section's condition (:func:`_meets`) at x and y, built the first time a
-    call needs it.  ``slot[id]`` is its place in ``key_rows`` or -1.
-    :meth:`build` takes at most ``most`` cells at a time, about
-    ``_BLOCK_CELLS`` bytes of n key rows each; ``key_rows`` has room for
-    that many cells' keys, or ``_KEY_CACHE_BYTES`` of them if more, and
-    never for more keys than there are, and its pages become resident only
-    as rows are written.  When a call needs more keys than are free, every
-    key row is dropped and the call's own are built again.  What depends
-    only on the domain's orders (``beats``, ``voter_of``) is the context's.
-    """
-
-    def __init__(self, ctx, props, cols):
-        self.props, self.cols = props, cols
-        cells = np.arange(ctx.count * ctx.k) if cols is None else cols
-        self.words = -(-len(cells) // 64)
-        if cols is None:
-            self.kept = _CellRows(ctx, props, cells).build(cells)
-            return
-        self.ctx, self.sections = ctx, _sections(props)
-        q, self.y = np.divmod(cols, ctx.k)
-        self.on_q = ctx.digits[:, q]
-        self.width = (len(cols) + 7) // 8
-        # Packed over the columns: y != x, for each alternative x, and
-        # after[x, v], x strictly better than y under Q_v.
-        self.neq = np.packbits(self.y != np.arange(ctx.k)[:, None], axis=1, bitorder="little")
-        x_first = ctx.beats.transpose(2, 0, 1).reshape(ctx.k, -1)  # [x, g * k + y]
-        at_q = (ctx.order_base[:, None] + self.on_q) * ctx.k + self.y
-        self.after = np.packbits(x_first.take(at_q, axis=1), axis=2, bitorder="little")
-        row_bytes = self.width * len(self.sections)
-        self.most = max(1, _BLOCK_CELLS // (ctx.n * row_bytes))
-        keys = len(ctx.rank_table) * ctx.k
-        limit = min(keys, max(ctx.n * self.most, _KEY_CACHE_BYTES // row_bytes))
-        self.slot = np.full(keys, -1, dtype=np.int64)
-        self.key_rows = np.empty((limit, len(self.sections), self.width), dtype=np.uint8)
-        self.used = 0
-
-    @classmethod
-    def of(cls, ctx, props, cols) -> _CellRows:
-        """The verdict-row source of the pair properties ``props`` on
-        ``ctx``'s domain.  Rows of every cell that fit in
-        ``_KEY_CACHE_BYTES`` are kept on the context (``verdict_rows``) for
-        the last ``props`` asked for; past that, a source over ``cols()``,
-        the sorted cells the caller's tables can have, serves the one
-        call."""
-        kept = ctx.verdict_rows
-        if kept is None or kept.props != props:
-            size = ctx.count * ctx.k
-            fits = size * len(props) * -(-size // 64) * 8 <= _KEY_CACHE_BYTES
-            ctx.verdict_rows = None  # the old rows go before new ones are built
-            ctx.verdict_rows = kept = cls(ctx, props, None) if fits else None
-        return kept if kept is not None else cls(ctx, props, cols())
-
-    def rows(self, at):
-        """The ``(*at.shape, len(props), words)`` uint64 verdict rows of the
-        flat (P, x) cells ``at`` (``P * k + x``), of any shape.  Unless they
-        are kept, each distinct cell's rows are built once a call."""
-        if self.cols is None:
-            return self.kept[at]
-        used, inverse = np.unique(at, return_inverse=True)
-        return self.build(used)[inverse.reshape(at.shape)]
-
-    def onehot(self, at):
-        """Packed uint64 rows over the columns, row i with the cells ``at[i]``."""
-        place = at if self.cols is None else np.searchsorted(self.cols, at)
-        bits = np.zeros((len(at), self.words * 64), dtype=bool)
-        bits[np.arange(len(at))[:, None], place] = True
-        return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
-
-    def build(self, cells):
-        """The uint64 rows of the distinct flat cells ``cells``, as
-        :meth:`rows` gives them, ``most`` cells at a time.
-
-        Each cell (P, x) ANDs the rows of its n keys (v, P_v, x) per
-        section; a property ORs its sections and keeps the columns where y
-        != x or, for ISP, where some voter changed and no two did, from the
-        :attr:`moved` rows.  The padding bits of those masks are 0, so no
-        row sets one.
-        """
-        ctx, k = self.ctx, self.ctx.k
-        out = np.zeros((len(cells), len(self.props), self.words * 8), dtype=np.uint8)
-        for lo in range(0, len(cells), self.most):
-            p, x = np.divmod(cells[lo : lo + self.most], k)
-            at = ctx.order_base[:, None] + ctx.digits[:, p]
-            met = np.bitwise_and.reduce(self.key_rows[self.slots(at * k + x)], axis=0)
-            met = dict(zip(self.sections, met.transpose(1, 0, 2)))
-            neq = self.neq[x]
-            for i, prop in enumerate(self.props):
-                mask = neq
-                if prop == "isp":
-                    one = two = 0
-                    for moved in self.moved[at]:
-                        two = two | one & moved
-                        one = one | moved
-                    mask = one & ~two
-                fails = reduce(np.bitwise_or, map(met.get, _FAILS_ON[prop]))
-                out[lo : lo + self.most, i, : self.width] = fails & mask
-        return out.view(np.uint64)
-
-    def slots(self, ids):
-        """The slots of the key ids ``ids`` (any shape), once every one is
-        built."""
-        slots = self.slot[ids]
-        if slots.min() < 0:
-            missing = np.unique(ids[slots < 0])
-            if self.used + len(missing) > len(self.key_rows):
-                self.slot[:] = -1
-                self.used, missing = 0, np.unique(ids)
-            # Build a few keys at a time, so the unpacked temporaries stay
-            # within a block's size.
-            step = max(1, _BLOCK_CELLS // self.on_q.shape[1])
-            for at in range(0, len(missing), step):
-                part = missing[at : at + step]
-                self.key_rows[self.used : self.used + len(part)] = self.build_keys(part)
-                self.slot[part] = np.arange(self.used, self.used + len(part))
-                self.used += len(part)
-            slots = self.slot[ids]
-        return slots
-
-    @cached_property
-    def moved(self):
-        """For each global order g, the packed row of the columns where g's
-        voter reports another order."""
-        voter = self.ctx.voter_of
-        d = (np.arange(len(voter)) - self.ctx.order_base[voter]).astype(self.on_q.dtype)
-        return np.packbits(self.on_q[voter] != d[:, None], axis=1, bitorder="little")
-
-    def build_keys(self, ids):
-        """The packed rows of the key ids ``ids``, shaped like
-        ``key_rows``; their padding bits may be set, and :meth:`build`
-        clears them."""
-        ctx = self.ctx
-        order, x = np.divmod(ids, ctx.k)
-        before = np.packbits(ctx.beats[order, x].take(self.y, axis=1), axis=1, bitorder="little")
-        after = self.after[x, ctx.voter_of[order]]
-        return _meets(~self.moved[order], before, after, self.sections)
-
-
 def table_verdicts(
     domain: Domain, tables: np.ndarray, props
 ) -> dict[str, np.ndarray]:
     """Whether each property in ``props`` holds, for every row of ``tables``.
 
     ``tables`` is a ``(B, count)`` uint8 block, one table per row; the
-    result maps each property to a length-B bool array.  A table breaks a
-    pair property exactly when the verdict rows of its cells, ORed over P,
-    meet its one-hot row of cells (:class:`_CellRows`; past the cache, over
-    the cells these tables use).  The P rows are taken in blocks of about
-    ``_BLOCK_CELLS`` gathered bytes, so a large table is split as the
-    checkers split it.  Dictatorship holds where some voter gets a rank-0
-    (top) alternative at every profile.  No witness is built.  ISP, GSP, PR
-    and APR are decided over ordered profile pairs, so asking for any of
-    them raises the checkers' pair guard before anything is built.
+    result maps each property to a length-B bool array.  The pair
+    properties are decided by the checkers' own encodings, with the tables
+    as one more axis behind the voter axes (:func:`_pair_verdicts`), in
+    passes of about ``_BLOCK_CELLS`` bytes at 8 a profile.  Dictatorship
+    holds where some voter gets a rank-0 (top) alternative at every
+    profile.  No witness is built.  ISP, GSP, PR and APR are decided over
+    ordered profile pairs, so asking for any of them raises the checkers'
+    pair guard before anything is built.
     """
     ctx = domain._scan_context
     count, k = ctx.count, ctx.k
     pair_props = tuple(p for p in ("isp", "gsp", "pr", "apr") if p in props)
     if pair_props:
         _require_pairs(count)
-    # at[b, p]: table b's cell (P, phi_b(P)).
-    at = tables + np.arange(0, count * k, k)
     out = {}
     if "dictator" in props:
+        at = tables + np.arange(0, count * k, k)
         tops = (ctx.rank_table == 0)[ctx.order_base[:, None] + ctx.digits]
         out["dictator"] = tops.reshape(ctx.n, -1)[:, at].all(axis=2).any(axis=0)
-    if not pair_props:
-        return out
-    source = _CellRows.of(ctx, pair_props, lambda: np.unique(at))
-    blocks, words = len(tables), source.words
-    onehot = source.onehot(at)
-    step = max(1, _BLOCK_CELLS // (blocks * len(pair_props) * words * 8))
-    # met[b, i]: the OR of table b's rows so far; the AND with its one-hot
-    # row distributes over it.
-    met = np.zeros((blocks, len(pair_props), words), dtype=np.uint64)
-    for lo in range(0, count, step):
-        met |= np.bitwise_or.reduce(source.rows(at[:, lo : lo + step].T), axis=0)
-        holds = ~(met & onehot[:, None]).any(axis=2)
-        if not holds.any():
-            break
-    out.update((prop, holds[:, i]) for i, prop in enumerate(pair_props))
+    if pair_props:
+        step = max(1, _BLOCK_CELLS // (8 * count))
+        parts = [
+            _pair_verdicts(ctx, tables[lo : lo + step].T, pair_props)
+            for lo in range(0, len(tables) or 1, step)
+        ]
+        out.update((p, np.concatenate([part[p] for part in parts])) for p in pair_props)
     return out
+
+
+def _pair_verdicts(ctx, values, props):
+    """Whether each pair property in ``props`` holds, for each table of the
+    ``(count, B)`` outcomes ``values``, a table a column.
+
+    ISP by lines, as :func:`check_isp`: a table fails where, for some
+    voter, the OR of its one-hot outcomes along the voter's axis meets the
+    packed row of what the voter's order ranks above phi(P).  GSP, PR and
+    APR by :func:`_eliminate`, as :func:`_pair_scan`: a table fails a
+    property where some P's bits (phi(P), y), y != phi(P), meet the
+    property's sections.
+    """
+    shape = ctx.sizes + values.shape[1:]
+    fails = {}
+    if "isp" in props:
+        better, onehot = ctx.isp_rows
+        lines = onehot.take(values, axis=0).reshape(shape + onehot.shape[1:])
+        fails["isp"] = np.zeros(values.shape[1], dtype=bool)
+        for v, m in enumerate(ctx.sizes):
+            if m > 1:  # a voter of one order has no other to report
+                keys = (ctx.order_base[v] + ctx.digits[v, :, None]) * ctx.k + values
+                met = better.take(keys, axis=0).reshape(lines.shape)
+                met &= np.bitwise_or.reduce(lines, axis=v, keepdims=True)
+                fails["isp"] |= met.reshape(values.shape + onehot.shape[1:]).any(axis=(0, 2))
+    rest = [p for p in props if p != "isp"]
+    if rest:
+        codes = (None,) * ctx.n
+        words, own, fails_on = _eliminate(ctx, _sections(rest), values.reshape(shape), codes)
+        words = words.reshape(values.shape + own.shape[1:]) & own.take(values, axis=0)
+        for prop in rest:
+            fails[prop] = (words & fails_on[prop]).any(axis=(0, 2))
+    return {p: ~fails[p] for p in props}
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,33 @@ def test_enumeration_spec_validation(spec81):
         EnumerationSpec(spec81.domain, (0,), filters=("bogus",))
 
 
+@pytest.mark.parametrize("target, limit", [
+    ((0.9, True, 2.5), None),  # int() made this (0, 1, 2)
+    ((0, True), None),
+    ((0, 1, 2), True),  # int() made this a limit of 1
+    ((0, 1, 2), 3.5),  # ended in AttributeError from _universe_size
+    ((0, 1, 2), "3"),
+])
+def test_enumeration_spec_checks_its_integers(spec81, target, limit):
+    with pytest.raises(TypeError, match="must be an integer"):
+        EnumerationSpec(spec81.domain, target, limit=limit)
+
+
+def test_enumeration_spec_keeps_numpy_integers_as_ints(spec81):
+    spec = EnumerationSpec(spec81.domain, (np.uint8(2), np.int64(0)), limit=np.int64(5))
+    assert spec.target == (0, 2) and spec.limit == 5
+    assert all(type(x) is int for x in (*spec.target, spec.limit))
+
+
+@pytest.mark.parametrize("budget", [2.5, True, "10"])
+def test_isp_not_pr_checks_its_budget(budget):
+    alts = AlternativeSet.letters(4)
+    orders = [parse_order(text, alts) for text in ("a~b>c~d", "d>c>a~b", "b~c>a~d")]
+    spec = EnumerationSpec(Domain.shared(FeasibleSet.explicit(alts, orders), 2), (0, 1, 2, 3))
+    with pytest.raises(TypeError, match="must be an integer"):
+        harness.search_isp_not_pr(spec, budget)
+
+
 # ---------------------------------------------------------------------------
 # suites on small universes
 # ---------------------------------------------------------------------------
@@ -218,7 +245,8 @@ def test_walk_refuses_a_universe_past_the_pair_guard_before_any_block(monkeypatc
         with pytest.raises(ResourceGuardError, match=guard):
             suite(spec)
     ctx = domain._scan_context
-    assert advanced == [] and "digits" not in vars(ctx) and ctx.verdict_rows is None
+    assert advanced == [] and "digits" not in vars(ctx) and "beats" not in vars(ctx)
+    assert not ctx.eliminations
 
 
 def _flip(monkeypatch, prop, wrong, checker=True):
@@ -394,41 +422,52 @@ def test_suite_verdicts_do_not_depend_on_the_block_size(spec81, monkeypatch):
     # table order, with the kernel's verdicts.
     walked = [_walked(spec, props) for spec in specs for props in _SUITE_PROPS]
     assert expected[2] == walked and all(walked)
-    default, chunk = harness._block_size, harness._chunk_size
+    default, block_bytes = harness._block_size, harness._TABLE_BLOCK_BYTES
     for per_table in (1, 5, 37):
+        # Blocks of per_table tables, and chunks of at most per_table
+        # lookups of the search's conflict rows.
         monkeypatch.setattr(harness, "_block_size", lambda domain: per_table)
-        monkeypatch.setattr(harness, "_chunk_size", lambda props, words: per_table)
+        monkeypatch.setattr(harness, "_TABLE_BLOCK_BYTES", per_table)
         assert run_all() == expected, per_table
-    # Row blocks inside the kernel: one profile row, or a few, at a time.
+    monkeypatch.setattr(harness, "_TABLE_BLOCK_BYTES", block_bytes)
+    # Passes inside the kernel: one table, or a few, at a time.
     monkeypatch.setattr(harness, "_block_size", default)
-    monkeypatch.setattr(harness, "_chunk_size", chunk)
     for cells in (1, 100):
         monkeypatch.setattr(properties, "_BLOCK_CELLS", cells)
         assert run_all() == expected, cells
-    # Without cached rows, as with them.
-    monkeypatch.setattr(properties, "_KEY_CACHE_BYTES", 0)
-    assert run_all() == expected
-    # 4 profiles at k=3: one 8-byte word of (Q, y) cells a row.
+    # 4 profiles: a block holds 8 bytes a profile, whatever the number of
+    # alternatives.
     assert default(spec81.domain) == (1 << 16) // (4 * 8)
-    # A prefix of the search holds a row per property and one of cells,
-    # whatever the number of profiles.
-    assert chunk(("isp", "pr"), 1) == (1 << 16) // (3 * 8)
-    assert chunk(("isp",), 8) == (1 << 16) // (2 * 8 * 8)
 
 
 def _single_peaked_strict(alts):
     return FeasibleSet.single_peaked(alts, strict=True)
 
 
+def _single_peaked_weak(alts):
+    return FeasibleSet.single_peaked(alts, strict=False)
+
+
 @pytest.mark.parametrize("voters, k, feasible, isp", [
     (2, 3, FeasibleSet.universal_strict, 17),
     (2, 4, _single_peaked_strict, 80),
     (3, 3, _single_peaked_strict, 186),
+    (2, 5, _single_peaked_strict, 240),
+    (3, 3, FeasibleSet.universal_strict, 60),
+    (2, 4, FeasibleSet.universal_strict, 38),
+    (2, 4, _single_peaked_weak, 334),
+    (3, 4, _single_peaked_strict, 1199),
+    (4, 3, _single_peaked_strict, 7747),
+    (4, 3, FeasibleSet.universal_strict, 505),
 ], ids=["2x-universal-strict-k3", "2x-single-peaked-strict-k4",
-        "3x-single-peaked-strict-k3"])
+        "3x-single-peaked-strict-k3", "2x-single-peaked-strict-k5",
+        "3x-universal-strict-k3", "2x-universal-strict-k4",
+        "2x-single-peaked-weak-k4", "3x-single-peaked-strict-k4",
+        "4x-single-peaked-strict-k3", "4x-universal-strict-k3"])
 def test_search_counts_the_isp_tables_past_the_table_guard(voters, k, feasible, isp):
-    # The counts of an independent program that lists ISP tables by option
-    # sets; 3^36, 4^64 and 3^64 tables are far past the walk.
+    # Counts on which two programs agree: an independent one that lists ISP
+    # tables by option sets, or for 505 the dense search this one replaced.
+    # Every universe is far past the walk (3^36 tables and up).
     domain = Domain.shared(feasible(AlternativeSet.letters(k)), voters)
     spec = EnumerationSpec(domain, tuple(range(k)))
     total = k ** domain.profile_count()
@@ -450,8 +489,9 @@ def test_search_counts_on_the_benchmark_universes():
 
 
 def _leaf_specs():
-    """The benchmark's 3^9 tables, the 4^9-table isp-not-pr universe and
-    seeded small specs, some of them bounded by a limit."""
+    """The benchmark's 3^9 tables, the 4^9-table isp-not-pr universe,
+    seeded small specs, some of them bounded by a limit, and 3-voter specs
+    with a voter of one order."""
     alts = AlternativeSet.letters(4)
     orders = [parse_order(text, alts) for text in ("a~b>c~d", "d>c>a~b", "b~c>a~d")]
     specs = [
@@ -466,7 +506,20 @@ def _leaf_specs():
         domain = Domain(tuple(FeasibleSet.explicit(abc, rng.sample(weak, m)) for m in sizes))
         target = tuple(rng.sample(range(3), rng.randint(2, 3)))
         specs.append(EnumerationSpec(domain, target, limit=rng.choice((None, rng.randrange(1, 4000)))))
+    # 3 voters with a one-order voter first, in the middle and last, so that
+    # line neighbours come from every voter position.
+    for sizes in ((1, 3, 3), (3, 1, 3), (3, 3, 1), (1, 2, 4), (4, 1, 2), (2, 4, 1)):
+        domain = Domain(tuple(FeasibleSet.explicit(abc, rng.sample(weak, m)) for m in sizes))
+        specs.append(EnumerationSpec(domain, (0, 1, 2)))
     return specs
+
+
+def test_search_equals_the_walk_on_the_leaf_specs():
+    # Every table the exhaustive walk decides and keeps, in table order,
+    # with the kernel's verdicts.
+    for spec in _leaf_specs():
+        for props in _SUITE_PROPS:
+            assert _searched(spec, props) == _walked(spec, props), (spec.describe(), props)
 
 
 def test_no_table_holds_gsp_pr_or_apr_without_isp():
@@ -498,52 +551,28 @@ def test_a_search_by_isp_alone_leaves_the_tables_of_every_suite():
             )
 
 
-def _key_columns(monkeypatch):
-    """The (Q, y) columns of every key-row builder made, in build order: a
-    :class:`_CellRows` with columns, not a kept one."""
-    made = []
-    init = properties._CellRows.__init__
+def test_search_hands_table_verdicts_only_isp_tables(monkeypatch):
+    # The search prunes by ISP lines alone, so every table it asks
+    # table_verdicts about is an ISP table, and it never asks for ISP.
+    asked = []
+    real = harness.table_verdicts
 
-    def spy(self, ctx, props, cols):
-        if cols is not None:
-            made.append([divmod(int(cell), ctx.k) for cell in cols])
-        init(self, ctx, props, cols)
+    def spy(domain, tables, props):
+        asked.append((tables.copy(), props))
+        return real(domain, tables, props)
 
-    monkeypatch.setattr(properties._CellRows, "__init__", spy)
-    return made
-
-
-def test_verdict_rows_past_the_cache_come_from_one_builder_per_call(monkeypatch):
-    monkeypatch.setattr(properties, "_KEY_CACHE_BYTES", 0)
-    made = _key_columns(monkeypatch)
-    spec = EnumerationSpec(strict_prefix_domain(3, 2, 3), (0, 2))
-    # Tables 0..2^5 - 1 have digit 0 at the first 4 of the 9 profiles, so
-    # the search's columns are (P, 0) there and (P, y) for y in the target
-    # at the last 5.
-    list(harness._search(spec, 2 ** 5, ("isp", "pr")))
-    assert made == [[(p, 0) for p in range(4)] + [(p, y) for p in range(4, 9) for y in (0, 2)]]
-    assert spec.domain._scan_context.verdict_rows is None
-    # table_verdicts' columns are the distinct cells its tables use.
-    made.clear()
-    _, tables = next(harness._table_blocks(spec, 6, random.Random(5)))
-    properties.table_verdicts(spec.domain, tables, ("gsp", "apr"))
-    used = sorted({(p, int(x)) for row in tables for p, x in enumerate(row)})
-    assert made == [used]
-
-
-def test_search_and_sampled_verdicts_share_one_kept_source(monkeypatch):
-    made = _key_columns(monkeypatch)
-    spec = EnumerationSpec(strict_prefix_domain(3, 2, 3), (0, 1, 2))
-    ctx = spec.domain._scan_context
-    list(harness._search(spec, 3 ** 9, ("isp", "pr")))
-    kept = ctx.verdict_rows
-    # The kept source holds its rows alone: no key rows, no columns.
-    assert kept is not None and kept.cols is None
-    assert set(vars(kept)) == {"props", "cols", "words", "kept"}
-    _, tables = next(harness._table_blocks(spec, 50, random.Random(3)))
-    properties.table_verdicts(spec.domain, tables, ("isp", "pr", "dictator"))
-    assert ctx.verdict_rows is kept and len(made) == 1
-    assert made[0] == [(p, y) for p in range(9) for y in range(3)]
+    monkeypatch.setattr(harness, "table_verdicts", spy)
+    for spec in _leaf_specs()[:8]:
+        for props in _SUITE_PROPS:
+            asked.clear()
+            leaves = _searched(spec, props)
+            assert all("isp" not in asked_props for _, asked_props in asked)
+            tables = [table for table, _ in asked]
+            if tables:
+                isp = real(spec.domain, np.concatenate(tables), ("isp",))["isp"]
+                assert isp.all()
+            if "isp" not in props:
+                assert sum(map(len, tables)) >= len(leaves)
 
 
 # ---------------------------------------------------------------------------

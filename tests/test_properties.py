@@ -626,8 +626,9 @@ def _assert_kernel_matches_oracles(domain, scfs):
 
 @pytest.mark.parametrize("cells", [None, 1, 40])
 def test_table_verdicts_match_the_naive_oracles_on_uneven_domains(monkeypatch, cells):
-    # cells=1 gives every profile row of the block its own pass; 40 splits
-    # the rows unevenly.
+    # cells=1 gives every table of the block its own pass of the pair
+    # verdicts and splits the dictatorship check's blocks; 40 splits them
+    # unevenly.
     if cells is not None:
         monkeypatch.setattr(properties, "_BLOCK_CELLS", cells)
     rng = random.Random(20240511)
@@ -646,13 +647,20 @@ def test_table_verdicts_match_the_naive_oracles_on_uneven_domains(monkeypatch, c
     assert any(smallest == 1 for _, smallest in shapes)  # a singleton feasible set
 
 
+def _drop_kept_rows(domain):
+    """Drop the rows a domain's scan context keeps, its ISP rows and its
+    elimination words, so that the next call builds its own."""
+    ctx = domain._scan_context
+    vars(ctx).pop("isp_rows", None)
+    ctx.eliminations.clear()
+
+
 @pytest.mark.parametrize("cells", [None, 1, 40])
 def test_table_verdicts_without_cached_rows_match_the_naive_oracles(monkeypatch, cells):
-    # No rows fit the cache, so every call builds the rows of the cells its
-    # tables use, per block of P rows.
+    # Every call starts from a context that keeps no rows, so it builds its
+    # ISP rows and the elimination words of its own sections.
     import numpy as np
 
-    monkeypatch.setattr(properties, "_KEY_CACHE_BYTES", 0)
     if cells is not None:
         monkeypatch.setattr(properties, "_BLOCK_CELLS", cells)
     rng = random.Random(20240512)
@@ -661,45 +669,53 @@ def test_table_verdicts_without_cached_rows_match_the_naive_oracles(monkeypatch,
         domain = _uneven_domain(rng)
         scfs = [_seeded_table(rng, domain) for _ in range(5)]
         for per_call in (scfs, scfs[:1]):
+            _drop_kept_rows(domain)
             verdicts = _assert_kernel_matches_oracles(domain, per_call)
             for prop, holds in verdicts.items():
                 seen[prop].update(bool(x) for x in holds)
-        assert domain._scan_context.verdict_rows is None
     assert all(outcomes == {True, False} for outcomes in seen.values())
-    # The whole 19,683-table universe gives the cached rows' verdicts.
+    # The whole 19,683-table universe: a call for fewer properties reads the
+    # words built for all of them, and gives the verdicts of a context that
+    # keeps no rows.
     domain = _strict_prefix_domain(3, 2, 3)
     tables = np.array(list(itertools.product(range(3), repeat=9)), dtype=np.uint8)
-    verdicts = properties.table_verdicts(domain, tables, properties.CHECKERS)
-    monkeypatch.undo()
-    cached = properties.table_verdicts(domain, tables, properties.CHECKERS)
-    assert domain._scan_context.verdict_rows is not None
-    assert {p: v.tolist() for p, v in verdicts.items()} == {
-        p: v.tolist() for p, v in cached.items()
-    }
+    kept = properties.table_verdicts(domain, tables, properties.CHECKERS)
+    for props in (("isp",), ("gsp",), ("pr",), ("apr",), ("pr", "apr"), ("isp", "gsp")):
+        verdicts = properties.table_verdicts(domain, tables, props)
+        assert list(domain._scan_context.eliminations) == [("gsp", "acc", "pr")]
+        assert {p: v.tolist() for p, v in verdicts.items()} == {p: kept[p].tolist() for p in props}
+    _drop_kept_rows(domain)
+    fresh = properties.table_verdicts(domain, tables, properties.CHECKERS)
+    assert {p: v.tolist() for p, v in fresh.items()} == {p: v.tolist() for p, v in kept.items()}
 
 
 @pytest.mark.parametrize("cache", [None, 0])
 def test_isp_verdict_rows_lie_inside_the_other_pair_rows(monkeypatch, cache):
     # The search relies on it: a pair that breaks ISP breaks GSP, PR and APR
     # too, so a table outside ISP fails all four properties and a search by
-    # ISP alone keeps every table where any of them holds.
+    # ISP alone keeps every table where any of them holds.  Here over whole
+    # universes of small uneven domains, where ISP tables are not rare;
+    # cache=0 drops the context's rows before each block.
     import numpy as np
 
-    if cache is not None:
-        monkeypatch.setattr(properties, "_KEY_CACHE_BYTES", cache)
     props = ("isp", "gsp", "pr", "apr")
     rng = random.Random(20240513)
-    isp = strict = 0
-    for _ in range(60):
+    isp = strict = walked = 0
+    while walked < 100:
         domain = _uneven_domain(rng)
-        ctx = domain._scan_context
-        cells = np.arange(ctx.count * ctx.k)
-        rows = properties._CellRows.of(ctx, props, lambda: cells).rows(cells)
-        assert (ctx.verdict_rows is None) == (cache == 0)
-        for i in (1, 2, 3):
-            assert not (rows[:, 0] & ~rows[:, i]).any(), props[i]
-        isp += bool(rows[:, 0].any())
-        strict += bool((rows[:, 1] & ~rows[:, 0]).any())
+        if domain.k ** domain.profile_count() > 5000:
+            continue
+        walked += 1
+        values = itertools.product(range(domain.k), repeat=domain.profile_count())
+        tables = np.array(list(values), dtype=np.uint8)
+        for lo in range(0, len(tables), 1000):
+            if cache == 0:
+                _drop_kept_rows(domain)
+            verdicts = properties.table_verdicts(domain, tables[lo : lo + 1000], props)
+            for prop in props[1:]:
+                assert not (verdicts[prop] & ~verdicts["isp"]).any(), prop
+            isp += int((~verdicts["isp"]).sum())
+            strict += int((verdicts["isp"] & ~verdicts["gsp"]).sum())
     # Not vacuous: ISP breaks somewhere, and GSP where ISP does not.
     assert isp and strict
 
@@ -760,7 +776,7 @@ def _strict_prefix_domain(k, voters, orders):
 
 def test_table_verdicts_split_a_table_larger_than_a_block():
     # 2 voters x 30 strict orders at k=5: 900 profiles, 1.6M (voter, P, Q)
-    # cells, so one table takes two row blocks.
+    # cells, past a block, decided with no array over the pairs.
     import numpy as np
 
     domain = _strict_prefix_domain(5, 2, 30)
@@ -792,8 +808,9 @@ def test_table_verdicts_split_a_table_larger_than_a_block():
 
 
 def test_table_verdicts_split_a_large_table_without_cached_rows(monkeypatch):
-    # The same 900-profile domain with a cache too small for its rows: each
-    # block of P rows builds the rows of the cells its table uses.
+    # The same 900-profile domain, with passes of one table and a context
+    # that keeps no rows: each pass builds nothing twice and gives the
+    # verdicts of one pass over the block.
     import numpy as np
 
     domain = _strict_prefix_domain(5, 2, 30)
@@ -808,12 +825,12 @@ def test_table_verdicts_split_a_large_table_without_cached_rows(monkeypatch):
         domain, np.stack([scf.table for scf in scfs]), properties.CHECKERS
     )
     assert want["isp"][0] and not want["gsp"][1]
-    monkeypatch.setattr(properties, "_KEY_CACHE_BYTES", 1 << 16)
+    monkeypatch.setattr(properties, "_BLOCK_CELLS", 8 * count)
     for per_block in (scfs, scfs[1:2]):
         fresh = _strict_prefix_domain(5, 2, 30)
         block = np.stack([scf.table for scf in per_block])
         verdicts = properties.table_verdicts(fresh, block, properties.CHECKERS)
-        assert fresh._scan_context.verdict_rows is None
+        assert list(fresh._scan_context.eliminations) == [("gsp", "acc", "pr")]
         rows = [scfs.index(scf) for scf in per_block]
         assert {p: v.tolist() for p, v in verdicts.items()} == {
             p: v[rows].tolist() for p, v in want.items()
@@ -823,32 +840,33 @@ def test_table_verdicts_split_a_large_table_without_cached_rows(monkeypatch):
 @pytest.mark.parametrize("cache", [None, 0])
 @pytest.mark.parametrize("cells", [None, 1, 100])
 @pytest.mark.parametrize("k, sizes", [
-    (3, (3, 7)),   # 21 profiles: rows of 63 bits
-    (4, (4, 4)),   # 16 profiles: rows of 64 bits
-    (5, (13,)),    # 13 profiles: rows of 65 bits, two words
+    (3, (3, 7)),   # elimination rows of 3 * 9 bits: one uint32 word
+    (4, (4, 4)),   # 3 * 16 bits: one uint64 word
+    (5, (13,)),    # 3 * 25 bits: two uint64 words
 ])
 def test_table_verdicts_on_rows_around_a_word(monkeypatch, k, sizes, cells, cache):
-    # cache=0 builds the rows per call, over only the cells the tables use.
+    # cache=0 drops the context's rows before each call, so that every call
+    # builds its own.
     from prefrev import enumerate_weak_orders
 
     rng = random.Random(k * 100 + len(sizes))
     alts = AlternativeSet.letters(k)
     weak = list(enumerate_weak_orders(k))
     domain = Domain(tuple(FeasibleSet.explicit(alts, rng.sample(weak, m)) for m in sizes))
-    assert domain.profile_count() * k in (63, 64, 65)
     if cells is not None:
         monkeypatch.setattr(properties, "_BLOCK_CELLS", cells)
-    if cache is not None:
-        monkeypatch.setattr(properties, "_KEY_CACHE_BYTES", cache)
     seen = {p: set() for p in properties.CHECKERS}
     for _ in range(4):
+        if cache == 0:
+            _drop_kept_rows(domain)
         verdicts = _assert_kernel_matches_oracles(
             domain, [_seeded_table(rng, domain) for _ in range(6)]
         )
         for prop, holds in verdicts.items():
             seen[prop].update(bool(x) for x in holds)
     assert all(outcomes == {True, False} for outcomes in seen.values())
-    assert (domain._scan_context.verdict_rows is None) == (cache == 0)
+    words = domain._scan_context.eliminations[("gsp", "acc", "pr")][0]
+    assert words.dtype.itemsize * words.shape[1] * 8 == {3: 32, 4: 64, 5: 128}[k]
 
 
 def test_table_verdicts_apply_the_pair_guards():
@@ -863,7 +881,8 @@ def test_table_verdicts_apply_the_pair_guards():
             properties.table_verdicts(domain, table, props)
     # The refusal comes before the whole-space digits or any row is built.
     ctx = domain._scan_context
-    assert "digits" not in vars(ctx) and ctx.verdict_rows is None
+    assert "digits" not in vars(ctx) and "isp_rows" not in vars(ctx)
+    assert not ctx.eliminations
     # The checkers raise the same guard; the ISP and dictatorship checkers
     # do not scan pairs.
     phi = Scf.from_table(domain, table[0])
@@ -877,7 +896,7 @@ def test_table_verdicts_apply_the_pair_guards():
 
 
 # ---------------------------------------------------------------------------
-# the serial scans, the verdict rows' blocks and the domain's scan context
+# the serial scans, the table verdicts' passes and the domain's scan context
 # ---------------------------------------------------------------------------
 
 
@@ -1107,18 +1126,11 @@ _EDGE_TABLES = {
 
 @pytest.mark.parametrize("cells", [120, 90, 80, 72, 40, 32, 20, 16, 8, 1, None])
 def test_buffered_pair_pass_on_first_last_and_split_blocks(monkeypatch, cells):
-    # Past the cache, one table a call, the verdict rows are over the
-    # table's own 9 cells, one word a property, and the P rows are taken in
-    # blocks of _BLOCK_CELLS // (8 bytes a property).  For one property, 40
-    # gives the 5-row blocks the tables were picked for, 32 four rows and a
-    # one-row last block, 20 and 16 two rows, 8 and 1 a row, and 72, more
-    # and the default one block; for all three, 120 gives 5 rows, 90 and 72
-    # three, and 40 and less one.  The key rows there are a 2-byte row per
-    # voter and section: 4 bytes a cell for GSP and for PR, 8 for APR and 12
-    # for all three, so they never split a block further.  With the cache,
-    # every cell's rows are built in calls of _BLOCK_CELLS // (8, 8, 16 and
-    # 24 bytes a cell, over 27 columns) cells: 40 gives GSP and PR calls of
-    # 5 cells, 80 gives them to APR and 120 to all three.
+    # The tables put the first violation in the first, the last and a
+    # middle block of 5 P rows.  table_verdicts takes no P rows apart: it
+    # takes the tables in passes of _BLOCK_CELLS // 72 (8 bytes a profile),
+    # so every cells value here gives passes of one table and the default
+    # one pass.  Each call is made with the context's rows kept and dropped.
     # The checkers, which take no blocks, give the reference scans' docs.
     import numpy as np
 
@@ -1137,10 +1149,11 @@ def test_buffered_pair_pass_on_first_last_and_split_blocks(monkeypatch, cells):
     tables = np.stack([constant.table] + [scf.table for scf, _ in expected.values()])
     if cells is not None:
         monkeypatch.setattr(properties, "_BLOCK_CELLS", cells)
-    for cache in (0, 1 << 24):
-        monkeypatch.setattr(properties, "_KEY_CACHE_BYTES", cache)
+    for drop in (True, False):
         for props in (("gsp",), ("pr",), ("apr",), ("gsp", "pr", "apr")):
             for table in tables:  # one table a call, and all at once
+                if drop:
+                    _drop_kept_rows(domain)
                 verdicts = properties.table_verdicts(domain, table[None], props)
                 assert [bool(verdicts[p][0]) for p in props] == [not table.any()] * len(props)
             verdicts = properties.table_verdicts(domain, tables, props)
@@ -1155,7 +1168,7 @@ def test_a_domain_and_its_scan_context_die_together(abc):
     for check in properties.CHECKERS.values():
         check(phi)
     properties.table_verdicts(domain, np.stack([phi.table]), properties.CHECKERS)
-    assert domain._scan_context.verdict_rows is not None
+    assert domain._scan_context.eliminations
     alive = weakref.ref(domain)
     del domain, phi
     gc.collect()
@@ -1163,7 +1176,7 @@ def test_a_domain_and_its_scan_context_die_together(abc):
 
 
 # ---------------------------------------------------------------------------
-# the pair checkers, and the verdict rows' key rows and their cache
+# the pair checkers, and table verdicts on a context that keeps no rows
 # ---------------------------------------------------------------------------
 
 
@@ -1177,45 +1190,26 @@ def _assert_pair_pass(scf, docs=None):
     return docs
 
 
-def _key_builds(monkeypatch):
-    """Every ``(builder, key id)`` a :class:`_CellRows` builds a key row
-    for, in build order."""
-    built = []
-    build = properties._CellRows.build_keys
-
-    def counting(self, ids):
-        built.extend((self, key) for key in ids.tolist())
-        return build(self, ids)
-
-    monkeypatch.setattr(properties._CellRows, "build_keys", counting)
-    return built
-
-
 @pytest.mark.parametrize("cells", [None, 1, 40])
 def test_pair_pass_through_cache_flushes(monkeypatch, cells):
-    # The verdict rows past the cache, one table a call.  A budget of 0
-    # leaves a builder one call's keys, so with small blocks it is flushed
-    # whenever a call meets a key it does not hold.  The checkers build no
-    # key rows and give the reference scans' docs.
+    # table_verdicts against the checkers, one table a call (so cells
+    # changes no pass).  The context's rows are flushed before each table:
+    # the call for all three properties builds words over their three
+    # sections, and the calls for one property then read those words.  The
+    # checkers give the reference scans' docs.
     tables = [(scf, _pair_docs(scf)) for scf in _uneven_tables(120, seed=77)]
-    monkeypatch.setattr(properties, "_KEY_CACHE_BYTES", 0)
     if cells is not None:
         monkeypatch.setattr(properties, "_BLOCK_CELLS", cells)
-    built = _key_builds(monkeypatch)
-    rebuilt = False
     for scf, docs in tables:
         _assert_pair_pass(scf, docs)
-        assert not built
-        verdicts = properties.table_verdicts(scf.domain, scf.table[None], ("gsp", "pr", "apr"))
-        assert [bool(verdicts[p][0]) for p in ("gsp", "pr", "apr")] == [
-            doc["holds"] for doc in docs
-        ]
-        assert scf.domain._scan_context.verdict_rows is None
-        rebuilt |= len(built) > len(set(built))
-        built.clear()
-    # With small blocks some builder rebuilt a key after a flush; with the
-    # default, each table's cells take one call and nothing is flushed.
-    assert rebuilt == (cells is not None)
+        _drop_kept_rows(scf.domain)
+        props = ("gsp", "pr", "apr")
+        verdicts = properties.table_verdicts(scf.domain, scf.table[None], props)
+        assert [bool(verdicts[p][0]) for p in props] == [doc["holds"] for doc in docs]
+        for prop, doc in zip(props, docs):
+            alone = properties.table_verdicts(scf.domain, scf.table[None], (prop,))
+            assert bool(alone[prop][0]) == doc["holds"]
+        assert list(scf.domain._scan_context.eliminations) == [("gsp", "acc", "pr")]
 
 
 @pytest.mark.parametrize("cells", [None, 1, 7])
@@ -1376,31 +1370,6 @@ def test_gsp_takes_the_canonical_first_of_a_packed_row():
     doc = _assert_pair_pass(scf)[0]
     assert doc["witness"]["coalition"] == [1]
     assert doc["checked"] == 3  # voter 1's third other order
-
-
-def test_pair_pass_builds_each_key_row_once(monkeypatch):
-    # 2 voters x 13 weak orders, k = 3: 78 keys.  Past the cache, a table's
-    # verdict rows come from one builder over the cells the table uses,
-    # which holds all their keys (v, P_v, phi(P)) and builds each once.  A
-    # constant and a dictatorial table hold every property.
-    domain = Domain.shared(FeasibleSet.universal_weak(AlternativeSet.letters(3)), 2)
-    dictator = tabulate(builtin("dictator-tiebreak", domain, voter=1))
-    monkeypatch.setattr(properties, "_KEY_CACHE_BYTES", 0)
-    built = _key_builds(monkeypatch)
-    for scf in (Scf.from_table(domain, [0] * 169), dictator):
-        for check in (check_gsp, check_pr, check_pr_apr):
-            report = check(scf)
-            assert all(r.holds for r in (report.values() if isinstance(report, dict) else [report]))
-        for props in (("gsp",), ("pr",), ("pr", "apr")):
-            built.clear()
-            verdicts = properties.table_verdicts(domain, scf.table[None], props)
-            assert all(verdicts[p][0] for p in props)
-            keys = [key for _, key in built]
-            assert len(keys) == len(set(keys)) <= 2 * 13 * 3
-            assert len({builder for builder, _ in built}) == 1
-        if scf is not dictator:
-            assert len(keys) == 2 * 13  # (v, d, 0) alone
-    assert len(keys) > 2 * 13  # the dictator's table meets many (v, d, x)
 
 
 def _naive_dictator_valid(scf, voter):
