@@ -7,9 +7,9 @@ usage errors such as a missing argument or a value that is not a number).
 
 Structured (``--output json``) reports are byte-deterministic for a given
 seed: volatile fields such as elapsed time are only included with
-``--timings``.  Every scan is serial: ``--parallelism`` (or
-``PREFREV_PARALLELISM``) must be an integer and changes nothing.  Each
-command and theorem takes exactly the flags it reads; any other is an error.
+``--timings``.  Every scan is serial: ``--parallelism`` must be an integer
+and changes nothing.  Each command and theorem takes exactly the flags it
+reads; any other is an error.
 """
 
 from __future__ import annotations
@@ -253,8 +253,7 @@ def cmd_check(args) -> int:
         DEFAULT_PROFILE_GUARD if args.max_profiles is None else args.max_profiles
     )
     # One table serves every checker; witnesses read only the domain.
-    scf = tabulate(scf, max_profiles)
-    reports = run_checkers(scf, wanted, max_profiles=max_profiles)
+    reports = run_checkers(tabulate(scf, max_profiles), wanted)
     ordered = [reports[p] for p in _PROPERTY_ORDER if p in reports]
     report_docs = [report_to_dict(r, include_timing=args.timings) for r in ordered]
     doc = {
@@ -415,7 +414,7 @@ class _Parser(argparse.ArgumentParser):
         raise ArgumentError(message)
 
 
-def _common_options(parallelism: str) -> argparse.ArgumentParser:
+def _common_options() -> argparse.ArgumentParser:
     """The flags every command takes, as a parent parser."""
     parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--output", choices=("text", "json"), default="text")
@@ -423,9 +422,7 @@ def _common_options(parallelism: str) -> argparse.ArgumentParser:
     parser.add_argument(
         "--parallelism",
         type=int,
-        # A string default goes through ``type`` at each parse, so a bad
-        # value in the environment is reported like a bad --parallelism.
-        default=parallelism,
+        default=1,
         help="accepted for compatibility: must be an integer, and changes "
         "nothing, since every scan runs serially",
     )
@@ -452,16 +449,15 @@ def _universe_options() -> argparse.ArgumentParser:
     return parser
 
 
-def build_parser(parallelism: str) -> argparse.ArgumentParser:
-    """The parser of every subcommand; ``parallelism`` is the string
-    default of ``--parallelism``."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand."""
     parser = _Parser(
         prog="prefrev",
         description="verify strategy-proofness and preference-reversal "
         "properties of social choice functions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = [_common_options(parallelism)]
+    common = [_common_options()]
     universe = [_universe_options(), *common]
 
     p_orders = sub.add_parser("orders", parents=common, help="enumerate orders")
@@ -533,14 +529,14 @@ def build_parser(parallelism: str) -> argparse.ArgumentParser:
     return parser
 
 
-#: The parser is built once per process for each ``PREFREV_PARALLELISM``
-#: value: building it costs about 2 ms, more than a small theorem suite.
-_parser = functools.lru_cache(maxsize=1)(build_parser)
+#: The parser is built once per process: building it costs about 2 ms,
+#: more than a small theorem suite.
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser(os.environ.get("PREFREV_PARALLELISM", "1")).parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except PrefrevError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -467,6 +467,16 @@ def _hypothesis(spec: EnumerationSpec) -> str | None:
     return "complete-domain" if _certified(spec.domain) else None
 
 
+def _decimal(count: int, what: str) -> str:
+    """``count`` in decimal.  Past the interpreter's limit on int-to-str
+    digits it is an ArgumentError naming ``what``, so callers format their
+    counts before any walk."""
+    try:
+        return str(count)
+    except ValueError:
+        raise ArgumentError(f"{what} has too many digits to print") from None
+
+
 def _suite(theorem, spec, t0, total, relations, counted=(), **details):
     """The verdict of walking ``relations`` over ``total`` tables of ``spec``.
 
@@ -476,12 +486,13 @@ def _suite(theorem, spec, t0, total, relations, counted=(), **details):
     last.  ``elapsed`` runs from ``t0``, so it covers the caller's guard
     and hypothesis checks too.
     """
+    universe = f"{spec.describe()}; {_decimal(total, 'the table count')} tables"
     counts = dict.fromkeys(counted, 0)
     found = _walk(spec, total, relations, counts)
     checked, counterexample = found or (total, None)
     return TheoremVerdict(
         theorem=theorem,
-        universe=f"{spec.describe()}; {total} tables",
+        universe=universe,
         checked=total if counted else checked,
         holds=counterexample is None,
         counterexample=counterexample,
@@ -570,14 +581,14 @@ def verify_thm_complete(
             break
     else:
         table = tabulate(phi, max_profiles)
-        isp = check_isp(table, max_profiles=max_profiles)
+        isp = check_isp(table)
         if not isp.holds:
             reason = "scf is not individually strategy-proof"
     checked, counterexample = 0, None
     if reason is not None:
         details = {"admissible": False, "reason": reason, "completeness": completeness}
     else:
-        pr = check_pr(table, max_profiles=max_profiles)
+        pr = check_pr(table)
         count = phi.domain.profile_count()
         checked, counterexample = pr.checked, None if pr.holds else (phi, (isp, pr))
         details = {
@@ -620,7 +631,7 @@ def search_isp_not_pr(
             "isp-not-pr takes no table limit: the search is bounded by --budget"
         )
     t0 = time.perf_counter()
-    universe = f"{spec.describe()}; budget {budget}"
+    universe = f"{spec.describe()}; budget {_decimal(budget, 'the table budget')}"
     hypothesis = _hypothesis(spec)
     if hypothesis is not None:
         reason = {

@@ -98,7 +98,7 @@ import numpy as np
 
 from .errors import ArgumentError, ParseError, ResourceGuardError
 from .orders import WeakOrder, format_order
-from .domains import DEFAULT_PROFILE_GUARD, Domain
+from .domains import Domain
 from .scf import Profile, Scf, _as_int, class_grid, evaluate, profile_at, profile_strides, tabulate
 
 #: Most ordered profile pairs (P, Q) the GSP, PR and APR checkers and the
@@ -343,9 +343,9 @@ def _pack_words(bits):
     return np.packbits(padded, axis=-1, bitorder="little").view(dtype)
 
 
-def _prepare(scf: Scf, max_profiles: int):
+def _prepare(scf: Scf):
     """The domain's scan context, and the table and grid of ``scf``."""
-    scf = tabulate(scf, max_profiles)
+    scf = tabulate(scf)
     return scf.domain._scan_context, scf.table, class_grid(scf)
 
 
@@ -382,11 +382,7 @@ def _boxes(a_size, m, b_size, voters):
 # ---------------------------------------------------------------------------
 
 
-def check_isp(
-    scf: Scf,
-    *,
-    max_profiles: int = DEFAULT_PROFILE_GUARD,
-) -> PropertyReport:
+def check_isp(scf: Scf) -> PropertyReport:
     """No single voter can gain by misreporting.
 
     A profile row has one case per voter v and other order of v, taken in
@@ -399,7 +395,7 @@ def check_isp(
     failing line is walked for its slot.
     """
     t0 = time.perf_counter()
-    ctx, table, grid = _prepare(scf, max_profiles)
+    ctx, table, grid = _prepare(scf)
     better, onehot = ctx.isp_rows
     # present[a, b]: the outcomes on voter v's line through the cells
     # (a, ., b), those before and after v's axis: an OR along it.
@@ -541,7 +537,7 @@ def _eliminate(ctx, sections, values, codes):
     return words, own, fails_on
 
 
-def _pair_scan(scf, wanted, max_profiles):
+def _pair_scan(scf, wanted):
     """GSP, PR and APR decided by eliminating one voter axis at a time.
 
     Over ``sections``, the ones the ``wanted`` properties fail on, each
@@ -562,7 +558,7 @@ def _pair_scan(scf, wanted, max_profiles):
     Q, by :func:`_failing_sections`.
     """
     t0 = time.perf_counter()
-    ctx, table, grid = _prepare(scf, max_profiles)
+    ctx, table, grid = _prepare(scf)
     count = ctx.count
     total = _require_pairs(count)
     sections = _sections(wanted)
@@ -571,38 +567,27 @@ def _pair_scan(scf, wanted, max_profiles):
     read = words.shape[:-1]
     outcomes = table.reshape(ctx.sizes)[tuple(slice(m) for m in read)].reshape(-1)
     words = words.reshape(len(outcomes), -1) & own.take(outcomes, axis=0)
-    results: dict[str, tuple[int, tuple[int, int] | None]] = {}
-    rows = {}
+    reports, rows = {}, {}
     for prop in wanted:
         hit = (words & fails_on[prop]).any(axis=1)
         i = int(hit.argmax())
-        if not hit[i]:
-            results[prop] = (total, None)
-            continue
-        i = sum(s * int(d) for s, d in zip(ctx.strides, np.unravel_index(i, read)))
-        if i not in rows:
-            rows[i] = _failing_sections(ctx, table, i, sections)
-        fails = [sections.index(s) for s in _FAILS_ON[prop]]
-        cols = np.flatnonzero(np.bitwise_or.reduce(rows[i][fails]) & (table != table[i]))
-        if prop == "gsp":
-            j, nth = _gsp_first(ctx, i, cols)
-        else:
-            j = int(cols[0])
-            nth = j - (j > i) + 1
-        results[prop] = (i * (count - 1) + nth, (i, j))
-
-    elapsed = time.perf_counter() - t0
-    reports = {}
-    for prop in wanted:
-        checked, pair = results[prop]
-        witness = None
-        if pair is not None:
+        checked, witness = total, None
+        if hit[i]:
+            i = sum(s * int(d) for s, d in zip(ctx.strides, np.unravel_index(i, read)))
+            if i not in rows:
+                rows[i] = _failing_sections(ctx, table, i, sections)
+            fails = [sections.index(s) for s in _FAILS_ON[prop]]
+            cols = np.flatnonzero(np.bitwise_or.reduce(rows[i][fails]) & (table != table[i]))
             if prop == "gsp":
-                witness = _gsp_witness(scf, ctx.digits, *pair, table)
+                j, nth = _gsp_first(ctx, i, cols)
+                witness = _gsp_witness(scf, ctx.digits, i, j, table)
             else:
-                witness = _pr_violation(scf, prop, *pair, table)
+                j = int(cols[0])
+                nth = j - (j > i) + 1
+                witness = _pr_violation(scf, prop, i, j, table)
+            checked = i * (count - 1) + nth
         reports[prop] = PropertyReport(
-            prop, pair is None, witness, checked, elapsed, scf
+            prop, witness is None, witness, checked, time.perf_counter() - t0, scf
         )
     return reports
 
@@ -650,45 +635,29 @@ def _pr_violation(scf, kind, i, j, table) -> PrViolation:
     return PrViolation(kind, p, q, a, b, analysis)
 
 
-def check_gsp(
-    scf: Scf,
-    *,
-    max_profiles: int = DEFAULT_PROFILE_GUARD,
-) -> PropertyReport:
+def check_gsp(scf: Scf) -> PropertyReport:
     """No coalition can make every member strictly better off.
 
     Only deviations where every coalition member changes their report are
     enumerated; a manipulation with a passive member induces one by the
     sub-coalition of active members, so nothing is lost.
     """
-    return _pair_scan(scf, ("gsp",), max_profiles)["gsp"]
+    return _pair_scan(scf, ("gsp",))["gsp"]
 
 
-def check_pr(
-    scf: Scf,
-    *,
-    max_profiles: int = DEFAULT_PROFILE_GUARD,
-) -> PropertyReport:
+def check_pr(scf: Scf) -> PropertyReport:
     """Preference reversal: one voter witnesses both weak comparisons and changed."""
-    return _pair_scan(scf, ("pr",), max_profiles)["pr"]
+    return _pair_scan(scf, ("pr",))["pr"]
 
 
-def check_apr(
-    scf: Scf,
-    *,
-    max_profiles: int = DEFAULT_PROFILE_GUARD,
-) -> PropertyReport:
+def check_apr(scf: Scf) -> PropertyReport:
     """Almost preference reversal: the two sides may be witnessed by different voters."""
-    return _pair_scan(scf, ("apr",), max_profiles)["apr"]
+    return _pair_scan(scf, ("apr",))["apr"]
 
 
-def check_pr_apr(
-    scf: Scf,
-    *,
-    max_profiles: int = DEFAULT_PROFILE_GUARD,
-) -> dict[str, PropertyReport]:
+def check_pr_apr(scf: Scf) -> dict[str, PropertyReport]:
     """Both PR and APR from a single scan."""
-    return _pair_scan(scf, ("pr", "apr"), max_profiles)
+    return _pair_scan(scf, ("pr", "apr"))
 
 
 # ---------------------------------------------------------------------------
@@ -696,11 +665,7 @@ def check_pr_apr(
 # ---------------------------------------------------------------------------
 
 
-def check_dictator(
-    scf: Scf,
-    *,
-    max_profiles: int = DEFAULT_PROFILE_GUARD,
-) -> PropertyReport:
+def check_dictator(scf: Scf) -> PropertyReport:
     """Some voter always receives one of their top alternatives.
 
     Voter v is served at P when phi(P) has rank 0 under v's order at P.  The
@@ -711,7 +676,7 @@ def check_dictator(
     voter's; the first voter with none is the dictator.
     """
     t0 = time.perf_counter()
-    ctx, table, grid = _prepare(scf, max_profiles)
+    ctx, table, grid = _prepare(scf)
     ranks = ctx.rank_table.reshape(-1)
     checked = 0
     counters: list[DictatorCounter] = []
@@ -909,7 +874,7 @@ def revalidate_witness(scf: Scf, prop: str, witness: Any) -> bool:
 # Serialization
 # ---------------------------------------------------------------------------
 
-CHECKERS: dict[str, Callable[..., PropertyReport]] = {
+CHECKERS: dict[str, Callable[[Scf], PropertyReport]] = {
     "isp": check_isp,
     "gsp": check_gsp,
     "pr": check_pr,
@@ -918,13 +883,13 @@ CHECKERS: dict[str, Callable[..., PropertyReport]] = {
 }
 
 
-def run_checkers(scf: Scf, props, **kwargs) -> dict[str, PropertyReport]:
+def run_checkers(scf: Scf, props) -> dict[str, PropertyReport]:
     """The reports of the ``props`` checkers on ``scf``, by property; PR and
     APR, when both are asked for, come from one :func:`check_pr_apr` pass."""
-    reports = check_pr_apr(scf, **kwargs) if {"pr", "apr"} <= set(props) else {}
+    reports = check_pr_apr(scf) if {"pr", "apr"} <= set(props) else {}
     for prop in props:
         if prop not in reports:
-            reports[prop] = CHECKERS[prop](scf, **kwargs)
+            reports[prop] = CHECKERS[prop](scf)
     return reports
 
 

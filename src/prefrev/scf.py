@@ -168,11 +168,9 @@ def profile_at(domain: Domain, index: int) -> Profile:
     return Profile(tuple(reversed(orders)))
 
 
-def iter_profiles(
-    domain: Domain, guard: int = DEFAULT_PROFILE_GUARD
-) -> Iterator[Profile]:
+def iter_profiles(domain: Domain) -> Iterator[Profile]:
     """All profiles in canonical index order (odometer walk)."""
-    domain.require_enumerable(guard)
+    domain.require_enumerable()
     sizes = [len(fs) for fs in domain.feasible]
     digits = [0] * domain.n
     while True:
@@ -484,7 +482,8 @@ def evaluate(scf: Scf, profile: Profile) -> int:
 
 
 def tabulate(scf: Scf, guard: int = DEFAULT_PROFILE_GUARD) -> Scf:
-    """Materialize a rule into a table; idempotent on tables.
+    """Materialize a rule into a table; idempotent on tables.  The one
+    place a profile guard is set: every other reader takes the default.
 
     The kernel runs on the least order of each class of :func:`rule_reads`,
     and one ``take`` per keyed voter spreads its outcomes over the profiles.
@@ -544,10 +543,9 @@ def class_grid(scf: Scf) -> Grid:
     return Grid(scf.table.reshape(sizes), (None,) * n, (None,) * n)
 
 
-def range_of(scf: Scf, guard: int = DEFAULT_PROFILE_GUARD) -> frozenset[int]:
+def range_of(scf: Scf) -> frozenset[int]:
     """Exact image of the profile space."""
-    table = tabulate(scf, guard).table
-    return frozenset(int(x) for x in np.unique(table))
+    return frozenset(int(x) for x in np.unique(tabulate(scf).table))
 
 
 # ---------------------------------------------------------------------------

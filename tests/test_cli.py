@@ -434,50 +434,55 @@ _WITNESS_NO_COALITION = json.dumps({"reports": [{
 }]})
 
 
-@pytest.mark.parametrize("argv, text, env, expected", [
-    (["check", "{file}"], _scf_with(voters="two"), None, 1),
-    (["check", "{file}"], "[1, 2]", None, 1),
+@pytest.mark.parametrize("argv, text, expected", [
+    (["check", "{file}"], _scf_with(voters="two"), 1),
+    (["check", "{file}"], "[1, 2]", 1),
     (["verify", "thm-complete", "--rule", "dictator-tiebreak", "--params", "{bad"],
-     None, None, 1),
-    (["check", "{scf}", "--recheck-witness", "{file}"], "not json", None, 1),
-    (["check", "{scf}", "--recheck-witness", "{file}"], _WITNESS_NO_COALITION, None, 1),
-    (["check", "{scf}"], None, "two", 1),
-    (["check", "{file}"], _scf_with(domain=5), None, 1),
-    (["check", "{scf}", "--recheck-witness", "{file}"], '{"reports": [1]}', None, 1),
-    (["check", "{file}"], _scf_with(alternatives=[1, 2]), None, 1),
-    (["check", "{file}"], _scf_with(domain={"voters": [{"preset": 5}] * 2}), None, 1),
+     None, 1),
+    (["check", "{scf}", "--recheck-witness", "{file}"], "not json", 1),
+    (["check", "{scf}", "--recheck-witness", "{file}"], _WITNESS_NO_COALITION, 1),
+    (["check", "{file}"], _scf_with(domain=5), 1),
+    (["check", "{scf}", "--recheck-witness", "{file}"], '{"reports": [1]}', 1),
+    (["check", "{file}"], _scf_with(alternatives=[1, 2]), 1),
+    (["check", "{file}"], _scf_with(domain={"voters": [{"preset": 5}] * 2}), 1),
     (["verify", "thm-complete", "--rule", "dictator-tiebreak",
-      "--params", '{"voter": "x"}'], None, None, 1),
-    (["check", "{file}", "--properties", "isp"], _cloned_scf([5], voter=1), None, 1),
-    (["check", "{file}", "--properties", "isp"], _cloned_scf([1, 2], voter=3), None, 1),
-    (["check", "{file}", "--properties", "isp,pr"], _WIDE_TABLE_SCF, None, 1),
-    (["check", "{scf}", "--properties", ""], None, None, 1),
-    (["check", "{scf}", "--properties", " , "], None, None, 1),
-    (["check"], None, None, 1),
-    (["orders", "--k", "3", "--parallelism", "two"], None, None, 1),
-    (["verify", "no-such-theorem"], None, None, 1),
-    ([], None, None, 1),
+      "--params", '{"voter": "x"}'], None, 1),
+    (["check", "{file}", "--properties", "isp"], _cloned_scf([5], voter=1), 1),
+    (["check", "{file}", "--properties", "isp"], _cloned_scf([1, 2], voter=3), 1),
+    (["check", "{file}", "--properties", "isp,pr"], _WIDE_TABLE_SCF, 1),
+    (["check", "{scf}", "--properties", ""], None, 1),
+    (["check", "{scf}", "--properties", " , "], None, 1),
+    (["check"], None, 1),
+    (["orders", "--k", "3", "--parallelism", "two"], None, 1),
+    (["verify", "no-such-theorem"], None, 1),
+    ([], None, 1),
 ], ids=["voters-not-int", "scf-is-a-list", "params-not-json",
-        "witness-not-json", "witness-no-coalition", "env-parallelism",
-        "domain-not-object", "report-not-object", "alternatives-not-names",
-        "preset-not-text", "params-voter-not-int", "cloned-assignment-outside",
+        "witness-not-json", "witness-no-coalition", "domain-not-object",
+        "report-not-object", "alternatives-not-names", "preset-not-text",
+        "params-voter-not-int", "cloned-assignment-outside",
         "cloned-base-voter-outside", "too-many-alternatives", "no-properties",
         "blank-properties", "missing-file", "parallelism-not-int",
         "unknown-theorem", "no-command"])
 def test_malformed_input_is_a_clean_error(
-    capsys, monkeypatch, tmp_path, paper_scf_path, argv, text, env, expected
+    capsys, tmp_path, paper_scf_path, argv, text, expected
 ):
     path = tmp_path / "input.json"
     if text is not None:
         path.write_text(text)
-    if env is not None:
-        monkeypatch.setenv("PREFREV_PARALLELISM", env)
     argv = [
         a.replace("{file}", str(path)).replace("{scf}", paper_scf_path) for a in argv
     ]
     # Usage errors too: argparse's own exit code, 2, is the witness code.
     assert main(argv) == expected
     assert "error:" in capsys.readouterr().err
+
+
+def test_parallelism_in_the_environment_is_ignored(capsys, monkeypatch):
+    # The environment sets no default: only --parallelism is read and checked.
+    expected = run(capsys, "orders", "--k", "3")
+    monkeypatch.setenv("PREFREV_PARALLELISM", "two")
+    assert run(capsys, "orders", "--k", "3") == expected
+    assert expected[0] == 0 and expected[1].endswith("13 orders\n")
 
 
 def test_help_exits_0(capsys):
@@ -936,7 +941,7 @@ _THEOREM_BASE = {"thm-complete": ("--rule", "median-peaks")}
 
 def test_each_theorem_refuses_the_flags_only_another_theorem_reads(capsys):
     theorems = {name: _long_flags(p)
-                for name, p in _subparsers(_subparsers(build_parser("1"))["verify"]).items()}
+                for name, p in _subparsers(_subparsers(build_parser())["verify"]).items()}
     assert set(theorems) == {"prop-apr-gsp", "thm-range3", "summary-equivalence",
                              "isp-not-pr", "thm-complete"}
     for theorem, own in theorems.items():

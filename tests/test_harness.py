@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -124,6 +125,26 @@ def test_isp_not_pr_checks_its_budget(budget):
     spec = EnumerationSpec(Domain.shared(FeasibleSet.explicit(alts, orders), 2), (0, 1, 2, 3))
     with pytest.raises(TypeError, match="must be an integer"):
         harness.search_isp_not_pr(spec, budget)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit limit")
+def test_a_count_past_the_digit_limit_is_refused_before_the_walk(monkeypatch):
+    # 3 voters x 24 strict orders at k=4: 4^13824 tables, 8,323 digits,
+    # past the interpreter's default limit of 4,300.
+    domain = Domain.shared(FeasibleSet.universal_strict(AlternativeSet.letters(4)), 3)
+    searched = []
+    monkeypatch.setattr(harness, "_search", lambda *args: searched.append(args) or iter(()))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ArgumentError, match="the table count has too many digits"):
+            verify_summary_equivalence(EnumerationSpec(domain, (0, 1, 2, 3), limit=4**13824))
+        with pytest.raises(ArgumentError, match="the table budget has too many digits"):
+            harness.search_isp_not_pr(EnumerationSpec(domain, (0, 1, 2, 3)), 10**5000)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert not searched
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,9 @@ from prefrev import (
     enumerate_strict_orders,
     evaluate,
     format_order,
+    iter_profiles,
     parse_order,
+    range_of,
     report_to_dict,
     revalidate_witness,
     tabulate,
@@ -322,12 +324,19 @@ def test_parallelism_does_not_change_reports(capsys, tmp_path, paper_rule, worke
 
 
 def test_guard_rejects_oversized_domains(abc):
+    # 8 voters x 13 weak orders: 13^8 profiles, past the default profile
+    # guard, which every reader of a rule's table meets in tabulate.
     big = Domain.shared(FeasibleSet.universal_weak(abc), 8)
     phi = builtin("constant", big, alternative="a")
-    with pytest.raises(ResourceGuardError):
-        check_isp(phi)
-    with pytest.raises(ResourceGuardError):
-        check_pr(phi)
+    guard = "profile space has 815730721 profiles, guard is 10000000"
+    calls = [*properties.CHECKERS.values(), check_pr_apr,
+             lambda scf: properties.run_checkers(scf, list(properties.CHECKERS)),
+             range_of, lambda scf: next(iter_profiles(scf.domain))]
+    for call in calls:
+        with pytest.raises(ResourceGuardError, match=guard):
+            call(phi)
+    # Refused before the rule's arrays or the domain's scan data are built.
+    assert "_arrays" not in phi.__dict__ and "_scan_context" not in big.__dict__
 
 
 def test_gsp_case_guard(monkeypatch, abc):
